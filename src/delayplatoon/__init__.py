@@ -55,7 +55,6 @@ from .simulator import (
     PlatoonConfig,
     TrajectoryLog,
     VehicleSetup,
-    error_dynamics_reference,
     leader_input,
     run,
 )

@@ -1,25 +1,8 @@
-"""Numba acceleration switch.
+"""Acceleration mode of the package.
 
-Hot kernels are written once and compiled with numba's ``@njit`` by default.
-Setting the environment variable ``DELAYPLATOON_NUMBA=0`` (or an import
-failure of numba) selects the pure numpy/Python path: the same functions run
-interpreted.  The flag is read at import time; ``benchmarks/bench_kernels.py``
-compares both modes in subprocesses.
+The package has one interpreted numpy code path; nothing is compiled.  The
+constant stays only because the benchmark's environment fingerprint
+(``perfbench/run.py:fingerprint``) reads it.
 """
 
-import os
-
-NUMBA_ENABLED = os.environ.get("DELAYPLATOON_NUMBA", "1") != "0"
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    def maybe_njit(func):
-        return _njit(cache=True)(func)
-else:
-    def maybe_njit(func):
-        return func
+NUMBA_ENABLED = False

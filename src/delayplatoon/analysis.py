@@ -14,10 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from . import _kernels
-from ._search import golden_section_max
 from .dynamics import VehicleParams
 from .errors import NoRootError, RefinementError
 from .spacing import PolicyKind, SpacingPolicy, StabilityVerdict
@@ -127,27 +124,21 @@ class QuasiPolynomial:
         return max(total, 1e-300)
 
     def magnitude_sq_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """|p|^2 on the rectangle xs x i*ys (hot path of the root scan)."""
-        coeffs, deg, delays = self._flat()
-        return _kernels.qp_grid_mag2(
-            np.ascontiguousarray(xs, dtype=float),
-            np.ascontiguousarray(ys, dtype=float),
-            coeffs,
-            deg,
-            delays,
-        )
+        """|p|^2 on the rectangle xs x i*ys (hot path of the root scan).
 
-    def _flat(self):
-        n = len(self.terms)
-        max_deg = max(len(c) for c, _ in self.terms) - 1
-        coeffs = np.zeros((n, max_deg + 1))
-        deg = np.zeros(n, dtype=np.int64)
-        delays = np.zeros(n)
-        for m, (c, delay) in enumerate(self.terms):
-            coeffs[m, : len(c)] = c
-            deg[m] = len(c) - 1
-            delays[m] = delay
-        return coeffs, deg, delays
+        e^{-lambda theta} is factorized into per-axis tables, one along the
+        real and one along the imaginary axis.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        lam = xs[None, :] + 1j * ys[:, None]
+        total = np.zeros_like(lam)
+        for coeffs, delay in self.terms:
+            c = np.zeros_like(lam)
+            for coef in reversed(coeffs):
+                c = c * lam + coef
+            total += c * (np.exp(-delay * xs)[None, :] * np.exp(-1j * delay * ys)[:, None])
+        return total.real**2 + total.imag**2
 
 
 @dataclass(frozen=True)
@@ -207,6 +198,33 @@ def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int
         bounds.append(20.0 * math.pi / params.phi)
     omega_max = max(bounds) if bounds else 1e3
     return np.logspace(-3.0, math.log10(omega_max), n_grid)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-10):
+    """Maximize a unimodal f on [lo, hi]; returns (x, f(x)).
+
+    The interval is shrunk until its width is below rel_tol relative to the
+    magnitude of the abscissa (with an absolute floor for intervals at 0).
+    """
+    a, b = float(lo), float(hi)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-30):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    if fc >= fd:
+        return c, fc
+    return d, fd
 
 
 def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray):
@@ -483,8 +501,8 @@ def stability_region_boundary(phi: float, n_points: int) -> np.ndarray:
     """Boundary of the extended-policy properness region in the
     (h_v/h_a, 1/h_a) plane: (w sin(w phi), w^2 cos(w phi)) for w in
     [0, pi/(2 phi)], sampled uniformly including the endpoint limits."""
-    if phi <= 0.0:
-        raise ValueError("phi must be > 0")
+    if not (math.isfinite(phi) and phi > 0.0):
+        raise ValueError("phi must be finite and > 0")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     w = np.linspace(0.0, 0.5 * math.pi / phi, n_points)
@@ -513,7 +531,10 @@ def l2_string_stability_check(velocity_logs, Ts: float) -> list[L2PairVerdict]:
         raise ValueError("need a (n_samples, n_vehicles >= 2) velocity array")
     if Ts <= 0.0:
         raise ValueError("Ts must be > 0")
-    energy = cumulative_trapezoid(v * v, dx=Ts, axis=0, initial=0.0)
+    # cumulative trapezoidal integral of v^2, 0 at the first sample
+    energy = np.zeros_like(v)
+    v2 = v * v
+    energy[1:] = np.cumsum(Ts * (v2[1:] + v2[:-1]) / 2.0, axis=0)
     verdicts = []
     for i in range(1, v.shape[1]):
         excess = energy[:, i] - energy[:, i - 1]

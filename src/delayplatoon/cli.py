@@ -72,12 +72,8 @@ def cmd_simulate(args) -> int:
     except (ScenarioError, DelayGranularityError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        log = simulator.run(scenario.config, scenario.profile)
-        write_csv(log, args.out)
-    except Exception as exc:  # simulation/runtime failure
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    log = simulator.run(scenario.config, scenario.profile)
+    write_csv(log, args.out)
     print(f"wrote {len(log.t)} samples for {log.n_vehicles} vehicles to {args.out}")
     return EXIT_OK
 
@@ -160,6 +156,9 @@ def cmd_sweep(args) -> int:
         policy, params = _policy_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.points < 2:
+        print("error: --points must be >= 2", file=sys.stderr)
         return EXIT_USAGE
     if args.omega_min is not None or args.omega_max is not None:
         lo = args.omega_min if args.omega_min is not None else 1e-3
@@ -273,7 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a crash is a runtime error, never a verdict
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -9,14 +9,20 @@ specialized laws bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .dynamics import VehicleParams, VehicleState
 from .errors import ChannelError, DegreeError
-from .spacing import PolicyKind, PolicyRows, SpacingPolicy, spacing_error
+from .spacing import (
+    PolicyKind,
+    PolicyRows,
+    SpacingPolicy,
+    spacing_error,
+    spacing_error_from_rows,
+)
 
 __all__ = [
     "ControllerGains",
@@ -39,6 +45,10 @@ class ControllerGains:
     k_p: float
     k_d: float = 0.0
     k_dd: float = 0.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.k_p, self.k_d, self.k_dd))):
+            raise ValueError("gains must be finite")
 
 
 @dataclass(frozen=True)
@@ -110,6 +120,25 @@ class ControllerSpec:
             )
 
 
+def dc_control(tau_i, tau_prev, k_p, k_d, k_dd, e, edot, eddot, a_prev, a_hat, u_prev_delayed):
+    """Delayed-constant tracking law (feedforward of the predecessor input)."""
+    return (
+        (tau_i / tau_prev) * (u_prev_delayed - a_prev)
+        + a_hat
+        + tau_i * (k_p * e + k_d * edot + k_dd * eddot)
+    )
+
+
+def dch_control(tau_i, h_v, k_p, k_d, e, edot, a_prev, a_i, a_hat):
+    """Delayed constant headway tracking law (needs V2V predecessor acceleration)."""
+    return a_hat + (tau_i / h_v) * (a_prev - a_i + k_p * e + k_d * edot)
+
+
+def ext_control(tau_i, h_v, h_a, k_p, e, dv, a_i, a_hat):
+    """Delayed extended headway tracking law (onboard measurements only)."""
+    return a_hat + (tau_i / h_a) * (dv - h_v * a_i + k_p * e)
+
+
 def control_delayed_constant(spec: ControllerSpec, inputs: ControlInputs) -> float:
     """Tracking law for the delayed constant spacing policy (rho_bar = 3)."""
     if spec.policy.kind is not PolicyKind.DELAYED_CONSTANT:
@@ -127,7 +156,7 @@ def control_delayed_constant(spec: ControllerSpec, inputs: ControlInputs) -> flo
         predecessor_a=inputs.predecessor_a,
     )
     return float(
-        _kernels.dc_control(
+        dc_control(
             spec.ego.tau,
             spec.predecessor.tau,
             spec.gains.k_p,
@@ -157,7 +186,7 @@ def control_delayed_constant_headway(spec: ControllerSpec, inputs: ControlInputs
         inputs.ego_predicted,
     )
     return float(
-        _kernels.dch_control(
+        dch_control(
             spec.ego.tau,
             spec.policy.h_v,
             spec.gains.k_p,
@@ -183,7 +212,7 @@ def control_delayed_extended(spec: ControllerSpec, inputs: ControlInputs) -> flo
         inputs.ego_predicted,
     )
     return float(
-        _kernels.ext_control(
+        ext_control(
             spec.ego.tau,
             spec.policy.h_v,
             spec.policy.h_a,
@@ -228,7 +257,7 @@ def generic_rho_controller(
     x = inputs.ego_state.as_array()
     xp = inputs.ego_predicted.as_array()
 
-    e = inputs.delta - h @ x - hb @ xp
+    e = spacing_error_from_rows(rows, inputs.delta, x, xp)
     if rho_bar == 1:
         hb_b = hb @ b_vec
         num = inputs.delta_dot - h @ a_mat @ x - hb @ a_mat @ xp + gains.k_p * e

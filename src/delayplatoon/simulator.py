@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from . import _kernels
-from .controllers import ControllerGains, ControllerSpec, validate_gains
+from .controllers import ControllerSpec, dc_control, dch_control, ext_control
 from .dynamics import (
     InputHistory,
     VehicleParams,
@@ -26,9 +25,9 @@ from .dynamics import (
     delay_steps,
     discretize,
 )
-from .errors import DegreeError, HistoryDepthError
+from .errors import HistoryDepthError
 from .predictor import prediction_weights
-from .spacing import PolicyKind, SpacingPolicy
+from .spacing import PolicyKind, SpacingPolicy, dc_errors, dch_errors, ext_error
 
 __all__ = [
     "SegmentKind",
@@ -41,14 +40,7 @@ __all__ = [
     "PlatoonConfig",
     "TrajectoryLog",
     "run",
-    "error_dynamics_reference",
 ]
-
-_POLICY_CODE = {
-    PolicyKind.DELAYED_CONSTANT: _kernels.POLICY_CONSTANT,
-    PolicyKind.DELAYED_CONSTANT_HEADWAY: _kernels.POLICY_DCH,
-    PolicyKind.DELAYED_EXTENDED_HEADWAY: _kernels.POLICY_EXT,
-}
 
 
 class SegmentKind(enum.Enum):
@@ -69,6 +61,8 @@ class LeaderSegment:
     def __post_init__(self):
         if not (self.duration > 0.0 and math.isfinite(self.duration)):
             raise ValueError("segment duration must be finite and > 0")
+        if not all(map(math.isfinite, (self.v_ref, self.gain, self.amplitude))):
+            raise ValueError("segment v_ref, gain and amplitude must be finite")
         if self.kind is SegmentKind.CRUISE and self.gain <= 0.0:
             raise ValueError("cruise gain must be > 0")
 
@@ -120,8 +114,9 @@ class MeasurementOptions:
     v2v_rate_hz: float = 25.0
 
     def __post_init__(self):
-        if self.radar_rate_hz <= 0.0 or self.v2v_rate_hz <= 0.0:
-            raise ValueError("hold rates must be > 0")
+        for rate in (self.radar_rate_hz, self.v2v_rate_hz):
+            if not (math.isfinite(rate) and rate > 0.0):
+                raise ValueError("hold rates must be finite and > 0")
 
 
 class MeasurementModel:
@@ -192,8 +187,8 @@ class PlatoonConfig:
                 f"{nf} followers need {nf} policies and controllers, got "
                 f"{len(self.policies)} / {len(self.controllers)}"
             )
-        if not (self.ts > 0.0 and self.horizon > 0.0):
-            raise ValueError("ts and horizon must be > 0")
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.ts, self.horizon)):
+            raise ValueError("ts and horizon must be finite and > 0")
         for setup in self.vehicles:
             d = delay_steps(setup.params, self.ts)  # raises DelayGranularityError
             if setup.history is not None and setup.history.depth != d:
@@ -236,136 +231,126 @@ class TrajectoryLog:
         return self.e.shape[1]
 
 
-def _kernel_arrays(config: PlatoonConfig):
-    nv = len(config.vehicles)
-    ts = config.ts
-    tau = np.array([s.params.tau for s in config.vehicles])
-    d = np.array([delay_steps(s.params, ts) for s in config.vehicles], dtype=np.int64)
-    dmax = max(int(d.max()), 1)
-
-    phi_mat = np.empty((nv, 3, 3))
-    gamma = np.empty((nv, 3))
-    phi_pow_d = np.empty((nv, 3, 3))
-    pred_w = np.zeros((nv, 3, dmax))
-    hist0 = np.zeros((nv, dmax))
-    x0 = np.empty((nv, 3))
-    for i, setup in enumerate(config.vehicles):
-        model = discretize(setup.params, ts)
-        phi_mat[i] = model.Phi
-        gamma[i] = model.Gamma
-        di = int(d[i])
-        pd, w_oldest_first = prediction_weights(model, di)
-        phi_pow_d[i] = pd
-        # kernel indexes weights by j (most recent first)
-        if di > 0:
-            pred_w[i, :, :di] = w_oldest_first[:, ::-1]
-        history = setup.history or InputHistory.zeros(di, ts)
-        hist0[i, :di] = history.samples
-        x0[i] = setup.state.as_array()
-
-    nf = nv - 1
-    policy = np.zeros(max(nf, 1), dtype=np.int64)
-    h_v = np.zeros(max(nf, 1))
-    h_a = np.zeros(max(nf, 1))
-    standstill = np.zeros(max(nf, 1))
-    k_p = np.zeros(max(nf, 1))
-    k_d = np.zeros(max(nf, 1))
-    k_dd = np.zeros(max(nf, 1))
-    for f, (pol, spec) in enumerate(zip(config.policies, config.controllers)):
-        policy[f] = _POLICY_CODE[pol.kind]
-        h_v[f] = pol.h_v
-        h_a[f] = pol.h_a
-        standstill[f] = pol.standstill
-        k_p[f] = spec.gains.k_p
-        k_d[f] = spec.gains.k_d
-        k_dd[f] = spec.gains.k_dd
-    return tau, d, phi_mat, gamma, phi_pow_d, pred_w, policy, h_v, h_a, standstill, k_p, k_d, k_dd, x0, hist0
-
-
-def _profile_arrays(profile: LeaderProfile):
-    ns = len(profile.segments)
-    seg_kind = np.empty(ns, dtype=np.int64)
-    seg_t_end = np.empty(ns)
-    seg_p1 = np.empty(ns)
-    seg_p2 = np.empty(ns)
-    end = 0.0
-    for m, seg in enumerate(profile.segments):
-        end += seg.duration
-        seg_t_end[m] = end
-        if seg.kind is SegmentKind.CRUISE:
-            seg_kind[m] = _kernels.SEG_CRUISE
-            seg_p1[m] = seg.v_ref
-            seg_p2[m] = seg.gain
-        else:
-            seg_kind[m] = _kernels.SEG_PULSE
-            seg_p1[m] = seg.amplitude
-            seg_p2[m] = 0.0
-    return seg_kind, seg_t_end, seg_p1, seg_p2
+def _vehicle_model(setup: VehicleSetup, ts: float):
+    """(Phi, Gamma, Phi^d, prediction weights most recent first, input
+    history) of one vehicle as Python floats, for the scalar stepper."""
+    model = discretize(setup.params, ts)
+    d = delay_steps(setup.params, ts)
+    phi_d, w_oldest_first = prediction_weights(model, d)
+    history = setup.history or InputHistory.zeros(d, ts)
+    return (
+        model.Phi.tolist(),
+        model.Gamma.tolist(),
+        phi_d.tolist(),
+        list(zip(*w_oldest_first[:, ::-1].tolist())),
+        deque(history.samples, maxlen=d),
+    )
 
 
 def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
     """Simulate the platoon over the horizon; deterministic in its inputs."""
-    n_steps = int(round(config.horizon / config.ts))
-    (
-        tau, d, phi_mat, gamma, phi_pow_d, pred_w,
-        policy, h_v, h_a, standstill, k_p, k_d, k_dd, x0, hist0,
-    ) = _kernel_arrays(config)
-    seg_kind, seg_t_end, seg_p1, seg_p2 = _profile_arrays(leader)
+    ts = config.ts
+    n_steps = int(round(config.horizon / ts))
+    nv = len(config.vehicles)
+    phis, gammas, phi_ds, weights, hists = zip(
+        *(_vehicle_model(setup, ts) for setup in config.vehicles)
+    )
+    tau = [setup.params.tau for setup in config.vehicles]
+    x = [setup.state.as_array().tolist() for setup in config.vehicles]
     opts = config.measurement
-    out = _kernels.run_closed_loop(
-        n_steps,
-        config.ts,
-        tau, d, phi_mat, gamma, phi_pow_d, pred_w,
-        policy, h_v, h_a, standstill, k_p, k_d, k_dd,
-        seg_kind, seg_t_end, seg_p1, seg_p2,
-        x0, hist0,
-        opts.radar_hold,
-        1.0 / opts.radar_rate_hz,
-        opts.v2v_hold,
-        1.0 / opts.v2v_rate_hz,
-        config.clamp_reverse,
-    )
-    t, q, v, a, u, e, delta, dref = out
-    nf = len(config.vehicles) - 1
+    holds = None
+    if opts.radar_hold or opts.v2v_hold:
+        holds = [MeasurementModel(opts) for _ in config.policies]
+
+    t_log, x_log, u_log, e_log, delta_log, dref_log = [], [], [], [], [], []
+    u_cmd = [0.0] * nv
+    for k in range(n_steps + 1):
+        t = k * ts
+        u_cmd[0] = leader_input(leader, t, x[0][1])
+        e_row, delta_row, dref_row = [], [], []
+        # followers front to back, all using predecessor values at time t
+        for i in range(1, nv):
+            f = i - 1
+            q, v, a = x[i]
+            delta = x[f][0] - q
+            delta_dot = x[f][1] - v
+            pred_a = x[f][2]
+            pred_u = hists[f][0] if hists[f].maxlen else u_cmd[f]
+            delta_m, delta_dot_m = delta, delta_dot
+            if holds is not None:
+                delta_m, delta_dot_m, _, pred_a, pred_u = holds[f].sample(
+                    t, delta, delta_dot, x[f][1], pred_a, pred_u
+                )
+
+            # exact d-step prediction of the ego state
+            p0, p1, p2 = phi_ds[i]
+            qh = p0[0] * q + p0[1] * v + p0[2] * a
+            vh = p1[0] * q + p1[1] * v + p1[2] * a
+            ah = p2[0] * q + p2[1] * v + p2[2] * a
+            for (wq, wv, wa), um in zip(weights[i], reversed(hists[i])):
+                qh += wq * um
+                vh += wv * um
+                ah += wa * um
+
+            policy = config.policies[f]
+            gains = config.controllers[f].gains
+            delta_adj = delta_m - policy.standstill
+            if policy.kind is PolicyKind.DELAYED_CONSTANT:
+                e, edot, eddot = dc_errors(delta_adj, delta_dot_m, q, v, qh, vh, ah, pred_a)
+                u = dc_control(
+                    tau[i], tau[f], gains.k_p, gains.k_d, gains.k_dd,
+                    e, edot, eddot, pred_a, ah, pred_u,
+                )
+                dref = (qh - q) + policy.standstill
+            elif policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+                e, edot = dch_errors(policy.h_v, delta_adj, delta_dot_m, vh, ah)
+                u = dch_control(tau[i], policy.h_v, gains.k_p, gains.k_d, e, edot, pred_a, a, ah)
+                dref = policy.h_v * vh + policy.standstill
+            else:
+                e = ext_error(policy.h_v, policy.h_a, delta_adj, v, ah)
+                u = ext_control(tau[i], policy.h_v, policy.h_a, gains.k_p, e, delta_dot_m, a, ah)
+                dref = policy.h_v * v + policy.h_a * ah + policy.standstill
+            u_cmd[i] = u
+            e_row.append(e)
+            delta_row.append(delta)
+            dref_row.append(dref)
+
+        t_log.append(t)
+        x_log.append(x[:])  # rows of x are replaced, never mutated
+        u_log.append(u_cmd[:])
+        e_log.append(e_row)
+        delta_log.append(delta_row)
+        dref_log.append(dref_row)
+        if k == n_steps:
+            break
+
+        # advance every vehicle one exact ZOH step with its delayed input
+        for i in range(nv):
+            p0, p1, p2 = phis[i]
+            g = gammas[i]
+            hist = hists[i]
+            ud = hist[0] if hist.maxlen else u_cmd[i]
+            q, v, a = x[i]
+            qn = p0[0] * q + p0[1] * v + p0[2] * a + g[0] * ud
+            vn = p1[0] * q + p1[1] * v + p1[2] * a + g[1] * ud
+            an = p2[0] * q + p2[1] * v + p2[2] * a + g[2] * ud
+            if config.clamp_reverse and vn < 0.0:
+                vn = 0.0
+                if an < 0.0:
+                    an = 0.0
+            x[i] = [qn, vn, an]
+            hist.append(u_cmd[i])  # a zero-length deque drops it
+
+    states = np.array(x_log).reshape(n_steps + 1, nv, 3)
+    nf = nv - 1
     return TrajectoryLog(
-        t, q, v, a, u, e[:, :nf], delta[:, :nf], dref[:, :nf], config.ts
+        np.array(t_log),
+        states[:, :, 0].copy(),
+        states[:, :, 1].copy(),
+        states[:, :, 2].copy(),
+        np.array(u_log),
+        np.array(e_log).reshape(n_steps + 1, nf),
+        np.array(delta_log).reshape(n_steps + 1, nf),
+        np.array(dref_log).reshape(n_steps + 1, nf),
+        ts,
     )
-
-
-def error_dynamics_reference(
-    rho_bar: int,
-    gains: ControllerGains,
-    e0: float,
-    horizon: float,
-    ts: float,
-) -> np.ndarray:
-    """Analytic e(t) at the sample grid for the closed-loop error ODE.
-
-    The controllers realize e' = -k_p e (rho_bar 1), e'' = -k_d e' - k_p e
-    (rho_bar 2) or e''' = -k_dd e'' - k_d e' - k_p e (rho_bar 3) from
-    initial condition (e0, 0, 0).  Evaluated through the exponential of the
-    companion matrix, which also covers repeated or complex eigenvalues.
-    """
-    violations = validate_gains(rho_bar, gains)
-    if violations:
-        raise ValueError("invalid gains: " + "; ".join(violations))
-    if rho_bar == 1:
-        companion = np.array([[-gains.k_p]])
-    elif rho_bar == 2:
-        companion = np.array([[0.0, 1.0], [-gains.k_p, -gains.k_d]])
-    elif rho_bar == 3:
-        companion = np.array(
-            [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-gains.k_p, -gains.k_d, -gains.k_dd]]
-        )
-    else:
-        raise DegreeError(f"unsupported relative degree {rho_bar}")
-    n = int(round(horizon / ts))
-    step_matrix = scipy.linalg.expm(companion * ts)
-    y = np.zeros(companion.shape[0])
-    y[0] = e0
-    series = np.empty(n + 1)
-    series[0] = y[0]
-    for k in range(n):
-        y = step_matrix @ y
-        series[k + 1] = y[0]
-    return series

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import VehicleParams, VehicleState
 
@@ -69,6 +68,8 @@ class SpacingPolicy:
     standstill: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.h_v, self.h_a, self.standstill))):
+            raise ValueError("h_v, h_a and standstill must be finite")
         if self.standstill < 0.0:
             raise ValueError("standstill must be >= 0")
         if self.kind is PolicyKind.DELAYED_CONSTANT:
@@ -193,6 +194,24 @@ def spacing_error_from_rows(
     return float(delta - h @ x - hb @ x_pred)
 
 
+def dc_errors(delta, delta_dot, q, v, q_hat, v_hat, a_hat, predecessor_a):
+    """(e, e_dot, e_ddot) for the delayed constant spacing policy."""
+    e = delta + q - q_hat
+    e_dot = delta_dot + v - v_hat
+    e_ddot = predecessor_a - a_hat
+    return e, e_dot, e_ddot
+
+
+def dch_errors(h_v, delta, delta_dot, v_hat, a_hat):
+    """(e, e_dot) for the delayed constant headway policy."""
+    return delta - h_v * v_hat, delta_dot - h_v * a_hat
+
+
+def ext_error(h_v, h_a, delta, v, a_hat):
+    """e for the delayed extended headway policy."""
+    return delta - h_v * v - h_a * a_hat
+
+
 def spacing_error(
     policy: SpacingPolicy,
     delta: float,
@@ -211,18 +230,18 @@ def spacing_error(
     Derivatives whose inputs are missing are left as None.
     """
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
-        e = delta + state_i.q - predicted_i.q
-        e_dot = delta_dot + state_i.v - predicted_i.v
-        e_ddot = None if predecessor_a is None else predecessor_a - predicted_i.a
-        return SpacingError(e, e_dot, e_ddot)
+        e, e_dot, e_ddot = dc_errors(
+            delta, delta_dot, state_i.q, state_i.v, predicted_i.q, predicted_i.v,
+            predicted_i.a, 0.0 if predecessor_a is None else predecessor_a,
+        )
+        return SpacingError(e, e_dot, None if predecessor_a is None else e_ddot)
     if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-        e = delta - policy.h_v * predicted_i.v
-        e_dot = delta_dot - policy.h_v * predicted_i.a
+        e, e_dot = dch_errors(policy.h_v, delta, delta_dot, predicted_i.v, predicted_i.a)
         e_ddot = None
         if predecessor_a is not None and predicted_a_dot_i is not None:
             e_ddot = (predecessor_a - state_i.a) - policy.h_v * predicted_a_dot_i
         return SpacingError(e, e_dot, e_ddot)
-    e = delta - policy.h_v * state_i.v - policy.h_a * predicted_i.a
+    e = ext_error(policy.h_v, policy.h_a, delta, state_i.v, predicted_i.a)
     e_dot = None
     if predicted_a_dot_i is not None:
         e_dot = delta_dot - policy.h_v * state_i.a - policy.h_a * predicted_a_dot_i
@@ -246,7 +265,15 @@ def _extended_properness_margin(policy: SpacingPolicy, params: VehicleParams):
     scale = max(1.0, s, y)
     if s >= 0.5 * math.pi:
         return None, s - 0.5 * math.pi, scale  # no admissible frequency at all
-    w_star = brentq(lambda w: w * math.sin(w) - s, 0.0, 0.5 * math.pi, xtol=1e-14)
+    # w sin w - s is strictly increasing on (0, pi/2): bisect its sign change
+    lo, hi = 0.0, 0.5 * math.pi
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if mid * math.sin(mid) < s:
+            lo = mid
+        else:
+            hi = mid
+    w_star = 0.5 * (lo + hi)
     return w_star, w_star * w_star * math.cos(w_star) - y, scale
 
 

@@ -2,27 +2,6 @@ import numpy as np
 import pytest
 
 import delayplatoon as dp
-from delayplatoon import analysis
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so timed tests measure steady state."""
-    p = dp.VehicleParams(tau=0.067, phi=0.15)
-    policy = dp.SpacingPolicy(dp.PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.2, h_a=0.25)
-    spec = dp.ControllerSpec(policy, dp.ControllerGains(k_p=0.2), ego=p, predecessor=p)
-    cfg = dp.PlatoonConfig(
-        vehicles=(dp.VehicleSetup(p), dp.VehicleSetup(p)),
-        policies=(policy,),
-        controllers=(spec,),
-        ts=0.01,
-        horizon=0.05,
-    )
-    dp.run(cfg, dp.LeaderProfile((dp.LeaderSegment.pulse(0.05, 0.0),)))
-    analysis.rightmost_root(
-        analysis.QuasiPolynomial.dch_internal(0.4, 0.15),
-        analysis.SearchRegion.default_for(0.15),
-    )
 
 
 @pytest.fixture

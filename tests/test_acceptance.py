@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, at its stated tolerance.
 
 Each test times its own work against the criterion's runtime budget
-(kernels are JIT-warmed once per session by conftest) and prints a
-one-line verdict; run with `pytest tests/test_acceptance.py -v -s`.
+and prints a one-line verdict; run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import contextlib
@@ -17,6 +16,8 @@ from delayplatoon import analysis
 from delayplatoon.analysis import QuasiPolynomial, SearchRegion
 from delayplatoon.controllers import generic_rho_controller
 from delayplatoon.spacing import PolicyKind
+
+from oracles import error_dynamics_reference
 
 REF_VEHICLE = dp.VehicleParams(tau=0.067, phi=0.15)
 
@@ -149,11 +150,11 @@ def test_a04_error_decay(label, policy, gains, rho_bar, ego):
         for ts in (0.01, 0.005):
             cfg = two_vehicle_config(policy, gains, ts, horizon, ego=ego, lead_q=e0)
             log = dp.run(cfg, dp.LeaderProfile((dp.LeaderSegment.pulse(horizon, 0.0),)))
-            reference = dp.error_dynamics_reference(rho_bar, gains, e0, horizon, ts)
+            reference = error_dynamics_reference(rho_bar, gains, e0, horizon, ts)
             deviations[ts] = float(np.max(np.abs(log.e[:, 0] - reference)))
         if rho_bar == 1:
             explicit = 0.5 * np.exp(-gains.k_p * np.arange(0, horizon + 1e-9, 0.01))
-            ref = dp.error_dynamics_reference(1, gains, e0, horizon, 0.01)
+            ref = error_dynamics_reference(1, gains, e0, horizon, 0.01)
             assert np.max(np.abs(ref - explicit)) <= 1e-12
         assert deviations[0.01] <= 1e-3
         ratio = deviations[0.01] / deviations[0.005]

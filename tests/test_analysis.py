@@ -263,16 +263,13 @@ class TestL2StringStability:
 
 
 class TestGridKernelEquivalence:
-    def test_numba_and_numpy_grid_paths_agree(self):
-        from delayplatoon import _kernels
-
+    def test_grid_matches_pointwise_evaluation(self):
         qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
-        coeffs, deg, delays = qp._flat()
         xs = np.linspace(-30.0, 10.0, 57)
         ys = np.linspace(0.0, 40.0, 43)
-        active = _kernels.qp_grid_mag2(xs, ys, coeffs, deg, delays)
-        fallback = _kernels.qp_grid_mag2_numpy(xs, ys, coeffs, deg, delays)
-        assert np.allclose(active, fallback, rtol=1e-13, atol=0.0)
+        grid = qp.magnitude_sq_grid(xs, ys)
+        pointwise = np.abs(qp(xs[None, :] + 1j * ys[:, None])) ** 2
+        assert np.allclose(grid, pointwise, rtol=1e-13, atol=0.0)
 
 
 class TestWindingCertificate:

@@ -281,3 +281,36 @@ class TestPredictDemoCommand:
         f = tmp_path / "u.txt"
         f.write_text("0.0\n" * 7)
         assert main(["predict-demo", str(f)]) == 2
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["analyze", "dch", "--hv", "1e-300"], 3),  # root search fails: runtime
+            (["analyze", "dch", "--hv", "nan"], 2),
+            (["sweep", "<out>", "dch", "--hv", "0.4", "--omega-min", "1", "--points", "1"], 2),
+        ],
+    )
+    def test_failures_never_exit_1(self, tmp_path, capsys, argv, code):
+        argv = [str(tmp_path / "o.csv") if a == "<out>" else a for a in argv]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_import_loads_neither_scipy_nor_numba():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(dp.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import delayplatoon, sys; "
+         "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numba'))))"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,17 +1,15 @@
-import importlib.util
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import delayplatoon as dp
+from delayplatoon import analysis
 from delayplatoon.errors import DelayGranularityError, HistoryDepthError
 from delayplatoon.simulator import MeasurementModel, MeasurementOptions
 from delayplatoon.spacing import PolicyKind
+
+from oracles import error_dynamics_reference
 
 REF_VEHICLE = dp.VehicleParams(tau=0.067, phi=0.15)
 
@@ -192,53 +190,6 @@ class TestRun:
             assert u == pytest.approx(log.u[k, 1], rel=1e-12, abs=1e-12)
             hist = hist.push(log.u[k, 1])
 
-    def test_numpy_fallback_matches_numba(self, tmp_path):
-        """``DELAYPLATOON_NUMBA`` is honoured and does not change the trajectory.
-
-        Two fresh processes run the same platoon, one with the flag ``1`` and
-        one with ``0``, and each reports ``_accel.NUMBA_ENABLED``.  Flag ``0``
-        must disable numba; flag ``1`` must enable it exactly when numba is
-        importable.  The logs must be identical bit for bit.  Only where numba
-        is importable does this compare a compiled run with an interpreted
-        one; elsewhere both runs interpret the loop, and the test checks that
-        the flag is honoured and that two fresh processes give identical logs.
-        """
-        code = (
-            "import numpy as np, delayplatoon as dp\n"
-            "from delayplatoon import _accel\n"
-            "from delayplatoon.spacing import PolicyKind\n"
-            "p = dp.VehicleParams(0.067, 0.15)\n"
-            "policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.4)\n"
-            "spec = dp.ControllerSpec(policy, dp.ControllerGains(0.2, 0.6866), ego=p, predecessor=p)\n"
-            "cfg = dp.PlatoonConfig(vehicles=(dp.VehicleSetup(p), dp.VehicleSetup(p)),\n"
-            "    policies=(policy,), controllers=(spec,), ts=0.01, horizon=2.0)\n"
-            "prof = dp.LeaderProfile((dp.LeaderSegment.pulse(1.0, 0.5), dp.LeaderSegment.pulse(1.0, -0.5)))\n"
-            "log = dp.run(cfg, prof)\n"
-            "np.save(R'{out}', np.column_stack([log.q, log.v, log.e, log.u]))\n"
-            "print(_accel.NUMBA_ENABLED)\n"
-        )
-        # The children import the same delayplatoon as this process, whatever
-        # the working directory and whether or not a copy is installed.
-        src = str(Path(dp.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        have_numba = importlib.util.find_spec("numba") is not None
-        outs, enabled = [], {}
-        for flag in ("1", "0"):
-            out = tmp_path / f"log_{flag}.npy"
-            script = code.format(out=out)
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                check=True,
-                stdout=subprocess.PIPE,
-                text=True,
-                env=dict(os.environ, DELAYPLATOON_NUMBA=flag, PYTHONPATH=pythonpath),
-            )
-            enabled[flag] = proc.stdout.strip()
-            outs.append(np.load(out))
-        assert enabled["0"] == "False"
-        assert enabled["1"] == str(have_numba)
-        assert np.array_equal(outs[0], outs[1])
-
 
 class TestMeasurementModel:
     def exact(self, t):
@@ -271,6 +222,19 @@ class TestMeasurementModel:
         ideal = dp.run(two_vehicle_config(EXT, EXT_GAINS), pulse_profile())
         assert np.array_equal(held.e, ideal.e)
 
+    def test_hold_wiring_in_run(self):
+        """The extended law uses only onboard signals: a V2V-only hold leaves
+        the follower bit-identical to the ideal run, a radar-only hold does not."""
+        ideal = dp.run(two_vehicle_config(EXT, EXT_GAINS), pulse_profile())
+        v2v = MeasurementOptions(v2v_hold=True, v2v_rate_hz=5.0)
+        held = dp.run(two_vehicle_config(EXT, EXT_GAINS, measurement=v2v), pulse_profile())
+        for a, b in ((held.q, ideal.q), (held.u, ideal.u), (held.e, ideal.e)):
+            assert np.array_equal(a, b)
+        radar = MeasurementOptions(radar_hold=True, radar_rate_hz=5.0)
+        held = dp.run(two_vehicle_config(EXT, EXT_GAINS, measurement=radar), pulse_profile())
+        assert not np.array_equal(held.u[:, 1], ideal.u[:, 1])
+        assert np.array_equal(held.u[:, 0], ideal.u[:, 0])  # the leader has no sensors
+
     def test_coarse_hold_changes_trajectory(self):
         opts = MeasurementOptions(radar_hold=True, v2v_hold=True)  # 16.7 / 25 Hz
         held = dp.run(two_vehicle_config(DCH, DCH_GAINS, measurement=opts), pulse_profile())
@@ -281,19 +245,19 @@ class TestMeasurementModel:
 
 class TestErrorDynamicsReference:
     def test_first_order_analytic(self):
-        series = dp.error_dynamics_reference(1, dp.ControllerGains(0.2), 1.0, 5.0, 0.01)
+        series = error_dynamics_reference(1, dp.ControllerGains(0.2), 1.0, 5.0, 0.01)
         assert series[0] == 1.0
         assert series[-1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_zero_initial_condition(self):
-        series = dp.error_dynamics_reference(2, DCH_GAINS, 0.0, 5.0, 0.01)
+        series = error_dynamics_reference(2, DCH_GAINS, 0.0, 5.0, 0.01)
         assert np.all(series == 0.0)
 
     def test_second_order_matches_expm(self):
         import scipy.linalg
 
         gains = DCH_GAINS
-        series = dp.error_dynamics_reference(2, gains, 0.5, 2.0, 0.01)
+        series = error_dynamics_reference(2, gains, 0.5, 2.0, 0.01)
         companion = np.array([[0.0, 1.0], [-gains.k_p, -gains.k_d]])
         want = np.array(
             [0.5 * (scipy.linalg.expm(companion * (0.01 * k)) @ [1.0, 0.0])[0] for k in range(201)]
@@ -306,12 +270,12 @@ class TestErrorDynamicsReference:
             [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-gains.k_p, -gains.k_d, -gains.k_dd]]
         )
         assert np.all(np.linalg.eigvals(companion).real < 0.0)
-        series = dp.error_dynamics_reference(3, gains, 0.5, 60.0, 0.01)
+        series = error_dynamics_reference(3, gains, 0.5, 60.0, 0.01)
         assert abs(series[-1]) < 1e-4
 
     def test_invalid_gains_rejected(self):
         with pytest.raises(ValueError):
-            dp.error_dynamics_reference(1, dp.ControllerGains(-0.1), 1.0, 1.0, 0.01)
+            error_dynamics_reference(1, dp.ControllerGains(-0.1), 1.0, 1.0, 0.01)
 
 
 class TestConfigValidation:
@@ -353,6 +317,31 @@ class TestConfigValidation:
                 ts=0.01,
                 horizon=1.0,
             )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=math.nan),
+        lambda: dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=math.inf),
+        lambda: dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.4, standstill=math.nan),
+        lambda: dp.LeaderSegment.pulse(1.0, math.nan),
+        lambda: dp.LeaderSegment.cruise(1.0, math.nan, 0.5),
+        lambda: dp.LeaderSegment.cruise(1.0, 5.0, math.inf),
+        lambda: two_vehicle_config(EXT, EXT_GAINS, horizon=math.inf),
+        lambda: MeasurementOptions(radar_rate_hz=math.nan),
+        lambda: dp.ControllerSpec(EXT, dp.ControllerGains(k_p=math.inf), ego=REF_VEHICLE),
+        lambda: analysis.stability_region_boundary(math.inf, 10),
+    ],
+    ids=[
+        "policy-h_v-nan", "policy-h_v-inf", "policy-standstill-nan", "pulse-amplitude-nan",
+        "cruise-v_ref-nan", "cruise-gain-inf", "config-horizon-inf", "radar-rate-nan",
+        "gains-k_p-inf", "region-phi-inf",
+    ],
+)
+def test_non_finite_inputs_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestZeroDelayVehicles:
