@@ -2,9 +2,9 @@
 
 Covers the closed-loop velocity transfer magnitudes under perfect tracking,
 the string-stability frequency sweep, rightmost-root search for the two
-internal-dynamics quasi-polynomial families (with an argument-principle
-winding certificate), the properness region boundary, and the time-domain
-L2 string-stability check.
+internal-dynamics quasi-polynomial families (Newton seeded by pseudospectral
+generator eigenvalues, with an argument-principle winding certificate), the
+properness region boundary, and the time-domain L2 string-stability check.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class QuasiPolynomial:
         for coeffs, delay in self.terms:
             if not (math.isfinite(delay) and delay >= 0.0):
                 raise ValueError(f"delays must be finite and >= 0, got {delay}")
-            if not any(c != 0.0 for c in coeffs):
-                raise ValueError("term has all-zero coefficients")
+            if not (all(map(math.isfinite, coeffs)) and any(c != 0.0 for c in coeffs)):
+                raise ValueError("term coefficients must be finite and not all zero")
 
     @classmethod
     def dch_internal(cls, h_v: float, phi: float) -> "QuasiPolynomial":
@@ -74,10 +74,10 @@ class QuasiPolynomial:
         lam = np.asarray(lam, dtype=complex)
         total = np.zeros_like(lam)
         for coeffs, delay in self.terms:
-            c = np.zeros_like(lam)
-            for coef in reversed(coeffs):
+            c = np.full_like(lam, coeffs[-1])
+            for coef in reversed(coeffs[:-1]):
                 c = c * lam + coef
-            total += c * np.exp(-lam * delay)
+            total += c * np.exp(-lam * delay) if delay else c
         return total
 
     def eval_scalar(self, lam: complex) -> complex:
@@ -100,18 +100,6 @@ class QuasiPolynomial:
             total += (dc - delay * c) * cmath.exp(-lam * delay)
         return total
 
-    def derivative(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        total = np.zeros_like(lam)
-        for coeffs, delay in self.terms:
-            c = np.zeros_like(lam)
-            dc = np.zeros_like(lam)
-            for coef in reversed(coeffs):
-                dc = dc * lam + c
-                c = c * lam + coef
-            total += (dc - delay * c) * np.exp(-lam * delay)
-        return total
-
     def coefficient_scale(self, lam) -> float:
         """Sum of term magnitudes at lam; reference scale for |p| residuals."""
         lam = complex(lam)
@@ -122,24 +110,6 @@ class QuasiPolynomial:
                 c = c * lam + coef
             total += abs(c) * math.exp(-lam.real * delay)
         return max(total, 1e-300)
-
-    def magnitude_sq_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """|p|^2 on the rectangle xs x i*ys (hot path of the root scan).
-
-        e^{-lambda theta} is factorized into per-axis tables, one along the
-        real and one along the imaginary axis.
-        """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        lam = xs[None, :] + 1j * ys[:, None]
-        total = np.zeros_like(lam)
-        for coeffs, delay in self.terms:
-            c = np.zeros_like(lam)
-            for coef in reversed(coeffs):
-                c = c * lam + coef
-            total += c * (np.exp(-delay * xs)[None, :] * np.exp(-1j * delay * ys)[:, None])
-        return total.real**2 + total.imag**2
-
 
 @dataclass(frozen=True)
 class SearchRegion:
@@ -301,7 +271,10 @@ def _winding_number(qp: QuasiPolynomial, region: SearchRegion) -> int:
             frac = np.arange(n // 4) / (n // 4)
             pts.append(c0 + (c1 - c0) * frac)
         z = np.concatenate(pts)
-        f = qp(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = qp(z)
+        if not np.all(np.isfinite(f)):
+            raise RefinementError("quasi-polynomial is not finite on the winding contour")
         if np.any(f == 0.0):
             raise RefinementError("root on the winding contour")
         ratios = np.roll(f, -1) / f
@@ -350,38 +323,68 @@ def _newton_polish(qp: QuasiPolynomial, lam0: complex, max_iter: int = 80) -> co
     return None
 
 
-def _scan_and_polish(qp: QuasiPolynomial, region: SearchRegion, step: float) -> list[complex]:
-    """Distinct roots inside the rectangle found by grid scan plus Newton.
+def _generator_matrix(qp: QuasiPolynomial, n_nodes: int) -> np.ndarray:
+    """Chebyshev pseudospectral generator of the delay equation behind p.
 
-    Seeds come from the local minima of |p|^2 and their neighbourhoods (a
-    cell can hide two nearly coincident roots, so approaching from both
-    sides matters).  Roots are folded into the upper half plane via the
-    conjugate symmetry and deduplicated.
+    With a (degree n) the sum of the delay-free terms and b_k the delayed
+    ones, p is the characteristic function of a_n x^(n)(t) = -sum_j (a_j
+    x^(j)(t) + sum_k b_kj x^(j)(t - theta_k)).  The state (x, ..., x^(n-1))
+    on [-theta_max, 0] is collocated at n_nodes + 1 Chebyshev points (Breda,
+    Maset & Vermiglio, SIAM J. Sci. Comput. 2005): the first block row is the
+    DDE, with a barycentric interpolation row per delay; the others
+    differentiate the interpolant.  Without delays it is the companion matrix
+    of a.  Raises ValueError for a neutral p (a delayed term of degree >= n).
     """
-    nx = max(int(math.ceil((region.re_hi - region.re_lo) / step)) + 1, 2)
-    ny = max(int(math.ceil(region.im_hi / step)) + 1, 2)
-    xs = np.linspace(region.re_lo, region.re_hi, nx)
-    ys = np.linspace(0.0, region.im_hi, ny)
-    mag2 = qp.magnitude_sq_grid(xs, ys)
+    delays = np.array([delay for _, delay in qp.terms])
+    coeffs = np.zeros((len(delays), max(len(c) for c, _ in qp.terms)))
+    for k, (c, _) in enumerate(qp.terms):
+        coeffs[k, : len(c)] = c
+    a = coeffs[delays == 0.0].sum(axis=0)
+    n = max(np.flatnonzero(a), default=-1)
+    if np.any(coeffs[delays > 0.0, max(n, 0):]):
+        raise ValueError("neutral quasi-polynomial: a delayed term is not of lower degree")
+    companion = np.eye(n, k=1)
+    companion[-1:, :] = -a[:n] / a[n]
+    if not np.any(delays):
+        return companion
+    theta = 0.5 * qp.max_delay * (np.cos(math.pi * np.arange(n_nodes + 1) / n_nodes) - 1.0)
+    w = np.ones(n_nodes + 1)  # barycentric weights (-1)^j, halved at both ends
+    w[[0, -1]] = 0.5
+    w[1::2] *= -1.0
+    diff = np.outer(1.0 / w, w) / (theta[:, None] - theta[None, :] + np.eye(n_nodes + 1))
+    diff -= np.diag(diff.sum(axis=1))
+    matrix = np.zeros(((n_nodes + 1) * n, (n_nodes + 1) * n))
+    matrix[n:, :] = np.kron(diff[1:], np.eye(n))
+    matrix[:n, :n] = companion
+    for b, delay in zip(coeffs[delays > 0.0, :n] / a[n], delays[delays > 0.0]):
+        offset = -delay - theta
+        if np.any(offset == 0.0):
+            interp = (offset == 0.0).astype(float)
+        else:
+            interp = w / offset
+            interp /= interp.sum()
+        matrix[n - 1, :] -= np.outer(interp, b).ravel()
+    return matrix
 
-    # local minima of |p|^2, grid edges included via an infinite border
-    padded = np.pad(mag2, 1, constant_values=np.inf)
-    is_min = (
-        (mag2 <= padded[:-2, 1:-1])
-        & (mag2 <= padded[2:, 1:-1])
-        & (mag2 <= padded[1:-1, :-2])
-        & (mag2 <= padded[1:-1, 2:])
-    )
-    iy, ix = np.nonzero(is_min)
-    order = np.argsort(mag2[iy, ix])
+
+def _polish_eigenvalues(
+    qp: QuasiPolynomial, region: SearchRegion, generator: np.ndarray
+) -> list[complex]:
+    """Distinct roots inside the rectangle, Newton-polished from eigenvalues.
+
+    Eigenvalues in the upper half of the rectangle padded by a tenth of its
+    size seed damped Newton; a conjugate pair closer than the dedupe distance
+    (as a double real root discretizes) seeds its real part first.  Roots
+    are folded into the upper half plane and deduplicated.
+    """
+    pad_re, pad_im = 0.1 * (region.re_hi - region.re_lo), 0.1 * region.im_hi
     seeds: list[complex] = []
-    for y, x in zip(iy[order][:100], ix[order][:100]):
-        seeds.append(complex(xs[x], ys[y]))
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                yy, xx = y + dy, x + dx
-                if (dy or dx) and 0 <= yy < ny and 0 <= xx < nx:
-                    seeds.append(complex(xs[xx], ys[yy]))
+    for lam in np.linalg.eigvals(generator):
+        if (region.re_lo - pad_re <= lam.real <= region.re_hi + pad_re
+                and 0.0 <= lam.imag <= region.im_hi + pad_im):
+            if 0.0 < lam.imag <= 0.5e-6 * (1.0 + abs(lam)):
+                seeds.append(complex(lam.real))
+            seeds.append(complex(lam))
 
     axis_tol = 1e-9
     roots: list[complex] = []
@@ -425,32 +428,24 @@ def _local_multiplicity(qp: QuasiPolynomial, root: complex, others: list[complex
     raise RefinementError(f"could not certify the multiplicity of root {root}")
 
 
-def rightmost_root(
-    qp: QuasiPolynomial,
-    region: SearchRegion,
-    grid_step: float | None = None,
-) -> complex:
+def rightmost_root(qp: QuasiPolynomial, region: SearchRegion) -> complex:
     """Root with the largest real part inside the search rectangle.
 
-    Grid-scans |p| at step <= 0.02/theta (theta the dominant delay), seeds
-    damped Newton iterations at the local minima, deduplicates, and certifies
-    the root count (with multiplicity) against an argument-principle winding
-    integral over the conjugate-symmetric rectangle.  On a certificate
-    mismatch the scan is retried at half the step.  Raises NoRootError when
+    Seeds damped Newton iterations at the eigenvalues of a 24-node Chebyshev
+    pseudospectral discretization of the delay equation's generator,
+    deduplicates, and certifies the root count (with multiplicity) against
+    an argument-principle winding integral over the conjugate-symmetric
+    rectangle.  On a certificate mismatch the node count is doubled, up to
+    96.  Raises ValueError for a neutral quasi-polynomial, NoRootError when
     the rectangle is certified empty and RefinementError when the
     certificate cannot be met.
     """
-    if grid_step is None:
-        theta = qp.max_delay
-        if theta > 0.0:
-            grid_step = 0.02 / theta
-        else:
-            grid_step = (region.re_hi - region.re_lo) / 750.0
+    n_nodes = 24
+    generator = _generator_matrix(qp, n_nodes)
     winding = _winding_number(qp, region)
-    step = grid_step
     expected = -1
     for _ in range(3):
-        roots = _scan_and_polish(qp, region, step)
+        roots = _polish_eigenvalues(qp, region, generator)
         # winding counts every root inside the mirrored rectangle with its
         # multiplicity, so complex roots found in the upper half count twice
         expected = 0
@@ -461,7 +456,8 @@ def rightmost_root(
             if not roots:
                 raise NoRootError("no quasi-polynomial root inside the search rectangle")
             return max(roots, key=lambda r: r.real)
-        step *= 0.5
+        n_nodes *= 2
+        generator = _generator_matrix(qp, n_nodes)
     raise RefinementError(
         f"winding count {winding} != {expected} roots found (conjugates included)"
     )
@@ -529,8 +525,8 @@ def l2_string_stability_check(velocity_logs, Ts: float) -> list[L2PairVerdict]:
     v = np.asarray(velocity_logs, dtype=float)
     if v.ndim != 2 or v.shape[1] < 2:
         raise ValueError("need a (n_samples, n_vehicles >= 2) velocity array")
-    if Ts <= 0.0:
-        raise ValueError("Ts must be > 0")
+    if not (math.isfinite(Ts) and Ts > 0.0):
+        raise ValueError("Ts must be finite and > 0")
     # cumulative trapezoidal integral of v^2, 0 at the first sample
     energy = np.zeros_like(v)
     v2 = v * v

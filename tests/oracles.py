@@ -1,10 +1,29 @@
 """Analytic references that the tests compare the package against."""
 
+import math
+
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from delayplatoon.controllers import ControllerGains, validate_gains
 from delayplatoon.errors import DegreeError
+
+
+def dch_rightmost_root(h_v: float, phi: float) -> complex:
+    """Rightmost root of lambda + e^{-phi lambda} / h_v in closed form.
+
+    lambda = W(-phi / h_v) / phi for every branch W of the Lambert function;
+    the principal branch W_0 has the largest real part (Shinozaki & Mori,
+    Automatica 2006).  Returned with Im >= 0.  At the branch point -1/e
+    (h_v = e phi, a double root) scipy's iteration divides by W' = inf and
+    returns nan; W_0(-1/e) = -1 there.
+    """
+    x = -phi / h_v
+    w = complex(scipy.special.lambertw(x, 0))
+    if not np.isfinite(w) and abs(x + math.exp(-1.0)) <= 1e-15:
+        w = -1.0
+    return complex(w.real, abs(w.imag)) / phi
 
 
 def error_dynamics_reference(

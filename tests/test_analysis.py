@@ -9,6 +9,8 @@ from delayplatoon.analysis import QuasiPolynomial, SearchRegion
 from delayplatoon.errors import NoRootError
 from delayplatoon.spacing import PolicyKind
 
+from oracles import dch_rightmost_root
+
 DCH = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.4)
 EXT = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.2, h_a=0.25)
 CONSTANT = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT)
@@ -125,6 +127,20 @@ class TestRightmostRoot:
         qp = QuasiPolynomial.dch_internal(math.e * phi, phi)
         root = dp.rightmost_root(qp, SearchRegion.default_for(phi))
         assert root == pytest.approx(-1.0 / phi, rel=1e-6)
+        assert root == pytest.approx(dch_rightmost_root(math.e * phi, phi), rel=1e-6)
+
+    def test_dch_matches_lambert_w_25x25(self):
+        for h_v in np.linspace(0.05, 0.5, 25):
+            for phi in np.linspace(0.05, 0.3, 25):
+                qp = QuasiPolynomial.dch_internal(h_v, phi)
+                root = dp.rightmost_root(qp, SearchRegion.default_for(phi))
+                assert abs(root - dch_rightmost_root(h_v, phi)) <= 1e-10
+
+    def test_neutral_rejected(self):
+        # lambda + lambda e^{-0.1 lambda}: the delayed term has the full degree
+        qp = QuasiPolynomial((((0.0, 1.0), 0.0), ((0.0, 1.0), 0.1)))
+        with pytest.raises(ValueError, match="neutral"):
+            dp.rightmost_root(qp, SearchRegion.default_for(0.1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -133,6 +149,8 @@ class TestRightmostRoot:
             QuasiPolynomial((((0.0,), 0.0),))
         with pytest.raises(ValueError):
             QuasiPolynomial((((1.0,), -0.1),))
+        with pytest.raises(ValueError):
+            QuasiPolynomial((((math.inf, 1.0), 0.0),))
 
 
 class TestPropernessRootCheck:
@@ -261,15 +279,10 @@ class TestL2StringStability:
         with pytest.raises(ValueError):
             dp.l2_string_stability_check(np.zeros((10, 1)), 0.01)
 
-
-class TestGridKernelEquivalence:
-    def test_grid_matches_pointwise_evaluation(self):
-        qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
-        xs = np.linspace(-30.0, 10.0, 57)
-        ys = np.linspace(0.0, 40.0, 43)
-        grid = qp.magnitude_sq_grid(xs, ys)
-        pointwise = np.abs(qp(xs[None, :] + 1j * ys[:, None])) ** 2
-        assert np.allclose(grid, pointwise, rtol=1e-13, atol=0.0)
+    @pytest.mark.parametrize("ts", [math.nan, math.inf, 0.0, -1.0])
+    def test_invalid_sample_period_rejected(self, ts):
+        with pytest.raises(ValueError):
+            dp.l2_string_stability_check(np.zeros((10, 2)), ts)
 
 
 class TestWindingCertificate:
@@ -278,3 +291,9 @@ class TestWindingCertificate:
         qp = QuasiPolynomial((((1.0, 1.0), 0.0),))
         with pytest.raises(dp.RefinementError):
             dp.rightmost_root(qp, SearchRegion(-1.0, 2.0, 1.0))
+
+    def test_non_finite_contour_values_rejected(self):
+        # 1/h_v = 1e308 overflows p on the left edge of the rectangle
+        qp = QuasiPolynomial.dch_internal(1e-308, 0.15)
+        with pytest.raises(dp.RefinementError, match="not finite"):
+            dp.rightmost_root(qp, SearchRegion.default_for(0.15))

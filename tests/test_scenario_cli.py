@@ -290,6 +290,7 @@ class TestExitCodeContract:
             (["analyze", "dch", "--hv", "1e-300"], 3),  # root search fails: runtime
             (["analyze", "dch", "--hv", "nan"], 2),
             (["sweep", "<out>", "dch", "--hv", "0.4", "--omega-min", "1", "--points", "1"], 2),
+            (["analyze", "dch", "--hv", "1e-308"], 3),  # p overflows on the contour
         ],
     )
     def test_failures_never_exit_1(self, tmp_path, capsys, argv, code):
