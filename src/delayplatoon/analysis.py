@@ -101,14 +101,20 @@ class QuasiPolynomial:
         return total
 
     def coefficient_scale(self, lam) -> float:
-        """Sum of term magnitudes at lam; reference scale for |p| residuals."""
+        """Sum of monomial magnitudes |c_kj| |lam|^j e^{-Re(lam) theta_k}.
+
+        Reference scale for |p| residuals.  Summed per monomial, not per
+        term, so that it stays above the rounding error of p where a
+        coefficient polynomial c_k(lam) cancels.
+        """
         lam = complex(lam)
+        r = abs(lam)
         total = 0.0
         for coeffs, delay in self.terms:
-            c = 0.0j
+            c = 0.0
             for coef in reversed(coeffs):
-                c = c * lam + coef
-            total += abs(c) * math.exp(-lam.real * delay)
+                c = c * r + abs(coef)
+            total += c * math.exp(-lam.real * delay)
         return max(total, 1e-300)
 
 @dataclass(frozen=True)
@@ -255,7 +261,10 @@ def _winding_number(qp: QuasiPolynomial, region: SearchRegion) -> int:
 
     The contour covers Im in [-im_hi, im_hi] so that real roots sit strictly
     inside it.  Segment count starts at 4096 and doubles until the winding
-    number stabilizes on the same integer twice.
+    number stabilizes on the same integer twice.  Each side carries the
+    points c0 + (c1 - c0) j / m, m a power of two, so the even points of a
+    doubled contour are bitwise those of the previous one: p is evaluated
+    only at the new odd points.
     """
     corners = [
         complex(region.re_lo, -region.im_hi),
@@ -263,20 +272,23 @@ def _winding_number(qp: QuasiPolynomial, region: SearchRegion) -> int:
         complex(region.re_hi, region.im_hi),
         complex(region.re_lo, region.im_hi),
     ]
-    n = 4096
-    previous = None
-    while n <= 2**21:
-        pts = []
-        for c0, c1 in zip(corners, corners[1:] + corners[:1]):
-            frac = np.arange(n // 4) / (n // 4)
-            pts.append(c0 + (c1 - c0) * frac)
-        z = np.concatenate(pts)
+
+    def evaluate(j: np.ndarray, m: int) -> np.ndarray:
+        z = np.concatenate(
+            [c0 + (c1 - c0) * (j / m) for c0, c1 in zip(corners, corners[1:] + corners[:1])]
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             f = qp(z)
         if not np.all(np.isfinite(f)):
             raise RefinementError("quasi-polynomial is not finite on the winding contour")
         if np.any(f == 0.0):
             raise RefinementError("root on the winding contour")
+        return f
+
+    n = 4096
+    f = evaluate(np.arange(n // 4), n // 4)
+    previous = None
+    while True:
         ratios = np.roll(f, -1) / f
         winding = float(np.sum(np.angle(ratios)) / (2.0 * math.pi))
         rounded = round(winding)
@@ -284,7 +296,12 @@ def _winding_number(qp: QuasiPolynomial, region: SearchRegion) -> int:
             return rounded
         previous = rounded
         n *= 2
-    raise RefinementError("winding number did not stabilize")
+        if n > 2**21:
+            raise RefinementError("winding number did not stabilize")
+        refined = np.empty(n, dtype=complex)
+        refined[0::2] = f
+        refined[1::2] = evaluate(np.arange(1, n // 4, 2), n // 4)
+        f = refined
 
 
 def _newton_polish(qp: QuasiPolynomial, lam0: complex, max_iter: int = 80) -> complex | None:
@@ -463,6 +480,27 @@ def rightmost_root(qp: QuasiPolynomial, region: SearchRegion) -> complex:
     )
 
 
+def _extended_root_bound(policy: SpacingPolicy, phi: float, region: SearchRegion) -> SearchRegion:
+    """The rectangle with re_hi doubled until no extended root of its strip
+    lies beyond it.
+
+    A root with Re = s >= 0 and |Im| <= im_hi has h_a s^2 <= |h_a lambda^2|
+    = |h_v lambda + 1| e^{-phi s} <= (h_v (s + im_hi) + 1) e^{-phi s}.  The
+    left side grows with s; the right side falls (phi im_hi >= 1) or, at
+    phi = 0, grows linearly.  So once the inequality fails it fails for
+    every larger s.  Small h_a puts roots near W_0(-phi h_v / h_a) / phi,
+    beyond the default 5 / phi.
+    """
+    def room(s: float) -> bool:
+        bound = (policy.h_v * (s + region.im_hi) + 1.0) * math.exp(-phi * s)
+        return policy.h_a * s * s <= bound
+
+    re_hi = region.re_hi
+    while room(re_hi):
+        re_hi *= 2.0
+    return SearchRegion(region.re_lo, re_hi, region.im_hi)
+
+
 def properness_root_check(
     policy: SpacingPolicy,
     params: VehicleParams,
@@ -471,8 +509,9 @@ def properness_root_check(
     """Properness via the rightmost root of the internal dynamics.
 
     Builds the policy's quasi-polynomial, searches the default rectangle
-    (Re in [-10/phi, 5/phi], Im up to 4 pi / phi), and reports stable iff
-    the rightmost real part is below -1e-9.
+    (Re in [-10/phi, 5/phi], Im up to 4 pi / phi; for the extended policy
+    Re reaches past every root of that strip) and reports stable iff the
+    rightmost real part is below -1e-9.
     """
     phi = params.phi
     if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
@@ -485,6 +524,8 @@ def properness_root_check(
         raise ValueError("root check applies to the headway policies only")
     if region is None:
         region = SearchRegion.default_for(phi if phi > 0.0 else fallback_scale)
+        if policy.kind is PolicyKind.DELAYED_EXTENDED_HEADWAY:
+            region = _extended_root_bound(policy, phi, region)
     root = rightmost_root(qp, region)
     return StabilityVerdict(
         bool(root.real < -ROOT_STABLE_TOL),

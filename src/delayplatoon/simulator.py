@@ -6,6 +6,12 @@ is exact.  Within a step the leader input is computed first and the
 followers run front to back, each using predecessor values from the same
 sample instant (ideal channels); optional sample-and-hold flags emulate the
 coarser radar and V2V rates, both off by default.
+
+``run`` is one loop over Python floats.  Everything a run does not change
+(the ZOH and prediction coefficients, the law parameters) is unpacked
+before the loop, and each value is computed by the same operations in the
+same order as in the scalar loop kept in ``tests/oracles.py`` as
+``run_reference``, so the two give bit-identical logs.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +47,10 @@ __all__ = [
     "PlatoonConfig",
     "TrajectoryLog",
     "run",
+    "MAX_SAMPLES",
 ]
+
+MAX_SAMPLES = 10**6  # samples per run; a run keeps its whole log in memory
 
 
 class SegmentKind(enum.Enum):
@@ -189,6 +199,11 @@ class PlatoonConfig:
             )
         if not all(math.isfinite(x) and x > 0.0 for x in (self.ts, self.horizon)):
             raise ValueError("ts and horizon must be finite and > 0")
+        if not self.horizon / self.ts < MAX_SAMPLES - 0.5:  # round(horizon/ts) + 1 samples
+            raise ValueError(
+                f"horizon / ts = {self.horizon / self.ts:.6g} gives more than "
+                f"{MAX_SAMPLES} samples"
+            )
         for setup in self.vehicles:
             d = delay_steps(setup.params, self.ts)  # raises DelayGranularityError
             if setup.history is not None and setup.history.depth != d:
@@ -231,126 +246,153 @@ class TrajectoryLog:
         return self.e.shape[1]
 
 
-def _vehicle_model(setup: VehicleSetup, ts: float):
-    """(Phi, Gamma, Phi^d, prediction weights most recent first, input
-    history) of one vehicle as Python floats, for the scalar stepper."""
-    model = discretize(setup.params, ts)
-    d = delay_steps(setup.params, ts)
-    phi_d, w_oldest_first = prediction_weights(model, d)
-    history = setup.history or InputHistory.zeros(d, ts)
-    return (
-        model.Phi.tolist(),
-        model.Gamma.tolist(),
-        phi_d.tolist(),
-        list(zip(*w_oldest_first[:, ::-1].tolist())),
-        deque(history.samples, maxlen=d),
-    )
+class _Follower(NamedTuple):
+    """What one follower's law needs, unpacked once per run."""
+
+    kind: PolicyKind
+    standstill: float
+    h_v: float
+    h_a: float
+    k_p: float
+    k_d: float
+    k_dd: float
+    tau: float
+    tau_pred: float
+
+
+def _tracking_law(p: _Follower, q, v, a, qh, vh, ah, delta, delta_dot, pred_a, pred_u):
+    """(u, e, delta_ref) of one follower: the policy's spacing errors and
+    tracking law on the state now, the state predicted at t + phi and the
+    measurements the law sees."""
+    kind, standstill, h_v, h_a, k_p, k_d, k_dd, tau, tau_pred = p
+    delta_adj = delta - standstill
+    if kind is PolicyKind.DELAYED_CONSTANT:
+        e, edot, eddot = dc_errors(delta_adj, delta_dot, q, v, qh, vh, ah, pred_a)
+        u = dc_control(tau, tau_pred, k_p, k_d, k_dd, e, edot, eddot, pred_a, ah, pred_u)
+        return u, e, (qh - q) + standstill
+    if kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+        e, edot = dch_errors(h_v, delta_adj, delta_dot, vh, ah)
+        u = dch_control(tau, h_v, k_p, k_d, e, edot, pred_a, a, ah)
+        return u, e, h_v * vh + standstill
+    e = ext_error(h_v, h_a, delta_adj, v, ah)
+    u = ext_control(tau, h_v, h_a, k_p, e, delta_dot, a, ah)
+    return u, e, h_v * v + h_a * ah + standstill
 
 
 def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
-    """Simulate the platoon over the horizon; deterministic in its inputs."""
+    """Simulate the platoon over the horizon; deterministic in its inputs.
+
+    A step computes the leader input, then runs the followers front to
+    back: each predicts its state at t + phi from its buffered inputs and
+    calls its policy's spacing-error and tracking-law functions.  Then
+    every vehicle takes one exact ZOH step with its delayed input.
+    """
     ts = config.ts
-    n_steps = int(round(config.horizon / ts))
-    nv = len(config.vehicles)
-    phis, gammas, phi_ds, weights, hists = zip(
-        *(_vehicle_model(setup, ts) for setup in config.vehicles)
-    )
-    tau = [setup.params.tau for setup in config.vehicles]
-    x = [setup.state.as_array().tolist() for setup in config.vehicles]
+    n = int(round(config.horizon / ts)) + 1
+    nv, nf = len(config.vehicles), len(config.vehicles) - 1
+    models = [discretize(setup.params, ts) for setup in config.vehicles]
+    depths = [delay_steps(setup.params, ts) for setup in config.vehicles]
+    # buffered inputs most recent first, the order of the prediction sum;
+    # a d = 0 vehicle applies its input of the same step
+    hists = [
+        deque(reversed(setup.history.samples) if setup.history else [0.0] * d, maxlen=d)
+        for setup, d in zip(config.vehicles, depths)
+    ]
+    steps = [
+        (model.Phi.ravel().tolist() + model.Gamma.tolist(), hist)
+        for model, hist in zip(models, hists)
+    ]
+    followers = []
+    for f, (policy, spec) in enumerate(zip(config.policies, config.controllers)):
+        phi_d, w = prediction_weights(models[f + 1], depths[f + 1])
+        law = _Follower(
+            policy.kind, policy.standstill, policy.h_v, policy.h_a,
+            spec.gains.k_p, spec.gains.k_d, spec.gains.k_dd,
+            config.vehicles[f + 1].params.tau, config.vehicles[f].params.tau,
+        )
+        # (q, v, a) weights, most recent input first, cut to the predicted
+        # components the law reads: DCH reads v and a, the extended policy a
+        weights = w[:, ::-1].T.tolist()
+        if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+            weights = [(wv, wa) for _, wv, wa in weights]
+        elif policy.kind is PolicyKind.DELAYED_EXTENDED_HEADWAY:
+            weights = [wa for _, _, wa in weights]
+        followers.append((f + 1, law, phi_d.ravel().tolist(), weights, hists[f + 1], hists[f]))
     opts = config.measurement
-    holds = None
+    holds = [None] * nf
     if opts.radar_hold or opts.v2v_hold:
-        holds = [MeasurementModel(opts) for _ in config.policies]
+        holds = [MeasurementModel(opts) for _ in range(nf)]
 
-    t_log, x_log, u_log, e_log, delta_log, dref_log = [], [], [], [], [], []
-    u_cmd = [0.0] * nv
-    for k in range(n_steps + 1):
+    q, v, a = map(list, zip(*(setup.state.as_array().tolist() for setup in config.vehicles)))
+    u = [0.0] * nv
+    e_row, delta_row, dref_row = [0.0] * nf, [0.0] * nf, [0.0] * nf
+    clamp = config.clamp_reverse
+    out = []  # per step: q, v, a, u of every vehicle, e, delta, delta_ref of every follower
+    for k in range(n):
         t = k * ts
-        u_cmd[0] = leader_input(leader, t, x[0][1])
-        e_row, delta_row, dref_row = [], [], []
-        # followers front to back, all using predecessor values at time t
-        for i in range(1, nv):
-            f = i - 1
-            q, v, a = x[i]
-            delta = x[f][0] - q
-            delta_dot = x[f][1] - v
-            pred_a = x[f][2]
-            pred_u = hists[f][0] if hists[f].maxlen else u_cmd[f]
+        u[0] = leader_input(leader, t, v[0])
+        for f, (i, law, pd, weights, hist, hist_pred) in enumerate(followers):
+            qi, vi, ai = q[i], v[i], a[i]
+            delta = q[f] - qi
+            delta_dot = v[f] - vi
+            pred_a = a[f]
+            pred_u = hist_pred[-1] if hist_pred.maxlen else u[f]
             delta_m, delta_dot_m = delta, delta_dot
-            if holds is not None:
+            if holds[f] is not None:
                 delta_m, delta_dot_m, _, pred_a, pred_u = holds[f].sample(
-                    t, delta, delta_dot, x[f][1], pred_a, pred_u
+                    t, delta, delta_dot, v[f], pred_a, pred_u
                 )
-
-            # exact d-step prediction of the ego state
-            p0, p1, p2 = phi_ds[i]
-            qh = p0[0] * q + p0[1] * v + p0[2] * a
-            vh = p1[0] * q + p1[1] * v + p1[2] * a
-            ah = p2[0] * q + p2[1] * v + p2[2] * a
-            for (wq, wv, wa), um in zip(weights[i], reversed(hists[i])):
-                qh += wq * um
-                vh += wv * um
-                ah += wa * um
-
-            policy = config.policies[f]
-            gains = config.controllers[f].gains
-            delta_adj = delta_m - policy.standstill
-            if policy.kind is PolicyKind.DELAYED_CONSTANT:
-                e, edot, eddot = dc_errors(delta_adj, delta_dot_m, q, v, qh, vh, ah, pred_a)
-                u = dc_control(
-                    tau[i], tau[f], gains.k_p, gains.k_d, gains.k_dd,
-                    e, edot, eddot, pred_a, ah, pred_u,
-                )
-                dref = (qh - q) + policy.standstill
-            elif policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-                e, edot = dch_errors(policy.h_v, delta_adj, delta_dot_m, vh, ah)
-                u = dch_control(tau[i], policy.h_v, gains.k_p, gains.k_d, e, edot, pred_a, a, ah)
-                dref = policy.h_v * vh + policy.standstill
+            # exact d-step prediction of the ego state, the components the law reads
+            d00, d01, d02, d10, d11, d12, d20, d21, d22 = pd
+            ah = d20 * qi + d21 * vi + d22 * ai
+            qh = vh = 0.0
+            if law.kind is PolicyKind.DELAYED_CONSTANT:
+                qh = d00 * qi + d01 * vi + d02 * ai
+                vh = d10 * qi + d11 * vi + d12 * ai
+                for (wq, wv, wa), um in zip(weights, hist):
+                    qh += wq * um
+                    vh += wv * um
+                    ah += wa * um
+            elif law.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+                vh = d10 * qi + d11 * vi + d12 * ai
+                for (wv, wa), um in zip(weights, hist):
+                    vh += wv * um
+                    ah += wa * um
             else:
-                e = ext_error(policy.h_v, policy.h_a, delta_adj, v, ah)
-                u = ext_control(tau[i], policy.h_v, policy.h_a, gains.k_p, e, delta_dot_m, a, ah)
-                dref = policy.h_v * v + policy.h_a * ah + policy.standstill
-            u_cmd[i] = u
-            e_row.append(e)
-            delta_row.append(delta)
-            dref_row.append(dref)
-
-        t_log.append(t)
-        x_log.append(x[:])  # rows of x are replaced, never mutated
-        u_log.append(u_cmd[:])
-        e_log.append(e_row)
-        delta_log.append(delta_row)
-        dref_log.append(dref_row)
-        if k == n_steps:
+                for wa, um in zip(weights, hist):
+                    ah += wa * um
+            u[i], e_row[f], dref_row[f] = _tracking_law(
+                law, qi, vi, ai, qh, vh, ah, delta_m, delta_dot_m, pred_a, pred_u
+            )
+            delta_row[f] = delta
+        out += q
+        out += v
+        out += a
+        out += u
+        out += e_row
+        out += delta_row
+        out += dref_row
+        if k == n - 1:
             break
-
         # advance every vehicle one exact ZOH step with its delayed input
-        for i in range(nv):
-            p0, p1, p2 = phis[i]
-            g = gammas[i]
-            hist = hists[i]
-            ud = hist[0] if hist.maxlen else u_cmd[i]
-            q, v, a = x[i]
-            qn = p0[0] * q + p0[1] * v + p0[2] * a + g[0] * ud
-            vn = p1[0] * q + p1[1] * v + p1[2] * a + g[1] * ud
-            an = p2[0] * q + p2[1] * v + p2[2] * a + g[2] * ud
-            if config.clamp_reverse and vn < 0.0:
+        for i, (c, hist) in enumerate(steps):
+            p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2 = c
+            ud = hist[-1] if hist.maxlen else u[i]
+            qi, vi, ai = q[i], v[i], a[i]
+            q[i] = p00 * qi + p01 * vi + p02 * ai + g0 * ud
+            vn = p10 * qi + p11 * vi + p12 * ai + g1 * ud
+            an = p20 * qi + p21 * vi + p22 * ai + g2 * ud
+            if clamp and vn < 0.0:
                 vn = 0.0
                 if an < 0.0:
                     an = 0.0
-            x[i] = [qn, vn, an]
-            hist.append(u_cmd[i])  # a zero-length deque drops it
+            v[i], a[i] = vn, an
+            hist.appendleft(u[i])  # a zero-length deque drops it
 
-    states = np.array(x_log).reshape(n_steps + 1, nv, 3)
-    nf = nv - 1
+    table = np.fromiter(out, float, len(out)).reshape(n, 4 * nv + 3 * nf)
+    ends = np.cumsum([0] + [nv] * 4 + [nf] * 3)
     return TrajectoryLog(
-        np.array(t_log),
-        states[:, :, 0].copy(),
-        states[:, :, 1].copy(),
-        states[:, :, 2].copy(),
-        np.array(u_log),
-        np.array(e_log).reshape(n_steps + 1, nf),
-        np.array(delta_log).reshape(n_steps + 1, nf),
-        np.array(dref_log).reshape(n_steps + 1, nf),
+        np.arange(n) * ts,
+        *(table[:, lo:hi].copy() for lo, hi in zip(ends[:-1], ends[1:])),
         ts,
     )

@@ -1,13 +1,32 @@
-"""Analytic references that the tests compare the package against."""
+"""References that the tests compare the package against: closed forms and
+the float-loop simulator that `delayplatoon.run` replaced."""
 
 import math
+from collections import deque
 
 import numpy as np
 import scipy.linalg
 import scipy.special
 
-from delayplatoon.controllers import ControllerGains, validate_gains
+from delayplatoon.controllers import (
+    ControllerGains,
+    dc_control,
+    dch_control,
+    ext_control,
+    validate_gains,
+)
+from delayplatoon.dynamics import InputHistory, delay_steps, discretize
 from delayplatoon.errors import DegreeError
+from delayplatoon.predictor import prediction_weights
+from delayplatoon.simulator import (
+    LeaderProfile,
+    MeasurementModel,
+    PlatoonConfig,
+    TrajectoryLog,
+    VehicleSetup,
+    leader_input,
+)
+from delayplatoon.spacing import PolicyKind, dc_errors, dch_errors, ext_error
 
 
 def dch_rightmost_root(h_v: float, phi: float) -> complex:
@@ -63,3 +82,135 @@ def error_dynamics_reference(
         y = step_matrix @ y
         series[k + 1] = y[0]
     return series
+
+
+def _vehicle_model(setup: VehicleSetup, ts: float):
+    """(Phi, Gamma, Phi^d, prediction weights most recent first, input
+    history) of one vehicle as Python floats, for the scalar stepper."""
+    model = discretize(setup.params, ts)
+    d = delay_steps(setup.params, ts)
+    phi_d, w_oldest_first = prediction_weights(model, d)
+    history = setup.history or InputHistory.zeros(d, ts)
+    return (
+        model.Phi.tolist(),
+        model.Gamma.tolist(),
+        phi_d.tolist(),
+        list(zip(*w_oldest_first[:, ::-1].tolist())),
+        deque(history.samples, maxlen=d),
+    )
+
+
+def run_reference(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
+    """The closed loop as one interpreted loop over Python floats.
+
+    Within a step the leader input is computed first and the followers run
+    front to back, each calling the predictor, the spacing-error and the
+    control-law functions on the values of that sample instant.  Reference
+    for ``delayplatoon.run``, which computes every value by the same
+    operations in the same order, so the logs are identical.
+    """
+    ts = config.ts
+    n_steps = int(round(config.horizon / ts))
+    nv = len(config.vehicles)
+    phis, gammas, phi_ds, weights, hists = zip(
+        *(_vehicle_model(setup, ts) for setup in config.vehicles)
+    )
+    tau = [setup.params.tau for setup in config.vehicles]
+    x = [setup.state.as_array().tolist() for setup in config.vehicles]
+    opts = config.measurement
+    holds = None
+    if opts.radar_hold or opts.v2v_hold:
+        holds = [MeasurementModel(opts) for _ in config.policies]
+
+    t_log, x_log, u_log, e_log, delta_log, dref_log = [], [], [], [], [], []
+    u_cmd = [0.0] * nv
+    for k in range(n_steps + 1):
+        t = k * ts
+        u_cmd[0] = leader_input(leader, t, x[0][1])
+        e_row, delta_row, dref_row = [], [], []
+        # followers front to back, all using predecessor values at time t
+        for i in range(1, nv):
+            f = i - 1
+            q, v, a = x[i]
+            delta = x[f][0] - q
+            delta_dot = x[f][1] - v
+            pred_a = x[f][2]
+            pred_u = hists[f][0] if hists[f].maxlen else u_cmd[f]
+            delta_m, delta_dot_m = delta, delta_dot
+            if holds is not None:
+                delta_m, delta_dot_m, _, pred_a, pred_u = holds[f].sample(
+                    t, delta, delta_dot, x[f][1], pred_a, pred_u
+                )
+
+            # exact d-step prediction of the ego state
+            p0, p1, p2 = phi_ds[i]
+            qh = p0[0] * q + p0[1] * v + p0[2] * a
+            vh = p1[0] * q + p1[1] * v + p1[2] * a
+            ah = p2[0] * q + p2[1] * v + p2[2] * a
+            for (wq, wv, wa), um in zip(weights[i], reversed(hists[i])):
+                qh += wq * um
+                vh += wv * um
+                ah += wa * um
+
+            policy = config.policies[f]
+            gains = config.controllers[f].gains
+            delta_adj = delta_m - policy.standstill
+            if policy.kind is PolicyKind.DELAYED_CONSTANT:
+                e, edot, eddot = dc_errors(delta_adj, delta_dot_m, q, v, qh, vh, ah, pred_a)
+                u = dc_control(
+                    tau[i], tau[f], gains.k_p, gains.k_d, gains.k_dd,
+                    e, edot, eddot, pred_a, ah, pred_u,
+                )
+                dref = (qh - q) + policy.standstill
+            elif policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+                e, edot = dch_errors(policy.h_v, delta_adj, delta_dot_m, vh, ah)
+                u = dch_control(tau[i], policy.h_v, gains.k_p, gains.k_d, e, edot, pred_a, a, ah)
+                dref = policy.h_v * vh + policy.standstill
+            else:
+                e = ext_error(policy.h_v, policy.h_a, delta_adj, v, ah)
+                u = ext_control(tau[i], policy.h_v, policy.h_a, gains.k_p, e, delta_dot_m, a, ah)
+                dref = policy.h_v * v + policy.h_a * ah + policy.standstill
+            u_cmd[i] = u
+            e_row.append(e)
+            delta_row.append(delta)
+            dref_row.append(dref)
+
+        t_log.append(t)
+        x_log.append(x[:])  # rows of x are replaced, never mutated
+        u_log.append(u_cmd[:])
+        e_log.append(e_row)
+        delta_log.append(delta_row)
+        dref_log.append(dref_row)
+        if k == n_steps:
+            break
+
+        # advance every vehicle one exact ZOH step with its delayed input
+        for i in range(nv):
+            p0, p1, p2 = phis[i]
+            g = gammas[i]
+            hist = hists[i]
+            ud = hist[0] if hist.maxlen else u_cmd[i]
+            q, v, a = x[i]
+            qn = p0[0] * q + p0[1] * v + p0[2] * a + g[0] * ud
+            vn = p1[0] * q + p1[1] * v + p1[2] * a + g[1] * ud
+            an = p2[0] * q + p2[1] * v + p2[2] * a + g[2] * ud
+            if config.clamp_reverse and vn < 0.0:
+                vn = 0.0
+                if an < 0.0:
+                    an = 0.0
+            x[i] = [qn, vn, an]
+            hist.append(u_cmd[i])  # a zero-length deque drops it
+
+    states = np.array(x_log).reshape(n_steps + 1, nv, 3)
+    nf = nv - 1
+    return TrajectoryLog(
+        np.array(t_log),
+        states[:, :, 0].copy(),
+        states[:, :, 1].copy(),
+        states[:, :, 2].copy(),
+        np.array(u_log),
+        np.array(e_log).reshape(n_steps + 1, nf),
+        np.array(delta_log).reshape(n_steps + 1, nf),
+        np.array(dref_log).reshape(n_steps + 1, nf),
+        ts,
+    )

@@ -174,6 +174,15 @@ class TestPropernessRootCheck:
         verdict = dp.properness_root_check(policy, ref_params)
         assert abs(verdict.rightmost_root.real) <= 1e-5
 
+    @pytest.mark.parametrize("h_a", [1e-4, 1e-5, 3e-6, 1e-6])
+    def test_extended_small_acceleration_headway(self, ref_params, h_a):
+        """The root near -1/h_v cancels h_v lambda + 1, and the unstable roots
+        near W_0(-phi h_v / h_a) / phi lie beyond the default 5 / phi."""
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=h_a)
+        verdict = dp.properness_root_check(policy, ref_params)
+        assert verdict.stable == dp.is_proper(policy, ref_params).stable
+        assert verdict.rightmost_root.real > 5.0 / ref_params.phi
+
     def test_rejects_constant_policy(self, ref_params):
         with pytest.raises(ValueError):
             dp.properness_root_check(CONSTANT, ref_params)
@@ -297,3 +306,26 @@ class TestWindingCertificate:
         qp = QuasiPolynomial.dch_internal(1e-308, 0.15)
         with pytest.raises(dp.RefinementError, match="not finite"):
             dp.rightmost_root(qp, SearchRegion.default_for(0.15))
+
+    def test_doubled_contour_evaluates_only_new_points(self, monkeypatch):
+        """The 8192-point pass reuses the 4096 values of the first pass."""
+        qp = QuasiPolynomial.dch_internal(0.4, 0.15)
+        region = SearchRegion.default_for(0.15)
+        sizes = []
+        evaluate = QuasiPolynomial.__call__
+
+        def counting(self, lam):
+            sizes.append(np.size(lam))
+            return evaluate(self, lam)
+
+        monkeypatch.setattr(QuasiPolynomial, "__call__", counting)
+        winding = analysis._winding_number(qp, region)
+        assert sizes == [4096, 4096]
+        monkeypatch.undo()
+        corners = [
+            complex(region.re_lo, -region.im_hi), complex(region.re_hi, -region.im_hi),
+            complex(region.re_hi, region.im_hi), complex(region.re_lo, region.im_hi),
+        ]
+        frac = np.arange(2048) / 2048
+        f = qp(np.concatenate([c0 + (c1 - c0) * frac for c0, c1 in zip(corners, corners[1:] + corners[:1])]))
+        assert winding == round(np.sum(np.angle(np.roll(f, -1) / f)) / (2.0 * math.pi))

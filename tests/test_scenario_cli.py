@@ -148,6 +148,15 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "DelayGranularityError" in err and "vehicle 1" in err
 
+    def test_sample_count_bounded(self, tmp_path, capsys):
+        scn = tmp_path / "long.scn"
+        scn.write_text(MINIMAL.replace("horizon = 1.0", "horizon = 1e9"))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", str(scn), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.scn"), str(tmp_path / "o.csv")]) == 2
 

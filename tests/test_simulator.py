@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delayplatoon as dp
 from delayplatoon import analysis
@@ -9,7 +11,7 @@ from delayplatoon.errors import DelayGranularityError, HistoryDepthError
 from delayplatoon.simulator import MeasurementModel, MeasurementOptions
 from delayplatoon.spacing import PolicyKind
 
-from oracles import error_dynamics_reference
+from oracles import error_dynamics_reference, run_reference
 
 REF_VEHICLE = dp.VehicleParams(tau=0.067, phi=0.15)
 
@@ -308,6 +310,12 @@ class TestConfigValidation:
                 horizon=1.0,
             )
 
+    def test_sample_count_bounded(self):
+        most = (dp.simulator.MAX_SAMPLES - 1) * 0.01  # MAX_SAMPLES samples
+        assert two_vehicle_config(EXT, EXT_GAINS, horizon=most).horizon == most
+        with pytest.raises(ValueError, match="samples"):
+            two_vehicle_config(EXT, EXT_GAINS, horizon=most + 0.01)
+
     def test_follower_counts(self):
         with pytest.raises(ValueError):
             dp.PlatoonConfig(
@@ -375,3 +383,79 @@ class TestZeroDelayVehicles:
         )
         log = dp.run(cfg, pulse_profile(amplitude=1.0, coast=2.0))
         assert np.max(np.abs(log.e)) <= 1e-12
+
+
+@st.composite
+def platoon_runs(draw):
+    """A heterogeneous platoon, its leader profile and its channel model.
+
+    Delays of 0..3 samples (so d = 0 predecessors, chains of them and
+    d = 0 leaders all occur), mixed policies, non-zero input histories,
+    radar and V2V holds at 5-150 Hz around the 100 Hz sample rate, the reverse
+    clamp, and profiles that end before or after the horizon.
+    """
+    ts = 0.01
+    unit = st.floats(0.0, 1.0)
+    nv = draw(st.integers(1, 8))
+    depths = [draw(st.integers(0, 3)) for _ in range(nv)]
+    params = [dp.VehicleParams(tau=0.05 + 0.3 * draw(unit), phi=d * ts) for d in depths]
+    setups = []
+    q = 0.0
+    for p, d in zip(params, depths):
+        history = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(d))
+        state = dp.VehicleState(q, 3.0 * draw(unit), draw(st.floats(-0.5, 0.5)))
+        setups.append(dp.VehicleSetup(p, state, dp.InputHistory(history, ts, d)))
+        q -= 5.0 + 10.0 * draw(unit)
+    policies, specs = [], []
+    for f in range(1, nv):
+        kind = draw(st.sampled_from(list(PolicyKind)))
+        standstill = 5.0 * draw(unit)
+        k_p = 0.3 + 2.0 * draw(unit)
+        if kind is PolicyKind.DELAYED_CONSTANT:
+            policy = dp.SpacingPolicy(kind, standstill=standstill)
+            k_d = 1.0 + 3.0 * draw(unit)
+            gains = dp.ControllerGains(k_p, k_d, (0.2 + 0.6 * draw(unit)) * k_p * k_d)
+        elif kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+            policy = dp.SpacingPolicy(kind, h_v=0.2 + 1.5 * draw(unit), standstill=standstill)
+            gains = dp.ControllerGains(k_p, 0.5 + 3.0 * draw(unit))
+        else:
+            policy = dp.SpacingPolicy(
+                kind, h_v=0.3 + 1.5 * draw(unit), h_a=0.05 + 0.9 * draw(unit),
+                standstill=standstill,
+            )
+            gains = dp.ControllerGains(k_p)
+        policies.append(policy)
+        specs.append(dp.ControllerSpec(policy, gains, ego=params[f], predecessor=params[f - 1]))
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        duration = 0.05 + 0.6 * draw(unit)
+        if draw(st.booleans()):
+            segments.append(dp.LeaderSegment.cruise(duration, 3.0 * draw(unit), 0.2 + draw(unit)))
+        else:
+            segments.append(dp.LeaderSegment.pulse(duration, draw(st.floats(-3.0, 1.0))))
+    measurement = MeasurementOptions(
+        radar_hold=draw(st.booleans()),
+        radar_rate_hz=draw(st.sampled_from([7.0, 16.7, 50.0, 100.0, 150.0])),
+        v2v_hold=draw(st.booleans()),
+        v2v_rate_hz=draw(st.sampled_from([5.0, 25.0, 100.0])),
+    )
+    config = dp.PlatoonConfig(
+        tuple(setups), tuple(policies), tuple(specs), ts,
+        horizon=0.3 + 1.7 * draw(unit), measurement=measurement,
+        clamp_reverse=draw(st.booleans()),
+    )
+    return config, dp.LeaderProfile(tuple(segments))
+
+
+@settings(max_examples=150, deadline=None)
+@given(platoon_runs())
+def test_run_agrees_with_float_loop(case):
+    """run against the scalar loop it replaced: every logged array is
+    identical, since each value is computed by the same operations in the
+    same order."""
+    config, profile = case
+    got, want = dp.run(config, profile), run_reference(config, profile)
+    for name in ("t", "q", "v", "a", "u", "e", "delta", "delta_ref"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.shape == y.shape, name
+        assert np.array_equal(x, y), name
