@@ -179,54 +179,73 @@ def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-10):
-    """Maximize a unimodal f on [lo, hi]; returns (x, f(x)).
+def golden_section_max(f, lo, hi, rel_tol: float = 1e-10):
+    """Maximize f on every bracket [lo[k], hi[k]] at once; returns (x, f(x)).
 
-    The interval is shrunk until its width is below rel_tol relative to the
-    magnitude of the abscissa (with an absolute floor for intervals at 0).
+    Golden-section search (Kiefer 1953) on each bracket, all brackets shrunk
+    in lockstep: f takes an array of abscissae and is called once per
+    iteration on the new probe of every bracket still moving.  A bracket
+    stops once its width is below rel_tol relative to the magnitude of its
+    abscissa (with an absolute floor for intervals at 0), so each bracket
+    follows the iterates it would have on its own.  f is assumed unimodal
+    on each bracket.
     """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-30):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    width = b - a
+    c = b - _INVPHI * width
+    d = a + _INVPHI * width
+    fc, fd = np.split(f(np.concatenate((c, d))), 2)
+    x = np.empty_like(a)
+    fx = np.empty_like(a)
+    slot = np.arange(a.size)  # input position of each bracket still moving
+    while slot.size:
+        left = fc >= fd
+        moving = width > rel_tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-30)
+        if np.count_nonzero(moving) < slot.size:
+            x[slot] = np.where(left, c, d)
+            fx[slot] = np.where(left, fc, fd)
+            slot, a, b, c, d, fc, fd, left = (
+                v[moving] for v in (slot, a, b, c, d, fc, fd, left)
+            )
+            if not slot.size:
+                break
+        # fc >= fd keeps [a, d] and probes a new c; otherwise [c, b] and a new d
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        width = b - a
+        step = _INVPHI * width
+        probe = np.where(left, b - step, a + step)
+        fp = f(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    return x, fx
 
 
 def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray):
-    """(peak_omega, peak_magnitude, grid magnitudes): every local maximum of
-    |T| on the grid golden-refined to relative width 1e-10."""
+    """(peak_omega, peak_magnitude, grid magnitudes) of |T| on a grid.
+
+    Every local maximum of the grid magnitudes, endpoints included, is
+    golden-refined to relative width 1e-10 on the bracket of its two grid
+    neighbours; all brackets are refined together in one lockstep pass, so
+    |T| is evaluated once per iteration whatever the number of maxima.
+    """
     mags = transfer_magnitude(policy, params, grid)
-
-    def mag(w: float) -> float:
-        return transfer_magnitude(policy, params, w)
-
     n = len(grid)
-    best_w = float(grid[int(np.argmax(mags))])
-    best_m = float(np.max(mags))
-    candidates = set(
-        (np.flatnonzero((mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:])) + 1).tolist()
+    edged = np.concatenate(([-np.inf], mags, [-np.inf]))
+    peaks = np.flatnonzero((edged[1:-1] >= edged[:-2]) & (edged[1:-1] >= edged[2:]))
+    w_ref, m_ref = golden_section_max(
+        lambda w: transfer_magnitude(policy, params, w),
+        grid[np.maximum(peaks - 1, 0)],
+        grid[np.minimum(peaks + 1, n - 1)],
+        rel_tol=1e-10,
     )
-    if mags[0] >= mags[1]:
-        candidates.add(0)
-    if mags[-1] >= mags[-2]:
-        candidates.add(n - 1)
-    for idx in candidates:
-        lo = grid[max(idx - 1, 0)]
-        hi = grid[min(idx + 1, n - 1)]
-        w_ref, m_ref = golden_section_max(mag, lo, hi, rel_tol=1e-10)
-        if m_ref > best_m:
-            best_w, best_m = w_ref, m_ref
+    k = int(np.argmax(mags))
+    best_w, best_m = float(grid[k]), float(mags[k])
+    better = np.flatnonzero(m_ref > best_m)
+    if better.size:
+        k = better[np.argmax(m_ref[better])]
+        best_w, best_m = float(w_ref[k]), float(m_ref[k])
     return best_w, best_m, mags
 
 
@@ -239,7 +258,8 @@ def string_stability_sweep(
 
     Grid of n_grid (>= 4096) log-spaced points on [1e-3, omega_max] with
     omega_max = max(10 / h_v, 20 pi / phi); every local maximum is refined by
-    golden section to relative width 1e-10.  Stable iff sup <= 1 + 1e-9.
+    golden section to relative width 1e-10, all maxima in one lockstep pass
+    (refined_peak).  Stable iff sup <= 1 + 1e-9.
     """
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
         return StabilityVerdict(
@@ -537,12 +557,16 @@ def properness_root_check(
 def stability_region_boundary(phi: float, n_points: int) -> np.ndarray:
     """Boundary of the extended-policy properness region in the
     (h_v/h_a, 1/h_a) plane: (w sin(w phi), w^2 cos(w phi)) for w in
-    [0, pi/(2 phi)], sampled uniformly including the endpoint limits."""
+    [0, pi/(2 phi)], sampled uniformly including the endpoint limits.
+    Raises ValueError for a phi so small that (pi/(2 phi))^2 overflows."""
     if not (math.isfinite(phi) and phi > 0.0):
         raise ValueError("phi must be finite and > 0")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    w = np.linspace(0.0, 0.5 * math.pi / phi, n_points)
+    w_max = 0.5 * math.pi / phi
+    if not math.isfinite(w_max * w_max):
+        raise ValueError(f"phi = {phi:g} is too small: the boundary overflows")
+    w = np.linspace(0.0, w_max, n_points)
     return np.column_stack((w * np.sin(w * phi), w * w * np.cos(w * phi)))
 
 

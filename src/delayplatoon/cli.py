@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, simulator
 from .dynamics import InputHistory, VehicleParams, VehicleState, delay_steps, discretize, step
-from .errors import DelayGranularityError, ScenarioError
+from .errors import DelayGranularityError, NoRootError, RefinementError, ScenarioError
 from .predictor import predict
 from .scenario import parse_scenario
 from .simulator import TrajectoryLog
@@ -107,11 +107,16 @@ def cmd_analyze(args) -> int:
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
         print("proper (root check): n/a (constant policy is always proper)")
     else:
-        root_verdict = analysis.properness_root_check(policy, params)
-        print(
-            f"proper (root check): {_yesno(root_verdict.stable)} "
-            f"[rightmost root {root_verdict.rightmost_root:.6g}]"
-        )
+        try:
+            root_verdict = analysis.properness_root_check(policy, params)
+        except (NoRootError, RefinementError) as exc:
+            # the closed form has answered; an uncertified search only says so
+            print(f"proper (root check): inconclusive [{type(exc).__name__}: {exc}]")
+        else:
+            print(
+                f"proper (root check): {_yesno(root_verdict.stable)} "
+                f"[rightmost root {root_verdict.rightmost_root:.6g}]"
+            )
     if stable.method == "closed-form":
         print(f"string stable: {_yesno(stable.stable)} [closed form, margins={stable.margins}]")
     else:

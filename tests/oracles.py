@@ -1,5 +1,6 @@
-"""References that the tests compare the package against: closed forms and
-the float-loop simulator that `delayplatoon.run` replaced."""
+"""References that the tests compare the package against: closed forms, the
+float-loop simulator that `delayplatoon.run` replaced and the scalar
+golden-section refinement that `refined_peak` replaced."""
 
 import math
 from collections import deque
@@ -17,6 +18,7 @@ from delayplatoon.controllers import (
 )
 from delayplatoon.dynamics import InputHistory, delay_steps, discretize
 from delayplatoon.errors import DegreeError
+from delayplatoon.analysis import transfer_magnitude
 from delayplatoon.predictor import prediction_weights
 from delayplatoon.simulator import (
     LeaderProfile,
@@ -214,3 +216,57 @@ def run_reference(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog
         np.array(dref_log).reshape(n_steps + 1, nf),
         ts,
     )
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-10):
+    """Maximize a unimodal f on [lo, hi]; returns (x, f(x)).
+
+    The interval is shrunk until its width is below rel_tol relative to the
+    magnitude of the abscissa (with an absolute floor for intervals at 0).
+    """
+    a, b = float(lo), float(hi)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-30):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    if fc >= fd:
+        return c, fc
+    return d, fd
+
+
+def refined_peak_reference(policy, params, grid: np.ndarray):
+    """Scalar refined_peak: one golden-section loop per local maximum of |T|
+    on the grid, |T| evaluated one abscissa per call."""
+    mags = transfer_magnitude(policy, params, grid)
+
+    def mag(w: float) -> float:
+        return transfer_magnitude(policy, params, w)
+
+    n = len(grid)
+    best_w = float(grid[int(np.argmax(mags))])
+    best_m = float(np.max(mags))
+    candidates = set(
+        (np.flatnonzero((mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:])) + 1).tolist()
+    )
+    if mags[0] >= mags[1]:
+        candidates.add(0)
+    if mags[-1] >= mags[-2]:
+        candidates.add(n - 1)
+    for idx in candidates:
+        lo = grid[max(idx - 1, 0)]
+        hi = grid[min(idx + 1, n - 1)]
+        w_ref, m_ref = golden_section_max(mag, lo, hi, rel_tol=1e-10)
+        if m_ref > best_m:
+            best_w, best_m = w_ref, m_ref
+    return best_w, best_m, mags

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import delayplatoon as dp
 from delayplatoon import analysis
@@ -9,7 +11,7 @@ from delayplatoon.analysis import QuasiPolynomial, SearchRegion
 from delayplatoon.errors import NoRootError
 from delayplatoon.spacing import PolicyKind
 
-from oracles import dch_rightmost_root
+from oracles import dch_rightmost_root, golden_section_max, refined_peak_reference
 
 DCH = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.4)
 EXT = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.2, h_a=0.25)
@@ -84,6 +86,67 @@ class TestStringStabilitySweep:
     def test_constant_policy(self, ref_params):
         verdict = dp.string_stability_sweep(CONSTANT, ref_params)
         assert verdict.stable and verdict.peak_magnitude == 1.0
+
+
+def _assert_refinement_matches_reference(policy, params):
+    grid = analysis.default_sweep_grid(policy, params)
+    w, m, mags = analysis.refined_peak(policy, params, grid)
+    w_ref, m_ref, mags_ref = refined_peak_reference(policy, params, grid)
+    assert np.array_equal(mags, mags_ref)
+    assert w == pytest.approx(w_ref, rel=1e-12)
+    assert m == pytest.approx(m_ref, rel=1e-12)
+    verdict = dp.string_stability_sweep(policy, params)
+    assert verdict.stable == (m_ref <= 1.0 + analysis.SWEEP_TOL)
+
+
+class TestRefinedPeak:
+    """The lockstep refinement against the scalar one-loop-per-peak oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(phi=st.floats(0.05, 0.3), ratio=st.floats(0.05, 3.0))
+    @example(phi=0.15, ratio=0.05 / 0.3)  # improper, 10 interior maxima
+    def test_dch_matches_scalar_reference(self, phi, ratio):
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=2.0 * phi * ratio)
+        _assert_refinement_matches_reference(policy, dp.VehicleParams(0.067, phi))
+
+    @settings(max_examples=40, deadline=None)
+    @given(phi=st.floats(0.05, 0.3), h_v=st.floats(0.05, 3.0), log_h_a=st.floats(-4.0, 0.0))
+    def test_extended_matches_scalar_reference(self, phi, h_v, log_h_a):
+        policy = dp.SpacingPolicy(
+            PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=h_v, h_a=10.0**log_h_a
+        )
+        _assert_refinement_matches_reference(policy, dp.VehicleParams(0.067, phi))
+
+    def test_all_peaks_share_one_pass(self, monkeypatch):
+        """Ten maxima cost one grid call and one call per lockstep iteration,
+        not one golden-section loop each (refined_peak_reference makes 439)."""
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.05)
+        params = dp.VehicleParams(0.067, 0.15)
+        grid = analysis.default_sweep_grid(policy, params)
+        mags = dp.transfer_magnitude(policy, params, grid)
+        assert np.count_nonzero((mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:])) >= 5
+        calls = []
+        magnitude = analysis.transfer_magnitude
+
+        def counting(policy, params, omega):
+            calls.append(np.size(omega))
+            return magnitude(policy, params, omega)
+
+        monkeypatch.setattr(analysis, "transfer_magnitude", counting)
+        analysis.refined_peak(policy, params, grid)
+        assert len(calls) <= 45
+
+    def test_brackets_follow_their_own_iterates(self):
+        """Brackets of different widths stop at different iterations, each
+        where the scalar search on it alone stops."""
+        def f(x):
+            return -(x - 1.3) ** 2
+
+        lo = np.array([0.0, 1.0, 1.29, -5.0])
+        hi = np.array([3.0, 1.5, 1.31, 5.0])
+        x, fx = analysis.golden_section_max(f, lo, hi, rel_tol=1e-10)
+        for k in range(len(lo)):
+            assert (x[k], fx[k]) == golden_section_max(f, lo[k], hi[k], rel_tol=1e-10)
 
 
 class TestRightmostRoot:
@@ -255,6 +318,13 @@ class TestStabilityRegionBoundary:
             analysis.stability_region_boundary(0.0, 10)
         with pytest.raises(ValueError):
             analysis.stability_region_boundary(0.15, 1)
+
+    @pytest.mark.parametrize("phi", [1e-300, 1e-154])
+    def test_overflowing_boundary_rejected(self, phi):
+        with pytest.raises(ValueError, match="overflows"):
+            analysis.stability_region_boundary(phi, 3)
+        # the smallest endpoint that still squares to a finite value is accepted
+        assert np.all(np.isfinite(analysis.stability_region_boundary(1e-153, 3)))
 
 
 class TestL2StringStability:

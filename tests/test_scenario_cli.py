@@ -1,5 +1,9 @@
 import importlib.resources
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,14 @@ segments =
 
 def bundled(name: str):
     return importlib.resources.files("delayplatoon") / "scenarios" / name
+
+
+def child_env():
+    """Environment for a child interpreter that imports the delayplatoon
+    under test, whether or not it is installed."""
+    src = str(Path(dp.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath)
 
 
 def read_csv(path):
@@ -167,13 +179,11 @@ class TestSimulateCommand:
         assert "error" in capsys.readouterr().err
 
     def test_module_entry_point(self, tmp_path):
-        import subprocess, sys
-
         out = tmp_path / "out.csv"
         result = subprocess.run(
             [sys.executable, "-m", "delayplatoon", "simulate",
              str(bundled("paper_extended.scn")), str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert result.returncode == 0
         assert out.exists()
@@ -220,6 +230,13 @@ class TestRegionCommand:
         assert main(["region", str(out), "--phi", "0.15", "--points", "2"]) == 0
         _, rows = read_csv(out)
         assert rows.shape == (2, 2)
+
+    def test_overflowing_boundary_rejected(self, tmp_path, capsys):
+        out = tmp_path / "region.csv"
+        assert main(["region", str(out), "--phi", "1e-300", "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_family_is_nested(self, tmp_path):
         out = tmp_path / "region.csv"
@@ -296,31 +313,42 @@ class TestExitCodeContract:
     @pytest.mark.parametrize(
         "argv,code",
         [
-            (["analyze", "dch", "--hv", "1e-300"], 3),  # root search fails: runtime
+            (["sweep", "<missing>", "dch", "--hv", "0.4"], 3),  # unwritable output
             (["analyze", "dch", "--hv", "nan"], 2),
             (["sweep", "<out>", "dch", "--hv", "0.4", "--omega-min", "1", "--points", "1"], 2),
-            (["analyze", "dch", "--hv", "1e-308"], 3),  # p overflows on the contour
+            (["region", "<missing>", "--phi", "0.15"], 3),  # unwritable output
         ],
     )
     def test_failures_never_exit_1(self, tmp_path, capsys, argv, code):
-        argv = [str(tmp_path / "o.csv") if a == "<out>" else a for a in argv]
+        paths = {"<out>": tmp_path / "o.csv", "<missing>": tmp_path / "missing" / "o.csv"}
+        argv = [str(paths.get(a, a)) for a in argv]
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "dch", "--hv", "1e-300", "--phi", "0.15"],  # rectangle certified empty
+            ["analyze", "dch", "--hv", "1e-308", "--phi", "0.15"],  # p overflows on the contour
+        ],
+    )
+    def test_uncertified_root_check_follows_closed_form(self, capsys, argv):
+        """A root search that cannot answer is reported as inconclusive, and
+        the exit code follows the closed-form verdicts: here not proper."""
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "proper (closed form): no" in out
+        assert "proper (root check): inconclusive [" in out
+        assert out.splitlines()[-1] == "verdict: not proper, not string stable"
+
 
 def test_import_loads_neither_scipy_nor_numba():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(dp.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c",
          "import delayplatoon, sys; "
          "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numba'))))"],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True, text=True, check=True, env=child_env(),
     )
     assert result.stdout.strip() == "[]"
