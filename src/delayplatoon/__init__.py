@@ -21,9 +21,6 @@ from .controllers import (
     ControllerGains,
     ControllerSpec,
     control,
-    control_delayed_constant,
-    control_delayed_constant_headway,
-    control_delayed_extended,
     generic_rho_controller,
     validate_gains,
 )
@@ -61,7 +58,6 @@ from .simulator import (
 from .spacing import (
     PolicyKind,
     PolicyRows,
-    SpacingError,
     SpacingPolicy,
     StabilityVerdict,
     is_proper,
@@ -69,7 +65,6 @@ from .spacing import (
     policy_rows,
     relative_degrees,
     solvability_check,
-    spacing_error,
 )
 
 __version__ = "0.1.0"

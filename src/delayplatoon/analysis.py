@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 SWEEP_TOL = 1e-9  # sup |T| <= 1 + SWEEP_TOL counts as string stable
+SWEEP_POINTS = 4096  # points of the default sweep grid
 ROOT_STABLE_TOL = 1e-9  # Re(rightmost) < -ROOT_STABLE_TOL counts as stable
 
 
@@ -139,10 +140,12 @@ class SearchRegion:
 def transfer_magnitude(policy: SpacingPolicy, params: VehicleParams, omega):
     """|T(i omega)| of the velocity transfer under perfect tracking.
 
-    Evaluated from the expanded real forms: for the constant headway policy
-    |T|^-2 = (omega h_v)^2 - 2 omega h_v sin(omega phi) + 1; the extended
-    denominator splits into (1 - h_a w^2 cos(w phi)) + i (h_v w - h_a w^2
-    sin(w phi)).  The constant policy has |T| = 1 at every frequency.
+    Evaluated as 1 / hypot of the real and imaginary parts of 1/T, which
+    cannot overflow where |T| is representable: for the constant headway
+    policy (w h_v - sin(w phi)) + i cos(w phi), whose squared modulus is
+    (w h_v)^2 - 2 w h_v sin(w phi) + 1; the extended denominator splits into
+    (1 - h_a w^2 cos(w phi)) + i (h_v w - h_a w^2 sin(w phi)).  The constant
+    policy has |T| = 1 at every frequency.
     """
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0.0):
@@ -151,9 +154,7 @@ def transfer_magnitude(policy: SpacingPolicy, params: VehicleParams, omega):
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
         out = np.ones_like(w)
     elif policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-        hv = policy.h_v
-        inv_sq = (w * hv) ** 2 - 2.0 * w * hv * np.sin(w * phi) + 1.0
-        out = 1.0 / np.sqrt(inv_sq)
+        out = 1.0 / np.hypot(w * policy.h_v - np.sin(w * phi), np.cos(w * phi))
     else:
         hv, ha = policy.h_v, policy.h_a
         re = 1.0 - ha * w * w * np.cos(w * phi)
@@ -164,9 +165,8 @@ def transfer_magnitude(policy: SpacingPolicy, params: VehicleParams, omega):
     return out
 
 
-def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int = 4096):
-    """Log grid on [1e-3, omega_max], omega_max = max(10/h_v, 20 pi/phi)."""
-    n_grid = max(int(n_grid), 4096)
+def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int = SWEEP_POINTS):
+    """n_grid log-spaced points on [1e-3, omega_max], omega_max = max(10/h_v, 20 pi/phi)."""
     bounds = []
     if policy.h_v > 0.0:
         bounds.append(10.0 / policy.h_v)
@@ -249,14 +249,10 @@ def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray)
     return best_w, best_m, mags
 
 
-def string_stability_sweep(
-    policy: SpacingPolicy,
-    params: VehicleParams,
-    n_grid: int = 4096,
-) -> StabilityVerdict:
+def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
     """sup_omega |T(i omega)| over a refined log grid.
 
-    Grid of n_grid (>= 4096) log-spaced points on [1e-3, omega_max] with
+    Grid of SWEEP_POINTS log-spaced points on [1e-3, omega_max] with
     omega_max = max(10 / h_v, 20 pi / phi); every local maximum is refined by
     golden section to relative width 1e-10, all maxima in one lockstep pass
     (refined_peak).  Stable iff sup <= 1 + 1e-9.
@@ -266,7 +262,7 @@ def string_stability_sweep(
             True, "sweep", peak_omega=0.0, peak_magnitude=1.0,
             detail="|T| = 1 identically",
         )
-    grid = default_sweep_grid(policy, params, n_grid)
+    grid = default_sweep_grid(policy, params)
     best_w, best_m, _ = refined_peak(policy, params, grid)
     return StabilityVerdict(
         bool(best_m <= 1.0 + SWEEP_TOL),
@@ -360,6 +356,7 @@ def _newton_polish(qp: QuasiPolynomial, lam0: complex, max_iter: int = 80) -> co
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as RefinementError
 def _generator_matrix(qp: QuasiPolynomial, n_nodes: int) -> np.ndarray:
     """Chebyshev pseudospectral generator of the delay equation behind p.
 
@@ -370,7 +367,9 @@ def _generator_matrix(qp: QuasiPolynomial, n_nodes: int) -> np.ndarray:
     Maset & Vermiglio, SIAM J. Sci. Comput. 2005): the first block row is the
     DDE, with a barycentric interpolation row per delay; the others
     differentiate the interpolant.  Without delays it is the companion matrix
-    of a.  Raises ValueError for a neutral p (a delayed term of degree >= n).
+    of a.  Raises ValueError for a neutral p (a delayed term of degree >= n)
+    and RefinementError when an entry overflows, since no eigenvalue can
+    seed the search then.
     """
     delays = np.array([delay for _, delay in qp.terms])
     coeffs = np.zeros((len(delays), max(len(c) for c, _ in qp.terms)))
@@ -382,25 +381,27 @@ def _generator_matrix(qp: QuasiPolynomial, n_nodes: int) -> np.ndarray:
         raise ValueError("neutral quasi-polynomial: a delayed term is not of lower degree")
     companion = np.eye(n, k=1)
     companion[-1:, :] = -a[:n] / a[n]
-    if not np.any(delays):
-        return companion
-    theta = 0.5 * qp.max_delay * (np.cos(math.pi * np.arange(n_nodes + 1) / n_nodes) - 1.0)
-    w = np.ones(n_nodes + 1)  # barycentric weights (-1)^j, halved at both ends
-    w[[0, -1]] = 0.5
-    w[1::2] *= -1.0
-    diff = np.outer(1.0 / w, w) / (theta[:, None] - theta[None, :] + np.eye(n_nodes + 1))
-    diff -= np.diag(diff.sum(axis=1))
-    matrix = np.zeros(((n_nodes + 1) * n, (n_nodes + 1) * n))
-    matrix[n:, :] = np.kron(diff[1:], np.eye(n))
-    matrix[:n, :n] = companion
-    for b, delay in zip(coeffs[delays > 0.0, :n] / a[n], delays[delays > 0.0]):
-        offset = -delay - theta
-        if np.any(offset == 0.0):
-            interp = (offset == 0.0).astype(float)
-        else:
-            interp = w / offset
-            interp /= interp.sum()
-        matrix[n - 1, :] -= np.outer(interp, b).ravel()
+    matrix = companion
+    if np.any(delays):
+        theta = 0.5 * qp.max_delay * (np.cos(math.pi * np.arange(n_nodes + 1) / n_nodes) - 1.0)
+        w = np.ones(n_nodes + 1)  # barycentric weights (-1)^j, halved at both ends
+        w[[0, -1]] = 0.5
+        w[1::2] *= -1.0
+        diff = np.outer(1.0 / w, w) / (theta[:, None] - theta[None, :] + np.eye(n_nodes + 1))
+        diff -= np.diag(diff.sum(axis=1))
+        matrix = np.zeros(((n_nodes + 1) * n, (n_nodes + 1) * n))
+        matrix[n:, :] = np.kron(diff[1:], np.eye(n))
+        matrix[:n, :n] = companion
+        for b, delay in zip(coeffs[delays > 0.0, :n] / a[n], delays[delays > 0.0]):
+            offset = -delay - theta
+            if np.any(offset == 0.0):
+                interp = (offset == 0.0).astype(float)
+            else:
+                interp = w / offset
+                interp /= interp.sum()
+            matrix[n - 1, :] -= np.outer(interp, b).ravel()
+    if not np.all(np.isfinite(matrix)):
+        raise RefinementError("pseudospectral generator overflows: coefficient ratios too large")
     return matrix
 
 

@@ -2,15 +2,18 @@
 
 One specialized law per policy (all three are exact input-output
 linearizations: with them the spacing error obeys a linear ODE of order
-rho_bar driven only by its own state), plus the generic relative-degree
-indexed form evaluated from the (H, H_bar) rows, which reproduces the
-specialized laws bit for bit.
+rho_bar driven only by its own state).  ``track`` is the one dispatch from
+the policy kind to its spacing errors and law, on plain floats; the
+simulator calls it every step and ``control`` calls it on one set of
+measurements.  The generic relative-degree indexed form, evaluated from
+the (H, H_bar) rows, reproduces the specialized laws to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +23,9 @@ from .spacing import (
     PolicyKind,
     PolicyRows,
     SpacingPolicy,
-    spacing_error,
+    dc_errors,
+    dch_errors,
+    ext_error,
     spacing_error_from_rows,
 )
 
@@ -28,12 +33,11 @@ __all__ = [
     "ControllerGains",
     "ControlInputs",
     "ControllerSpec",
+    "TrackingLaw",
     "rho_bar_for",
     "validate_gains",
+    "track",
     "control",
-    "control_delayed_constant",
-    "control_delayed_constant_headway",
-    "control_delayed_extended",
     "generic_rho_controller",
 ]
 
@@ -139,102 +143,60 @@ def ext_control(tau_i, h_v, h_a, k_p, e, dv, a_i, a_hat):
     return a_hat + (tau_i / h_a) * (dv - h_v * a_i + k_p * e)
 
 
-def control_delayed_constant(spec: ControllerSpec, inputs: ControlInputs) -> float:
-    """Tracking law for the delayed constant spacing policy (rho_bar = 3)."""
-    if spec.policy.kind is not PolicyKind.DELAYED_CONSTANT:
-        raise ValueError("spec is not for the delayed constant policy")
-    if inputs.predecessor_a is None or inputs.predecessor_u_delayed is None:
-        raise ChannelError(
-            "delayed-constant control needs predecessor acceleration and delayed input"
+class TrackingLaw(NamedTuple):
+    """The floats of one follower's tracking law, unpacked once from its spec.
+    tau_pred is nan without predecessor parameters; only the constant law reads it."""
+
+    kind: PolicyKind
+    h_v: float
+    h_a: float
+    k_p: float
+    k_d: float
+    k_dd: float
+    tau: float
+    tau_pred: float
+
+    @classmethod
+    def of(cls, spec: ControllerSpec) -> "TrackingLaw":
+        pred = spec.predecessor
+        return cls(
+            spec.policy.kind, spec.policy.h_v, spec.policy.h_a,
+            spec.gains.k_p, spec.gains.k_d, spec.gains.k_dd,
+            spec.ego.tau, math.nan if pred is None else pred.tau,
         )
-    err = spacing_error(
-        spec.policy,
-        inputs.delta,
-        inputs.delta_dot,
-        inputs.ego_state,
-        inputs.ego_predicted,
-        predecessor_a=inputs.predecessor_a,
-    )
-    return float(
-        dc_control(
-            spec.ego.tau,
-            spec.predecessor.tau,
-            spec.gains.k_p,
-            spec.gains.k_d,
-            spec.gains.k_dd,
-            err.e,
-            err.e_dot,
-            err.e_ddot,
-            inputs.predecessor_a,
-            inputs.ego_predicted.a,
-            inputs.predecessor_u_delayed,
-        )
-    )
 
 
-def control_delayed_constant_headway(spec: ControllerSpec, inputs: ControlInputs) -> float:
-    """Tracking law for the delayed constant headway policy (rho_bar = 2)."""
-    if spec.policy.kind is not PolicyKind.DELAYED_CONSTANT_HEADWAY:
-        raise ValueError("spec is not for the delayed constant headway policy")
-    if inputs.predecessor_a is None:
-        raise ChannelError("constant-headway control needs the predecessor acceleration")
-    err = spacing_error(
-        spec.policy,
-        inputs.delta,
-        inputs.delta_dot,
-        inputs.ego_state,
-        inputs.ego_predicted,
-    )
-    return float(
-        dch_control(
-            spec.ego.tau,
-            spec.policy.h_v,
-            spec.gains.k_p,
-            spec.gains.k_d,
-            err.e,
-            err.e_dot,
-            inputs.predecessor_a,
-            inputs.ego_state.a,
-            inputs.ego_predicted.a,
-        )
-    )
-
-
-def control_delayed_extended(spec: ControllerSpec, inputs: ControlInputs) -> float:
-    """Tracking law for the delayed extended policy (rho_bar = 1, radar only)."""
-    if spec.policy.kind is not PolicyKind.DELAYED_EXTENDED_HEADWAY:
-        raise ValueError("spec is not for the delayed extended policy")
-    err = spacing_error(
-        spec.policy,
-        inputs.delta,
-        inputs.delta_dot,
-        inputs.ego_state,
-        inputs.ego_predicted,
-    )
-    return float(
-        ext_control(
-            spec.ego.tau,
-            spec.policy.h_v,
-            spec.policy.h_a,
-            spec.gains.k_p,
-            err.e,
-            inputs.delta_dot,
-            inputs.ego_state.a,
-            inputs.ego_predicted.a,
-        )
-    )
-
-
-_DISPATCH = {
-    PolicyKind.DELAYED_CONSTANT: control_delayed_constant,
-    PolicyKind.DELAYED_CONSTANT_HEADWAY: control_delayed_constant_headway,
-    PolicyKind.DELAYED_EXTENDED_HEADWAY: control_delayed_extended,
-}
+def track(law: TrackingLaw, q, v, a, qh, vh, ah, delta, delta_dot, pred_a, pred_u):
+    """(u, e, H x + H_bar x_hat) of one follower: the policy's spacing errors and
+    law on the ego state now (q, v, a), the one predicted at t + phi (qh, vh, ah),
+    the standstill-adjusted range delta, its rate, and the predecessor's
+    acceleration and delayed input where the law reads them."""
+    kind, h_v, h_a, k_p, k_d, k_dd, tau, tau_pred = law
+    if kind is PolicyKind.DELAYED_CONSTANT:
+        e, edot, eddot = dc_errors(delta, delta_dot, q, v, qh, vh, ah, pred_a)
+        u = dc_control(tau, tau_pred, k_p, k_d, k_dd, e, edot, eddot, pred_a, ah, pred_u)
+        return u, e, qh - q
+    if kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+        e, edot = dch_errors(h_v, delta, delta_dot, vh, ah)
+        return dch_control(tau, h_v, k_p, k_d, e, edot, pred_a, a, ah), e, h_v * vh
+    e = ext_error(h_v, h_a, delta, v, ah)
+    return ext_control(tau, h_v, h_a, k_p, e, delta_dot, a, ah), e, h_v * v + h_a * ah
 
 
 def control(spec: ControllerSpec, inputs: ControlInputs) -> float:
-    """Dispatch to the policy's specialized law."""
-    return _DISPATCH[spec.policy.kind](spec, inputs)
+    """The policy's tracking law (``track``) on one set of measurements;
+    ChannelError when a predecessor channel the law reads is None."""
+    kind = spec.policy.kind
+    if kind is not PolicyKind.DELAYED_EXTENDED_HEADWAY and inputs.predecessor_a is None:
+        raise ChannelError(f"{kind.value} control needs the predecessor acceleration")
+    if kind is PolicyKind.DELAYED_CONSTANT and inputs.predecessor_u_delayed is None:
+        raise ChannelError("constant control needs the predecessor's delayed input")
+    x, xh = inputs.ego_state, inputs.ego_predicted
+    u, _, _ = track(
+        TrackingLaw.of(spec), x.q, x.v, x.a, xh.q, xh.v, xh.a, inputs.delta,
+        inputs.delta_dot, inputs.predecessor_a, inputs.predecessor_u_delayed,
+    )
+    return float(u)
 
 
 def generic_rho_controller(

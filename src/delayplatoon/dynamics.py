@@ -90,12 +90,14 @@ class InputHistory:
     def __post_init__(self):
         if self.depth < 0:
             raise HistoryDepthError(f"depth must be >= 0, got {self.depth}")
-        if self.sample_period <= 0.0:
-            raise ValueError("sample_period must be > 0")
+        if not (math.isfinite(self.sample_period) and self.sample_period > 0.0):
+            raise ValueError(f"sample_period must be finite and > 0, got {self.sample_period}")
         if len(self.samples) != self.depth:
             raise HistoryDepthError(
                 f"history holds {len(self.samples)} samples, expected {self.depth}"
             )
+        if not all(map(math.isfinite, self.samples)):
+            raise ValueError("history samples must be finite")
 
     @classmethod
     def zeros(cls, depth: int, sample_period: float) -> "InputHistory":
@@ -127,9 +129,6 @@ class DiscreteModel:
     Phi: np.ndarray
     Gamma: np.ndarray
     Ts: float
-
-    def cache_key(self) -> tuple:
-        return (self.Phi.tobytes(), self.Gamma.tobytes(), self.Ts)
 
 
 def matrix_exponential_closed_form(params: VehicleParams, t: float) -> np.ndarray:

@@ -6,7 +6,7 @@ is an exact function of the current state and the d buffered inputs:
     x(k + d) = Phi^d x(k) + sum_{j=1..d} Phi^{j-1} Gamma u(k - j)
 
 so no approximation is involved.  Powers of Phi are precomputed per
-(model, depth) pair and cached, since prediction runs every control step.
+(Phi, Gamma, depth) and cached, since prediction runs every control step.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = ["predict", "predict_acceleration_continuous", "prediction_weights"]
 
 
 @functools.lru_cache(maxsize=256)
-def _weights_cached(key, phi_bytes, gamma_bytes, depth):
+def _weights_cached(phi_bytes, gamma_bytes, depth):
     phi = np.frombuffer(phi_bytes).reshape(3, 3)
     gamma = np.frombuffer(gamma_bytes)
     phi_d = np.eye(3)
@@ -40,7 +40,7 @@ def _weights_cached(key, phi_bytes, gamma_bytes, depth):
 
 def prediction_weights(model: DiscreteModel, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """(Phi^depth, W) with W @ history.samples the forced response at t + phi."""
-    return _weights_cached(model.cache_key(), model.Phi.tobytes(), model.Gamma.tobytes(), depth)
+    return _weights_cached(model.Phi.tobytes(), model.Gamma.tobytes(), depth)
 
 
 def predict(model: DiscreteModel, x: VehicleState, history: InputHistory) -> VehicleState:

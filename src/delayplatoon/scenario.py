@@ -207,13 +207,15 @@ def load_scenario_text(text: str) -> Scenario:
             raise DelayGranularityError(f"vehicle {i}: {exc}") from None
         except ValueError as exc:
             raise ScenarioError(f"[{section}]: {exc}{index.where(section)}") from None
-        state = VehicleState(
-            q=_get_float(parser, index, section, "q0", 0.0),
-            v=_get_float(parser, index, section, "v0", 0.0),
-            a=_get_float(parser, index, section, "a0", 0.0),
+        q0, v0, a0, u_hist = (
+            _get_float(parser, index, section, key, 0.0)
+            for key in ("q0", "v0", "a0", "u_hist")
         )
-        u_hist = _get_float(parser, index, section, "u_hist", 0.0)
-        history = InputHistory.constant(u_hist, depth, ts)
+        try:
+            state = VehicleState(q0, v0, a0)
+            history = InputHistory.constant(u_hist, depth, ts)
+        except ValueError as exc:
+            raise ScenarioError(f"[{section}]: {exc}{index.where(section)}") from None
         vehicles.append(VehicleSetup(params, state, history))
 
     policies = []

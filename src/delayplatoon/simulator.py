@@ -8,10 +8,12 @@ sample instant (ideal channels); optional sample-and-hold flags emulate the
 coarser radar and V2V rates, both off by default.
 
 ``run`` is one loop over Python floats.  Everything a run does not change
-(the ZOH and prediction coefficients, the law parameters) is unpacked
-before the loop, and each value is computed by the same operations in the
-same order as in the scalar loop kept in ``tests/oracles.py`` as
-``run_reference``, so the two give bit-identical logs.
+(the ZOH and prediction coefficients, each follower's ``TrackingLaw``) is
+unpacked before the loop.  Each follower's law is ``controllers.track``,
+the same function ``controllers.control`` calls, and each value is
+computed by the same operations in the same order as in the scalar loop
+kept in ``tests/oracles.py`` as ``run_reference``, so the two give
+bit-identical logs.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .controllers import ControllerSpec, dc_control, dch_control, ext_control
+from .controllers import ControllerSpec, TrackingLaw, track
 from .dynamics import (
     InputHistory,
     VehicleParams,
@@ -34,7 +35,7 @@ from .dynamics import (
 )
 from .errors import HistoryDepthError
 from .predictor import prediction_weights
-from .spacing import PolicyKind, SpacingPolicy, dc_errors, dch_errors, ext_error
+from .spacing import PolicyKind, SpacingPolicy
 
 __all__ = [
     "SegmentKind",
@@ -142,17 +143,16 @@ class MeasurementModel:
         self._next_radar = 0.0
         self._next_v2v = 0.0
         self._radar: tuple[float, float] | None = None
-        self._v2v: tuple[float, float, float] | None = None
+        self._v2v: tuple[float, float] | None = None
 
     def sample(
         self,
         t: float,
         delta: float,
         delta_dot: float,
-        predecessor_v: float,
         predecessor_a: float,
         predecessor_u_delayed: float,
-    ) -> tuple[float, float, float, float, float]:
+    ) -> tuple[float, float, float, float]:
         if self.options.radar_hold:
             if t >= self._next_radar:
                 self._radar = (delta, delta_dot)
@@ -160,10 +160,10 @@ class MeasurementModel:
             delta, delta_dot = self._radar
         if self.options.v2v_hold:
             if t >= self._next_v2v:
-                self._v2v = (predecessor_v, predecessor_a, predecessor_u_delayed)
+                self._v2v = (predecessor_a, predecessor_u_delayed)
                 self._next_v2v += 1.0 / self.options.v2v_rate_hz
-            predecessor_v, predecessor_a, predecessor_u_delayed = self._v2v
-        return delta, delta_dot, predecessor_v, predecessor_a, predecessor_u_delayed
+            predecessor_a, predecessor_u_delayed = self._v2v
+        return delta, delta_dot, predecessor_a, predecessor_u_delayed
 
 
 @dataclass(frozen=True)
@@ -246,46 +246,14 @@ class TrajectoryLog:
         return self.e.shape[1]
 
 
-class _Follower(NamedTuple):
-    """What one follower's law needs, unpacked once per run."""
-
-    kind: PolicyKind
-    standstill: float
-    h_v: float
-    h_a: float
-    k_p: float
-    k_d: float
-    k_dd: float
-    tau: float
-    tau_pred: float
-
-
-def _tracking_law(p: _Follower, q, v, a, qh, vh, ah, delta, delta_dot, pred_a, pred_u):
-    """(u, e, delta_ref) of one follower: the policy's spacing errors and
-    tracking law on the state now, the state predicted at t + phi and the
-    measurements the law sees."""
-    kind, standstill, h_v, h_a, k_p, k_d, k_dd, tau, tau_pred = p
-    delta_adj = delta - standstill
-    if kind is PolicyKind.DELAYED_CONSTANT:
-        e, edot, eddot = dc_errors(delta_adj, delta_dot, q, v, qh, vh, ah, pred_a)
-        u = dc_control(tau, tau_pred, k_p, k_d, k_dd, e, edot, eddot, pred_a, ah, pred_u)
-        return u, e, (qh - q) + standstill
-    if kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-        e, edot = dch_errors(h_v, delta_adj, delta_dot, vh, ah)
-        u = dch_control(tau, h_v, k_p, k_d, e, edot, pred_a, a, ah)
-        return u, e, h_v * vh + standstill
-    e = ext_error(h_v, h_a, delta_adj, v, ah)
-    u = ext_control(tau, h_v, h_a, k_p, e, delta_dot, a, ah)
-    return u, e, h_v * v + h_a * ah + standstill
-
-
 def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
     """Simulate the platoon over the horizon; deterministic in its inputs.
 
     A step computes the leader input, then runs the followers front to
     back: each predicts its state at t + phi from its buffered inputs and
-    calls its policy's spacing-error and tracking-law functions.  Then
-    every vehicle takes one exact ZOH step with its delayed input.
+    calls ``track`` on the standstill-adjusted range; the standstill is
+    added back to the reference spacing it returns.  Then every vehicle
+    takes one exact ZOH step with its delayed input.
     """
     ts = config.ts
     n = int(round(config.horizon / ts)) + 1
@@ -305,11 +273,6 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
     followers = []
     for f, (policy, spec) in enumerate(zip(config.policies, config.controllers)):
         phi_d, w = prediction_weights(models[f + 1], depths[f + 1])
-        law = _Follower(
-            policy.kind, policy.standstill, policy.h_v, policy.h_a,
-            spec.gains.k_p, spec.gains.k_d, spec.gains.k_dd,
-            config.vehicles[f + 1].params.tau, config.vehicles[f].params.tau,
-        )
         # (q, v, a) weights, most recent input first, cut to the predicted
         # components the law reads: DCH reads v and a, the extended policy a
         weights = w[:, ::-1].T.tolist()
@@ -317,7 +280,10 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
             weights = [(wv, wa) for _, wv, wa in weights]
         elif policy.kind is PolicyKind.DELAYED_EXTENDED_HEADWAY:
             weights = [wa for _, _, wa in weights]
-        followers.append((f + 1, law, phi_d.ravel().tolist(), weights, hists[f + 1], hists[f]))
+        followers.append((
+            f + 1, TrackingLaw.of(spec), policy.standstill, phi_d.ravel().tolist(),
+            weights, hists[f + 1], hists[f],
+        ))
     opts = config.measurement
     holds = [None] * nf
     if opts.radar_hold or opts.v2v_hold:
@@ -331,7 +297,7 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
     for k in range(n):
         t = k * ts
         u[0] = leader_input(leader, t, v[0])
-        for f, (i, law, pd, weights, hist, hist_pred) in enumerate(followers):
+        for f, (i, law, standstill, pd, weights, hist, hist_pred) in enumerate(followers):
             qi, vi, ai = q[i], v[i], a[i]
             delta = q[f] - qi
             delta_dot = v[f] - vi
@@ -339,8 +305,8 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
             pred_u = hist_pred[-1] if hist_pred.maxlen else u[f]
             delta_m, delta_dot_m = delta, delta_dot
             if holds[f] is not None:
-                delta_m, delta_dot_m, _, pred_a, pred_u = holds[f].sample(
-                    t, delta, delta_dot, v[f], pred_a, pred_u
+                delta_m, delta_dot_m, pred_a, pred_u = holds[f].sample(
+                    t, delta, delta_dot, pred_a, pred_u
                 )
             # exact d-step prediction of the ego state, the components the law reads
             d00, d01, d02, d10, d11, d12, d20, d21, d22 = pd
@@ -361,9 +327,10 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
             else:
                 for wa, um in zip(weights, hist):
                     ah += wa * um
-            u[i], e_row[f], dref_row[f] = _tracking_law(
-                law, qi, vi, ai, qh, vh, ah, delta_m, delta_dot_m, pred_a, pred_u
+            u[i], e_row[f], dref = track(
+                law, qi, vi, ai, qh, vh, ah, delta_m - standstill, delta_dot_m, pred_a, pred_u
             )
+            dref_row[f] = dref + standstill
             delta_row[f] = delta
         out += q
         out += v

@@ -21,19 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import VehicleParams, VehicleState
+from .dynamics import VehicleParams
 
 __all__ = [
     "PolicyKind",
     "SpacingPolicy",
     "PolicyRows",
-    "SpacingError",
     "StabilityVerdict",
     "SolvabilityResult",
     "policy_rows",
     "relative_degrees",
     "solvability_check",
-    "spacing_error",
     "spacing_error_from_rows",
     "is_proper",
     "is_string_stable",
@@ -91,19 +89,6 @@ class PolicyRows:
 
     H: tuple[float, float, float]
     H_bar: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class SpacingError:
-    """Spacing error and the derivatives the active controller consumes.
-
-    e_dot / e_ddot are None when the inputs needed for them were not
-    supplied (they are only populated where a controller uses them).
-    """
-
-    e: float
-    e_dot: float | None = None
-    e_ddot: float | None = None
 
 
 @dataclass(frozen=True)
@@ -210,42 +195,6 @@ def dch_errors(h_v, delta, delta_dot, v_hat, a_hat):
 def ext_error(h_v, h_a, delta, v, a_hat):
     """e for the delayed extended headway policy."""
     return delta - h_v * v - h_a * a_hat
-
-
-def spacing_error(
-    policy: SpacingPolicy,
-    delta: float,
-    delta_dot: float,
-    state_i: VehicleState,
-    predicted_i: VehicleState,
-    predecessor_a: float | None = None,
-    predicted_a_dot_i: float | None = None,
-) -> SpacingError:
-    """Spacing error and its analytic derivatives for the policy.
-
-    delta must already be standstill-adjusted.  delta_dot is the radar range
-    rate v_{i-1} - v_i.  Derivatives of predicted terms use the model
-    dynamics (d/dt v(t+phi) = a(t+phi); d/dt a(t+phi) needs the current
-    input and is passed in as predicted_a_dot_i by callers that have it).
-    Derivatives whose inputs are missing are left as None.
-    """
-    if policy.kind is PolicyKind.DELAYED_CONSTANT:
-        e, e_dot, e_ddot = dc_errors(
-            delta, delta_dot, state_i.q, state_i.v, predicted_i.q, predicted_i.v,
-            predicted_i.a, 0.0 if predecessor_a is None else predecessor_a,
-        )
-        return SpacingError(e, e_dot, None if predecessor_a is None else e_ddot)
-    if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-        e, e_dot = dch_errors(policy.h_v, delta, delta_dot, predicted_i.v, predicted_i.a)
-        e_ddot = None
-        if predecessor_a is not None and predicted_a_dot_i is not None:
-            e_ddot = (predecessor_a - state_i.a) - policy.h_v * predicted_a_dot_i
-        return SpacingError(e, e_dot, e_ddot)
-    e = ext_error(policy.h_v, policy.h_a, delta, state_i.v, predicted_i.a)
-    e_dot = None
-    if predicted_a_dot_i is not None:
-        e_dot = delta_dot - policy.h_v * state_i.a - policy.h_a * predicted_a_dot_i
-    return SpacingError(e, e_dot, None)
 
 
 def _extended_properness_margin(policy: SpacingPolicy, params: VehicleParams):

@@ -140,8 +140,8 @@ def run_reference(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog
             pred_u = hists[f][0] if hists[f].maxlen else u_cmd[f]
             delta_m, delta_dot_m = delta, delta_dot
             if holds is not None:
-                delta_m, delta_dot_m, _, pred_a, pred_u = holds[f].sample(
-                    t, delta, delta_dot, x[f][1], pred_a, pred_u
+                delta_m, delta_dot_m, pred_a, pred_u = holds[f].sample(
+                    t, delta, delta_dot, pred_a, pred_u
                 )
 
             # exact d-step prediction of the ego state

@@ -55,6 +55,19 @@ class TestTransferMagnitude:
             right = direct_magnitude(EXT, ref_params, omega)
             assert left == pytest.approx(right, rel=1e-12)
 
+    def test_dch_extreme_tunings_stay_finite(self, ref_params):
+        """|T| of the constant headway policy is evaluated without overflow:
+        a huge h_v gives |T| ~ 1 / (w h_v), a tiny phi |T| ~ 1 / hypot(w h_v, 1)."""
+        omegas = analysis.default_sweep_grid(DCH, ref_params)
+        huge = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=1e300)
+        mags = dp.transfer_magnitude(huge, ref_params, omegas)
+        assert np.all(mags > 0.0)
+        assert np.max(mags) == pytest.approx(1e-297, rel=1e-12)
+        tiny = dp.VehicleParams(tau=0.067, phi=1e-300)
+        assert dp.transfer_magnitude(DCH, tiny, 1e-3) == pytest.approx(
+            1.0 / math.hypot(4e-4, 1.0), rel=1e-15
+        )
+
     def test_rejects_negative_frequency(self, ref_params):
         with pytest.raises(ValueError):
             dp.transfer_magnitude(DCH, ref_params, -1.0)

@@ -101,7 +101,7 @@ class TestSpecializedControllers:
             predecessor_a=alpha,
             predecessor_u_delayed=alpha,
         )
-        assert dp.control_delayed_constant(spec, inputs) == pytest.approx(alpha)
+        assert dp.control(spec, inputs) == pytest.approx(alpha)
 
     def test_dch_feedforward_holds_prediction(self):
         spec = dp.ControllerSpec(DCH, DCH_GAINS, ego=REF_VEHICLE, predecessor=REF_VEHICLE)
@@ -114,17 +114,17 @@ class TestSpecializedControllers:
             delta_dot=0.4 * alpha,
             predecessor_a=alpha,
         )
-        assert dp.control_delayed_constant_headway(spec, inputs) == pytest.approx(alpha)
+        assert dp.control(spec, inputs) == pytest.approx(alpha)
 
     def test_dch_unit_error_value(self):
         spec = dp.ControllerSpec(DCH, DCH_GAINS, ego=REF_VEHICLE, predecessor=REF_VEHICLE)
         inputs = zero_inputs(delta=1.0)
-        assert dp.control_delayed_constant_headway(spec, inputs) == pytest.approx(0.0335)
+        assert dp.control(spec, inputs) == pytest.approx(0.0335)
 
     def test_ext_velocity_gap_value(self):
         spec = dp.ControllerSpec(EXT, EXT_GAINS, ego=REF_VEHICLE)
         inputs = zero_inputs(delta_dot=1.0)
-        assert dp.control_delayed_extended(spec, inputs) == pytest.approx(0.268)
+        assert dp.control(spec, inputs) == pytest.approx(0.268)
 
     def test_ext_reduced_form_ignores_predictions(self, rng):
         """With k_p = 1/tau the law needs no predicted states at all."""
@@ -133,7 +133,7 @@ class TestSpecializedControllers:
         )
         for _ in range(1000):
             inputs = random_inputs(rng)
-            u = dp.control_delayed_extended(spec, inputs)
+            u = dp.control(spec, inputs)
             # prediction-free evaluation of the same law
             h_v, h_a = EXT.h_v, EXT.h_a
             want = (TAU / h_a) * (
@@ -147,24 +147,19 @@ class TestSpecializedControllers:
                 delta=inputs.delta,
                 delta_dot=inputs.delta_dot,
             )
-            assert dp.control_delayed_extended(spec, other) == pytest.approx(
+            assert dp.control(spec, other) == pytest.approx(
                 u, rel=1e-12, abs=1e-12
             )
 
     def test_missing_channels(self):
         spec = dp.ControllerSpec(DCH, DCH_GAINS, ego=REF_VEHICLE, predecessor=REF_VEHICLE)
         with pytest.raises(ChannelError):
-            dp.control_delayed_constant_headway(spec, zero_inputs(predecessor_a=None))
+            dp.control(spec, zero_inputs(predecessor_a=None))
         spec = dp.ControllerSpec(CONSTANT, CONSTANT_GAINS, ego=REF_VEHICLE, predecessor=REF_VEHICLE)
         with pytest.raises(ChannelError):
-            dp.control_delayed_constant(
+            dp.control(
                 spec, zero_inputs(predecessor_u_delayed=None)
             )
-
-    def test_wrong_policy_rejected(self):
-        spec = dp.ControllerSpec(EXT, EXT_GAINS, ego=REF_VEHICLE)
-        with pytest.raises(ValueError):
-            dp.control_delayed_constant_headway(spec, zero_inputs())
 
 
 class TestGenericController:
@@ -174,7 +169,7 @@ class TestGenericController:
         for _ in range(300):
             inputs = random_inputs(rng)
             got = generic_rho_controller(rows, 1, EXT_GAINS, inputs, REF_VEHICLE)
-            want = dp.control_delayed_extended(spec, inputs)
+            want = dp.control(spec, inputs)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_matches_constant_headway(self, rng):
@@ -183,7 +178,7 @@ class TestGenericController:
         for _ in range(300):
             inputs = random_inputs(rng)
             got = generic_rho_controller(rows, 2, DCH_GAINS, inputs, REF_VEHICLE)
-            want = dp.control_delayed_constant_headway(spec, inputs)
+            want = dp.control(spec, inputs)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_matches_constant(self, rng):
@@ -197,7 +192,7 @@ class TestGenericController:
             got = generic_rho_controller(
                 rows, 3, CONSTANT_GAINS, inputs, REF_VEHICLE, predecessor=predecessor
             )
-            want = dp.control_delayed_constant(spec, inputs)
+            want = dp.control(spec, inputs)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_unsupported_degree(self):

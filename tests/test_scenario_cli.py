@@ -169,6 +169,15 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err and not out.exists()
 
+    def test_non_finite_history_rejected(self, tmp_path, capsys):
+        scn = tmp_path / "nan.scn"
+        scn.write_text(MINIMAL.replace("\n\n[policy.1]", "\nu_hist = nan\n\n[policy.1]"))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", str(scn), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ScenarioError: [vehicle.1]") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.scn"), str(tmp_path / "o.csv")]) == 2
 
@@ -285,6 +294,12 @@ class TestSweepCommand:
         assert len(rows) == 64
         assert rows[0, 0] == pytest.approx(0.1) and rows[-1, 0] == pytest.approx(10.0)
 
+    def test_points_honoured_on_default_grid(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(out), "dch", "--hv", "0.4", "--points", "100"]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 100
+
 
 class TestPredictDemoCommand:
     def test_zero_inputs(self, tmp_path, capsys):
@@ -327,13 +342,23 @@ class TestExitCodeContract:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,verdict",
         [
-            ["analyze", "dch", "--hv", "1e-300", "--phi", "0.15"],  # rectangle certified empty
-            ["analyze", "dch", "--hv", "1e-308", "--phi", "0.15"],  # p overflows on the contour
+            pytest.param(  # rectangle certified empty
+                ["analyze", "dch", "--hv", "1e-300", "--phi", "0.15"],
+                "verdict: not proper, not string stable", id="argv0",
+            ),
+            pytest.param(  # p overflows on the contour
+                ["analyze", "dch", "--hv", "1e-308", "--phi", "0.15"],
+                "verdict: not proper, not string stable", id="argv1",
+            ),
+            pytest.param(  # the pseudospectral generator overflows
+                ["analyze", "ext", "--hv", "1e300", "--ha", "1e-300"],
+                "verdict: not proper", id="argv2",
+            ),
         ],
     )
-    def test_uncertified_root_check_follows_closed_form(self, capsys, argv):
+    def test_uncertified_root_check_follows_closed_form(self, capsys, argv, verdict):
         """A root search that cannot answer is reported as inconclusive, and
         the exit code follows the closed-form verdicts: here not proper."""
         assert main(argv) == 1
@@ -341,7 +366,7 @@ class TestExitCodeContract:
         assert err == ""
         assert "proper (closed form): no" in out
         assert "proper (root check): inconclusive [" in out
-        assert out.splitlines()[-1] == "verdict: not proper, not string stable"
+        assert out.splitlines()[-1] == verdict
 
 
 def test_import_loads_neither_scipy_nor_numba():

@@ -195,7 +195,7 @@ class TestRun:
 
 class TestMeasurementModel:
     def exact(self, t):
-        return (math.sin(t), math.cos(t), 2.0 * t, 3.0 * t, 4.0 * t)
+        return (math.sin(t), math.cos(t), 3.0 * t, 4.0 * t)
 
     def test_defaults_pass_through(self):
         model = MeasurementModel(MeasurementOptions())
@@ -211,7 +211,7 @@ class TestMeasurementModel:
 
     def test_v2v_hold_keeps_predecessor_piecewise_constant(self):
         model = MeasurementModel(MeasurementOptions(v2v_hold=True, v2v_rate_hz=2.5))
-        accel = [model.sample(t, *self.exact(t))[3] for t in np.arange(0.0, 1.0, 0.01)]
+        accel = [model.sample(t, *self.exact(t))[2] for t in np.arange(0.0, 1.0, 0.01)]
         assert len(set(accel)) == 3  # refreshes at 0, 0.4, 0.8
         radar = [model.sample(t, *self.exact(t))[0] for t in np.arange(0.0, 1.0, 0.01)]
         assert len(set(radar)) == len(radar)  # radar unaffected
@@ -340,11 +340,16 @@ class TestConfigValidation:
         lambda: MeasurementOptions(radar_rate_hz=math.nan),
         lambda: dp.ControllerSpec(EXT, dp.ControllerGains(k_p=math.inf), ego=REF_VEHICLE),
         lambda: analysis.stability_region_boundary(math.inf, 10),
+        lambda: dp.InputHistory((0.0, math.nan), 0.01, 2),
+        lambda: dp.InputHistory.constant(math.inf, 3, 0.01),
+        lambda: dp.InputHistory.zeros(2, math.nan),
+        lambda: dp.InputHistory.zeros(2, math.inf),
     ],
     ids=[
         "policy-h_v-nan", "policy-h_v-inf", "policy-standstill-nan", "pulse-amplitude-nan",
         "cruise-v_ref-nan", "cruise-gain-inf", "config-horizon-inf", "radar-rate-nan",
-        "gains-k_p-inf", "region-phi-inf",
+        "gains-k_p-inf", "region-phi-inf", "history-sample-nan", "history-sample-inf",
+        "history-period-nan", "history-period-inf",
     ],
 )
 def test_non_finite_inputs_rejected(build):

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import delayplatoon as dp
 from delayplatoon import analysis
-from delayplatoon.spacing import PolicyKind, PolicyRows, spacing_error_from_rows
+from delayplatoon.spacing import (
+    PolicyKind,
+    PolicyRows,
+    dc_errors,
+    dch_errors,
+    ext_error,
+    spacing_error_from_rows,
+)
 
 CONSTANT = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT)
 DCH = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.4)
@@ -79,32 +86,39 @@ class TestSolvability:
         assert not dp.solvability_check(rows, ref_params)
 
 
+def policy_formula_error(policy, delta, delta_dot, x, xp):
+    """e from the policy's own spacing-error function, the one track calls."""
+    if policy.kind is PolicyKind.DELAYED_CONSTANT:
+        return dc_errors(delta, delta_dot, x[0], x[1], xp[0], xp[1], xp[2], 0.0)[0]
+    if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+        return dch_errors(policy.h_v, delta, delta_dot, xp[1], xp[2])[0]
+    return ext_error(policy.h_v, policy.h_a, delta, x[1], xp[2])
+
+
 class TestSpacingError:
     def test_all_zero(self):
-        err = dp.spacing_error(
-            DCH, 0.0, 0.0, dp.VehicleState(), dp.VehicleState(),
-            predecessor_a=0.0, predicted_a_dot_i=0.0,
-        )
-        assert (err.e, err.e_dot, err.e_ddot) == (0.0, 0.0, 0.0)
+        assert dc_errors(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
+        assert dch_errors(DCH.h_v, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
+        assert ext_error(EXT.h_v, EXT.h_a, 0.0, 0.0, 0.0) == 0.0
+        for policy in (CONSTANT, DCH, EXT):
+            rows = dp.policy_rows(policy)
+            assert spacing_error_from_rows(rows, 0.0, np.zeros(3), np.zeros(3)) == 0.0
 
     def test_dch_satisfied_exactly(self):
-        predicted = dp.VehicleState(q=3.0, v=5.0, a=0.0)
-        err = dp.spacing_error(DCH, 0.4 * 5.0, 0.0, dp.VehicleState(v=5.0), predicted)
-        assert err.e == 0.0
+        x, xp = np.array([0.0, 5.0, 0.0]), np.array([3.0, 5.0, 0.0])
+        e, e_dot = dch_errors(DCH.h_v, 0.4 * 5.0, 0.0, xp[1], xp[2])
+        assert e == 0.0 and e_dot == 0.0
+        assert spacing_error_from_rows(dp.policy_rows(DCH), 0.4 * 5.0, x, xp) == 0.0
 
     def test_extended_steady_state(self):
         v = 7.0
         delta = 9.3
-        state = dp.VehicleState(v=v, a=0.0)
-        predicted = dp.VehicleState(v=v, a=0.0)
-        err = dp.spacing_error(EXT, delta, 0.0, state, predicted)
-        assert err.e == pytest.approx(delta - 1.2 * v, abs=1e-15)
-
-    def test_derivatives_left_unpopulated(self):
-        err = dp.spacing_error(DCH, 1.0, 0.5, dp.VehicleState(), dp.VehicleState())
-        assert err.e_dot is not None and err.e_ddot is None
-        err = dp.spacing_error(EXT, 1.0, 0.5, dp.VehicleState(), dp.VehicleState())
-        assert err.e_dot is None
+        x = xp = np.array([0.0, v, 0.0])
+        e = ext_error(EXT.h_v, EXT.h_a, delta, x[1], xp[2])
+        assert e == pytest.approx(delta - 1.2 * v, abs=1e-15)
+        assert spacing_error_from_rows(dp.policy_rows(EXT), delta, x, xp) == pytest.approx(
+            e, abs=1e-15
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,12 +129,9 @@ def test_rows_and_policy_formulas_agree(seed):
     x = rng.normal(size=3)
     xp = rng.normal(size=3)
     for policy in (CONSTANT, DCH, EXT):
-        err = dp.spacing_error(
-            policy, delta, ddelta,
-            dp.VehicleState(*x), dp.VehicleState(*xp),
-        )
+        e = policy_formula_error(policy, delta, ddelta, x, xp)
         via_rows = spacing_error_from_rows(dp.policy_rows(policy), delta, x, xp)
-        assert err.e == pytest.approx(via_rows, rel=1e-12, abs=1e-12)
+        assert e == pytest.approx(via_rows, rel=1e-12, abs=1e-12)
 
 
 class TestIsProper:
