@@ -43,7 +43,7 @@ from .errors import (
     RefinementError,
     ScenarioError,
 )
-from .predictor import predict, predict_acceleration_continuous
+from .predictor import predict
 from .scenario import Scenario, parse_scenario
 from .simulator import (
     LeaderProfile,

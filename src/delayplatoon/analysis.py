@@ -33,7 +33,7 @@ __all__ = [
 
 SWEEP_TOL = 1e-9  # sup |T| <= 1 + SWEEP_TOL counts as string stable
 SWEEP_POINTS = 4096  # points of the default sweep grid
-ROOT_STABLE_TOL = 1e-9  # Re(rightmost) < -ROOT_STABLE_TOL counts as stable
+ROOT_STABLE_TOL = 1e-9  # Re(rightmost) < -ROOT_STABLE_TOL |rightmost| counts as stable
 
 
 @dataclass(frozen=True)
@@ -179,13 +179,13 @@ def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_max(f, lo, hi, rel_tol: float = 1e-10):
+def golden_section_max(f, lo, hi):
     """Maximize f on every bracket [lo[k], hi[k]] at once; returns (x, f(x)).
 
     Golden-section search (Kiefer 1953) on each bracket, all brackets shrunk
     in lockstep: f takes an array of abscissae and is called once per
     iteration on the new probe of every bracket still moving.  A bracket
-    stops once its width is below rel_tol relative to the magnitude of its
+    stops once its width is below 1e-10 relative to the magnitude of its
     abscissa (with an absolute floor for intervals at 0), so each bracket
     follows the iterates it would have on its own.  f is assumed unimodal
     on each bracket.
@@ -201,7 +201,7 @@ def golden_section_max(f, lo, hi, rel_tol: float = 1e-10):
     slot = np.arange(a.size)  # input position of each bracket still moving
     while slot.size:
         left = fc >= fd
-        moving = width > rel_tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-30)
+        moving = width > 1e-10 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-30)
         if np.count_nonzero(moving) < slot.size:
             x[slot] = np.where(left, c, d)
             fx[slot] = np.where(left, fc, fd)
@@ -238,7 +238,6 @@ def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray)
         lambda w: transfer_magnitude(policy, params, w),
         grid[np.maximum(peaks - 1, 0)],
         grid[np.minimum(peaks + 1, n - 1)],
-        rel_tol=1e-10,
     )
     k = int(np.argmax(mags))
     best_w, best_m = float(grid[k]), float(mags[k])
@@ -320,13 +319,13 @@ def _winding_number(qp: QuasiPolynomial, region: SearchRegion) -> int:
         f = refined
 
 
-def _newton_polish(qp: QuasiPolynomial, lam0: complex, max_iter: int = 80) -> complex | None:
+def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
     lam = complex(lam0)
     try:
         fval = qp.eval_scalar(lam)
     except OverflowError:
         return None
-    for _ in range(max_iter):
+    for _ in range(80):
         if abs(fval) <= 1e-13 * qp.coefficient_scale(lam):
             return lam
         try:
@@ -522,17 +521,15 @@ def _extended_root_bound(policy: SpacingPolicy, phi: float, region: SearchRegion
     return SearchRegion(region.re_lo, re_hi, region.im_hi)
 
 
-def properness_root_check(
-    policy: SpacingPolicy,
-    params: VehicleParams,
-    region: SearchRegion | None = None,
-) -> StabilityVerdict:
+def properness_root_check(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
     """Properness via the rightmost root of the internal dynamics.
 
     Builds the policy's quasi-polynomial, searches the default rectangle
     (Re in [-10/phi, 5/phi], Im up to 4 pi / phi; for the extended policy
     Re reaches past every root of that strip) and reports stable iff the
-    rightmost real part is below -1e-9.
+    rightmost root lies left of the imaginary axis by more than 1e-9 of its
+    modulus (a relative test: the DCH root near -1/h_v is stable for every
+    h_v > 2 phi / pi, however large).
     """
     phi = params.phi
     if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
@@ -543,13 +540,12 @@ def properness_root_check(
         fallback_scale = math.sqrt(policy.h_a)
     else:
         raise ValueError("root check applies to the headway policies only")
-    if region is None:
-        region = SearchRegion.default_for(phi if phi > 0.0 else fallback_scale)
-        if policy.kind is PolicyKind.DELAYED_EXTENDED_HEADWAY:
-            region = _extended_root_bound(policy, phi, region)
+    region = SearchRegion.default_for(phi if phi > 0.0 else fallback_scale)
+    if policy.kind is PolicyKind.DELAYED_EXTENDED_HEADWAY:
+        region = _extended_root_bound(policy, phi, region)
     root = rightmost_root(qp, region)
     return StabilityVerdict(
-        bool(root.real < -ROOT_STABLE_TOL),
+        bool(root.real < -ROOT_STABLE_TOL * abs(root)),
         "root-search",
         rightmost_root=root,
     )

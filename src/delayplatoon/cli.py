@@ -6,12 +6,16 @@ predict-demo (predictor exactness check).  Floating point output carries 17
 significant digits so emitted CSVs round-trip exactly.
 
 Exit codes: 0 success / affirmative verdict, 1 analytic negative, 2 usage or
-parse error, 3 runtime error.
+parse error, 3 runtime error.  Each command builds its inputs (arguments,
+scenario, input file) inside one _input_checked block, whose ValueError or
+OSError exits 2; writing the output stays outside it, so a failed write
+exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import analysis, simulator
 from .dynamics import InputHistory, VehicleParams, VehicleState, delay_steps, discretize, step
-from .errors import DelayGranularityError, NoRootError, RefinementError, ScenarioError
+from .errors import NoRootError, RefinementError
 from .predictor import predict
 from .scenario import parse_scenario
 from .simulator import TrajectoryLog
@@ -34,6 +38,20 @@ EXIT_RUNTIME = 3
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+class _RejectedInput(Exception):
+    """An argument or input file the command cannot use; its cause says why."""
+
+
+@contextlib.contextmanager
+def _input_checked():
+    """Report a ValueError or OSError raised while building a command's inputs
+    as a usage error (exit 2) instead of a runtime error (exit 3)."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise _RejectedInput from exc
 
 
 def write_csv(log: TrajectoryLog, path) -> None:
@@ -67,11 +85,8 @@ def _policy_from_args(args) -> tuple[SpacingPolicy, VehicleParams]:
 
 
 def cmd_simulate(args) -> int:
-    try:
+    with _input_checked():
         scenario = parse_scenario(args.scenario)
-    except (ScenarioError, DelayGranularityError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     log = simulator.run(scenario.config, scenario.profile)
     write_csv(log, args.out)
     print(f"wrote {len(log.t)} samples for {log.n_vehicles} vehicles to {args.out}")
@@ -83,11 +98,8 @@ def _yesno(flag: bool) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
+    with _input_checked():
         policy, params = _policy_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     rows = policy_rows(policy)
     rho, rho_bar = relative_degrees(rows, params)
     solvable = solvability_check(rows, params)
@@ -137,11 +149,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_region(args) -> int:
     phis = args.phi
-    try:
+    with _input_checked():
         curves = [analysis.stability_region_boundary(phi, args.points) for phi in phis]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     with open(args.out, "w") as fh:
         if len(phis) == 1:
             fh.write("hv_over_ha,one_over_ha\n")
@@ -157,23 +166,18 @@ def cmd_region(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
+    with _input_checked():
         policy, params = _policy_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.points < 2:
-        print("error: --points must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.omega_min is not None or args.omega_max is not None:
-        lo = args.omega_min if args.omega_min is not None else 1e-3
-        hi = args.omega_max if args.omega_max is not None else 1e3
-        if not (0.0 < lo < hi):
-            print("error: need 0 < omega-min < omega-max", file=sys.stderr)
-            return EXIT_USAGE
-        grid = np.logspace(math.log10(lo), math.log10(hi), args.points)
-    else:
-        grid = analysis.default_sweep_grid(policy, params, args.points)
+        if args.points < 2:
+            raise ValueError("--points must be >= 2")
+        if args.omega_min is not None or args.omega_max is not None:
+            lo = args.omega_min if args.omega_min is not None else 1e-3
+            hi = args.omega_max if args.omega_max is not None else 1e3
+            if not (0.0 < lo < hi < math.inf):
+                raise ValueError("need 0 < omega-min < omega-max < inf")
+            grid = np.logspace(math.log10(lo), math.log10(hi), args.points)
+        else:
+            grid = analysis.default_sweep_grid(policy, params, args.points)
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
         mags = np.ones_like(grid)
         peak_w, peak_m = 0.0, 1.0
@@ -189,26 +193,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_predict_demo(args) -> int:
-    try:
+    with _input_checked():
         params = VehicleParams(tau=args.tau, phi=args.phi)
-        d = delay_steps(params, args.ts)
+        model = discretize(params, args.ts)
         values = [float(tok) for tok in Path(args.inputs).read_text().split()]
-    except (DelayGranularityError, ValueError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if len(values) != d:
-        print(
-            f"error: input file lists {len(values)} samples, need d = phi/Ts = {d}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    model = discretize(params, args.ts)
-    history = InputHistory(tuple(values), args.ts, d)
-    x0 = VehicleState(args.q0, args.v0, args.a0)
+        history = InputHistory(tuple(values), args.ts, delay_steps(params, args.ts))
+        x0 = VehicleState(args.q0, args.v0, args.a0)
     predicted = predict(model, x0, history)
     x = x0
     h = history
-    for _ in range(d):
+    for _ in range(history.depth):
         x = step(model, x, h.oldest)
         h = h.push(0.0)
     discrepancy = max(
@@ -279,9 +273,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # a crash is a runtime error, never a verdict
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except Exception as exc:  # rejected input exits 2; a crash 3, never a verdict
+        rejected = isinstance(exc, _RejectedInput)
+        cause = exc.__cause__ if rejected else exc
+        print(f"error: {type(cause).__name__}: {cause}", file=sys.stderr)
+        return EXIT_USAGE if rejected else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ from .spacing import (
     dc_errors,
     dch_errors,
     ext_error,
+    policy_rows,
+    relative_degrees,
     spacing_error_from_rows,
 )
 
@@ -34,7 +36,6 @@ __all__ = [
     "ControlInputs",
     "ControllerSpec",
     "TrackingLaw",
-    "rho_bar_for",
     "validate_gains",
     "track",
     "control",
@@ -73,15 +74,6 @@ class ControlInputs:
     predecessor_u_delayed: float | None = None
 
 
-def rho_bar_for(policy: SpacingPolicy) -> int:
-    """Relative degree rho_bar implied by the policy kind."""
-    return {
-        PolicyKind.DELAYED_CONSTANT: 3,
-        PolicyKind.DELAYED_CONSTANT_HEADWAY: 2,
-        PolicyKind.DELAYED_EXTENDED_HEADWAY: 1,
-    }[policy.kind]
-
-
 def validate_gains(rho_bar: int, gains: ControllerGains) -> list[str]:
     """Violations of the stabilizing-gain conditions; empty list when valid."""
     violations = []
@@ -115,7 +107,8 @@ class ControllerSpec:
     predecessor: VehicleParams | None = None
 
     def __post_init__(self):
-        violations = validate_gains(rho_bar_for(self.policy), self.gains)
+        rho_bar = relative_degrees(policy_rows(self.policy), self.ego)[1]
+        violations = validate_gains(rho_bar, self.gains)
         if violations:
             raise ValueError("invalid gains: " + "; ".join(violations))
         if self.policy.kind is PolicyKind.DELAYED_CONSTANT and self.predecessor is None:

@@ -105,6 +105,8 @@ class InputHistory:
 
     @classmethod
     def constant(cls, value: float, depth: int, sample_period: float) -> "InputHistory":
+        if not math.isfinite(value):  # checked here too: depth 0 keeps no sample
+            raise ValueError("history samples must be finite")
         return cls((float(value),) * depth, sample_period, depth)
 
     @property

@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 
-from .dynamics import DiscreteModel, InputHistory, VehicleParams, VehicleState
+from .dynamics import DiscreteModel, InputHistory, VehicleState
 from .errors import HistoryDepthError
 
-__all__ = ["predict", "predict_acceleration_continuous", "prediction_weights"]
+__all__ = ["predict", "prediction_weights"]
 
 
 @functools.lru_cache(maxsize=256)
@@ -45,10 +45,6 @@ def prediction_weights(model: DiscreteModel, depth: int) -> tuple[np.ndarray, np
 
 def predict(model: DiscreteModel, x: VehicleState, history: InputHistory) -> VehicleState:
     """State at t + depth*Ts, exact for the ZOH discrete system."""
-    if len(history.samples) != history.depth:
-        raise HistoryDepthError(
-            f"history holds {len(history.samples)} samples, expected {history.depth}"
-        )
     if not math.isclose(history.sample_period, model.Ts, rel_tol=1e-12):
         raise HistoryDepthError(
             f"history sample period {history.sample_period} != model Ts {model.Ts}"
@@ -58,27 +54,3 @@ def predict(model: DiscreteModel, x: VehicleState, history: InputHistory) -> Veh
     phi_d, w = prediction_weights(model, history.depth)
     xh = phi_d @ x.as_array() + w @ history.as_array()
     return VehicleState.from_array(xh)
-
-
-def predict_acceleration_continuous(
-    params: VehicleParams, a_now: float, history: InputHistory
-) -> float:
-    """a(t + phi) from the convolution integral, closed form per ZOH segment.
-
-    a(t+phi) = e^{-phi/tau} a(t) + int_{t-phi}^{t} (1/tau) e^{-(t-s)/tau} u(s) ds,
-    where u is piecewise constant on the sample grid.  Agrees with the
-    acceleration component of predict() to rounding.
-    """
-    if len(history.samples) != history.depth:
-        raise HistoryDepthError(
-            f"history holds {len(history.samples)} samples, expected {history.depth}"
-        )
-    tau = params.tau
-    ts = history.sample_period
-    d = history.depth
-    acc = math.exp(-d * ts / tau) * a_now
-    # segment j covers s in [t - j*Ts, t - (j-1)*Ts), value samples[d - j]
-    for j in range(1, d + 1):
-        seg = math.exp(-(j - 1) * ts / tau) - math.exp(-j * ts / tau)
-        acc += history.samples[d - j] * seg
-    return acc

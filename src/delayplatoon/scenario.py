@@ -10,11 +10,18 @@ Schema (all units SI; unknown sections or keys are rejected):
     [controller.I] k_p, k_d, k_dd (those the policy's law uses)
     [leader]       segments: one per line, either
                    "cruise DURATION V_REF GAIN" or "pulse DURATION AMPLITUDE"
+
+Every rejected value raises ScenarioError("[section]: ... (line N)") naming
+the section and line once; a phi that is not a multiple of ts raises
+DelayGranularityError naming the vehicle.  _SCHEMA is the one table of keys
+and defaults, _read the one place that reads raw values, and _located the
+one place that tags a constructor's ValueError with its section and line.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,15 +40,23 @@ from .spacing import PolicyKind, SpacingPolicy
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario_text"]
 
-_SIM_KEYS = {
-    "ts", "horizon", "radar_hold", "v2v_hold", "clamp",
-    "radar_rate_hz", "v2v_rate_hz",
+# Keys per section kind.  A type marks a required key read as that type;
+# any other value is the default, and its type says how to read the key.
+_SCHEMA = {
+    "sim": {
+        "ts": float, "horizon": float, "radar_hold": False, "v2v_hold": False,
+        "clamp": False, "radar_rate_hz": 16.7, "v2v_rate_hz": 25.0,
+    },
+    "vehicle": {"tau": float, "phi": float, "q0": 0.0, "v0": 0.0, "a0": 0.0, "u_hist": 0.0},
+    "policy": {"kind": str, "h_v": 0.0, "h_a": 0.0, "standstill": 0.0},
+    "controller": {"k_p": float, "k_d": 0.0, "k_dd": 0.0},
+    "leader": {"segments": str},
 }
-_VEHICLE_KEYS = {"tau", "phi", "q0", "v0", "a0", "u_hist"}
-_POLICY_KEYS = {"kind", "h_v", "h_a", "standstill"}
-_CONTROLLER_KEYS = {"k_p", "k_d", "k_dd"}
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+
+_SEGMENTS = {
+    "cruise": ("cruise DURATION V_REF GAIN", LeaderSegment.cruise),
+    "pulse": ("pulse DURATION AMPLITUDE", LeaderSegment.pulse),
+}
 
 
 @dataclass(frozen=True)
@@ -72,71 +87,61 @@ class _LineIndex:
         return f" (line {lineno})" if lineno is not None else ""
 
 
-def _get_float(parser, index, section: str, key: str, default=None) -> float:
-    if not parser.has_option(section, key):
-        if default is None:
-            raise ScenarioError(f"[{section}] is missing required key {key!r}{index.where(section)}")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioError(
-            f"[{section}] {key} = {raw!r} is not a number{index.where(section, key)}"
-        ) from None
-
-
-def _get_bool(parser, index, section: str, key: str, default: bool = False) -> bool:
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key).strip().lower()
-    if raw in _BOOL_TRUE:
-        return True
-    if raw in _BOOL_FALSE:
-        return False
-    raise ScenarioError(
-        f"[{section}] {key} = {raw!r} is not a boolean{index.where(section, key)}"
-    )
-
-
-def _check_keys(parser, index, section: str, allowed: set[str]):
+def _read(parser, index: _LineIndex, section: str) -> dict:
+    """The section's values by _SCHEMA, defaults filled in."""
+    if not parser.has_section(section):
+        raise ScenarioError(f"missing required section [{section}]")
+    schema = _SCHEMA[section.partition(".")[0]]
     for key in parser.options(section):
-        if key not in allowed:
-            raise ScenarioError(
-                f"[{section}] has unknown key {key!r}{index.where(section, key)}"
-            )
-
-
-def _parse_segments(parser, index, text_value: str) -> LeaderProfile:
-    segments = []
-    for lineno, line in enumerate(text_value.splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind = tokens[0].lower()
-        where = index.where("leader", "segments")
-        try:
-            if kind == "cruise":
-                if len(tokens) != 4:
-                    raise ScenarioError(
-                        f"cruise segment needs 'cruise DURATION V_REF GAIN', got {line!r}{where}"
-                    )
-                segments.append(
-                    LeaderSegment.cruise(float(tokens[1]), float(tokens[2]), float(tokens[3]))
+        if key not in schema:
+            raise ScenarioError(f"[{section}]: unknown key {key!r}{index.where(section, key)}")
+    values = {}
+    for key, default in schema.items():
+        required = isinstance(default, type)
+        if not parser.has_option(section, key):
+            if required:
+                raise ScenarioError(
+                    f"[{section}]: missing required key {key!r}{index.where(section)}"
                 )
-            elif kind == "pulse":
-                if len(tokens) != 3:
-                    raise ScenarioError(
-                        f"pulse segment needs 'pulse DURATION AMPLITUDE', got {line!r}{where}"
-                    )
-                segments.append(LeaderSegment.pulse(float(tokens[1]), float(tokens[2])))
-            else:
-                raise ScenarioError(f"unknown leader segment kind {kind!r} in {line!r}{where}")
+            values[key] = default
+            continue
+        kind = default if required else type(default)
+        raw = parser.get(section, key)
+        try:
+            values[key] = parser.getboolean(section, key) if kind is bool else kind(raw)
+        except ValueError:
+            noun = "a boolean" if kind is bool else "a number"
+            raise ScenarioError(
+                f"[{section}]: {key} = {raw!r} is not {noun}{index.where(section, key)}"
+            ) from None
+    return values
+
+
+@contextlib.contextmanager
+def _located(index: _LineIndex, section: str):
+    """Report a constructor's ValueError as a ScenarioError naming the section
+    and line; ScenarioError and DelayGranularityError pass unchanged."""
+    try:
+        yield
+    except (ScenarioError, DelayGranularityError):
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"[{section}]: {exc}{index.where(section)}") from None
+
+
+def _parse_segments(text_value: str) -> LeaderProfile:
+    segments = []
+    for line in filter(None, (ln.strip() for ln in text_value.splitlines())):
+        kind, *values = line.split()
+        try:
+            if kind.lower() not in _SEGMENTS:
+                raise ValueError(f"unknown kind {kind!r}, expected one of {sorted(_SEGMENTS)}")
+            form, make = _SEGMENTS[kind.lower()]
+            if len(values) != form.count(" "):
+                raise ValueError(f"the segment form is {form!r}")
+            segments.append(make(*map(float, values)))
         except ValueError as exc:
-            raise ScenarioError(f"bad leader segment {line!r}: {exc}{where}") from None
-    if not segments:
-        raise ScenarioError("[leader] segments is empty")
+            raise ValueError(f"bad leader segment {line!r}: {exc}") from None
     return LeaderProfile(tuple(segments))
 
 
@@ -151,131 +156,74 @@ def load_scenario_text(text: str) -> Scenario:
     except configparser.Error as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from None
 
-    sections = set(parser.sections())
-    vehicle_ids = []
-    for name in sections:
-        m = re.fullmatch(r"vehicle\.(\d+)", name)
+    numbered = {}
+    for name in parser.sections():
+        m = re.fullmatch(r"(vehicle|policy|controller)\.(\d+)", name)
         if m:
-            vehicle_ids.append(int(m.group(1)))
-            continue
-        if re.fullmatch(r"(policy|controller)\.(\d+)", name):
-            continue
-        if name not in ("sim", "leader"):
+            numbered[name] = (m.group(1), int(m.group(2)))
+        elif name not in ("sim", "leader"):
             raise ScenarioError(f"unknown section [{name}]{index.where(name)}")
-    for required in ("sim", "leader"):
-        if required not in sections:
-            raise ScenarioError(f"missing required section [{required}]")
+    vehicle_ids = sorted(i for kind, i in numbered.values() if kind == "vehicle")
     if not vehicle_ids:
         raise ScenarioError("no [vehicle.N] sections found")
-    n_vehicles = max(vehicle_ids) + 1
-    if sorted(vehicle_ids) != list(range(n_vehicles)):
-        raise ScenarioError(
-            f"vehicle indices must be contiguous from 0, got {sorted(vehicle_ids)}"
-        )
-    for name in sections:
-        m = re.fullmatch(r"(policy|controller)\.(\d+)", name)
-        if m:
-            ref = int(m.group(2))
-            if ref < 1 or ref >= n_vehicles:
-                raise ScenarioError(
-                    f"[{name}] references vehicle {ref}, which is not a follower"
-                    f"{index.where(name)}"
-                )
+    n_vehicles = len(vehicle_ids)
+    if vehicle_ids != list(range(n_vehicles)):
+        raise ScenarioError(f"vehicle indices must be contiguous from 0, got {vehicle_ids}")
+    for name, (kind, ref) in numbered.items():
+        if kind != "vehicle" and not 1 <= ref < n_vehicles:
+            raise ScenarioError(
+                f"[{name}]: references vehicle {ref}, which is not a follower{index.where(name)}"
+            )
 
-    _check_keys(parser, index, "sim", _SIM_KEYS)
-    ts = _get_float(parser, index, "sim", "ts")
-    horizon = _get_float(parser, index, "sim", "horizon")
-    measurement = MeasurementOptions(
-        radar_hold=_get_bool(parser, index, "sim", "radar_hold"),
-        radar_rate_hz=_get_float(parser, index, "sim", "radar_rate_hz", 16.7),
-        v2v_hold=_get_bool(parser, index, "sim", "v2v_hold"),
-        v2v_rate_hz=_get_float(parser, index, "sim", "v2v_rate_hz", 25.0),
-    )
-    clamp = _get_bool(parser, index, "sim", "clamp")
-
+    sim = _read(parser, index, "sim")
     vehicles = []
     for i in range(n_vehicles):
         section = f"vehicle.{i}"
-        _check_keys(parser, index, section, _VEHICLE_KEYS)
-        try:
-            params = VehicleParams(
-                tau=_get_float(parser, index, section, "tau"),
-                phi=_get_float(parser, index, section, "phi"),
-            )
-            depth = delay_steps(params, ts)
-        except DelayGranularityError as exc:
-            raise DelayGranularityError(f"vehicle {i}: {exc}") from None
-        except ValueError as exc:
-            raise ScenarioError(f"[{section}]: {exc}{index.where(section)}") from None
-        q0, v0, a0, u_hist = (
-            _get_float(parser, index, section, key, 0.0)
-            for key in ("q0", "v0", "a0", "u_hist")
-        )
-        try:
-            state = VehicleState(q0, v0, a0)
-            history = InputHistory.constant(u_hist, depth, ts)
-        except ValueError as exc:
-            raise ScenarioError(f"[{section}]: {exc}{index.where(section)}") from None
-        vehicles.append(VehicleSetup(params, state, history))
+        v = _read(parser, index, section)
+        with _located(index, section):
+            params = VehicleParams(tau=v["tau"], phi=v["phi"])
+            try:
+                depth = delay_steps(params, sim["ts"])
+            except DelayGranularityError as exc:
+                raise DelayGranularityError(f"vehicle {i}: {exc}") from None
+            vehicles.append(VehicleSetup(
+                params,
+                VehicleState(v["q0"], v["v0"], v["a0"]),
+                InputHistory.constant(v["u_hist"], depth, sim["ts"]),
+            ))
 
-    policies = []
     controllers = []
     for i in range(1, n_vehicles):
-        psec = f"policy.{i}"
-        csec = f"controller.{i}"
-        for section in (psec, csec):
-            if section not in sections:
-                raise ScenarioError(f"missing required section [{section}]")
-        _check_keys(parser, index, psec, _POLICY_KEYS)
-        _check_keys(parser, index, csec, _CONTROLLER_KEYS)
-        if not parser.has_option(psec, "kind"):
-            raise ScenarioError(f"[{psec}] is missing required key 'kind'")
-        try:
-            kind = PolicyKind.parse(parser.get(psec, "kind"))
-            policy = SpacingPolicy(
-                kind=kind,
-                h_v=_get_float(parser, index, psec, "h_v", 0.0),
-                h_a=_get_float(parser, index, psec, "h_a", 0.0),
-                standstill=_get_float(parser, index, psec, "standstill", 0.0),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"[{psec}]: {exc}{index.where(psec)}") from None
-        gains = ControllerGains(
-            k_p=_get_float(parser, index, csec, "k_p"),
-            k_d=_get_float(parser, index, csec, "k_d", 0.0),
-            k_dd=_get_float(parser, index, csec, "k_dd", 0.0),
-        )
-        try:
-            spec = ControllerSpec(
+        p = _read(parser, index, f"policy.{i}")
+        c = _read(parser, index, f"controller.{i}")
+        with _located(index, f"policy.{i}"):
+            policy = SpacingPolicy(PolicyKind.parse(p["kind"]), p["h_v"], p["h_a"], p["standstill"])
+        with _located(index, f"controller.{i}"):
+            controllers.append(ControllerSpec(
                 policy=policy,
-                gains=gains,
+                gains=ControllerGains(c["k_p"], c["k_d"], c["k_dd"]),
                 ego=vehicles[i].params,
                 predecessor=vehicles[i - 1].params,
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"[{csec}]: {exc}{index.where(csec)}") from None
-        policies.append(policy)
-        controllers.append(spec)
+            ))
 
-    if not parser.has_option("leader", "segments"):
-        raise ScenarioError("[leader] is missing required key 'segments'")
-    _check_keys(parser, index, "leader", {"segments"})
-    profile = _parse_segments(parser, index, parser.get("leader", "segments"))
+    with _located(index, "leader"):
+        profile = _parse_segments(_read(parser, index, "leader")["segments"])
 
-    try:
+    with _located(index, "sim"):
         config = PlatoonConfig(
             vehicles=tuple(vehicles),
-            policies=tuple(policies),
+            policies=tuple(spec.policy for spec in controllers),
             controllers=tuple(controllers),
-            ts=ts,
-            horizon=horizon,
-            measurement=measurement,
-            clamp_reverse=clamp,
+            ts=sim["ts"],
+            horizon=sim["horizon"],
+            measurement=MeasurementOptions(
+                radar_hold=sim["radar_hold"],
+                radar_rate_hz=sim["radar_rate_hz"],
+                v2v_hold=sim["v2v_hold"],
+                v2v_rate_hz=sim["v2v_rate_hz"],
+            ),
+            clamp_reverse=sim["clamp"],
         )
-    except DelayGranularityError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
     return Scenario(config, profile)
 
 

@@ -213,7 +213,7 @@ def _extended_properness_margin(policy: SpacingPolicy, params: VehicleParams):
     y = phi * phi / policy.h_a
     scale = max(1.0, s, y)
     if s >= 0.5 * math.pi:
-        return None, s - 0.5 * math.pi, scale  # no admissible frequency at all
+        return None, 0.5 * math.pi - s, scale  # no admissible frequency at all
     # w sin w - s is strictly increasing on (0, pi/2): bisect its sign change
     lo, hi = 0.0, 0.5 * math.pi
     while hi - lo > 1e-14:

@@ -1,6 +1,7 @@
 """References that the tests compare the package against: closed forms, the
-float-loop simulator that `delayplatoon.run` replaced and the scalar
-golden-section refinement that `refined_peak` replaced."""
+convolution-integral predictor, the float-loop simulator that
+`delayplatoon.run` replaced and the scalar golden-section refinement that
+`refined_peak` replaced."""
 
 import math
 from collections import deque
@@ -45,6 +46,24 @@ def dch_rightmost_root(h_v: float, phi: float) -> complex:
     if not np.isfinite(w) and abs(x + math.exp(-1.0)) <= 1e-15:
         w = -1.0
     return complex(w.real, abs(w.imag)) / phi
+
+
+def predict_acceleration_continuous(params, a_now: float, history: InputHistory) -> float:
+    """a(t + phi) from the convolution integral, closed form per ZOH segment.
+
+    a(t+phi) = e^{-phi/tau} a(t) + int_{t-phi}^{t} (1/tau) e^{-(t-s)/tau} u(s) ds,
+    where u is piecewise constant on the sample grid.  Agrees with the
+    acceleration component of predict() to rounding.
+    """
+    tau = params.tau
+    ts = history.sample_period
+    d = history.depth
+    acc = math.exp(-d * ts / tau) * a_now
+    # segment j covers s in [t - j*Ts, t - (j-1)*Ts), value samples[d - j]
+    for j in range(1, d + 1):
+        seg = math.exp(-(j - 1) * ts / tau) - math.exp(-j * ts / tau)
+        acc += history.samples[d - j] * seg
+    return acc
 
 
 def error_dynamics_reference(

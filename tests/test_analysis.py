@@ -157,7 +157,7 @@ class TestRefinedPeak:
 
         lo = np.array([0.0, 1.0, 1.29, -5.0])
         hi = np.array([3.0, 1.5, 1.31, 5.0])
-        x, fx = analysis.golden_section_max(f, lo, hi, rel_tol=1e-10)
+        x, fx = analysis.golden_section_max(f, lo, hi)
         for k in range(len(lo)):
             assert (x[k], fx[k]) == golden_section_max(f, lo[k], hi[k], rel_tol=1e-10)
 
@@ -234,6 +234,15 @@ class TestPropernessRootCheck:
         verdict = dp.properness_root_check(DCH, ref_params)
         assert verdict.stable
         assert verdict.rightmost_root.real < -1e-9
+
+    @pytest.mark.parametrize("h_v", [1e12, 1e300])
+    def test_dch_large_headway_agrees_with_closed_form(self, ref_params, h_v):
+        """The internal root is about -1/h_v, stable however close to 0 it is:
+        the root test is relative to |root|."""
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=h_v)
+        verdict = dp.properness_root_check(policy, ref_params)
+        assert verdict.rightmost_root.real == pytest.approx(-1.0 / h_v, rel=1e-6)
+        assert verdict.stable and dp.is_proper(policy, ref_params).stable
 
     def test_extended_reference_tuning(self, ref_params):
         verdict = dp.properness_root_check(EXT, ref_params)

@@ -1,7 +1,7 @@
 import pytest
 
 import delayplatoon as dp
-from delayplatoon.controllers import generic_rho_controller, rho_bar_for, validate_gains
+from delayplatoon.controllers import generic_rho_controller, validate_gains
 from delayplatoon.errors import ChannelError, DegreeError
 from delayplatoon.spacing import PolicyKind
 
@@ -76,9 +76,13 @@ class TestControllerSpec:
             dp.ControllerSpec(CONSTANT, CONSTANT_GAINS, ego=REF_VEHICLE)
 
     def test_rho_bar_mapping(self):
-        assert rho_bar_for(CONSTANT) == 3
-        assert rho_bar_for(DCH) == 2
-        assert rho_bar_for(EXT) == 1
+        """ControllerSpec checks the gains for rho_bar of the policy rows."""
+        for policy, rho_bar in ((CONSTANT, 3), (DCH, 2), (EXT, 1)):
+            assert dp.relative_degrees(dp.policy_rows(policy), REF_VEHICLE)[1] == rho_bar
+        with pytest.raises(ValueError, match="k_d "):
+            dp.ControllerSpec(DCH, EXT_GAINS, ego=REF_VEHICLE)
+        with pytest.raises(ValueError, match="k_dd "):
+            dp.ControllerSpec(CONSTANT, DCH_GAINS, ego=REF_VEHICLE, predecessor=REF_VEHICLE)
 
 
 class TestSpecializedControllers:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayplatoon as dp
-from delayplatoon.predictor import predict, predict_acceleration_continuous
+from delayplatoon.predictor import predict
+from oracles import predict_acceleration_continuous
 
 
 def simulate_forward(model, x, history):

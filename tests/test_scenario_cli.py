@@ -1,6 +1,7 @@
 import importlib.resources
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,29 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
     return header, rows
+
+
+# every numeric or flag key of MINIMAL, and the optional [sim] keys
+SWEPT_KEYS = [
+    ("sim", "ts"), ("sim", "horizon"), ("vehicle.0", "tau"), ("vehicle.0", "phi"),
+    ("vehicle.1", "tau"), ("vehicle.1", "phi"), ("policy.1", "h_v"), ("policy.1", "h_a"),
+    ("controller.1", "k_p"), ("sim", "radar_rate_hz"), ("sim", "v2v_rate_hz"),
+    ("sim", "radar_hold"), ("sim", "clamp"),
+]
+SWEPT_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400", "x", ""]
+
+
+def with_value(text: str, section: str, key: str, value: str) -> str:
+    """text with `key = value` in [section], replacing the key's line or adding one."""
+    lines = text.splitlines()
+    start = lines.index(f"[{section}]") + 1
+    end = next((k for k in range(start, len(lines)) if lines[k].startswith("[")), len(lines))
+    hit = [k for k in range(start, end) if lines[k].split("=")[0].strip() == key]
+    if hit:
+        lines[hit[0]] = f"{key} = {value}"
+    else:
+        lines.insert(start, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 class TestScenarioParsing:
@@ -197,6 +221,21 @@ class TestSimulateCommand:
         assert result.returncode == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("value", SWEPT_VALUES)
+    @pytest.mark.parametrize("section,key", SWEPT_KEYS)
+    def test_rejected_value_exits_2_located_once(self, tmp_path, capsys, section, key, value):
+        scn = tmp_path / "s.scn"
+        scn.write_text(with_value(MINIMAL, section, key, value))
+        out = tmp_path / "out.csv"
+        code = main(["simulate", str(scn), str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+            assert len(re.findall(r"\[(?:sim|leader|[a-z]+\.\d+)\]", err)) <= 1, err
+            assert len(re.findall(r"\(line \d+\)", err)) <= 1, err
+            assert not out.exists()
+
 
 class TestAnalyzeCommand:
     def test_affirmative(self, capsys):
@@ -332,14 +371,21 @@ class TestExitCodeContract:
             (["analyze", "dch", "--hv", "nan"], 2),
             (["sweep", "<out>", "dch", "--hv", "0.4", "--omega-min", "1", "--points", "1"], 2),
             (["region", "<missing>", "--phi", "0.15"], 3),  # unwritable output
+            (["predict-demo", "<nan-inputs>"], 2),
+            (["predict-demo", "<inputs>", "--q0", "nan"], 2),
+            (["sweep", "<out>", "dch", "--hv", "0.4", "--omega-min", "1", "--omega-max", "inf"], 2),
         ],
     )
     def test_failures_never_exit_1(self, tmp_path, capsys, argv, code):
-        paths = {"<out>": tmp_path / "o.csv", "<missing>": tmp_path / "missing" / "o.csv"}
+        paths = {"<out>": tmp_path / "o.csv", "<missing>": tmp_path / "missing" / "o.csv",
+                 "<inputs>": tmp_path / "u.txt", "<nan-inputs>": tmp_path / "nan.txt"}
+        paths["<inputs>"].write_text("0.0\n" * 15)
+        paths["<nan-inputs>"].write_text("0.0\n" * 14 + "nan\n")
         argv = [str(paths.get(a, a)) for a in argv]
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert code == 3 or not paths["<out>"].exists()
 
     @pytest.mark.parametrize(
         "argv,verdict",

@@ -342,6 +342,7 @@ class TestConfigValidation:
         lambda: analysis.stability_region_boundary(math.inf, 10),
         lambda: dp.InputHistory((0.0, math.nan), 0.01, 2),
         lambda: dp.InputHistory.constant(math.inf, 3, 0.01),
+        lambda: dp.InputHistory.constant(math.nan, 0, 0.01),
         lambda: dp.InputHistory.zeros(2, math.nan),
         lambda: dp.InputHistory.zeros(2, math.inf),
     ],
@@ -349,6 +350,7 @@ class TestConfigValidation:
         "policy-h_v-nan", "policy-h_v-inf", "policy-standstill-nan", "pulse-amplitude-nan",
         "cruise-v_ref-nan", "cruise-gain-inf", "config-horizon-inf", "radar-rate-nan",
         "gains-k_p-inf", "region-phi-inf", "history-sample-nan", "history-sample-inf",
+        "history-constant-nan-depth-0",
         "history-period-nan", "history-period-inf",
     ],
 )

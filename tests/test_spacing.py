@@ -187,6 +187,16 @@ class TestIsProper:
                 )
                 assert dp.is_proper(policy, ref_params).stable is expected
 
+    @pytest.mark.parametrize("h_v,h_a", [(1.0, 0.01), (1e300, 1e-300)])
+    def test_extended_beyond_curve_range_margin_negative(self, ref_params, h_v, h_a):
+        """phi h_v / h_a >= pi/2: not proper, and the margin (positive =
+        satisfied) is pi/2 - phi h_v / h_a, -inf when the ratio overflows."""
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=h_v, h_a=h_a)
+        verdict = dp.is_proper(policy, ref_params)
+        assert not verdict.stable and verdict.witness_omega is None
+        assert verdict.margins == (0.5 * math.pi - ref_params.phi * h_v / h_a,)
+        assert verdict.margins[0] < 0.0
+
     def test_extended_no_delay_is_proper(self):
         assert dp.is_proper(EXT, dp.VehicleParams(0.067, 0.0)).stable
 
