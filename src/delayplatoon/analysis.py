@@ -2,8 +2,9 @@
 
 Covers the closed-loop velocity transfer magnitudes under perfect tracking,
 the string-stability frequency sweep, rightmost-root search for the two
-internal-dynamics quasi-polynomial families (Newton seeded by pseudospectral
-generator eigenvalues, with an argument-principle winding certificate), the
+internal-dynamics quasi-polynomial families (one pass: Newton seeded by
+pseudospectral generator eigenvalues, certified by one argument-principle
+winding count; a mismatch raises RefinementError, it is not retried), the
 properness region boundary, and the time-domain L2 string-stability check.
 """
 
@@ -81,42 +82,30 @@ class QuasiPolynomial:
             total += c * np.exp(-lam * delay) if delay else c
         return total
 
-    def eval_scalar(self, lam: complex) -> complex:
-        total = 0.0j
-        for coeffs, delay in self.terms:
-            c = 0.0j
-            for coef in reversed(coeffs):
-                c = c * lam + coef
-            total += c * cmath.exp(-lam * delay)
-        return total
+    def newton_terms(self, lam: complex) -> tuple[complex, complex, float]:
+        """(p(lam), p'(lam), residual scale) in one pass over the terms.
 
-    def derivative_scalar(self, lam: complex) -> complex:
-        total = 0.0j
+        The scale, the reference for |p| residuals, sums the monomial
+        magnitudes |c_kj| |lam|^j e^{-Re(lam) theta_k}: per monomial, not per
+        term, so it stays above the rounding error of p where a coefficient
+        polynomial c_k(lam) cancels.  OverflowError where an exp overflows.
+        """
+        r = abs(lam)
+        p = dp = 0.0j
+        scale = 0.0
         for coeffs, delay in self.terms:
-            c = 0.0j
-            dc = 0.0j
+            c = dc = 0.0j
+            m = 0.0
             for coef in reversed(coeffs):
                 dc = dc * lam + c
                 c = c * lam + coef
-            total += (dc - delay * c) * cmath.exp(-lam * delay)
-        return total
+                m = m * r + abs(coef)
+            e = cmath.exp(-lam * delay)
+            p += c * e
+            dp += (dc - delay * c) * e
+            scale += m * math.exp(-lam.real * delay)
+        return p, dp, max(scale, 1e-300)
 
-    def coefficient_scale(self, lam) -> float:
-        """Sum of monomial magnitudes |c_kj| |lam|^j e^{-Re(lam) theta_k}.
-
-        Reference scale for |p| residuals.  Summed per monomial, not per
-        term, so that it stays above the rounding error of p where a
-        coefficient polynomial c_k(lam) cancels.
-        """
-        lam = complex(lam)
-        r = abs(lam)
-        total = 0.0
-        for coeffs, delay in self.terms:
-            c = 0.0
-            for coef in reversed(coeffs):
-                c = c * r + abs(coef)
-            total += c * math.exp(-lam.real * delay)
-        return max(total, 1e-300)
 
 @dataclass(frozen=True)
 class SearchRegion:
@@ -222,6 +211,7 @@ def golden_section_max(f, lo, hi):
     return x, fx
 
 
+@np.errstate(over="ignore", invalid="ignore")  # h_a w^2 overflowing gives |T| = 0
 def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray):
     """(peak_omega, peak_magnitude, grid magnitudes) of |T| on a grid.
 
@@ -271,98 +261,91 @@ def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> Stab
     )
 
 
+def _contour_values(qp: QuasiPolynomial, z: np.ndarray, contour: str) -> np.ndarray:
+    """p on contour points; RefinementError where it is not finite or 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = qp(z)
+    if not np.all(np.isfinite(f)):
+        raise RefinementError(f"quasi-polynomial is not finite on the {contour}")
+    if np.any(f == 0.0):
+        raise RefinementError(f"root on the {contour}")
+    return f
+
+
+def _turns(f: np.ndarray) -> float:
+    """Winding of the closed polygon f around 0, in turns."""
+    return float(np.sum(np.angle(np.roll(f, -1) / f)) / (2.0 * math.pi))
+
+
 def _winding_number(qp: QuasiPolynomial, region: SearchRegion) -> int:
     """Winding of p around 0 along the conjugate-symmetric rectangle boundary.
 
     The contour covers Im in [-im_hi, im_hi] so that real roots sit strictly
-    inside it.  Segment count starts at 4096 and doubles until the winding
-    number stabilizes on the same integer twice.  Each side carries the
-    points c0 + (c1 - c0) j / m, m a power of two, so the even points of a
-    doubled contour are bitwise those of the previous one: p is evaluated
-    only at the new odd points.
+    inside it.  The count over 8192 points must lie within 1e-3 of an integer
+    that the count over its 4096 even points rounds to as well; otherwise
+    RefinementError.  Each side carries c0 + (c1 - c0) j / m, so the even
+    points are bitwise the 4096 of the first pass and only the odd are new.
     """
-    corners = [
-        complex(region.re_lo, -region.im_hi),
-        complex(region.re_hi, -region.im_hi),
-        complex(region.re_hi, region.im_hi),
-        complex(region.re_lo, region.im_hi),
-    ]
+    lo, hi = complex(region.re_lo, -region.im_hi), complex(region.re_hi, region.im_hi)
+    corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
 
     def evaluate(j: np.ndarray, m: int) -> np.ndarray:
         z = np.concatenate(
             [c0 + (c1 - c0) * (j / m) for c0, c1 in zip(corners, corners[1:] + corners[:1])]
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = qp(z)
-        if not np.all(np.isfinite(f)):
-            raise RefinementError("quasi-polynomial is not finite on the winding contour")
-        if np.any(f == 0.0):
-            raise RefinementError("root on the winding contour")
-        return f
+        return _contour_values(qp, z, "winding contour")
 
-    n = 4096
-    f = evaluate(np.arange(n // 4), n // 4)
-    previous = None
-    while True:
-        ratios = np.roll(f, -1) / f
-        winding = float(np.sum(np.angle(ratios)) / (2.0 * math.pi))
-        rounded = round(winding)
-        if abs(winding - rounded) < 1e-3 and previous == rounded:
-            return rounded
-        previous = rounded
-        n *= 2
-        if n > 2**21:
-            raise RefinementError("winding number did not stabilize")
-        refined = np.empty(n, dtype=complex)
-        refined[0::2] = f
-        refined[1::2] = evaluate(np.arange(1, n // 4, 2), n // 4)
-        f = refined
+    coarse = evaluate(np.arange(1024), 1024)
+    f = np.empty(8192, dtype=complex)
+    f[0::2] = coarse
+    f[1::2] = evaluate(np.arange(1, 2048, 2), 2048)
+    winding = _turns(f)
+    rounded = round(winding)
+    if abs(winding - rounded) < 1e-3 and round(_turns(coarse)) == rounded:
+        return rounded
+    raise RefinementError("winding number did not stabilize")
 
 
 def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
     lam = complex(lam0)
     try:
-        fval = qp.eval_scalar(lam)
+        fval, dval, scale = qp.newton_terms(lam)
     except OverflowError:
         return None
     for _ in range(80):
-        if abs(fval) <= 1e-13 * qp.coefficient_scale(lam):
+        if abs(fval) <= 1e-13 * scale:
             return lam
-        try:
-            dval = qp.derivative_scalar(lam)
-        except OverflowError:
-            return None
         if dval == 0.0:
             return None
         delta = fval / dval
         # damped step: back off until |p| decreases
-        scale = 1.0
+        step = 1.0
         for _ in range(25):
-            cand = lam - scale * delta
+            cand = lam - step * delta
             try:
-                fcand = qp.eval_scalar(cand)
+                terms = qp.newton_terms(cand)
             except OverflowError:
-                scale *= 0.5
+                step *= 0.5
                 continue
-            if abs(fcand) < abs(fval):
-                lam, fval = cand, fcand
+            if abs(terms[0]) < abs(fval):
+                lam, (fval, dval, scale) = cand, terms
                 break
-            scale *= 0.5
+            step *= 0.5
         else:
             break
-    if abs(fval) <= 1e-11 * qp.coefficient_scale(lam):
+    if abs(fval) <= 1e-11 * scale:
         return lam
     return None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as RefinementError
-def _generator_matrix(qp: QuasiPolynomial, n_nodes: int) -> np.ndarray:
+def _generator_matrix(qp: QuasiPolynomial) -> np.ndarray:
     """Chebyshev pseudospectral generator of the delay equation behind p.
 
     With a (degree n) the sum of the delay-free terms and b_k the delayed
     ones, p is the characteristic function of a_n x^(n)(t) = -sum_j (a_j
     x^(j)(t) + sum_k b_kj x^(j)(t - theta_k)).  The state (x, ..., x^(n-1))
-    on [-theta_max, 0] is collocated at n_nodes + 1 Chebyshev points (Breda,
+    on [-theta_max, 0] is collocated at 25 Chebyshev points (Breda,
     Maset & Vermiglio, SIAM J. Sci. Comput. 2005): the first block row is the
     DDE, with a barycentric interpolation row per delay; the others
     differentiate the interpolant.  Without delays it is the companion matrix
@@ -378,6 +361,7 @@ def _generator_matrix(qp: QuasiPolynomial, n_nodes: int) -> np.ndarray:
     n = max(np.flatnonzero(a), default=-1)
     if np.any(coeffs[delays > 0.0, max(n, 0):]):
         raise ValueError("neutral quasi-polynomial: a delayed term is not of lower degree")
+    n_nodes = 24
     companion = np.eye(n, k=1)
     companion[-1:, :] = -a[:n] / a[n]
     matrix = companion
@@ -441,27 +425,20 @@ def _polish_eigenvalues(
     return roots
 
 
-def _local_multiplicity(qp: QuasiPolynomial, root: complex, others: list[complex]) -> int:
-    """Multiplicity of a root from the winding of p on a small circle."""
+def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]) -> int:
+    """Multiplicity of a root from the winding of p on a 256-point circle
+    that keeps every other root of roots, and every conjugate, outside."""
     radius = 1e-5 * (1.0 + abs(root))
-    for other in others:
+    for other in roots:
         for image in (other, other.conjugate()):
             dist = abs(root - image)
             if dist > 0.0:
                 radius = min(radius, dist / 3.0)
-    if root.imag > 0.0:
-        radius = min(radius, 2.0 * root.imag / 3.0)  # keep the conjugate outside
-    n = 256
-    while n <= 4096:
-        z = root + radius * np.exp(2j * math.pi * np.arange(n) / n)
-        f = qp(z)
-        if np.any(f == 0.0):
-            break
-        winding = float(np.sum(np.angle(np.roll(f, -1) / f)) / (2.0 * math.pi))
-        rounded = round(winding)
-        if abs(winding - rounded) < 1e-3 and rounded >= 1:
-            return rounded
-        n *= 2
+    z = root + radius * np.exp(2j * math.pi * np.arange(256) / 256)
+    winding = _turns(_contour_values(qp, z, f"circle around root {root}"))
+    rounded = round(winding)
+    if abs(winding - rounded) < 1e-3 and rounded >= 1:
+        return rounded
     raise RefinementError(f"could not certify the multiplicity of root {root}")
 
 
@@ -472,32 +449,23 @@ def rightmost_root(qp: QuasiPolynomial, region: SearchRegion) -> complex:
     pseudospectral discretization of the delay equation's generator,
     deduplicates, and certifies the root count (with multiplicity) against
     an argument-principle winding integral over the conjugate-symmetric
-    rectangle.  On a certificate mismatch the node count is doubled, up to
-    96.  Raises ValueError for a neutral quasi-polynomial, NoRootError when
-    the rectangle is certified empty and RefinementError when the
-    certificate cannot be met.
+    rectangle.  Raises ValueError for a neutral quasi-polynomial,
+    NoRootError when the rectangle is certified empty and RefinementError
+    when the certificate is not met.
     """
-    n_nodes = 24
-    generator = _generator_matrix(qp, n_nodes)
+    generator = _generator_matrix(qp)
     winding = _winding_number(qp, region)
-    expected = -1
-    for _ in range(3):
-        roots = _polish_eigenvalues(qp, region, generator)
-        # winding counts every root inside the mirrored rectangle with its
-        # multiplicity, so complex roots found in the upper half count twice
-        expected = 0
-        for r in roots:
-            others = [o for o in roots if o is not r]
-            expected += _local_multiplicity(qp, r, others) * (1 if r.imag == 0.0 else 2)
-        if expected == winding:
-            if not roots:
-                raise NoRootError("no quasi-polynomial root inside the search rectangle")
-            return max(roots, key=lambda r: r.real)
-        n_nodes *= 2
-        generator = _generator_matrix(qp, n_nodes)
-    raise RefinementError(
-        f"winding count {winding} != {expected} roots found (conjugates included)"
-    )
+    roots = _polish_eigenvalues(qp, region, generator)
+    # winding counts every root inside the mirrored rectangle with its
+    # multiplicity, so complex roots found in the upper half count twice
+    expected = sum(_local_multiplicity(qp, r, roots) * (2 if r.imag else 1) for r in roots)
+    if expected != winding:
+        raise RefinementError(
+            f"winding count {winding} != {expected} roots found (conjugates included)"
+        )
+    if not roots:
+        raise NoRootError("no quasi-polynomial root inside the search rectangle")
+    return max(roots, key=lambda r: r.real)
 
 
 def _extended_root_bound(policy: SpacingPolicy, phi: float, region: SearchRegion) -> SearchRegion:

@@ -176,6 +176,8 @@ def load_scenario_text(text: str) -> Scenario:
             )
 
     sim = _read(parser, index, "sim")
+    with _located(index, "sim"):  # ts once, before any vehicle's delay uses it
+        delay_steps(VehicleParams(tau=1.0, phi=0.0), sim["ts"])
     vehicles = []
     for i in range(n_vehicles):
         section = f"vehicle.{i}"

@@ -211,19 +211,20 @@ def _extended_properness_margin(policy: SpacingPolicy, params: VehicleParams):
     phi = params.phi
     s = phi * policy.h_v / policy.h_a
     y = phi * phi / policy.h_a
-    scale = max(1.0, s, y)
     if s >= 0.5 * math.pi:
-        return None, 0.5 * math.pi - s, scale  # no admissible frequency at all
-    # w sin w - s is strictly increasing on (0, pi/2): bisect its sign change
-    lo, hi = 0.0, 0.5 * math.pi
-    while hi - lo > 1e-14:
+        return None, 0.5 * math.pi - s, 0.0  # no admissible frequency at all
+    # w sin w - s is strictly increasing on (0, pi/2), and w^2 >= w sin w >=
+    # 2 w^2 / pi there: bisect its sign change to relative width 1e-15
+    lo, hi = math.sqrt(s), min(math.sqrt(0.5 * math.pi * s), 0.5 * math.pi)
+    while hi - lo > 1e-15 * hi:
         mid = 0.5 * (lo + hi)
         if mid * math.sin(mid) < s:
             lo = mid
         else:
             hi = mid
     w_star = 0.5 * (lo + hi)
-    return w_star, w_star * w_star * math.cos(w_star) - y, scale
+    curve = w_star * w_star * math.cos(w_star)
+    return w_star, curve - y, max(curve, y)
 
 
 def is_proper(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
@@ -258,8 +259,8 @@ def is_proper(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
             margins=(m_star,),
             detail="abscissa phi h_v / h_a beyond the boundary curve range",
         )
-    # strictly-inside test; the 1e-12 guard keeps points exactly on the
-    # boundary curve (margin 0 up to rounding) classified as not proper
+    # strictly-inside test; the guard, 1e-12 of the larger compared value,
+    # keeps points on the boundary curve (margin 0 up to rounding) not proper
     return StabilityVerdict(
         bool(m_star > 1e-12 * scale),
         "closed-form",

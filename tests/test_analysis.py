@@ -190,7 +190,8 @@ class TestRightmostRoot:
             (QuasiPolynomial.dch_internal(0.1, 0.2), 0.2),
         ):
             root = dp.rightmost_root(qp, SearchRegion.default_for(phi))
-            assert abs(qp.eval_scalar(root)) <= 1e-10 * qp.coefficient_scale(root)
+            p, _, scale = qp.newton_terms(root)
+            assert abs(p) <= 1e-10 * scale
 
     def test_empty_rectangle(self):
         qp = QuasiPolynomial((((1.0, 1.0), 0.0),))
@@ -398,6 +399,20 @@ class TestWindingCertificate:
         qp = QuasiPolynomial.dch_internal(1e-308, 0.15)
         with pytest.raises(dp.RefinementError, match="not finite"):
             dp.rightmost_root(qp, SearchRegion.default_for(0.15))
+
+    def test_missing_roots_fail_the_certificate_without_retry(self, monkeypatch):
+        """Roots the eigenvalue seeds miss are a RefinementError after one
+        generator build, not a search repeated on finer generators."""
+        builds = []
+        generator = analysis._generator_matrix
+        monkeypatch.setattr(analysis, "_polish_eigenvalues", lambda qp, region, gen: [])
+        monkeypatch.setattr(
+            analysis, "_generator_matrix", lambda *args: builds.append(args) or generator(*args)
+        )
+        qp = QuasiPolynomial.dch_internal(0.4, 0.15)
+        with pytest.raises(dp.RefinementError, match=r"^winding count [1-9]\d* != 0 roots found"):
+            dp.rightmost_root(qp, SearchRegion.default_for(0.15))
+        assert len(builds) == 1
 
     def test_doubled_contour_evaluates_only_new_points(self, monkeypatch):
         """The 8192-point pass reuses the 4096 values of the first pass."""

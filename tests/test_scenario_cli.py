@@ -236,6 +236,13 @@ class TestSimulateCommand:
             assert len(re.findall(r"\(line \d+\)", err)) <= 1, err
             assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e400"])
+    def test_rejected_sample_period_names_sim(self, tmp_path, capsys, value):
+        scn = tmp_path / "s.scn"
+        scn.write_text(with_value(MINIMAL, "sim", "ts", value))
+        assert main(["simulate", str(scn), str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ScenarioError: [sim]: ")
+
 
 class TestAnalyzeCommand:
     def test_affirmative(self, capsys):
@@ -321,6 +328,15 @@ class TestSweepCommand:
         assert main(["sweep", str(out), "dch", "--hv", "0.4", "--phi", "0.15"]) == 0
         _, rows = read_csv(out)
         assert rows[0, 1] == pytest.approx(1.0, abs=1e-6)
+
+    def test_overflowing_extended_magnitude_is_zero_without_warning(self, tmp_path, capsys):
+        """h_a w^2 overflows at h_a = 1e305: |T| is 0 there, with no warning."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(out), "ext", "--hv", "1", "--ha", "1e305"]) == 0
+        assert main(["analyze", "ext", "--hv", "1", "--ha", "1e305"]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert rows[-1, 1] == 0.0
 
     def test_custom_range(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -200,6 +200,21 @@ class TestIsProper:
     def test_extended_no_delay_is_proper(self):
         assert dp.is_proper(EXT, dp.VehicleParams(0.067, 0.0)).stable
 
+    @pytest.mark.parametrize("h_a", [1e9, 1e12, 1e14, 1e305])
+    def test_extended_large_acceleration_headway(self, ref_params, h_a):
+        """Far below the curve's knee the clearance is about phi (h_v - phi)
+        / h_a, however small, and it agrees with a certified root check."""
+        phi = ref_params.phi
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=h_a)
+        verdict = dp.is_proper(policy, ref_params)
+        assert verdict.stable
+        assert verdict.margins[-1] == pytest.approx(phi * (1.0 - phi) / h_a, rel=1e-6)
+        try:
+            root_check = analysis.properness_root_check(policy, ref_params)
+        except dp.RefinementError:
+            return  # p overflows on the search contour: nothing to compare
+        assert root_check.stable
+
 
 class TestIsStringStable:
     def test_constant_unconditional(self, ref_params):
