@@ -8,7 +8,6 @@ controllers implementable and ties string stability to the policy choice.
 
 from .analysis import (
     QuasiPolynomial,
-    SearchRegion,
     l2_string_stability_check,
     properness_root_check,
     rightmost_root,
@@ -39,7 +38,6 @@ from .errors import (
     DegreeError,
     DelayGranularityError,
     HistoryDepthError,
-    NoRootError,
     RefinementError,
     ScenarioError,
 )

@@ -1,11 +1,13 @@
 """Frequency-domain and quasi-polynomial stability machinery.
 
 Covers the closed-loop velocity transfer magnitudes under perfect tracking,
-the string-stability frequency sweep, rightmost-root search for the two
-internal-dynamics quasi-polynomial families (one pass: Newton seeded by
-pseudospectral generator eigenvalues, certified by one argument-principle
-winding count; a mismatch raises RefinementError, it is not retried), the
-properness region boundary, and the time-domain L2 string-stability check.
+the string-stability frequency sweep, the rightmost root of the one-delay
+internal dynamics a(lambda) + b(lambda) e^{-phi lambda}, deg b < deg a (one
+pass: Newton seeded by pseudospectral generator eigenvalues, certified by
+one argument-principle winding count over a box that the closed-form
+modulus bound R(s) sizes; a mismatch raises RefinementError, it is not
+retried), the properness region boundary, and the time-domain L2
+string-stability check.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import VehicleParams
-from .errors import NoRootError, RefinementError
+from .errors import RefinementError
 from .spacing import PolicyKind, SpacingPolicy, StabilityVerdict
 
 __all__ = [
     "QuasiPolynomial",
-    "SearchRegion",
     "transfer_magnitude",
     "string_stability_sweep",
     "rightmost_root",
@@ -39,91 +40,82 @@ ROOT_STABLE_TOL = 1e-9  # Re(rightmost) < -ROOT_STABLE_TOL |rightmost| counts as
 
 @dataclass(frozen=True)
 class QuasiPolynomial:
-    """p(lambda) = sum_k c_k(lambda) e^{-lambda theta_k}, delays theta_k >= 0.
+    """p(lambda) = a(lambda) + b(lambda) e^{-phi lambda}, deg b < deg a.
 
-    terms holds (coefficients ascending, delay) pairs.  The two instances
-    arising here are lambda + h_v^{-1} e^{-phi lambda} and the extended
-    internal dynamics h_a lambda^2 + (h_v lambda + 1) e^{-phi lambda} (the
-    latter already normalized by e^{-phi lambda} so all delays are >= 0).
+    a and b hold ascending coefficients.  The constructor divides both by
+    a's leading coefficient, so a is monic of degree n >= 1 and b has n
+    entries; with phi = 0 (or b = 0) it folds b into a and keeps phi = 0.
+    The two instances arising here are the internal dynamics lambda +
+    h_v^{-1} e^{-phi lambda} and h_a lambda^2 + (h_v lambda + 1) e^{-phi
+    lambda}.  A neutral p (deg b >= deg a) and non-finite input are
+    rejected; ratios to the leading coefficient may overflow to inf, which
+    the root search reports as RefinementError.
     """
 
-    terms: tuple[tuple[tuple[float, ...], float], ...]
+    a: tuple[float, ...]
+    b: tuple[float, ...]
+    phi: float
 
     def __post_init__(self):
-        if not self.terms:
-            raise ValueError("quasi-polynomial needs at least one term")
-        for coeffs, delay in self.terms:
-            if not (math.isfinite(delay) and delay >= 0.0):
-                raise ValueError(f"delays must be finite and >= 0, got {delay}")
-            if not (all(map(math.isfinite, coeffs)) and any(c != 0.0 for c in coeffs)):
-                raise ValueError("term coefficients must be finite and not all zero")
+        a, b, phi = tuple(map(float, self.a)), tuple(map(float, self.b)), float(self.phi)
+        if not all(map(math.isfinite, a + b + (phi,))):
+            raise ValueError("quasi-polynomial coefficients and delay must be finite")
+        if phi < 0.0:
+            raise ValueError(f"delay must be >= 0, got {phi}")
+        n = max((j for j, c in enumerate(a) if c != 0.0), default=0)
+        if any(b[n:]):
+            raise ValueError("neutral quasi-polynomial: deg b >= deg a")
+        if n == 0:
+            raise ValueError("a must have degree >= 1")
+        b = b[:n] + (0.0,) * (n - len(b))
+        if phi == 0.0 or not any(b):
+            a, b, phi = tuple(x + y for x, y in zip(a, b + (0.0,))), (0.0,) * n, 0.0
+        object.__setattr__(self, "a", tuple(c / a[n] for c in a[: n + 1]))
+        object.__setattr__(self, "b", tuple(c / a[n] for c in b))
+        object.__setattr__(self, "phi", phi)
 
     @classmethod
     def dch_internal(cls, h_v: float, phi: float) -> "QuasiPolynomial":
         """lambda + (1/h_v) e^{-phi lambda}: internal factor of the DCH loop."""
-        return cls((((0.0, 1.0), 0.0), ((1.0 / float(h_v),), float(phi))))
+        return cls((0.0, 1.0), (1.0 / float(h_v),), phi)
 
     @classmethod
     def extended_internal(cls, h_v: float, h_a: float, phi: float) -> "QuasiPolynomial":
         """h_a lambda^2 + (h_v lambda + 1) e^{-phi lambda}."""
-        return cls((((0.0, 0.0, float(h_a)), 0.0), ((1.0, float(h_v)), float(phi))))
-
-    @property
-    def max_delay(self) -> float:
-        return max(delay for _, delay in self.terms)
+        return cls((0.0, 0.0, h_a), (1.0, h_v), phi)
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        total = np.zeros_like(lam)
-        for coeffs, delay in self.terms:
-            c = np.full_like(lam, coeffs[-1])
-            for coef in reversed(coeffs[:-1]):
-                c = c * lam + coef
-            total += c * np.exp(-lam * delay) if delay else c
-        return total
+        delayed = np.polyval(self.b[::-1], lam) * np.exp(-lam * self.phi)
+        return np.polyval(self.a[::-1], lam) + delayed
 
     def newton_terms(self, lam: complex) -> tuple[complex, complex, float]:
-        """(p(lam), p'(lam), residual scale) in one pass over the terms.
+        """(p(lam), p'(lam), residual scale) in one pass.
 
         The scale, the reference for |p| residuals, sums the monomial
-        magnitudes |c_kj| |lam|^j e^{-Re(lam) theta_k}: per monomial, not per
-        term, so it stays above the rounding error of p where a coefficient
-        polynomial c_k(lam) cancels.  OverflowError where an exp overflows.
+        magnitudes |a_j| |lam|^j + |b_j| |lam|^j e^{-phi Re(lam)}: per
+        monomial, so it stays above the rounding error of p where b(lam)
+        cancels.  OverflowError where an exp overflows.
         """
         r = abs(lam)
-        p = dp = 0.0j
-        scale = 0.0
-        for coeffs, delay in self.terms:
-            c = dc = 0.0j
-            m = 0.0
-            for coef in reversed(coeffs):
-                dc = dc * lam + c
-                c = c * lam + coef
-                m = m * r + abs(coef)
-            e = cmath.exp(-lam * delay)
-            p += c * e
-            dp += (dc - delay * c) * e
-            scale += m * math.exp(-lam.real * delay)
+        ca, dca, ma = _horner(self.a, lam, r)
+        cb, dcb, mb = _horner(self.b, lam, r)
+        e = cmath.exp(-lam * self.phi)
+        p = ca + cb * e
+        dp = dca + (dcb - self.phi * cb) * e
+        scale = ma + mb * math.exp(-lam.real * self.phi)
         return p, dp, max(scale, 1e-300)
 
 
-@dataclass(frozen=True)
-class SearchRegion:
-    """Rectangle Re in [re_lo, re_hi], Im in [0, im_hi] (symmetry gives Im < 0)."""
-
-    re_lo: float
-    re_hi: float
-    im_hi: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.re_lo, self.re_hi, self.im_hi))):
-            raise ValueError("search rectangle bounds must be finite")
-        if self.re_hi <= self.re_lo or self.im_hi <= 0.0:
-            raise ValueError("search rectangle is empty")
-
-    @classmethod
-    def default_for(cls, time_scale: float) -> "SearchRegion":
-        return cls(-10.0 / time_scale, 5.0 / time_scale, 4.0 * math.pi / time_scale)
+def _horner(coeffs: tuple[float, ...], lam: complex, r: float) -> tuple[complex, complex, float]:
+    """(c(lam), c'(lam), sum_j |c_j| r^j) for ascending coefficients c."""
+    c = dc = 0.0j
+    m = 0.0
+    for coef in reversed(coeffs):
+        dc = dc * lam + c
+        c = c * lam + coef
+        m = m * r + abs(coef)
+    return c, dc, m
 
 
 def transfer_magnitude(policy: SpacingPolicy, params: VehicleParams, omega):
@@ -261,6 +253,29 @@ def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> Stab
     )
 
 
+BOX_MARGIN = 0.01  # the box reaches _box_margin(s*) left of the rightmost root s*
+
+
+def _box_margin(s: float) -> float:
+    return BOX_MARGIN * (1.0 + abs(s))
+
+
+@np.errstate(divide="ignore", over="ignore")  # log 0 = -inf; an overflowing bound is inf
+def _root_bound(qp: QuasiPolynomial, s):
+    """R(s) = 2 max_j c_j^{1/(n-j)}, c_j = |a_j| + e^{-phi s} |b_j|.
+
+    A root with Re(lambda) >= s has |a(lambda)| <= |b(lambda)| e^{-phi s}
+    (Michiels & Niculescu 2007, ch. 1), so |lambda|^n <= sum_j c_j
+    |lambda|^j, and Fujiwara's bound gives |lambda| < R(s).  Elementwise
+    over s, in logarithms so that e^{-phi s} cannot overflow; inf where R
+    itself does.
+    """
+    a, b = np.abs(qp.a[:-1]), np.abs(qp.b)
+    s = np.asarray(s, dtype=float)[..., None]
+    log_c = np.logaddexp(np.log(a), np.log(b) - qp.phi * s)
+    return 2.0 * np.exp(np.max(log_c / np.arange(len(a), 0, -1), axis=-1))
+
+
 def _contour_values(qp: QuasiPolynomial, z: np.ndarray, contour: str) -> np.ndarray:
     """p on contour points; RefinementError where it is not finite or 0."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -277,17 +292,16 @@ def _turns(f: np.ndarray) -> float:
     return float(np.sum(np.angle(np.roll(f, -1) / f)) / (2.0 * math.pi))
 
 
-def _winding_number(qp: QuasiPolynomial, region: SearchRegion) -> int:
-    """Winding of p around 0 along the conjugate-symmetric rectangle boundary.
+def _winding_number(qp: QuasiPolynomial, lo: float, half: float) -> int:
+    """Winding of p around 0 along the box Re in [lo, half], Im in [-half, half].
 
-    The contour covers Im in [-im_hi, im_hi] so that real roots sit strictly
-    inside it.  The count over 8192 points must lie within 1e-3 of an integer
-    that the count over its 4096 even points rounds to as well; otherwise
+    The box is conjugate symmetric, so real roots sit strictly inside it.
+    The count over 8192 points must lie within 1e-3 of an integer that the
+    count over its 4096 even points rounds to as well; otherwise
     RefinementError.  Each side carries c0 + (c1 - c0) j / m, so the even
     points are bitwise the 4096 of the first pass and only the odd are new.
     """
-    lo, hi = complex(region.re_lo, -region.im_hi), complex(region.re_hi, region.im_hi)
-    corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
+    corners = [complex(lo, -half), complex(half, -half), complex(half, half), complex(lo, half)]
 
     def evaluate(j: np.ndarray, m: int) -> np.ndarray:
         z = np.concatenate(
@@ -342,32 +356,23 @@ def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
 def _generator_matrix(qp: QuasiPolynomial) -> np.ndarray:
     """Chebyshev pseudospectral generator of the delay equation behind p.
 
-    With a (degree n) the sum of the delay-free terms and b_k the delayed
-    ones, p is the characteristic function of a_n x^(n)(t) = -sum_j (a_j
-    x^(j)(t) + sum_k b_kj x^(j)(t - theta_k)).  The state (x, ..., x^(n-1))
-    on [-theta_max, 0] is collocated at 25 Chebyshev points (Breda,
-    Maset & Vermiglio, SIAM J. Sci. Comput. 2005): the first block row is the
-    DDE, with a barycentric interpolation row per delay; the others
-    differentiate the interpolant.  Without delays it is the companion matrix
-    of a.  Raises ValueError for a neutral p (a delayed term of degree >= n)
-    and RefinementError when an entry overflows, since no eigenvalue can
-    seed the search then.
+    p is the characteristic function of x^(n)(t) = -sum_j (a_j x^(j)(t) +
+    b_j x^(j)(t - phi)).  The state (x, ..., x^(n-1)) on [-phi, 0] is
+    collocated at 25 Chebyshev points (Breda, Maset & Vermiglio, SIAM J.
+    Sci. Comput. 2005): the first block row is the DDE, whose delayed term
+    is -b in the last block since -phi is the last node; the others
+    differentiate the interpolant.  With phi = 0 it is the companion matrix
+    of a.  Raises RefinementError when an entry overflows, since no
+    eigenvalue can seed the search then.
     """
-    delays = np.array([delay for _, delay in qp.terms])
-    coeffs = np.zeros((len(delays), max(len(c) for c, _ in qp.terms)))
-    for k, (c, _) in enumerate(qp.terms):
-        coeffs[k, : len(c)] = c
-    a = coeffs[delays == 0.0].sum(axis=0)
-    n = max(np.flatnonzero(a), default=-1)
-    if np.any(coeffs[delays > 0.0, max(n, 0):]):
-        raise ValueError("neutral quasi-polynomial: a delayed term is not of lower degree")
-    n_nodes = 24
+    n = len(qp.b)
     companion = np.eye(n, k=1)
-    companion[-1:, :] = -a[:n] / a[n]
+    companion[-1] = np.negative(qp.a[:n])
     matrix = companion
-    if np.any(delays):
-        theta = 0.5 * qp.max_delay * (np.cos(math.pi * np.arange(n_nodes + 1) / n_nodes) - 1.0)
-        w = np.ones(n_nodes + 1)  # barycentric weights (-1)^j, halved at both ends
+    if qp.phi > 0.0:
+        n_nodes = 24
+        theta = 0.5 * qp.phi * (np.cos(math.pi * np.arange(n_nodes + 1) / n_nodes) - 1.0)
+        w = np.ones(n_nodes + 1)  # interpolation weights (-1)^j, halved at both ends
         w[[0, -1]] = 0.5
         w[1::2] *= -1.0
         diff = np.outer(1.0 / w, w) / (theta[:, None] - theta[None, :] + np.eye(n_nodes + 1))
@@ -375,53 +380,47 @@ def _generator_matrix(qp: QuasiPolynomial) -> np.ndarray:
         matrix = np.zeros(((n_nodes + 1) * n, (n_nodes + 1) * n))
         matrix[n:, :] = np.kron(diff[1:], np.eye(n))
         matrix[:n, :n] = companion
-        for b, delay in zip(coeffs[delays > 0.0, :n] / a[n], delays[delays > 0.0]):
-            offset = -delay - theta
-            if np.any(offset == 0.0):
-                interp = (offset == 0.0).astype(float)
-            else:
-                interp = w / offset
-                interp /= interp.sum()
-            matrix[n - 1, :] -= np.outer(interp, b).ravel()
+        matrix[n - 1, -n:] = np.negative(qp.b)
     if not np.all(np.isfinite(matrix)):
         raise RefinementError("pseudospectral generator overflows: coefficient ratios too large")
     return matrix
 
 
-def _polish_eigenvalues(
-    qp: QuasiPolynomial, region: SearchRegion, generator: np.ndarray
-) -> list[complex]:
-    """Distinct roots inside the rectangle, Newton-polished from eigenvalues.
+def _polish_eigenvalues(qp: QuasiPolynomial, generator: np.ndarray) -> list[complex]:
+    """Distinct roots, Newton-polished from the generator's eigenvalues.
 
-    Eigenvalues in the upper half of the rectangle padded by a tenth of its
-    size seed damped Newton; a conjugate pair closer than the dedupe distance
-    (as a double real root discretizes) seeds its real part first.  Roots
-    are folded into the upper half plane and deduplicated.
+    Eigenvalues e with Im >= 0 and |e| <= R(Re e) seed damped Newton from
+    the right: the bound drops the spurious high-frequency eigenvalues of
+    the discretization, which lie right of the true roots, and the pass
+    stops at the first eigenvalue two box margins left of the rightmost root
+    so far, since the box certificate needs only the roots right of one.
+    A conjugate pair closer than the dedupe distance (as a double real root
+    discretizes) seeds its real part first.  Roots are folded into the
+    upper half plane and deduplicated.
     """
-    pad_re, pad_im = 0.1 * (region.re_hi - region.re_lo), 0.1 * region.im_hi
-    seeds: list[complex] = []
-    for lam in np.linalg.eigvals(generator):
-        if (region.re_lo - pad_re <= lam.real <= region.re_hi + pad_re
-                and 0.0 <= lam.imag <= region.im_hi + pad_im):
-            if 0.0 < lam.imag <= 0.5e-6 * (1.0 + abs(lam)):
-                seeds.append(complex(lam.real))
-            seeds.append(complex(lam))
-
+    eigs = np.linalg.eigvals(generator)
+    eigs = eigs[(eigs.imag >= 0.0) & (np.abs(eigs) <= _root_bound(qp, eigs.real))]
     axis_tol = 1e-9
     roots: list[complex] = []
-    for seed in seeds:
-        lam = _newton_polish(qp, seed)
-        if lam is None:
-            continue
-        if lam.imag < 0.0:  # conjugate symmetry: fold into the upper half plane
-            lam = lam.conjugate()
-        if abs(lam.imag) <= axis_tol * (1.0 + abs(lam)):
-            lam = complex(lam.real, 0.0)
-        if not (region.re_lo <= lam.real <= region.re_hi and lam.imag <= region.im_hi):
-            continue
-        if any(abs(lam - r) <= 1e-6 * (1.0 + abs(r)) for r in roots):
-            continue
-        roots.append(lam)
+    right = 0.0  # largest real part among roots, once there is one
+    for eig in eigs[np.argsort(-eigs.real, kind="stable")]:
+        if roots and eig.real < right - 2.0 * _box_margin(right):
+            break
+        seeds = [complex(eig)]
+        if 0.0 < eig.imag <= 0.5e-6 * (1.0 + abs(eig)):
+            seeds.insert(0, complex(eig.real))
+        for seed in seeds:
+            lam = _newton_polish(qp, seed)
+            if lam is None:
+                continue
+            if lam.imag < 0.0:  # conjugate symmetry: fold into the upper half plane
+                lam = lam.conjugate()
+            if abs(lam.imag) <= axis_tol * (1.0 + abs(lam)):
+                lam = complex(lam.real, 0.0)
+            if any(abs(lam - r) <= 1e-6 * (1.0 + abs(r)) for r in roots):
+                continue
+            roots.append(lam)
+            right = max(r.real for r in roots)
     return roots
 
 
@@ -442,76 +441,59 @@ def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]
     raise RefinementError(f"could not certify the multiplicity of root {root}")
 
 
-def rightmost_root(qp: QuasiPolynomial, region: SearchRegion) -> complex:
-    """Root with the largest real part inside the search rectangle.
+def rightmost_root(qp: QuasiPolynomial) -> complex:
+    """The root of p with the largest real part, certified.
 
     Seeds damped Newton iterations at the eigenvalues of a 24-node Chebyshev
-    pseudospectral discretization of the delay equation's generator,
-    deduplicates, and certifies the root count (with multiplicity) against
-    an argument-principle winding integral over the conjugate-symmetric
-    rectangle.  Raises ValueError for a neutral quasi-polynomial,
-    NoRootError when the rectangle is certified empty and RefinementError
-    when the certificate is not met.
+    pseudospectral discretization of the delay equation's generator (those
+    within the bound R of _root_bound), deduplicates, and takes the
+    rightmost polished root s*.  Every root with Re >= lo = s* - BOX_MARGIN
+    (1 + |s*|) has modulus below R(lo), so the box [lo, R] x [-R, R] holds
+    all of them: an argument-principle winding count over its boundary must
+    equal the polished roots right of lo, with the multiplicity of each
+    certified on a small circle.  Then no root lies right of s*.  Raises
+    RefinementError when no seed converges, when the bound or p is not
+    finite on the box, or when the count does not match.
     """
-    generator = _generator_matrix(qp)
-    winding = _winding_number(qp, region)
-    roots = _polish_eigenvalues(qp, region, generator)
-    # winding counts every root inside the mirrored rectangle with its
-    # multiplicity, so complex roots found in the upper half count twice
-    expected = sum(_local_multiplicity(qp, r, roots) * (2 if r.imag else 1) for r in roots)
+    roots = _polish_eigenvalues(qp, _generator_matrix(qp))
+    if not roots:
+        raise RefinementError("no eigenvalue seed converged to a root")
+    top = max(roots, key=lambda r: r.real)
+    delta = _box_margin(top.real)
+    lo = top.real - delta
+    half = max(float(_root_bound(qp, lo)), delta)
+    if not math.isfinite(half):
+        raise RefinementError(f"root bound is not finite at Re = {lo:g}")
+    winding = _winding_number(qp, lo, half)
+    # winding counts every root inside the box with its multiplicity, so
+    # complex roots found in the upper half count twice
+    expected = sum(
+        _local_multiplicity(qp, r, roots) * (2 if r.imag else 1) for r in roots if r.real > lo
+    )
     if expected != winding:
         raise RefinementError(
             f"winding count {winding} != {expected} roots found (conjugates included)"
         )
-    if not roots:
-        raise NoRootError("no quasi-polynomial root inside the search rectangle")
-    return max(roots, key=lambda r: r.real)
-
-
-def _extended_root_bound(policy: SpacingPolicy, phi: float, region: SearchRegion) -> SearchRegion:
-    """The rectangle with re_hi doubled until no extended root of its strip
-    lies beyond it.
-
-    A root with Re = s >= 0 and |Im| <= im_hi has h_a s^2 <= |h_a lambda^2|
-    = |h_v lambda + 1| e^{-phi s} <= (h_v (s + im_hi) + 1) e^{-phi s}.  The
-    left side grows with s; the right side falls (phi im_hi >= 1) or, at
-    phi = 0, grows linearly.  So once the inequality fails it fails for
-    every larger s.  Small h_a puts roots near W_0(-phi h_v / h_a) / phi,
-    beyond the default 5 / phi.
-    """
-    def room(s: float) -> bool:
-        bound = (policy.h_v * (s + region.im_hi) + 1.0) * math.exp(-phi * s)
-        return policy.h_a * s * s <= bound
-
-    re_hi = region.re_hi
-    while room(re_hi):
-        re_hi *= 2.0
-    return SearchRegion(region.re_lo, re_hi, region.im_hi)
+    return top
 
 
 def properness_root_check(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
-    """Properness via the rightmost root of the internal dynamics.
+    """Properness via the certified rightmost root of the internal dynamics.
 
-    Builds the policy's quasi-polynomial, searches the default rectangle
-    (Re in [-10/phi, 5/phi], Im up to 4 pi / phi; for the extended policy
-    Re reaches past every root of that strip) and reports stable iff the
-    rightmost root lies left of the imaginary axis by more than 1e-9 of its
-    modulus (a relative test: the DCH root near -1/h_v is stable for every
-    h_v > 2 phi / pi, however large).
+    Builds the policy's one-delay quasi-polynomial and reports stable iff
+    its rightmost root (rightmost_root: certified over a box that the bound
+    R sizes, not over a heuristic rectangle) lies left of the imaginary
+    axis by more than 1e-9 of its modulus (a relative test: the DCH root
+    near -1/h_v is stable for every h_v > 2 phi / pi, however large).
     """
     phi = params.phi
     if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
         qp = QuasiPolynomial.dch_internal(policy.h_v, phi)
-        fallback_scale = policy.h_v
     elif policy.kind is PolicyKind.DELAYED_EXTENDED_HEADWAY:
         qp = QuasiPolynomial.extended_internal(policy.h_v, policy.h_a, phi)
-        fallback_scale = math.sqrt(policy.h_a)
     else:
         raise ValueError("root check applies to the headway policies only")
-    region = SearchRegion.default_for(phi if phi > 0.0 else fallback_scale)
-    if policy.kind is PolicyKind.DELAYED_EXTENDED_HEADWAY:
-        region = _extended_root_bound(policy, phi, region)
-    root = rightmost_root(qp, region)
+    root = rightmost_root(qp)
     return StabilityVerdict(
         bool(root.real < -ROOT_STABLE_TOL * abs(root)),
         "root-search",

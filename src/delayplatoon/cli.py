@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, simulator
 from .dynamics import InputHistory, VehicleParams, VehicleState, delay_steps, discretize, step
-from .errors import NoRootError, RefinementError
+from .errors import RefinementError
 from .predictor import predict
 from .scenario import parse_scenario
 from .simulator import TrajectoryLog
@@ -121,7 +121,7 @@ def cmd_analyze(args) -> int:
     else:
         try:
             root_verdict = analysis.properness_root_check(policy, params)
-        except (NoRootError, RefinementError) as exc:
+        except RefinementError as exc:
             # the closed form has answered; an uncertified search only says so
             print(f"proper (root check): inconclusive [{type(exc).__name__}: {exc}]")
         else:

@@ -17,10 +17,6 @@ class DegreeError(ValueError):
     """Unsupported relative degree for the requested controller."""
 
 
-class NoRootError(RuntimeError):
-    """No quasi-polynomial root found inside the search rectangle."""
-
-
 class RefinementError(RuntimeError):
     """Root search certificate failed (winding count mismatch or no convergence)."""
 

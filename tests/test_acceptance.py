@@ -13,7 +13,7 @@ import pytest
 
 import delayplatoon as dp
 from delayplatoon import analysis
-from delayplatoon.analysis import QuasiPolynomial, SearchRegion
+from delayplatoon.analysis import QuasiPolynomial
 from delayplatoon.controllers import generic_rho_controller
 from delayplatoon.spacing import PolicyKind
 
@@ -172,7 +172,7 @@ def test_a05_dch_properness_boundary():
         ):
             phi = h_v * (0.5 * math.pi) * factor
             qp = QuasiPolynomial.dch_internal(h_v, phi)
-            root = dp.rightmost_root(qp, SearchRegion.default_for(phi))
+            root = dp.rightmost_root(qp)
             assert check(root.real), (factor, root)
 
 

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import delayplatoon as dp
 from delayplatoon import analysis
-from delayplatoon.analysis import QuasiPolynomial, SearchRegion
-from delayplatoon.errors import NoRootError
+from delayplatoon.analysis import QuasiPolynomial
 from delayplatoon.spacing import PolicyKind
 
 from oracles import dch_rightmost_root, golden_section_max, refined_peak_reference
@@ -164,14 +164,23 @@ class TestRefinedPeak:
 
 class TestRightmostRoot:
     def test_plain_polynomial(self):
-        qp = QuasiPolynomial((((1.0, 1.0), 0.0),))
-        root = dp.rightmost_root(qp, SearchRegion(-5.0, 2.0, 3.0))
-        assert root == -1.0
+        assert dp.rightmost_root(QuasiPolynomial((1.0, 1.0), (), 0.0)) == -1.0
+        # lambda^2: R = 0, so the box keeps its margin around the double root
+        assert dp.rightmost_root(QuasiPolynomial((0.0, 0.0, 1.0), (), 0.0)) == 0.0
+
+    def test_zero_delay_folds_into_a_polynomial(self):
+        # lambda^2 + 1 + 2 e^{0}: roots +-i sqrt(3)
+        qp = QuasiPolynomial((1.0, 0.0, 1.0), (2.0,), 0.0)
+        assert (qp.a, qp.b, qp.phi) == ((3.0, 0.0, 1.0), (0.0, 0.0), 0.0)
+        assert dp.rightmost_root(qp) == pytest.approx(1j * math.sqrt(3.0), abs=1e-12)
+
+    def test_coefficients_divided_by_leading_one(self):
+        qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
+        assert (qp.a, qp.b, qp.phi) == ((0.0, 0.0, 1.0), (4.0, 4.8), 0.15)
 
     def test_dch_factor_on_boundary(self):
         h_v, phi = 0.2, 0.1 * math.pi  # phi/h_v = pi/2 exactly
-        qp = QuasiPolynomial.dch_internal(h_v, phi)
-        root = dp.rightmost_root(qp, SearchRegion.default_for(phi))
+        root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
         assert abs(root.real) <= 1e-6
         assert root.imag == pytest.approx(1.0 / h_v, rel=1e-9)
 
@@ -179,55 +188,89 @@ class TestRightmostRoot:
         h_v = 0.2
         for offset, sign in ((-0.05, -1.0), (0.05, 1.0)):
             phi = h_v * (0.5 * math.pi + offset)
-            qp = QuasiPolynomial.dch_internal(h_v, phi)
-            root = dp.rightmost_root(qp, SearchRegion.default_for(phi))
+            root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
             assert sign * root.real > 0.0
 
     def test_root_soundness(self):
-        for qp, phi in (
-            (QuasiPolynomial.dch_internal(0.4, 0.15), 0.15),
-            (QuasiPolynomial.extended_internal(1.2, 0.25, 0.15), 0.15),
-            (QuasiPolynomial.dch_internal(0.1, 0.2), 0.2),
+        for qp in (
+            QuasiPolynomial.dch_internal(0.4, 0.15),
+            QuasiPolynomial.extended_internal(1.2, 0.25, 0.15),
+            QuasiPolynomial.dch_internal(0.1, 0.2),
         ):
-            root = dp.rightmost_root(qp, SearchRegion.default_for(phi))
+            root = dp.rightmost_root(qp)
             p, _, scale = qp.newton_terms(root)
             assert abs(p) <= 1e-10 * scale
 
-    def test_empty_rectangle(self):
-        qp = QuasiPolynomial((((1.0, 1.0), 0.0),))
-        with pytest.raises(NoRootError):
-            dp.rightmost_root(qp, SearchRegion(1.0, 2.0, 1.0))
+    def test_unstable_root_above_the_old_rectangle(self):
+        """lambda^2 + 1e4 + 50 e^{-0.15 lambda}: the rightmost root is the
+        unstable pair near +-100i, above the old -10/phi..5/phi x 4 pi/phi
+        rectangle, whose search returned the stable -33.898+66.801j."""
+        qp = QuasiPolynomial((1e4, 0.0, 1.0), (50.0,), 0.15)
+        root = dp.rightmost_root(qp)
+        assert root == pytest.approx(0.16389180 + 99.8190342j, rel=1e-9)
+        p, _, scale = qp.newton_terms(root)
+        assert abs(p) <= 1e-13 * scale
+
+    def test_bound_holds_on_lambert_w_branches(self):
+        """Every root with Re >= s has |lambda| < R(s): the DCH roots are
+        W_k(-phi / h_v) / phi on every branch k of the Lambert function."""
+        for h_v, phi in ((0.4, 0.15), (0.05, 0.3), (2.0, 0.02)):
+            qp = QuasiPolynomial.dch_internal(h_v, phi)
+            for k in range(-6, 7):
+                root = complex(scipy.special.lambertw(-phi / h_v, k)) / phi
+                assert abs(root) < analysis._root_bound(qp, root.real)
+                assert abs(root) < analysis._root_bound(qp, root.real - 1.0)
+
+    def test_bound_overflow_is_inf_without_warning(self):
+        qp = QuasiPolynomial.dch_internal(1e-300, 0.15)
+        assert analysis._root_bound(qp, -1e4) == math.inf
+        assert analysis._root_bound(qp, 1e4) == 0.0
+
+    def test_overflowing_box_is_a_refinement_error(self):
+        # root -1e308: the bound 2e308 on the box overflows
+        with pytest.raises(dp.RefinementError, match="root bound is not finite"):
+            dp.rightmost_root(QuasiPolynomial((1e308, 1.0), (), 0.0))
+        assert dp.rightmost_root(QuasiPolynomial((1e307, 1.0), (), 0.0)) == -1e307
 
     def test_double_root_multiplicity_certified(self):
         # h_v = e*phi puts a double real root at -1/phi
         phi = 0.1
-        qp = QuasiPolynomial.dch_internal(math.e * phi, phi)
-        root = dp.rightmost_root(qp, SearchRegion.default_for(phi))
+        root = dp.rightmost_root(QuasiPolynomial.dch_internal(math.e * phi, phi))
         assert root == pytest.approx(-1.0 / phi, rel=1e-6)
         assert root == pytest.approx(dch_rightmost_root(math.e * phi, phi), rel=1e-6)
+
+    def test_dch_root_right_of_the_old_rectangle(self):
+        """h_v = 1e-3, phi = 1.375: the W_0 root near 3.94+1.95j lies right
+        of the old rectangle's 5 / phi = 3.64, which returned 3.60+6.10j."""
+        h_v, phi = 0.0010079975620449412, 1.3747293947165484
+        root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
+        assert abs(root - dch_rightmost_root(h_v, phi)) <= 1e-10
 
     def test_dch_matches_lambert_w_25x25(self):
         for h_v in np.linspace(0.05, 0.5, 25):
             for phi in np.linspace(0.05, 0.3, 25):
-                qp = QuasiPolynomial.dch_internal(h_v, phi)
-                root = dp.rightmost_root(qp, SearchRegion.default_for(phi))
+                root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
                 assert abs(root - dch_rightmost_root(h_v, phi)) <= 1e-10
 
     def test_neutral_rejected(self):
         # lambda + lambda e^{-0.1 lambda}: the delayed term has the full degree
-        qp = QuasiPolynomial((((0.0, 1.0), 0.0), ((0.0, 1.0), 0.1)))
         with pytest.raises(ValueError, match="neutral"):
-            dp.rightmost_root(qp, SearchRegion.default_for(0.1))
+            QuasiPolynomial((0.0, 1.0), (0.0, 1.0), 0.1)
 
-    def test_validation(self):
+    @pytest.mark.parametrize(
+        "a,b,phi",
+        [
+            ((2.0,), (), 0.1),  # degree 0: no roots
+            ((0.0,), (), 0.1),
+            ((1.0, 1.0), (1.0,), -0.1),
+            ((math.inf, 1.0), (1.0,), 0.1),
+            ((1.0, 1.0), (math.nan,), 0.1),
+            ((1.0, 1.0), (1.0,), math.inf),
+        ],
+    )
+    def test_validation(self, a, b, phi):
         with pytest.raises(ValueError):
-            SearchRegion(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            QuasiPolynomial((((0.0,), 0.0),))
-        with pytest.raises(ValueError):
-            QuasiPolynomial((((1.0,), -0.1),))
-        with pytest.raises(ValueError):
-            QuasiPolynomial((((math.inf, 1.0), 0.0),))
+            QuasiPolynomial(a, b, phi)
 
 
 class TestPropernessRootCheck:
@@ -263,11 +306,39 @@ class TestPropernessRootCheck:
     @pytest.mark.parametrize("h_a", [1e-4, 1e-5, 3e-6, 1e-6])
     def test_extended_small_acceleration_headway(self, ref_params, h_a):
         """The root near -1/h_v cancels h_v lambda + 1, and the unstable roots
-        near W_0(-phi h_v / h_a) / phi lie beyond the default 5 / phi."""
+        near W_0(-phi h_v / h_a) / phi lie beyond 5 / phi."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=h_a)
         verdict = dp.properness_root_check(policy, ref_params)
         assert verdict.stable == dp.is_proper(policy, ref_params).stable
         assert verdict.rightmost_root.real > 5.0 / ref_params.phi
+
+    def test_spurious_right_eigenvalues_are_filtered(self):
+        """The generator's top eigenvalues here (33.6+260j, 31.5+418j,
+        25.2+191j) are spurious: |e| > R(Re e).  Newton from the first lands
+        on 15.52+198.0j, a root left of the rightmost one."""
+        policy = dp.SpacingPolicy(
+            PolicyKind.DELAYED_EXTENDED_HEADWAY,
+            h_v=2.368866384477878, h_a=1.2461492890856137e-4,
+        )
+        params = dp.VehicleParams(0.067, 0.29387934096174734)
+        qp = QuasiPolynomial.extended_internal(policy.h_v, policy.h_a, params.phi)
+        eigs = np.linalg.eigvals(analysis._generator_matrix(qp))
+        top = eigs[np.argmax(eigs.real)]
+        assert abs(top) > analysis._root_bound(qp, top.real)
+        verdict = dp.properness_root_check(policy, params)
+        assert not verdict.stable
+        assert verdict.rightmost_root == pytest.approx(
+            22.69059071151686 + 9.339478251608025j, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("policy,root", [(DCH, -2.5), (EXT, -2.4 + math.sqrt(1.76))])
+    def test_zero_delay(self, policy, root):
+        """Without delay the internal dynamics are the polynomials
+        h_v lambda + 1 and h_a lambda^2 + h_v lambda + 1."""
+        params = dp.VehicleParams(0.067, 0.0)
+        verdict = dp.properness_root_check(policy, params)
+        assert verdict.rightmost_root == pytest.approx(root, rel=1e-12)
+        assert verdict.stable and dp.is_proper(policy, params).stable
 
     def test_rejects_constant_policy(self, ref_params):
         with pytest.raises(ValueError):
@@ -389,35 +460,44 @@ class TestL2StringStability:
 
 class TestWindingCertificate:
     def test_root_on_contour_is_rejected(self):
-        # lambda + 1 with the rectangle edge through the root at -1
-        qp = QuasiPolynomial((((1.0, 1.0), 0.0),))
-        with pytest.raises(dp.RefinementError):
-            dp.rightmost_root(qp, SearchRegion(-1.0, 2.0, 1.0))
+        # lambda + 1 with the box edge through the root at -1
+        qp = QuasiPolynomial((1.0, 1.0), (), 0.0)
+        with pytest.raises(dp.RefinementError, match="root on the winding contour"):
+            analysis._winding_number(qp, -1.0, 2.0)
 
     def test_non_finite_contour_values_rejected(self):
-        # 1/h_v = 1e308 overflows p on the left edge of the rectangle
+        # 1/h_v = 1e308 overflows p on the left edge Re = -10/phi
         qp = QuasiPolynomial.dch_internal(1e-308, 0.15)
         with pytest.raises(dp.RefinementError, match="not finite"):
-            dp.rightmost_root(qp, SearchRegion.default_for(0.15))
+            analysis._winding_number(qp, -10.0 / 0.15, 4.0 * math.pi / 0.15)
+
+    def test_no_converged_seed_is_a_refinement_error(self):
+        # the eigenvalue seeds miss the roots near 4672 +- 21i (1 + 2k)
+        with pytest.raises(dp.RefinementError, match="no eigenvalue seed converged"):
+            dp.rightmost_root(QuasiPolynomial.dch_internal(1e-308, 0.15))
 
     def test_missing_roots_fail_the_certificate_without_retry(self, monkeypatch):
-        """Roots the eigenvalue seeds miss are a RefinementError after one
-        generator build, not a search repeated on finer generators."""
+        """A root the eigenvalue seeds miss is a RefinementError after one
+        generator build, not a search repeated on finer generators: without
+        the rightmost pair, the box around the next one still holds it."""
         builds = []
         generator = analysis._generator_matrix
-        monkeypatch.setattr(analysis, "_polish_eigenvalues", lambda qp, region, gen: [])
+        second = complex(scipy.special.lambertw(-0.15 / 0.4, 1)) / 0.15
+        monkeypatch.setattr(
+            analysis, "_polish_eigenvalues", lambda qp, gen: [complex(second.real, abs(second.imag))]
+        )
         monkeypatch.setattr(
             analysis, "_generator_matrix", lambda *args: builds.append(args) or generator(*args)
         )
         qp = QuasiPolynomial.dch_internal(0.4, 0.15)
-        with pytest.raises(dp.RefinementError, match=r"^winding count [1-9]\d* != 0 roots found"):
-            dp.rightmost_root(qp, SearchRegion.default_for(0.15))
+        with pytest.raises(dp.RefinementError, match=r"^winding count \d+ != \d+ roots found"):
+            dp.rightmost_root(qp)
         assert len(builds) == 1
 
     def test_doubled_contour_evaluates_only_new_points(self, monkeypatch):
         """The 8192-point pass reuses the 4096 values of the first pass."""
         qp = QuasiPolynomial.dch_internal(0.4, 0.15)
-        region = SearchRegion.default_for(0.15)
+        lo, half = -10.0, 8.0
         sizes = []
         evaluate = QuasiPolynomial.__call__
 
@@ -426,13 +506,11 @@ class TestWindingCertificate:
             return evaluate(self, lam)
 
         monkeypatch.setattr(QuasiPolynomial, "__call__", counting)
-        winding = analysis._winding_number(qp, region)
+        winding = analysis._winding_number(qp, lo, half)
         assert sizes == [4096, 4096]
         monkeypatch.undo()
-        corners = [
-            complex(region.re_lo, -region.im_hi), complex(region.re_hi, -region.im_hi),
-            complex(region.re_hi, region.im_hi), complex(region.re_lo, region.im_hi),
-        ]
+        corners = [complex(lo, -half), complex(half, -half), complex(half, half), complex(lo, half)]
         frac = np.arange(2048) / 2048
         f = qp(np.concatenate([c0 + (c1 - c0) * frac for c0, c1 in zip(corners, corners[1:] + corners[:1])]))
         assert winding == round(np.sum(np.angle(np.roll(f, -1) / f)) / (2.0 * math.pi))
+        assert winding == 2

@@ -269,6 +269,21 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "always proper" in out
 
+    def test_huge_acceleration_headway_is_never_a_root_check_no(self):
+        """At h_a = 1e305 the internal roots sit near 1e-153: the root check
+        may not certify them, but it must not contradict the closed form."""
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "delayplatoon",
+             "analyze", "ext", "--hv", "1", "--ha", "1e305"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert "proper (closed form): yes" in result.stdout
+        root_line = [ln for ln in result.stdout.splitlines() if ln.startswith("proper (root check)")]
+        assert len(root_line) == 1
+        assert re.match(r"proper \(root check\): (yes|inconclusive) ", root_line[0])
+
 
 class TestRegionCommand:
     def test_single_phi_endpoints(self, tmp_path):
@@ -406,7 +421,7 @@ class TestExitCodeContract:
     @pytest.mark.parametrize(
         "argv,verdict",
         [
-            pytest.param(  # rectangle certified empty
+            pytest.param(  # no eigenvalue seed converges
                 ["analyze", "dch", "--hv", "1e-300", "--phi", "0.15"],
                 "verdict: not proper, not string stable", id="argv0",
             ),
