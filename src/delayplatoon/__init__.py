@@ -20,7 +20,6 @@ from .controllers import (
     ControllerGains,
     ControllerSpec,
     control,
-    generic_rho_controller,
     validate_gains,
 )
 from .dynamics import (

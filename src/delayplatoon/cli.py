@@ -54,24 +54,26 @@ def _input_checked():
         raise _RejectedInput from exc
 
 
+def _write_table(path, table, header: str, footer: str = "") -> None:
+    """One CSV: the header line, the rows of table at 17 significant digits,
+    then the footer line if any."""
+    with open(path, "w") as fh:  # a handle: savetxt would gzip a *.gz path
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header,
+                   footer=footer, comments="")
+
+
 def write_csv(log: TrajectoryLog, path) -> None:
     """Trajectory CSV: t, per-vehicle q,v,a,u, per-follower e,delta,deltaref."""
-    nv = log.n_vehicles
-    nf = log.n_followers
+    n, nv, nf = len(log.t), log.n_vehicles, log.n_followers
     header = ["t"]
-    for i in range(nv):
-        header += [f"q{i}", f"v{i}", f"a{i}", f"u{i}"]
-    for f in range(1, nf + 1):
-        header += [f"e{f}", f"delta{f}", f"deltaref{f}"]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(len(log.t)):
-            row = [_fmt(log.t[k])]
-            for i in range(nv):
-                row += [_fmt(log.q[k, i]), _fmt(log.v[k, i]), _fmt(log.a[k, i]), _fmt(log.u[k, i])]
-            for f in range(nf):
-                row += [_fmt(log.e[k, f]), _fmt(log.delta[k, f]), _fmt(log.delta_ref[k, f])]
-            fh.write(",".join(row) + "\n")
+    header += [f"{c}{i}" for i in range(nv) for c in ("q", "v", "a", "u")]
+    header += [f"{c}{f}" for f in range(1, nf + 1) for c in ("e", "delta", "deltaref")]
+    table = np.column_stack((
+        log.t,
+        np.stack((log.q, log.v, log.a, log.u), axis=2).reshape(n, 4 * nv),
+        np.stack((log.e, log.delta, log.delta_ref), axis=2).reshape(n, 3 * nf),
+    ))
+    _write_table(path, table, ",".join(header))
 
 
 def _policy_from_args(args) -> tuple[SpacingPolicy, VehicleParams]:
@@ -151,16 +153,12 @@ def cmd_region(args) -> int:
     phis = args.phi
     with _input_checked():
         curves = [analysis.stability_region_boundary(phi, args.points) for phi in phis]
-    with open(args.out, "w") as fh:
-        if len(phis) == 1:
-            fh.write("hv_over_ha,one_over_ha\n")
-            for x, y in curves[0]:
-                fh.write(f"{_fmt(x)},{_fmt(y)}\n")
-        else:
-            fh.write("phi,hv_over_ha,one_over_ha\n")
-            for phi, curve in zip(phis, curves):
-                for x, y in curve:
-                    fh.write(f"{_fmt(phi)},{_fmt(x)},{_fmt(y)}\n")
+    if len(phis) == 1:
+        _write_table(args.out, curves[0], "hv_over_ha,one_over_ha")
+    else:
+        table = np.vstack([np.column_stack((np.full(len(c), phi), c))
+                           for phi, c in zip(phis, curves)])
+        _write_table(args.out, table, "phi,hv_over_ha,one_over_ha")
     print(f"wrote {sum(len(c) for c in curves)} boundary points to {args.out}")
     return EXIT_OK
 
@@ -183,12 +181,9 @@ def cmd_sweep(args) -> int:
         peak_w, peak_m = 0.0, 1.0
     else:
         peak_w, peak_m, mags = analysis.refined_peak(policy, params, grid)
-    with open(args.out, "w") as fh:
-        fh.write("omega,magnitude\n")
-        for w, m in zip(grid, mags):
-            fh.write(f"{_fmt(w)},{_fmt(m)}\n")
-        fh.write(f"# peak_omega = {_fmt(peak_w)}, peak_magnitude = {_fmt(peak_m)}\n")
-    print(f"peak_omega = {_fmt(peak_w)}, peak_magnitude = {_fmt(peak_m)}")
+    peak = f"peak_omega = {_fmt(peak_w)}, peak_magnitude = {_fmt(peak_m)}"
+    _write_table(args.out, np.column_stack((grid, mags)), "omega,magnitude", "# " + peak)
+    print(peak)
     return EXIT_OK
 
 

@@ -1,12 +1,12 @@
 """Decentralized tracking controllers for the delayed spacing policies.
 
-One specialized law per policy (all three are exact input-output
-linearizations: with them the spacing error obeys a linear ODE of order
-rho_bar driven only by its own state).  ``track`` is the one dispatch from
-the policy kind to its spacing errors and law, on plain floats; the
-simulator calls it every step and ``control`` calls it on one set of
-measurements.  The generic relative-degree indexed form, evaluated from
-the (H, H_bar) rows, reproduces the specialized laws to rounding.
+One law per policy, each an exact input-output linearization: with it the
+spacing error obeys a linear ODE of order rho_bar driven only by its own
+state.  ``track`` writes the three laws out, each with its spacing errors
+and reference spacing, on plain floats; the simulator calls it every step
+and ``control`` calls it on one set of measurements.  The generic form
+indexed by the relative degrees of the (H, H_bar) rows lives in
+``tests/oracles.py`` as the reference the laws are checked against.
 """
 
 from __future__ import annotations
@@ -15,21 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .dynamics import VehicleParams, VehicleState
 from .errors import ChannelError, DegreeError
-from .spacing import (
-    PolicyKind,
-    PolicyRows,
-    SpacingPolicy,
-    dc_errors,
-    dch_errors,
-    ext_error,
-    policy_rows,
-    relative_degrees,
-    spacing_error_from_rows,
-)
+from .spacing import PolicyKind, SpacingPolicy, policy_rows, relative_degrees
 
 __all__ = [
     "ControllerGains",
@@ -39,7 +27,6 @@ __all__ = [
     "validate_gains",
     "track",
     "control",
-    "generic_rho_controller",
 ]
 
 
@@ -69,9 +56,14 @@ class ControlInputs:
     ego_predicted: VehicleState
     delta: float
     delta_dot: float
-    predecessor_v: float | None = None
     predecessor_a: float | None = None
     predecessor_u_delayed: float | None = None
+
+    def __post_init__(self):
+        channels = (self.predecessor_a, self.predecessor_u_delayed)
+        values = (self.delta, self.delta_dot, *(c for c in channels if c is not None))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("delta, delta_dot and the predecessor channels must be finite")
 
 
 def validate_gains(rho_bar: int, gains: ControllerGains) -> list[str]:
@@ -117,25 +109,6 @@ class ControllerSpec:
             )
 
 
-def dc_control(tau_i, tau_prev, k_p, k_d, k_dd, e, edot, eddot, a_prev, a_hat, u_prev_delayed):
-    """Delayed-constant tracking law (feedforward of the predecessor input)."""
-    return (
-        (tau_i / tau_prev) * (u_prev_delayed - a_prev)
-        + a_hat
-        + tau_i * (k_p * e + k_d * edot + k_dd * eddot)
-    )
-
-
-def dch_control(tau_i, h_v, k_p, k_d, e, edot, a_prev, a_i, a_hat):
-    """Delayed constant headway tracking law (needs V2V predecessor acceleration)."""
-    return a_hat + (tau_i / h_v) * (a_prev - a_i + k_p * e + k_d * edot)
-
-
-def ext_control(tau_i, h_v, h_a, k_p, e, dv, a_i, a_hat):
-    """Delayed extended headway tracking law (onboard measurements only)."""
-    return a_hat + (tau_i / h_a) * (dv - h_v * a_i + k_p * e)
-
-
 class TrackingLaw(NamedTuple):
     """The floats of one follower's tracking law, unpacked once from its spec.
     tau_pred is nan without predecessor parameters; only the constant law reads it."""
@@ -166,14 +139,21 @@ def track(law: TrackingLaw, q, v, a, qh, vh, ah, delta, delta_dot, pred_a, pred_
     acceleration and delayed input where the law reads them."""
     kind, h_v, h_a, k_p, k_d, k_dd, tau, tau_pred = law
     if kind is PolicyKind.DELAYED_CONSTANT:
-        e, edot, eddot = dc_errors(delta, delta_dot, q, v, qh, vh, ah, pred_a)
-        u = dc_control(tau, tau_pred, k_p, k_d, k_dd, e, edot, eddot, pred_a, ah, pred_u)
+        # Delta_ref = q(t+phi) - q(t); e''' = -k_dd e'' - k_d e' - k_p e, with the
+        # predecessor's delayed input fed forward through its engine lag
+        e = delta + q - qh
+        edot = delta_dot + v - vh
+        eddot = pred_a - ah
+        u = (tau / tau_pred) * (pred_u - pred_a) + ah + tau * (k_p * e + k_d * edot + k_dd * eddot)
         return u, e, qh - q
     if kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-        e, edot = dch_errors(h_v, delta, delta_dot, vh, ah)
-        return dch_control(tau, h_v, k_p, k_d, e, edot, pred_a, a, ah), e, h_v * vh
-    e = ext_error(h_v, h_a, delta, v, ah)
-    return ext_control(tau, h_v, h_a, k_p, e, delta_dot, a, ah), e, h_v * v + h_a * ah
+        # Delta_ref = h_v v(t+phi); e'' = -k_d e' - k_p e
+        e = delta - h_v * vh
+        edot = delta_dot - h_v * ah
+        return ah + (tau / h_v) * (pred_a - a + k_p * e + k_d * edot), e, h_v * vh
+    # Delta_ref = h_v v(t) + h_a a(t+phi); e' = -k_p e from onboard measurements
+    e = delta - h_v * v - h_a * ah
+    return ah + (tau / h_a) * (delta_dot - h_v * a + k_p * e), e, h_v * v + h_a * ah
 
 
 def control(spec: ControllerSpec, inputs: ControlInputs) -> float:
@@ -190,66 +170,3 @@ def control(spec: ControllerSpec, inputs: ControlInputs) -> float:
         inputs.delta_dot, inputs.predecessor_a, inputs.predecessor_u_delayed,
     )
     return float(u)
-
-
-def generic_rho_controller(
-    rows: PolicyRows,
-    rho_bar: int,
-    gains: ControllerGains,
-    inputs: ControlInputs,
-    params: VehicleParams,
-    predecessor: VehicleParams | None = None,
-) -> float:
-    """Relative-degree indexed controller evaluated from the policy rows.
-
-    Assumes the solvability condition holds (rho_bar < rho, or rho_bar = 3
-    with H x = -q), under which the delayed own-input terms drop out.
-    Reproduces the specialized laws to rounding when given their rows.
-    """
-    a_mat, b_vec = params.system_matrices()
-    h = np.asarray(rows.H)
-    hb = np.asarray(rows.H_bar)
-    x = inputs.ego_state.as_array()
-    xp = inputs.ego_predicted.as_array()
-
-    e = spacing_error_from_rows(rows, inputs.delta, x, xp)
-    if rho_bar == 1:
-        hb_b = hb @ b_vec
-        num = inputs.delta_dot - h @ a_mat @ x - hb @ a_mat @ xp + gains.k_p * e
-        return float(num / hb_b)
-    if rho_bar == 2:
-        if inputs.predecessor_a is None:
-            raise ChannelError("rho_bar = 2 control needs the predecessor acceleration")
-        a2 = a_mat @ a_mat
-        e_dot = inputs.delta_dot - h @ a_mat @ x - hb @ a_mat @ xp
-        num = (
-            inputs.predecessor_a
-            - inputs.ego_state.a
-            - h @ a2 @ x
-            - hb @ a2 @ xp
-            + gains.k_p * e
-            + gains.k_d * e_dot
-        )
-        return float(num / (hb @ a_mat @ b_vec))
-    if rho_bar == 3:
-        if inputs.predecessor_a is None or inputs.predecessor_u_delayed is None:
-            raise ChannelError(
-                "rho_bar = 3 control needs predecessor acceleration and delayed input"
-            )
-        if predecessor is None:
-            raise ChannelError("rho_bar = 3 control needs the predecessor parameters")
-        a2 = a_mat @ a_mat
-        a3 = a2 @ a_mat
-        e_dot = inputs.delta_dot - h @ a_mat @ x - hb @ a_mat @ xp
-        e_ddot = (
-            inputs.predecessor_a - inputs.ego_state.a - h @ a2 @ x - hb @ a2 @ xp
-        )
-        num = (
-            (inputs.predecessor_u_delayed - inputs.predecessor_a) / predecessor.tau
-            - hb @ a3 @ xp
-            + gains.k_p * e
-            + gains.k_d * e_dot
-            + gains.k_dd * e_ddot
-        )
-        return float(num / (hb @ a2 @ b_vec))
-    raise DegreeError(f"unsupported relative degree {rho_bar}")

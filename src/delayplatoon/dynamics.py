@@ -44,14 +44,6 @@ class VehicleParams:
         if not (math.isfinite(self.phi) and self.phi >= 0.0):
             raise ValueError(f"phi must be finite and >= 0, got {self.phi}")
 
-    def system_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Continuous-time (A, B) of the delayed third-order model."""
-        a = np.array(
-            [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0 / self.tau]]
-        )
-        b = np.array([0.0, 0.0, 1.0 / self.tau])
-        return a, b
-
 
 @dataclass(frozen=True)
 class VehicleState:
@@ -131,6 +123,14 @@ class DiscreteModel:
     Phi: np.ndarray
     Gamma: np.ndarray
     Ts: float
+
+    def __post_init__(self):
+        if np.shape(self.Phi) != (3, 3) or np.shape(self.Gamma) != (3,):
+            raise ValueError("Phi must be 3x3 and Gamma of length 3")
+        if not (np.all(np.isfinite(self.Phi)) and np.all(np.isfinite(self.Gamma))):
+            raise ValueError("Phi and Gamma must be finite")
+        if not (math.isfinite(self.Ts) and self.Ts > 0.0):
+            raise ValueError(f"Ts must be finite and > 0, got {self.Ts}")
 
 
 def matrix_exponential_closed_form(params: VehicleParams, t: float) -> np.ndarray:

@@ -9,10 +9,11 @@ coarser radar and V2V rates, both off by default.
 
 ``run`` is one loop over Python floats.  Everything a run does not change
 (the ZOH and prediction coefficients, each follower's ``TrackingLaw``) is
-unpacked before the loop.  Each follower's law is ``controllers.track``,
-the same function ``controllers.control`` calls, and each value is
-computed by the same operations in the same order as in the scalar loop
-kept in ``tests/oracles.py`` as ``run_reference``, so the two give
+unpacked before the loop.  Each follower's spacing errors and law come from
+``controllers.track``, the same function ``controllers.control`` calls.
+``tests/oracles.py`` keeps the scalar loop this replaced as
+``run_reference``, with its own copy of the three laws; it computes every
+value by the same operations in the same order, so the two give
 bit-identical logs.
 """
 

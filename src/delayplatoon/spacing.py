@@ -1,4 +1,5 @@
-"""Delayed spacing policies, spacing errors, and the closed-form predicates.
+"""Delayed spacing policies, their rows and relative degrees, and the
+closed-form predicates.
 
 Three policies are supported, each a function of current and predicted ego
 states, Delta_ref = H x(t) + H_bar x(t + phi):
@@ -17,9 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .dynamics import VehicleParams
 
@@ -32,7 +32,6 @@ __all__ = [
     "policy_rows",
     "relative_degrees",
     "solvability_check",
-    "spacing_error_from_rows",
     "is_proper",
     "is_string_stable",
 ]
@@ -89,6 +88,12 @@ class PolicyRows:
 
     H: tuple[float, float, float]
     H_bar: tuple[float, float, float]
+
+    def __post_init__(self):
+        for row in (self.H, self.H_bar):
+            if not (isinstance(row, tuple) and len(row) == 3 and all(
+                    isinstance(x, numbers.Real) and math.isfinite(x) for x in row)):
+                raise ValueError(f"H and H_bar must be 3-tuples of finite numbers, got {row!r}")
 
 
 @dataclass(frozen=True)
@@ -168,33 +173,6 @@ def solvability_check(rows: PolicyRows, params: VehicleParams) -> SolvabilityRes
     return SolvabilityResult(
         False, f"rho_bar = {rho_bar} not < rho = {rho} and H x != -q"
     )
-
-
-def spacing_error_from_rows(
-    rows: PolicyRows, delta: float, x: np.ndarray, x_pred: np.ndarray
-) -> float:
-    """e = Delta - H x - H_bar x(t+phi); delta is standstill-adjusted."""
-    h = np.asarray(rows.H)
-    hb = np.asarray(rows.H_bar)
-    return float(delta - h @ x - hb @ x_pred)
-
-
-def dc_errors(delta, delta_dot, q, v, q_hat, v_hat, a_hat, predecessor_a):
-    """(e, e_dot, e_ddot) for the delayed constant spacing policy."""
-    e = delta + q - q_hat
-    e_dot = delta_dot + v - v_hat
-    e_ddot = predecessor_a - a_hat
-    return e, e_dot, e_ddot
-
-
-def dch_errors(h_v, delta, delta_dot, v_hat, a_hat):
-    """(e, e_dot) for the delayed constant headway policy."""
-    return delta - h_v * v_hat, delta_dot - h_v * a_hat
-
-
-def ext_error(h_v, h_a, delta, v, a_hat):
-    """e for the delayed extended headway policy."""
-    return delta - h_v * v - h_a * a_hat
 
 
 def _extended_properness_margin(policy: SpacingPolicy, params: VehicleParams):

@@ -1,7 +1,12 @@
 """References that the tests compare the package against: closed forms, the
-convolution-integral predictor, the float-loop simulator that
-`delayplatoon.run` replaced and the scalar golden-section refinement that
-`refined_peak` replaced."""
+convolution-integral predictor, the continuous-time (A, B) of the vehicle
+model, the generic controller indexed by the relative degrees of the policy
+rows, the float-loop simulator that `delayplatoon.run` replaced and the
+scalar golden-section refinement that `refined_peak` replaced.
+
+The spacing errors and tracking laws here are written out independently of
+`delayplatoon.controllers.track`: nothing below imports them from the
+package, so a wrong law there shows as a disagreement."""
 
 import math
 from collections import deque
@@ -10,15 +15,9 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from delayplatoon.controllers import (
-    ControllerGains,
-    dc_control,
-    dch_control,
-    ext_control,
-    validate_gains,
-)
-from delayplatoon.dynamics import InputHistory, delay_steps, discretize
-from delayplatoon.errors import DegreeError
+from delayplatoon.controllers import ControlInputs, ControllerGains, validate_gains
+from delayplatoon.dynamics import InputHistory, VehicleParams, delay_steps, discretize
+from delayplatoon.errors import ChannelError, DegreeError
 from delayplatoon.analysis import transfer_magnitude
 from delayplatoon.predictor import prediction_weights
 from delayplatoon.simulator import (
@@ -29,7 +28,7 @@ from delayplatoon.simulator import (
     VehicleSetup,
     leader_input,
 )
-from delayplatoon.spacing import PolicyKind, dc_errors, dch_errors, ext_error
+from delayplatoon.spacing import PolicyKind, PolicyRows
 
 
 def dch_rightmost_root(h_v: float, phi: float) -> complex:
@@ -105,6 +104,81 @@ def error_dynamics_reference(
     return series
 
 
+def system_matrices(params: VehicleParams) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous-time (A, B) of the delayed third-order model."""
+    a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0 / params.tau]])
+    b = np.array([0.0, 0.0, 1.0 / params.tau])
+    return a, b
+
+
+def spacing_error_from_rows(
+    rows: PolicyRows, delta: float, x: np.ndarray, x_pred: np.ndarray
+) -> float:
+    """e = Delta - H x - H_bar x(t+phi); delta is standstill-adjusted."""
+    return float(delta - np.asarray(rows.H) @ x - np.asarray(rows.H_bar) @ x_pred)
+
+
+def generic_rho_controller(
+    rows: PolicyRows,
+    rho_bar: int,
+    gains: ControllerGains,
+    inputs: ControlInputs,
+    params: VehicleParams,
+    predecessor: VehicleParams | None = None,
+) -> float:
+    """Relative-degree indexed controller evaluated from the policy rows.
+
+    Assumes the solvability condition holds (rho_bar < rho, or rho_bar = 3
+    with H x = -q), under which the delayed own-input terms drop out.
+    Reproduces the policy-matched laws to rounding when given their rows.
+    """
+    a_mat, b_vec = system_matrices(params)
+    h = np.asarray(rows.H)
+    hb = np.asarray(rows.H_bar)
+    x = inputs.ego_state.as_array()
+    xp = inputs.ego_predicted.as_array()
+
+    e = spacing_error_from_rows(rows, inputs.delta, x, xp)
+    if rho_bar == 1:
+        hb_b = hb @ b_vec
+        num = inputs.delta_dot - h @ a_mat @ x - hb @ a_mat @ xp + gains.k_p * e
+        return float(num / hb_b)
+    if rho_bar == 2:
+        if inputs.predecessor_a is None:
+            raise ChannelError("rho_bar = 2 control needs the predecessor acceleration")
+        a2 = a_mat @ a_mat
+        e_dot = inputs.delta_dot - h @ a_mat @ x - hb @ a_mat @ xp
+        num = (
+            inputs.predecessor_a
+            - inputs.ego_state.a
+            - h @ a2 @ x
+            - hb @ a2 @ xp
+            + gains.k_p * e
+            + gains.k_d * e_dot
+        )
+        return float(num / (hb @ a_mat @ b_vec))
+    if rho_bar == 3:
+        if inputs.predecessor_a is None or inputs.predecessor_u_delayed is None:
+            raise ChannelError(
+                "rho_bar = 3 control needs predecessor acceleration and delayed input"
+            )
+        if predecessor is None:
+            raise ChannelError("rho_bar = 3 control needs the predecessor parameters")
+        a2 = a_mat @ a_mat
+        a3 = a2 @ a_mat
+        e_dot = inputs.delta_dot - h @ a_mat @ x - hb @ a_mat @ xp
+        e_ddot = inputs.predecessor_a - inputs.ego_state.a - h @ a2 @ x - hb @ a2 @ xp
+        num = (
+            (inputs.predecessor_u_delayed - inputs.predecessor_a) / predecessor.tau
+            - hb @ a3 @ xp
+            + gains.k_p * e
+            + gains.k_d * e_dot
+            + gains.k_dd * e_ddot
+        )
+        return float(num / (hb @ a2 @ b_vec))
+    raise DegreeError(f"unsupported relative degree {rho_bar}")
+
+
 def _vehicle_model(setup: VehicleSetup, ts: float):
     """(Phi, Gamma, Phi^d, prediction weights most recent first, input
     history) of one vehicle as Python floats, for the scalar stepper."""
@@ -125,10 +199,11 @@ def run_reference(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog
     """The closed loop as one interpreted loop over Python floats.
 
     Within a step the leader input is computed first and the followers run
-    front to back, each calling the predictor, the spacing-error and the
-    control-law functions on the values of that sample instant.  Reference
-    for ``delayplatoon.run``, which computes every value by the same
-    operations in the same order, so the logs are identical.
+    front to back, each predicting its state and evaluating its policy's
+    spacing errors and law, written out here, on the values of that sample
+    instant.  Reference for ``delayplatoon.run`` and ``controllers.track``,
+    which compute every value by the same operations in the same order, so
+    the logs are identical.
     """
     ts = config.ts
     n_steps = int(round(config.horizon / ts))
@@ -176,21 +251,27 @@ def run_reference(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog
             policy = config.policies[f]
             gains = config.controllers[f].gains
             delta_adj = delta_m - policy.standstill
+            # the policy's spacing errors and law, written out here
+            h_v, h_a = policy.h_v, policy.h_a
             if policy.kind is PolicyKind.DELAYED_CONSTANT:
-                e, edot, eddot = dc_errors(delta_adj, delta_dot_m, q, v, qh, vh, ah, pred_a)
-                u = dc_control(
-                    tau[i], tau[f], gains.k_p, gains.k_d, gains.k_dd,
-                    e, edot, eddot, pred_a, ah, pred_u,
+                e = delta_adj + q - qh
+                edot = delta_dot_m + v - vh
+                eddot = pred_a - ah
+                u = (
+                    (tau[i] / tau[f]) * (pred_u - pred_a)
+                    + ah
+                    + tau[i] * (gains.k_p * e + gains.k_d * edot + gains.k_dd * eddot)
                 )
                 dref = (qh - q) + policy.standstill
             elif policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-                e, edot = dch_errors(policy.h_v, delta_adj, delta_dot_m, vh, ah)
-                u = dch_control(tau[i], policy.h_v, gains.k_p, gains.k_d, e, edot, pred_a, a, ah)
-                dref = policy.h_v * vh + policy.standstill
+                e = delta_adj - h_v * vh
+                edot = delta_dot_m - h_v * ah
+                u = ah + (tau[i] / h_v) * (pred_a - a + gains.k_p * e + gains.k_d * edot)
+                dref = h_v * vh + policy.standstill
             else:
-                e = ext_error(policy.h_v, policy.h_a, delta_adj, v, ah)
-                u = ext_control(tau[i], policy.h_v, policy.h_a, gains.k_p, e, delta_dot_m, a, ah)
-                dref = policy.h_v * v + policy.h_a * ah + policy.standstill
+                e = delta_adj - h_v * v - h_a * ah
+                u = ah + (tau[i] / h_a) * (delta_dot_m - h_v * a + gains.k_p * e)
+                dref = h_v * v + h_a * ah + policy.standstill
             u_cmd[i] = u
             e_row.append(e)
             delta_row.append(delta)

@@ -14,10 +14,9 @@ import pytest
 import delayplatoon as dp
 from delayplatoon import analysis
 from delayplatoon.analysis import QuasiPolynomial
-from delayplatoon.controllers import generic_rho_controller
 from delayplatoon.spacing import PolicyKind
 
-from oracles import error_dynamics_reference
+from oracles import error_dynamics_reference, generic_rho_controller
 
 REF_VEHICLE = dp.VehicleParams(tau=0.067, phi=0.15)
 
@@ -272,7 +271,6 @@ def test_a10_generic_specialized_equivalence():
                     ego_predicted=dp.VehicleState(*rng.normal(size=3)),
                     delta=rng.normal(),
                     delta_dot=rng.normal(),
-                    predecessor_v=rng.normal(),
                     predecessor_a=rng.normal(),
                     predecessor_u_delayed=rng.normal(),
                 )

@@ -1,9 +1,14 @@
+import math
+
+import numpy as np
 import pytest
 
 import delayplatoon as dp
-from delayplatoon.controllers import generic_rho_controller, validate_gains
+from delayplatoon.controllers import validate_gains
 from delayplatoon.errors import ChannelError, DegreeError
 from delayplatoon.spacing import PolicyKind
+
+from oracles import generic_rho_controller
 
 TAU = 0.067
 REF_VEHICLE = dp.VehicleParams(tau=TAU, phi=0.15)
@@ -23,7 +28,6 @@ def zero_inputs(**overrides):
         ego_predicted=dp.VehicleState(),
         delta=0.0,
         delta_dot=0.0,
-        predecessor_v=0.0,
         predecessor_a=0.0,
         predecessor_u_delayed=0.0,
     )
@@ -37,7 +41,6 @@ def random_inputs(rng):
         ego_predicted=dp.VehicleState(*rng.normal(size=3)),
         delta=rng.normal(),
         delta_dot=rng.normal(),
-        predecessor_v=rng.normal(),
         predecessor_a=rng.normal(),
         predecessor_u_delayed=rng.normal(),
     )
@@ -215,3 +218,42 @@ class TestGenericController:
             generic_rho_controller(
                 dp.policy_rows(CONSTANT), 3, CONSTANT_GAINS, zero_inputs(), REF_VEHICLE,
             )
+
+
+NAN, INF = math.nan, math.inf
+EYE, ZERO3 = np.eye(3), np.zeros(3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: zero_inputs(delta=NAN),
+        lambda: zero_inputs(delta=-INF),
+        lambda: zero_inputs(delta_dot=NAN),
+        lambda: zero_inputs(predecessor_a=INF),
+        lambda: zero_inputs(predecessor_u_delayed=NAN),
+        lambda: dp.DiscreteModel(NAN * EYE, ZERO3, 0.01),
+        lambda: dp.DiscreteModel(EYE, np.array([0.0, INF, 0.0]), 0.01),
+        lambda: dp.DiscreteModel(np.eye(2), ZERO3, 0.01),
+        lambda: dp.DiscreteModel(EYE, 0.0, 0.01),
+        lambda: dp.DiscreteModel(EYE, ZERO3, -1.0),
+        lambda: dp.DiscreteModel(EYE, ZERO3, 0.0),
+        lambda: dp.DiscreteModel(EYE, ZERO3, NAN),
+        lambda: dp.PolicyRows((NAN, 0.0, 0.0), (0.0, 0.0, NAN)),
+        lambda: dp.PolicyRows((0.0, 0.0, 1.0), (0.0, INF, 0.0)),
+        lambda: dp.PolicyRows((0.0, 1.0), (0.0, 0.0, 1.0)),
+        lambda: dp.PolicyRows([0.0, 0.0, 0.0], (0.0, 1.0, 0.0)),
+        lambda: dp.PolicyRows((0.0, 0.0, 0.0), (0.0, "1", 0.0)),
+    ],
+    ids=[
+        "inputs-delta-nan", "inputs-delta-inf", "inputs-delta-dot-nan", "inputs-pred-a-inf",
+        "inputs-pred-u-nan", "model-phi-nan", "model-gamma-inf", "model-phi-2x2",
+        "model-gamma-scalar", "model-ts-negative", "model-ts-zero", "model-ts-nan",
+        "rows-nan", "rows-inf", "rows-short", "rows-list", "rows-str",
+    ],
+)
+def test_constructors_reject_bad_values(build):
+    """ControlInputs, DiscreteModel and PolicyRows check what they are given,
+    so nan never reaches control(), predict() or solvability_check()."""
+    with pytest.raises(ValueError):
+        build()

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import delayplatoon as dp
 from delayplatoon.errors import DelayGranularityError
 
+from oracles import system_matrices
+
 
 def series_expm(a: np.ndarray, t: float, terms: int = 31) -> np.ndarray:
     """Truncated Taylor series oracle for e^{A t}."""
@@ -60,7 +62,7 @@ class TestMatrixExponential:
         assert m[1, 2] == pytest.approx(1.0, rel=1e-12)
 
     def test_against_series_oracle(self, ref_params):
-        a, _ = ref_params.system_matrices()
+        a, _ = system_matrices(ref_params)
         t = 0.01
         expected = series_expm(a, t)
         got = dp.matrix_exponential_closed_form(ref_params, t)
@@ -82,7 +84,7 @@ class TestDiscretize:
 
     def test_gamma_against_simpson_quadrature(self, ref_params):
         ts = 0.01
-        a, b = ref_params.system_matrices()
+        a, b = system_matrices(ref_params)
         n = 10_000  # composite Simpson panels
         sigma = np.linspace(0.0, ts, 2 * n + 1)
         values = np.stack(
@@ -101,7 +103,7 @@ class TestDiscretize:
             tau = rng.uniform(0.03, 1.5)
             ts = rng.uniform(1e-3, 0.1)
             p = dp.VehicleParams(tau=tau, phi=0.0)
-            a, b = p.system_matrices()
+            a, b = system_matrices(p)
             aug = np.zeros((4, 4))
             aug[:3, :3] = a
             aug[:3, 3] = b
@@ -190,7 +192,7 @@ def test_discrete_matches_continuous_closed_form(seed):
     n = int(rng.integers(1, 60))
     p = dp.VehicleParams(tau=tau, phi=0.0)
     m = dp.discretize(p, ts)
-    a, b = p.system_matrices()
+    a, b = system_matrices(p)
     aug = np.zeros((4, 4))
     aug[:3, :3] = a
     aug[:3, 3] = b

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import delayplatoon as dp
-from delayplatoon.cli import main
+from delayplatoon import analysis
+from delayplatoon.cli import main, write_csv
 from delayplatoon.errors import DelayGranularityError, ScenarioError
 from delayplatoon.scenario import load_scenario_text
 from delayplatoon.spacing import PolicyKind
@@ -444,6 +445,63 @@ class TestExitCodeContract:
         assert "proper (closed form): no" in out
         assert "proper (root check): inconclusive [" in out
         assert out.splitlines()[-1] == verdict
+
+
+def csv_text(header: str, rows, footer: str = "") -> str:
+    """The README's CSV format: a header line, then one line per row with
+    every value at 17 significant digits."""
+    lines = [header] + [",".join(f"{x:.17g}" for x in row) for row in rows]
+    return "\n".join(lines + ([footer] if footer else [])) + "\n"
+
+
+def trajectory_writer(tmp_path):
+    # two vehicles, two samples; values that need all 17 digits, signed zero
+    # and extreme exponents
+    vals = iter([0.1, -0.0, 1 / 3, 2.5e-300, -7.0, 1e22, math.pi, -1e-7, 0.3] * 3)
+    cols = {name: np.array([[next(vals) for _ in range(nc)] for _ in range(2)])
+            for name, nc in (("q", 2), ("v", 2), ("a", 2), ("u", 2), ("e", 1),
+                             ("delta", 1), ("delta_ref", 1))}
+    log = dp.TrajectoryLog(t=np.array([0.0, 0.01]), ts=0.01, **cols)
+    write_csv(log, tmp_path / "out.csv")
+    rows = [
+        [log.t[k]]
+        + [getattr(log, c)[k, i] for i in range(2) for c in "qvau"]
+        + [log.e[k, 0], log.delta[k, 0], log.delta_ref[k, 0]]
+        for k in range(2)
+    ]
+    return csv_text("t,q0,v0,a0,u0,q1,v1,a1,u1,e1,delta1,deltaref1", rows)
+
+
+def region_writer(phis):
+    def write(tmp_path):
+        argv = ["region", str(tmp_path / "out.csv"), "--points", "5"]
+        assert main(argv + [a for phi in phis for a in ("--phi", repr(phi))]) == 0
+        curves = [analysis.stability_region_boundary(phi, 5) for phi in phis]
+        if len(phis) == 1:
+            return csv_text("hv_over_ha,one_over_ha", curves[0])
+        rows = [(phi, x, y) for phi, curve in zip(phis, curves) for x, y in curve]
+        return csv_text("phi,hv_over_ha,one_over_ha", rows)
+    return write
+
+
+def sweep_writer(tmp_path):
+    assert main(["sweep", str(tmp_path / "out.csv"), "dch", "--hv", "0.29", "--points", "6"]) == 0
+    policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.29)
+    params = dp.VehicleParams(tau=0.067, phi=0.15)
+    grid = analysis.default_sweep_grid(policy, params, 6)
+    peak_w, peak_m, mags = analysis.refined_peak(policy, params, grid)
+    footer = f"# peak_omega = {peak_w:.17g}, peak_magnitude = {peak_m:.17g}"
+    return csv_text("omega,magnitude", zip(grid, mags), footer)
+
+
+@pytest.mark.parametrize(
+    "writer",
+    [trajectory_writer, region_writer([0.15]), region_writer([0.1, 0.2]), sweep_writer],
+    ids=["simulate", "region-1", "region-2", "sweep"],
+)
+def test_csv_bytes_follow_the_17_digit_format(tmp_path, capsys, writer):
+    expected = writer(tmp_path)
+    assert (tmp_path / "out.csv").read_text() == expected
 
 
 def test_import_loads_neither_scipy_nor_numba():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayplatoon as dp
-from delayplatoon import analysis
+from delayplatoon import analysis, simulator
 from delayplatoon.errors import DelayGranularityError, HistoryDepthError
 from delayplatoon.simulator import MeasurementModel, MeasurementOptions
 from delayplatoon.spacing import PolicyKind
@@ -164,6 +164,31 @@ class TestRun:
         )
         log = dp.run(clamped, profile)
         assert np.min(log.v) >= 0.0
+
+    def test_every_follower_step_goes_through_track(self, monkeypatch):
+        """run evaluates each follower's law by calling controllers.track,
+        once per follower and sample, and nothing else changes the logs."""
+        lead = dp.VehicleParams(tau=0.1, phi=0.1)
+        specs = [
+            dp.ControllerSpec(CONSTANT, CONSTANT_GAINS, ego=REF_VEHICLE, predecessor=lead),
+            dp.ControllerSpec(DCH, DCH_GAINS, ego=REF_VEHICLE, predecessor=REF_VEHICLE),
+            dp.ControllerSpec(EXT, EXT_GAINS, ego=REF_VEHICLE),
+        ]
+        cfg = dp.PlatoonConfig(
+            vehicles=(dp.VehicleSetup(lead),) + (dp.VehicleSetup(REF_VEHICLE),) * 3,
+            policies=tuple(spec.policy for spec in specs),
+            controllers=tuple(specs),
+            ts=0.01,
+            horizon=3.0,
+        )
+        want = dp.run(cfg, pulse_profile())
+        calls = []
+        track = simulator.track
+        monkeypatch.setattr(simulator, "track", lambda *args: calls.append(1) or track(*args))
+        got = dp.run(cfg, pulse_profile())
+        assert len(calls) == got.n_followers * len(got.t) == 3 * 301
+        for name in ("t", "q", "v", "a", "u", "e", "delta", "delta_ref"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     @pytest.mark.parametrize(
         "policy,gains",

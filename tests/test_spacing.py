@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 import delayplatoon as dp
 from delayplatoon import analysis
-from delayplatoon.spacing import (
-    PolicyKind,
-    PolicyRows,
-    dc_errors,
-    dch_errors,
-    ext_error,
-    spacing_error_from_rows,
-)
+from delayplatoon.controllers import TrackingLaw, track
+from delayplatoon.spacing import PolicyKind, PolicyRows
+
+from oracles import spacing_error_from_rows
 
 CONSTANT = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT)
 DCH = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.4)
@@ -86,35 +82,35 @@ class TestSolvability:
         assert not dp.solvability_check(rows, ref_params)
 
 
+def policy_law(policy):
+    """The policy's TrackingLaw with stabilizing gains and tau = 0.067 s."""
+    return TrackingLaw(policy.kind, policy.h_v, policy.h_a, 1.0, 3.0, 0.5, 0.067, 0.067)
+
+
 def policy_formula_error(policy, delta, delta_dot, x, xp):
-    """e from the policy's own spacing-error function, the one track calls."""
-    if policy.kind is PolicyKind.DELAYED_CONSTANT:
-        return dc_errors(delta, delta_dot, x[0], x[1], xp[0], xp[1], xp[2], 0.0)[0]
-    if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-        return dch_errors(policy.h_v, delta, delta_dot, xp[1], xp[2])[0]
-    return ext_error(policy.h_v, policy.h_a, delta, x[1], xp[2])
+    """e from controllers.track, the law the simulator runs."""
+    return track(policy_law(policy), *x, *xp, delta, delta_dot, 0.0, 0.0)[1]
 
 
 class TestSpacingError:
     def test_all_zero(self):
-        assert dc_errors(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
-        assert dch_errors(DCH.h_v, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
-        assert ext_error(EXT.h_v, EXT.h_a, 0.0, 0.0, 0.0) == 0.0
         for policy in (CONSTANT, DCH, EXT):
+            assert track(policy_law(policy), *[0.0] * 10) == (0.0, 0.0, 0.0)
             rows = dp.policy_rows(policy)
             assert spacing_error_from_rows(rows, 0.0, np.zeros(3), np.zeros(3)) == 0.0
 
     def test_dch_satisfied_exactly(self):
         x, xp = np.array([0.0, 5.0, 0.0]), np.array([3.0, 5.0, 0.0])
-        e, e_dot = dch_errors(DCH.h_v, 0.4 * 5.0, 0.0, xp[1], xp[2])
-        assert e == 0.0 and e_dot == 0.0
+        # with every acceleration 0, u = 0 exactly when e and e_dot are
+        u, e, dref = track(policy_law(DCH), *x, *xp, 0.4 * 5.0, 0.0, 0.0, 0.0)
+        assert e == 0.0 and u == 0.0 and dref == 0.4 * 5.0
         assert spacing_error_from_rows(dp.policy_rows(DCH), 0.4 * 5.0, x, xp) == 0.0
 
     def test_extended_steady_state(self):
         v = 7.0
         delta = 9.3
         x = xp = np.array([0.0, v, 0.0])
-        e = ext_error(EXT.h_v, EXT.h_a, delta, x[1], xp[2])
+        e = policy_formula_error(EXT, delta, 0.0, x, xp)
         assert e == pytest.approx(delta - 1.2 * v, abs=1e-15)
         assert spacing_error_from_rows(dp.policy_rows(EXT), delta, x, xp) == pytest.approx(
             e, abs=1e-15
