@@ -29,7 +29,6 @@ from .dynamics import (
     VehicleState,
     discretize,
     matrix_exponential_closed_form,
-    open_loop_step_response,
     step,
 )
 from .errors import (
@@ -50,6 +49,7 @@ from .simulator import (
     TrajectoryLog,
     VehicleSetup,
     leader_input,
+    open_loop_step_response,
     run,
 )
 from .spacing import (

@@ -239,10 +239,7 @@ def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> Stab
     (refined_peak).  Stable iff sup <= 1 + 1e-9.
     """
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
-        return StabilityVerdict(
-            True, "sweep", peak_omega=0.0, peak_magnitude=1.0,
-            detail="|T| = 1 identically",
-        )
+        return StabilityVerdict(True, "sweep", peak_omega=0.0, peak_magnitude=1.0)  # |T| = 1
     grid = default_sweep_grid(policy, params)
     best_w, best_m, _ = refined_peak(policy, params, grid)
     return StabilityVerdict(

@@ -4,14 +4,15 @@ State is (q, v, a): position, velocity, acceleration.  The engine lag tau
 drives a via a first-order response to the commanded input, which acts with
 an actuation delay phi.  Because the control input is held between samples
 (zero-order hold), the sampled dynamics admit an exact discretization, which
-is what this module provides in closed form.
+is what this module provides in closed form.  ``step`` takes one sample step
+of one vehicle; ``simulator.run`` steps a platoon with the same Phi and
+Gamma, and the open-loop step response is a one-vehicle ``run``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +27,6 @@ __all__ = [
     "discretize",
     "delay_steps",
     "step",
-    "open_loop_step_response",
-    "StepResponse",
 ]
 
 
@@ -188,31 +187,3 @@ def step(model: DiscreteModel, x: VehicleState, u_delayed: float) -> VehicleStat
         raise ValueError("u_delayed must be finite")
     xn = model.Phi @ x.as_array() + model.Gamma * u_delayed
     return VehicleState.from_array(xn)
-
-
-class StepResponse(NamedTuple):
-    t: np.ndarray
-    q: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-
-
-def open_loop_step_response(
-    params: VehicleParams, u_amplitude: float, horizon: float, Ts: float
-) -> StepResponse:
-    """Response from rest (zero state, zero history) to a constant input.
-
-    The acceleration column equals u*(1 - e^{-(t-phi)/tau}) for t >= phi and
-    0 before, up to rounding, since the discretization is exact.
-    """
-    model = discretize(params, Ts)
-    d = delay_steps(params, Ts)
-    n = int(round(horizon / Ts))
-    out = np.zeros((n + 1, 3))
-    x = np.zeros(3)
-    for k in range(n):
-        u_delayed = u_amplitude if k >= d else 0.0
-        x = model.Phi @ x + model.Gamma * u_delayed
-        out[k + 1] = x
-    t = np.arange(n + 1) * Ts
-    return StepResponse(t, out[:, 0], out[:, 1], out[:, 2])

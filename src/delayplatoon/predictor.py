@@ -5,13 +5,12 @@ is an exact function of the current state and the d buffered inputs:
 
     x(k + d) = Phi^d x(k) + sum_{j=1..d} Phi^{j-1} Gamma u(k - j)
 
-so no approximation is involved.  Powers of Phi are precomputed per
-(Phi, Gamma, depth) and cached, since prediction runs every control step.
+so no approximation is involved.  ``run`` computes the weights once per
+follower and run; ``predict`` computes them on each call.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -22,25 +21,18 @@ from .errors import HistoryDepthError
 __all__ = ["predict", "prediction_weights"]
 
 
-@functools.lru_cache(maxsize=256)
-def _weights_cached(phi_bytes, gamma_bytes, depth):
-    phi = np.frombuffer(phi_bytes).reshape(3, 3)
-    gamma = np.frombuffer(gamma_bytes)
+def prediction_weights(model: DiscreteModel, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi^depth, W) with W @ history.samples the forced response at t + phi.
+
+    W's columns are oldest first, as in InputHistory.samples: column m
+    multiplies u(k - (depth - m)), so its weight is Phi^{depth-1-m} Gamma.
+    """
     phi_d = np.eye(3)
-    # columns ordered oldest-first to match InputHistory.samples:
-    # column m multiplies u(k - (depth - m)), i.e. weight Phi^{depth-1-m} Gamma
     w = np.zeros((3, depth))
     for j in range(1, depth + 1):  # phi_d = Phi^{j-1} at loop entry
-        w[:, depth - j] = phi_d @ gamma
-        phi_d = phi @ phi_d
-    w.setflags(write=False)
-    phi_d.setflags(write=False)
+        w[:, depth - j] = phi_d @ model.Gamma
+        phi_d = model.Phi @ phi_d
     return phi_d, w
-
-
-def prediction_weights(model: DiscreteModel, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi^depth, W) with W @ history.samples the forced response at t + phi."""
-    return _weights_cached(model.Phi.tobytes(), model.Gamma.tobytes(), depth)
 
 
 def predict(model: DiscreteModel, x: VehicleState, history: InputHistory) -> VehicleState:

@@ -10,11 +10,14 @@ coarser radar and V2V rates, both off by default.
 ``run`` is one loop over Python floats.  Everything a run does not change
 (the ZOH and prediction coefficients, each follower's ``TrackingLaw``) is
 unpacked before the loop.  Each follower's spacing errors and law come from
-``controllers.track``, the same function ``controllers.control`` calls.
+``controllers.track``, the same function ``controllers.control`` calls.  The
+hold decides once per step whether each channel refreshes, for every
+follower at once.  ``open_loop_step_response`` is a one-vehicle ``run``, so
+``run`` and ``dynamics.step`` contain the only ZOH steps of the package.
 ``tests/oracles.py`` keeps the scalar loop this replaced as
-``run_reference``, with its own copy of the three laws; it computes every
-value by the same operations in the same order, so the two give
-bit-identical logs.
+``run_reference``, with its own copy of the three laws and a hold per
+follower; it computes every value by the same operations in the same order,
+so the two give bit-identical logs.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,12 +48,13 @@ __all__ = [
     "LeaderProfile",
     "leader_input",
     "MeasurementOptions",
-    "MeasurementModel",
     "VehicleSetup",
     "PlatoonConfig",
     "TrajectoryLog",
     "run",
     "MAX_SAMPLES",
+    "StepResponse",
+    "open_loop_step_response",
 ]
 
 MAX_SAMPLES = 10**6  # samples per run; a run keeps its whole log in memory
@@ -131,42 +136,6 @@ class MeasurementOptions:
                 raise ValueError("hold rates must be finite and > 0")
 
 
-class MeasurementModel:
-    """Stateful sample-and-hold of the radar and V2V channels.
-
-    ``sample`` maps exact measurement values at time t to what the controller
-    sees: unchanged when the holds are off, otherwise the values captured at
-    the most recent refresh instant of each channel.
-    """
-
-    def __init__(self, options: MeasurementOptions):
-        self.options = options
-        self._next_radar = 0.0
-        self._next_v2v = 0.0
-        self._radar: tuple[float, float] | None = None
-        self._v2v: tuple[float, float] | None = None
-
-    def sample(
-        self,
-        t: float,
-        delta: float,
-        delta_dot: float,
-        predecessor_a: float,
-        predecessor_u_delayed: float,
-    ) -> tuple[float, float, float, float]:
-        if self.options.radar_hold:
-            if t >= self._next_radar:
-                self._radar = (delta, delta_dot)
-                self._next_radar += 1.0 / self.options.radar_rate_hz
-            delta, delta_dot = self._radar
-        if self.options.v2v_hold:
-            if t >= self._next_v2v:
-                self._v2v = (predecessor_a, predecessor_u_delayed)
-                self._next_v2v += 1.0 / self.options.v2v_rate_hz
-            predecessor_a, predecessor_u_delayed = self._v2v
-        return delta, delta_dot, predecessor_a, predecessor_u_delayed
-
-
 @dataclass(frozen=True)
 class VehicleSetup:
     """Initial condition of one vehicle; history defaults to all zeros."""
@@ -207,9 +176,15 @@ class PlatoonConfig:
             )
         for setup in self.vehicles:
             d = delay_steps(setup.params, self.ts)  # raises DelayGranularityError
-            if setup.history is not None and setup.history.depth != d:
+            if setup.history is None:
+                continue
+            if setup.history.depth != d:
                 raise HistoryDepthError(
                     f"history depth {setup.history.depth} != phi/Ts = {d}"
+                )
+            if not math.isclose(setup.history.sample_period, self.ts, rel_tol=1e-12):
+                raise HistoryDepthError(
+                    f"history sample period {setup.history.sample_period} != ts {self.ts}"
                 )
         for f, (policy, spec) in enumerate(zip(self.policies, self.controllers)):
             if spec.policy != policy:
@@ -285,10 +260,15 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
             f + 1, TrackingLaw.of(spec), policy.standstill, phi_d.ravel().tolist(),
             weights, hists[f + 1], hists[f],
         ))
+    # sample-and-hold: each channel refreshes at t >= its next instant, the
+    # same instants for every follower; without a hold the period is 0 and
+    # every step refreshes.  radar holds (delta, delta_dot) per follower,
+    # v2v the predecessor's (a, delayed u).
     opts = config.measurement
-    holds = [None] * nf
-    if opts.radar_hold or opts.v2v_hold:
-        holds = [MeasurementModel(opts) for _ in range(nf)]
+    radar_dt = 1.0 / opts.radar_rate_hz if opts.radar_hold else 0.0
+    v2v_dt = 1.0 / opts.v2v_rate_hz if opts.v2v_hold else 0.0
+    radar_next = v2v_next = 0.0
+    radar, v2v = [None] * nf, [None] * nf
 
     q, v, a = map(list, zip(*(setup.state.as_array().tolist() for setup in config.vehicles)))
     u = [0.0] * nv
@@ -297,18 +277,21 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
     out = []  # per step: q, v, a, u of every vehicle, e, delta, delta_ref of every follower
     for k in range(n):
         t = k * ts
+        new_radar, new_v2v = t >= radar_next, t >= v2v_next
+        if new_radar:
+            radar_next += radar_dt
+        if new_v2v:
+            v2v_next += v2v_dt
         u[0] = leader_input(leader, t, v[0])
         for f, (i, law, standstill, pd, weights, hist, hist_pred) in enumerate(followers):
             qi, vi, ai = q[i], v[i], a[i]
             delta = q[f] - qi
-            delta_dot = v[f] - vi
-            pred_a = a[f]
-            pred_u = hist_pred[-1] if hist_pred.maxlen else u[f]
-            delta_m, delta_dot_m = delta, delta_dot
-            if holds[f] is not None:
-                delta_m, delta_dot_m, pred_a, pred_u = holds[f].sample(
-                    t, delta, delta_dot, pred_a, pred_u
-                )
+            if new_radar:
+                radar[f] = delta, v[f] - vi
+            if new_v2v:
+                v2v[f] = a[f], hist_pred[-1] if hist_pred.maxlen else u[f]
+            delta_m, delta_dot_m = radar[f]
+            pred_a, pred_u = v2v[f]
             # exact d-step prediction of the ego state, the components the law reads
             d00, d01, d02, d10, d11, d12, d20, d21, d22 = pd
             ah = d20 * qi + d21 * vi + d22 * ai
@@ -364,3 +347,24 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
         *(table[:, lo:hi].copy() for lo, hi in zip(ends[:-1], ends[1:])),
         ts,
     )
+
+
+class StepResponse(NamedTuple):
+    t: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+    a: np.ndarray
+
+
+def open_loop_step_response(
+    params: VehicleParams, u_amplitude: float, horizon: float, Ts: float
+) -> StepResponse:
+    """Response from rest (zero state, zero history) to a constant input: a
+    one-vehicle ``run`` whose leader input is one pulse over the horizon.
+
+    The acceleration column equals u*(1 - e^{-(t-phi)/tau}) for t >= phi and
+    0 before, up to rounding, since the discretization is exact.
+    """
+    config = PlatoonConfig((VehicleSetup(params),), (), (), Ts, horizon)
+    log = run(config, LeaderProfile((LeaderSegment.pulse(horizon + Ts, u_amplitude),)))
+    return StepResponse(log.t, log.q[:, 0], log.v[:, 0], log.a[:, 0])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .dynamics import VehicleParams
 
@@ -121,7 +121,6 @@ class StabilityVerdict:
     peak_magnitude: float | None = None
     witness_omega: float | None = None
     margins: tuple[float, ...] = field(default=())
-    detail: str = ""
 
 
 def policy_rows(policy: SpacingPolicy) -> PolicyRows:
@@ -133,31 +132,22 @@ def policy_rows(policy: SpacingPolicy) -> PolicyRows:
     return PolicyRows((0.0, policy.h_v, 0.0), (0.0, 0.0, policy.h_a))
 
 
-def _markov_parameters(row, params: VehicleParams) -> tuple[float, float, float]:
-    """(H B, H A B, H A^2 B) evaluated literally.
-
-    Zero row entries are exact zeros, so structural zeros of the products
-    come out as exact 0.0 and are compared against zero without a tolerance.
-    """
-    tau = params.tau
-    h0, h1, h2 = row
-    return (
-        h2 / tau,
-        h1 / tau - h2 / tau**2,
-        h0 / tau - h1 / tau**2 + h2 / tau**3,
-    )
-
-
-def _relative_degree(row, params: VehicleParams) -> float:
-    for k, value in enumerate(_markov_parameters(row, params), start=1):
-        if value != 0.0:
+def _relative_degree(row) -> float:
+    for k, h in enumerate(reversed(row), start=1):
+        if h != 0.0:
             return k
     return math.inf
 
 
 def relative_degrees(rows: PolicyRows, params: VehicleParams) -> tuple[float, float]:
-    """(rho, rho_bar): smallest k with H A^{k-1} B != 0 (resp. H_bar), inf if none."""
-    return _relative_degree(rows.H, params), _relative_degree(rows.H_bar, params)
+    """(rho, rho_bar): smallest k with H A^{k-1} B != 0 (resp. H_bar), inf if none.
+
+    For q' = v, v' = a, a' = (u - a)/tau, H A^{k-1} B = h_{3-k} / tau once
+    the entries after h_{3-k} are 0, so rho is the position of the last
+    nonzero entry of the row, counted from the end.  tau > 0 only scales the
+    products, so it does not enter and no power of it is formed.
+    """
+    return _relative_degree(rows.H), _relative_degree(rows.H_bar)
 
 
 def solvability_check(rows: PolicyRows, params: VehicleParams) -> SolvabilityResult:
@@ -216,27 +206,17 @@ def is_proper(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
     """
     phi = params.phi
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
-        return StabilityVerdict(True, "closed-form", detail="constant policy is always proper")
+        return StabilityVerdict(True, "closed-form")
     if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
         margin = policy.h_v * math.pi - 2.0 * phi
         return StabilityVerdict(
-            bool(2.0 * phi < policy.h_v * math.pi),
-            "closed-form",
-            margins=(float(margin),),
-            detail="proper iff 2 phi < h_v pi",
+            bool(2.0 * phi < policy.h_v * math.pi), "closed-form", margins=(float(margin),)
         )
-    if phi == 0.0:
-        return StabilityVerdict(
-            True, "closed-form", detail="no delay: extended policy is always proper"
-        )
+    if phi == 0.0:  # no delay: the extended policy is always proper
+        return StabilityVerdict(True, "closed-form")
     w_star, m_star, scale = _extended_properness_margin(policy, params)
-    if w_star is None:
-        return StabilityVerdict(
-            False,
-            "closed-form",
-            margins=(m_star,),
-            detail="abscissa phi h_v / h_a beyond the boundary curve range",
-        )
+    if w_star is None:  # abscissa beyond the boundary curve's range
+        return StabilityVerdict(False, "closed-form", margins=(m_star,))
     # strictly-inside test; the guard, 1e-12 of the larger compared value,
     # keeps points on the boundary curve (margin 0 up to rounding) not proper
     return StabilityVerdict(
@@ -244,7 +224,6 @@ def is_proper(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
         "closed-form",
         witness_omega=float(w_star),
         margins=(float(0.5 * math.pi - phi * policy.h_v / policy.h_a), float(m_star)),
-        detail="clearance below the properness boundary curve",
     )
 
 
@@ -259,32 +238,15 @@ def is_string_stable(policy: SpacingPolicy, params: VehicleParams) -> StabilityV
     """
     phi = params.phi
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
-        return StabilityVerdict(
-            True, "closed-form", peak_magnitude=1.0,
-            detail="|T(i omega)| = 1 at all frequencies",
-        )
+        return StabilityVerdict(True, "closed-form", peak_magnitude=1.0)
     if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
         return StabilityVerdict(
-            bool(policy.h_v >= 2.0 * phi),
-            "closed-form",
-            margins=(float(policy.h_v - 2.0 * phi),),
-            detail="stable iff h_v >= 2 phi",
+            bool(policy.h_v >= 2.0 * phi), "closed-form", margins=(float(policy.h_v - 2.0 * phi),)
         )
     m1 = float(policy.h_a - 2.0 * policy.h_v * phi)
     m2 = float(policy.h_v * policy.h_v - 2.0 * policy.h_a)
     if m1 >= 0.0 and m2 >= 0.0:
-        return StabilityVerdict(
-            True, "closed-form", margins=(m1, m2),
-            detail="sufficient pair h_a >= 2 h_v phi, h_v^2 >= 2 h_a",
-        )
+        return StabilityVerdict(True, "closed-form", margins=(m1, m2))
     from . import analysis  # deferred: analysis imports this module's types
 
-    verdict = analysis.string_stability_sweep(policy, params)
-    return StabilityVerdict(
-        bool(verdict.stable),
-        "sweep",
-        peak_omega=verdict.peak_omega,
-        peak_magnitude=verdict.peak_magnitude,
-        margins=(m1, m2),
-        detail="closed form inconclusive; decided by frequency sweep",
-    )
+    return replace(analysis.string_stability_sweep(policy, params), margins=(m1, m2))

@@ -4,9 +4,11 @@ model, the generic controller indexed by the relative degrees of the policy
 rows, the float-loop simulator that `delayplatoon.run` replaced and the
 scalar golden-section refinement that `refined_peak` replaced.
 
-The spacing errors and tracking laws here are written out independently of
-`delayplatoon.controllers.track`: nothing below imports them from the
-package, so a wrong law there shows as a disagreement."""
+The spacing errors, tracking laws and sensor hold here are written out
+independently of `delayplatoon.controllers.track` and of `run`'s hold:
+nothing below imports them from the package, so a wrong law or hold there
+shows as a disagreement.  The float loop keeps one hold per follower, where
+`run` decides each channel's refresh once per step for all followers."""
 
 import math
 from collections import deque
@@ -22,7 +24,6 @@ from delayplatoon.analysis import transfer_magnitude
 from delayplatoon.predictor import prediction_weights
 from delayplatoon.simulator import (
     LeaderProfile,
-    MeasurementModel,
     PlatoonConfig,
     TrajectoryLog,
     VehicleSetup,
@@ -213,10 +214,12 @@ def run_reference(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog
     )
     tau = [setup.params.tau for setup in config.vehicles]
     x = [setup.state.as_array().tolist() for setup in config.vehicles]
+    # each follower's own sample-and-hold: next refresh instant and held
+    # values of the radar (delta, delta_dot) and V2V (a, delayed u) channels
     opts = config.measurement
-    holds = None
-    if opts.radar_hold or opts.v2v_hold:
-        holds = [MeasurementModel(opts) for _ in config.policies]
+    nf = nv - 1
+    radar_next, v2v_next = [0.0] * nf, [0.0] * nf
+    radar_held, v2v_held = [None] * nf, [None] * nf
 
     t_log, x_log, u_log, e_log, delta_log, dref_log = [], [], [], [], [], []
     u_cmd = [0.0] * nv
@@ -233,10 +236,16 @@ def run_reference(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog
             pred_a = x[f][2]
             pred_u = hists[f][0] if hists[f].maxlen else u_cmd[f]
             delta_m, delta_dot_m = delta, delta_dot
-            if holds is not None:
-                delta_m, delta_dot_m, pred_a, pred_u = holds[f].sample(
-                    t, delta, delta_dot, pred_a, pred_u
-                )
+            if opts.radar_hold:
+                if t >= radar_next[f]:
+                    radar_held[f] = (delta, delta_dot)
+                    radar_next[f] += 1.0 / opts.radar_rate_hz
+                delta_m, delta_dot_m = radar_held[f]
+            if opts.v2v_hold:
+                if t >= v2v_next[f]:
+                    v2v_held[f] = (pred_a, pred_u)
+                    v2v_next[f] += 1.0 / opts.v2v_rate_hz
+                pred_a, pred_u = v2v_held[f]
 
             # exact d-step prediction of the ego state
             p0, p1, p2 = phi_ds[i]
@@ -304,7 +313,6 @@ def run_reference(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog
             hist.append(u_cmd[i])  # a zero-length deque drops it
 
     states = np.array(x_log).reshape(n_steps + 1, nv, 3)
-    nf = nv - 1
     return TrajectoryLog(
         np.array(t_log),
         states[:, :, 0].copy(),

@@ -203,6 +203,14 @@ class TestSimulateCommand:
         assert err.startswith("error: ScenarioError: [vehicle.1]") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_tiny_engine_lag_simulates(self, tmp_path):
+        scn = tmp_path / "tiny_tau.scn"
+        scn.write_text(with_value(MINIMAL, "vehicle.1", "tau", "1e-200"))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", str(scn), str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows.shape[0] == 101 and np.all(np.isfinite(rows))
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.scn"), str(tmp_path / "o.csv")]) == 2
 
@@ -269,6 +277,13 @@ class TestAnalyzeCommand:
         assert main(["analyze", "constant", "--phi", "0.15"]) == 0
         out = capsys.readouterr().out
         assert "always proper" in out
+
+    @pytest.mark.parametrize("tau", ["1e200", "1e-200"])
+    def test_extreme_engine_lag(self, capsys, tau):
+        """The relative degrees come from the rows' zero pattern, so no power
+        of tau over- or underflows."""
+        assert main(["analyze", "dch", "--hv", "1", "--tau", tau]) == 0
+        assert "relative degrees: rho=inf, rho_bar=2" in capsys.readouterr().out
 
     def test_huge_acceleration_headway_is_never_a_root_check_no(self):
         """At h_a = 1e305 the internal roots sit near 1e-153: the root check

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import delayplatoon as dp
 from delayplatoon import analysis, simulator
 from delayplatoon.errors import DelayGranularityError, HistoryDepthError
-from delayplatoon.simulator import MeasurementModel, MeasurementOptions
+from delayplatoon.simulator import MeasurementOptions
 from delayplatoon.spacing import PolicyKind
 
 from oracles import error_dynamics_reference, run_reference
@@ -219,27 +219,43 @@ class TestRun:
 
 
 class TestMeasurementModel:
-    def exact(self, t):
-        return (math.sin(t), math.cos(t), 3.0 * t, 4.0 * t)
+    def test_run_passes_held_values_to_track(self, monkeypatch):
+        """Over samples 0..99 at ts = 0.01, a 2 Hz radar hold refreshes only
+        at samples 0 and 50 and a 2.5 Hz V2V hold only at 0, 40 and 80; the
+        channel without a hold, and both without holds, pass exact values."""
+        calls = []
+        track = simulator.track
+        monkeypatch.setattr(simulator, "track", lambda *args: calls.append(args[7:]) or track(*args))
+        # the leader moves from the first sample and its cruise input changes
+        # every step, so every exact channel value differs from the one before
+        profile = dp.LeaderProfile((dp.LeaderSegment.cruise(2.0, 3.0, 0.5),))
+        lead_state = dp.VehicleState(v=1.0, a=0.5)
+        d = 15  # the leader's delay in samples
 
-    def test_defaults_pass_through(self):
-        model = MeasurementModel(MeasurementOptions())
-        for t in np.arange(0.0, 1.0, 0.01):
-            assert model.sample(t, *self.exact(t)) == self.exact(t)
+        def record(measurement):
+            """(delta, delta_dot, predecessor a, delayed u) passed to track and
+            their exact values, per sample."""
+            calls.clear()
+            cfg = two_vehicle_config(DCH, DCH_GAINS, horizon=0.99, lead_state=lead_state,
+                                     measurement=measurement)
+            log = dp.run(cfg, profile)
+            exact = [
+                (log.delta[k, 0], log.v[k, 0] - log.v[k, 1], log.a[k, 0],
+                 log.u[k - d, 0] if k >= d else 0.0)
+                for k in range(len(log.t))
+            ]
+            assert len(calls) == len(exact) == 100
+            return calls, exact
 
-    def test_radar_hold_keeps_range_constant(self):
-        model = MeasurementModel(MeasurementOptions(radar_hold=True, radar_rate_hz=2.0))
-        seen = [model.sample(t, *self.exact(t))[0] for t in np.arange(0.0, 1.0, 0.01)]
-        # refreshes at t = 0 and t = 0.5 only
-        assert len(set(seen)) == 2
-        assert seen[0] == math.sin(0.0) and seen[-1] == math.sin(0.5)
-
-    def test_v2v_hold_keeps_predecessor_piecewise_constant(self):
-        model = MeasurementModel(MeasurementOptions(v2v_hold=True, v2v_rate_hz=2.5))
-        accel = [model.sample(t, *self.exact(t))[2] for t in np.arange(0.0, 1.0, 0.01)]
-        assert len(set(accel)) == 3  # refreshes at 0, 0.4, 0.8
-        radar = [model.sample(t, *self.exact(t))[0] for t in np.arange(0.0, 1.0, 0.01)]
-        assert len(set(radar)) == len(radar)  # radar unaffected
+        got, exact = record(MeasurementOptions())
+        assert got == exact
+        got, exact = record(MeasurementOptions(radar_hold=True, radar_rate_hz=2.0))
+        for k, args in enumerate(got):
+            assert args[:2] == exact[k - k % 50][:2] and args[2:] == exact[k][2:], k
+        got, exact = record(MeasurementOptions(v2v_hold=True, v2v_rate_hz=2.5))
+        for k, args in enumerate(got):
+            assert args[:2] == exact[k][:2] and args[2:] == exact[k - k % 40][2:], k
+        assert len({args[2] for args in got}) == 3
 
     def test_hold_at_control_rate_is_ideal(self):
         opts = MeasurementOptions(
@@ -318,6 +334,18 @@ class TestConfigValidation:
                     dp.VehicleSetup(REF_VEHICLE),
                     dp.VehicleSetup(REF_VEHICLE, history=dp.InputHistory.zeros(10, 0.01)),
                 ),
+                policies=(EXT,),
+                controllers=(spec,),
+                ts=0.01,
+                horizon=1.0,
+            )
+
+    def test_history_sample_period_checked(self):
+        spec = dp.ControllerSpec(EXT, EXT_GAINS, ego=REF_VEHICLE, predecessor=REF_VEHICLE)
+        history = dp.InputHistory((0.5,) * 15, 0.02, 15)  # depth right, period not
+        with pytest.raises(HistoryDepthError, match="sample period"):
+            dp.PlatoonConfig(
+                vehicles=(dp.VehicleSetup(REF_VEHICLE), dp.VehicleSetup(REF_VEHICLE, history=history)),
                 policies=(EXT,),
                 controllers=(spec,),
                 ts=0.01,

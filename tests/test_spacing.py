@@ -66,6 +66,19 @@ class TestRelativeDegrees:
         assert (rho, rho_bar) == (3, 3)
 
 
+    @pytest.mark.parametrize("tau", [1e-200, 0.067, 1e200])
+    def test_tau_does_not_enter(self, tau):
+        params = dp.VehicleParams(tau=tau, phi=0.15)
+        cases = [
+            (dp.policy_rows(DCH), (math.inf, 2)),
+            (dp.policy_rows(EXT), (2, 1)),
+            (dp.policy_rows(CONSTANT), (3, 3)),
+            (PolicyRows((0.0, 0.0, 1.0), (0.0, 1.0, 0.0)), (1, 2)),
+        ]
+        for rows, degrees in cases:
+            assert dp.relative_degrees(rows, params) == degrees
+
+
 class TestSolvability:
     def test_constant_is_solvable_via_position_clause(self, ref_params):
         result = dp.solvability_check(dp.policy_rows(CONSTANT), ref_params)
