@@ -443,7 +443,8 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
 
     Seeds damped Newton iterations at the eigenvalues of a 24-node Chebyshev
     pseudospectral discretization of the delay equation's generator (those
-    within the bound R of _root_bound), deduplicates, and takes the
+    within the bound R of _root_bound), or, when none converges, at the
+    roots of the delay-free polynomial a + b; deduplicates, and takes the
     rightmost polished root s*.  Every root with Re >= lo = s* - BOX_MARGIN
     (1 + |s*|) has modulus below R(lo), so the box [lo, R] x [-R, R] holds
     all of them: an argument-principle winding count over its boundary must
@@ -453,6 +454,9 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
     finite on the box, or when the count does not match.
     """
     roots = _polish_eigenvalues(qp, _generator_matrix(qp))
+    if not roots:  # tiny coefficients (h_a >~ 1e28) drown the generator's
+        # eigenvalues in its rounding: seed at the roots of a + b (phi = 0)
+        roots = _polish_eigenvalues(qp, _generator_matrix(QuasiPolynomial(qp.a, qp.b, 0.0)))
     if not roots:
         raise RefinementError("no eigenvalue seed converged to a root")
     top = max(roots, key=lambda r: r.real)

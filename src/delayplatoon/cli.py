@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, simulator
 from .dynamics import InputHistory, VehicleParams, VehicleState, delay_steps, discretize, step
-from .errors import RefinementError
+from .errors import HistoryDepthError, RefinementError
 from .predictor import predict
 from .scenario import parse_scenario
 from .simulator import TrajectoryLog
@@ -192,14 +192,14 @@ def cmd_predict_demo(args) -> int:
         params = VehicleParams(tau=args.tau, phi=args.phi)
         model = discretize(params, args.ts)
         values = [float(tok) for tok in Path(args.inputs).read_text().split()]
-        history = InputHistory(tuple(values), args.ts, delay_steps(params, args.ts))
+        if len(values) != (d := delay_steps(params, args.ts)):
+            raise HistoryDepthError(f"{args.inputs} holds {len(values)} inputs, phi/Ts = {d}")
+        history = InputHistory(tuple(values), args.ts)
         x0 = VehicleState(args.q0, args.v0, args.a0)
     predicted = predict(model, x0, history)
     x = x0
-    h = history
-    for _ in range(history.depth):
-        x = step(model, x, h.oldest)
-        h = h.push(0.0)
+    for u in history.samples:
+        x = step(model, x, u)
     discrepancy = max(
         abs(predicted.q - x.q), abs(predicted.v - x.v), abs(predicted.a - x.a)
     )

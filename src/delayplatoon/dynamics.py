@@ -7,6 +7,8 @@ an actuation delay phi.  Because the control input is held between samples
 is what this module provides in closed form.  ``step`` takes one sample step
 of one vehicle; ``simulator.run`` steps a platoon with the same Phi and
 Gamma, and the open-loop step response is a one-vehicle ``run``.
+``InputHistory`` is the inputs buffered over the delay window, oldest
+first, and their sample period; its depth is their number.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayGranularityError, HistoryDepthError
+from .errors import DelayGranularityError
 
 __all__ = [
     "VehicleParams",
@@ -27,7 +29,10 @@ __all__ = [
     "discretize",
     "delay_steps",
     "step",
+    "MAX_SAMPLES",
 ]
+
+MAX_SAMPLES = 10**6  # samples of a run (which keeps its whole log) and of a delay window
 
 
 @dataclass(frozen=True)
@@ -70,49 +75,29 @@ class InputHistory:
     """Buffered past inputs covering the delay window [t - phi, t).
 
     ``samples`` is chronological: ``samples[0]`` is the oldest value
-    u(t - depth*Ts) and ``samples[-1]`` the most recent u(t - Ts).  In the
-    d-step predictor sum, index j = 1 (most recent) maps to ``samples[-1]``.
+    u(t - depth*Ts), applied during the next step, and ``samples[-1]`` the
+    most recent u(t - Ts), to which index j = 1 of the d-step predictor sum
+    maps; the depth is the number of samples.
     """
 
     samples: tuple[float, ...]
     sample_period: float
-    depth: int
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise HistoryDepthError(f"depth must be >= 0, got {self.depth}")
         if not (math.isfinite(self.sample_period) and self.sample_period > 0.0):
             raise ValueError(f"sample_period must be finite and > 0, got {self.sample_period}")
-        if len(self.samples) != self.depth:
-            raise HistoryDepthError(
-                f"history holds {len(self.samples)} samples, expected {self.depth}"
-            )
         if not all(map(math.isfinite, self.samples)):
             raise ValueError("history samples must be finite")
 
-    @classmethod
-    def zeros(cls, depth: int, sample_period: float) -> "InputHistory":
-        return cls((0.0,) * depth, sample_period, depth)
+    @property
+    def depth(self) -> int:
+        return len(self.samples)
 
     @classmethod
     def constant(cls, value: float, depth: int, sample_period: float) -> "InputHistory":
-        if not math.isfinite(value):  # checked here too: depth 0 keeps no sample
-            raise ValueError("history samples must be finite")
-        return cls((float(value),) * depth, sample_period, depth)
-
-    @property
-    def oldest(self) -> float:
-        """u(t - phi): the input the plant applies during the next step."""
-        return self.samples[0]
-
-    def push(self, u: float) -> "InputHistory":
-        """Shift the window one sample: drop the oldest, append u(t)."""
-        if self.depth == 0:
-            return self
-        return InputHistory(self.samples[1:] + (float(u),), self.sample_period, self.depth)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.samples)
+        if not (math.isfinite(value) and depth >= 0):  # depth 0 keeps no sample to check
+            raise ValueError(f"need a finite value and depth >= 0, got {value} and {depth}")
+        return cls((float(value),) * depth, sample_period)
 
 
 @dataclass(frozen=True)
@@ -132,6 +117,25 @@ class DiscreteModel:
             raise ValueError(f"Ts must be finite and > 0, got {self.Ts}")
 
 
+def _zoh_terms(tau: float, t: float) -> tuple[float, float, float, float]:
+    """(em, Phi[0,2], Gamma[0], Gamma[1]) over a step t, em = 1 - e^{-x}, x = t/tau.
+
+    The closed forms tau t - tau^2 em, t^2/2 - tau t + tau^2 em and t - tau em
+    cancel as x -> 0, and tau^2 overflows for huge tau.  Below x = 0.01 they
+    are t^2 c2, t^2 x c3 and t x c2 instead, with c_m = sum_k (-x)^k / (k+m)!
+    summed to 1/10! by Horner, far below rounding there.
+    """
+    x = t / tau
+    em = -math.expm1(-x)  # accurate for small x
+    if x >= 0.01:
+        return em, tau * t - tau * tau * em, 0.5 * t * t - tau * t + tau * tau * em, t - tau * em
+    c3 = 0.0
+    for k in range(10, 2, -1):
+        c3 = c3 * -x + 1.0 / math.factorial(k)
+    c2 = 0.5 - x * c3
+    return em, t * t * c2, t * t * x * c3, t * x * c2
+
+
 def matrix_exponential_closed_form(params: VehicleParams, t: float) -> np.ndarray:
     """e^{A t} for the triangular third-order model, in closed form."""
     if not math.isfinite(t):
@@ -139,10 +143,10 @@ def matrix_exponential_closed_form(params: VehicleParams, t: float) -> np.ndarra
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     tau = params.tau
-    em = -math.expm1(-t / tau)  # 1 - exp(-t/tau), accurate for small t
+    em, p02, _, _ = _zoh_terms(tau, t)
     return np.array(
         [
-            [1.0, t, tau * t - tau * tau * em],
+            [1.0, t, p02],
             [0.0, 1.0, tau * em],
             [0.0, 0.0, 1.0 - em],
         ]
@@ -150,10 +154,13 @@ def matrix_exponential_closed_form(params: VehicleParams, t: float) -> np.ndarra
 
 
 def delay_steps(params: VehicleParams, Ts: float) -> int:
-    """phi / Ts as an integer; DelayGranularityError if it is not one."""
+    """phi / Ts as an integer; DelayGranularityError if it is not one, and
+    ValueError if it exceeds MAX_SAMPLES."""
     if Ts <= 0.0 or not math.isfinite(Ts):
         raise ValueError(f"Ts must be finite and > 0, got {Ts}")
     ratio = params.phi / Ts
+    if ratio > MAX_SAMPLES:
+        raise ValueError(f"phi / Ts = {ratio:.6g} exceeds {MAX_SAMPLES} samples")
     d = int(round(ratio))
     if abs(ratio - d) > 1e-9 * max(1.0, abs(ratio)):
         raise DelayGranularityError(
@@ -169,16 +176,8 @@ def discretize(params: VehicleParams, Ts: float) -> DiscreteModel:
     integrals follow from the triangular structure of A.
     """
     delay_steps(params, Ts)  # validates Ts and the phi/Ts ratio
-    tau = params.tau
-    em = -math.expm1(-Ts / tau)  # 1 - exp(-Ts/tau)
-    gamma = np.array(
-        [
-            0.5 * Ts * Ts - tau * Ts + tau * tau * em,
-            Ts - tau * em,
-            em,
-        ]
-    )
-    return DiscreteModel(matrix_exponential_closed_form(params, Ts), gamma, Ts)
+    em, _, g0, g1 = _zoh_terms(params.tau, Ts)
+    return DiscreteModel(matrix_exponential_closed_form(params, Ts), np.array([g0, g1, em]), Ts)
 
 
 def step(model: DiscreteModel, x: VehicleState, u_delayed: float) -> VehicleState:

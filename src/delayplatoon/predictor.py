@@ -6,7 +6,8 @@ is an exact function of the current state and the d buffered inputs:
     x(k + d) = Phi^d x(k) + sum_{j=1..d} Phi^{j-1} Gamma u(k - j)
 
 so no approximation is involved.  ``run`` computes the weights once per
-follower and run; ``predict`` computes them on each call.
+follower and run; ``predict`` computes them on each call and multiplies
+them by ``InputHistory.samples``, oldest first, the order of W's columns.
 """
 
 from __future__ import annotations
@@ -44,5 +45,5 @@ def predict(model: DiscreteModel, x: VehicleState, history: InputHistory) -> Veh
     if history.depth == 0:
         return x
     phi_d, w = prediction_weights(model, history.depth)
-    xh = phi_d @ x.as_array() + w @ history.as_array()
+    xh = phi_d @ x.as_array() + w @ history.samples
     return VehicleState.from_array(xh)

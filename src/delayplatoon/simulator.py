@@ -5,7 +5,8 @@ sample instants with a zero-order hold; vehicle propagation between samples
 is exact.  Within a step the leader input is computed first and the
 followers run front to back, each using predecessor values from the same
 sample instant (ideal channels); optional sample-and-hold flags emulate the
-coarser radar and V2V rates, both off by default.
+coarser radar and V2V rates, both off by default.  A leader segment applies
+u = amplitude + gain (v_ref - v), a cruise with amplitude 0, a pulse gain 0.
 
 ``run`` is one loop over Python floats.  Everything a run does not change
 (the ZOH and prediction coefficients, each follower's ``TrackingLaw``) is
@@ -15,14 +16,13 @@ hold decides once per step whether each channel refreshes, for every
 follower at once.  ``open_loop_step_response`` is a one-vehicle ``run``, so
 ``run`` and ``dynamics.step`` contain the only ZOH steps of the package.
 ``tests/oracles.py`` keeps the scalar loop this replaced as
-``run_reference``, with its own copy of the three laws and a hold per
-follower; it computes every value by the same operations in the same order,
-so the two give bit-identical logs.
+``run_reference``, with its own copy of the three laws, of the leader law
+(in two branches) and of the hold (one per follower); it computes every
+value by the same operations in the same order, so the logs are identical.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -32,6 +32,7 @@ import numpy as np
 
 from .controllers import ControllerSpec, TrackingLaw, track
 from .dynamics import (
+    MAX_SAMPLES,
     InputHistory,
     VehicleParams,
     VehicleState,
@@ -43,7 +44,6 @@ from .predictor import prediction_weights
 from .spacing import PolicyKind, SpacingPolicy
 
 __all__ = [
-    "SegmentKind",
     "LeaderSegment",
     "LeaderProfile",
     "leader_input",
@@ -57,19 +57,12 @@ __all__ = [
     "open_loop_step_response",
 ]
 
-MAX_SAMPLES = 10**6  # samples per run; a run keeps its whole log in memory
-
-
-class SegmentKind(enum.Enum):
-    CRUISE = "cruise"
-    PULSE = "pulse"
-
 
 @dataclass(frozen=True)
 class LeaderSegment:
-    """One leader-profile segment: closed-loop cruise or open-loop pulse."""
+    """One leader-profile segment with the input u = amplitude + gain (v_ref - v):
+    a closed-loop cruise has amplitude 0, an open-loop pulse gain 0."""
 
-    kind: SegmentKind
     duration: float
     v_ref: float = 0.0
     gain: float = 0.0
@@ -78,18 +71,18 @@ class LeaderSegment:
     def __post_init__(self):
         if not (self.duration > 0.0 and math.isfinite(self.duration)):
             raise ValueError("segment duration must be finite and > 0")
-        if not all(map(math.isfinite, (self.v_ref, self.gain, self.amplitude))):
-            raise ValueError("segment v_ref, gain and amplitude must be finite")
-        if self.kind is SegmentKind.CRUISE and self.gain <= 0.0:
-            raise ValueError("cruise gain must be > 0")
+        if not (all(map(math.isfinite, (self.v_ref, self.gain, self.amplitude))) and self.gain >= 0.0):
+            raise ValueError("segment v_ref, gain and amplitude must be finite, and gain >= 0")
 
     @classmethod
     def cruise(cls, duration: float, v_ref: float, gain: float) -> "LeaderSegment":
-        return cls(SegmentKind.CRUISE, duration, v_ref=v_ref, gain=gain)
+        if gain <= 0.0:
+            raise ValueError("cruise gain must be > 0")
+        return cls(duration, v_ref=v_ref, gain=gain)
 
     @classmethod
     def pulse(cls, duration: float, amplitude: float) -> "LeaderSegment":
-        return cls(SegmentKind.PULSE, duration, amplitude=amplitude)
+        return cls(duration, amplitude=amplitude)
 
 
 @dataclass(frozen=True)
@@ -108,15 +101,13 @@ class LeaderProfile:
 
 
 def leader_input(profile: LeaderProfile, t: float, v_leader: float) -> float:
-    """Leader input at time t: gain*(v_ref - v) in cruise, the amplitude in
-    a pulse, 0 past the profile end."""
+    """Leader input at time t: the law of the segment holding t, 0 past the
+    profile end."""
     end = 0.0
     for seg in profile.segments:
         end += seg.duration
         if t < end:
-            if seg.kind is SegmentKind.CRUISE:
-                return seg.gain * (seg.v_ref - v_leader)
-            return seg.amplitude
+            return seg.amplitude + seg.gain * (seg.v_ref - v_leader)
     return 0.0
 
 

@@ -4,11 +4,14 @@ model, the generic controller indexed by the relative degrees of the policy
 rows, the float-loop simulator that `delayplatoon.run` replaced and the
 scalar golden-section refinement that `refined_peak` replaced.
 
-The spacing errors, tracking laws and sensor hold here are written out
-independently of `delayplatoon.controllers.track` and of `run`'s hold:
-nothing below imports them from the package, so a wrong law or hold there
-shows as a disagreement.  The float loop keeps one hold per follower, where
-`run` decides each channel's refresh once per step for all followers."""
+The spacing errors, tracking laws, leader law and sensor hold here are
+written out independently of `delayplatoon.controllers.track`, of
+`simulator.leader_input` and of `run`'s hold: nothing below imports them
+from the package, so a wrong law or hold there shows as a disagreement.  The
+float loop keeps the leader law in two branches (a cruise tracks v_ref, a
+pulse applies its amplitude) where the package has one affine law, and one
+hold per follower, where `run` decides each channel's refresh once per step
+for all followers."""
 
 import math
 from collections import deque
@@ -22,13 +25,7 @@ from delayplatoon.dynamics import InputHistory, VehicleParams, delay_steps, disc
 from delayplatoon.errors import ChannelError, DegreeError
 from delayplatoon.analysis import transfer_magnitude
 from delayplatoon.predictor import prediction_weights
-from delayplatoon.simulator import (
-    LeaderProfile,
-    PlatoonConfig,
-    TrajectoryLog,
-    VehicleSetup,
-    leader_input,
-)
+from delayplatoon.simulator import LeaderProfile, PlatoonConfig, TrajectoryLog, VehicleSetup
 from delayplatoon.spacing import PolicyKind, PolicyRows
 
 
@@ -186,7 +183,7 @@ def _vehicle_model(setup: VehicleSetup, ts: float):
     model = discretize(setup.params, ts)
     d = delay_steps(setup.params, ts)
     phi_d, w_oldest_first = prediction_weights(model, d)
-    history = setup.history or InputHistory.zeros(d, ts)
+    history = setup.history or InputHistory((0.0,) * d, ts)
     return (
         model.Phi.tolist(),
         model.Gamma.tolist(),
@@ -196,15 +193,27 @@ def _vehicle_model(setup: VehicleSetup, ts: float):
     )
 
 
+def _leader_input(leader: LeaderProfile, t: float, v: float) -> float:
+    """Leader input at time t: gain * (v_ref - v) in a cruise segment (gain
+    > 0), the amplitude in a pulse, 0 past the profile end."""
+    end = 0.0
+    for seg in leader.segments:
+        end += seg.duration
+        if t < end:
+            return seg.gain * (seg.v_ref - v) if seg.gain > 0.0 else seg.amplitude
+    return 0.0
+
+
 def run_reference(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
     """The closed loop as one interpreted loop over Python floats.
 
     Within a step the leader input is computed first and the followers run
     front to back, each predicting its state and evaluating its policy's
     spacing errors and law, written out here, on the values of that sample
-    instant.  Reference for ``delayplatoon.run`` and ``controllers.track``,
-    which compute every value by the same operations in the same order, so
-    the logs are identical.
+    instant; the leader law is written out here too.  Reference for
+    ``delayplatoon.run``, ``simulator.leader_input`` and ``controllers.track``:
+    every value is computed by the same operations in the same order, the
+    leader law's in its other form, so the logs are identical.
     """
     ts = config.ts
     n_steps = int(round(config.horizon / ts))
@@ -225,7 +234,7 @@ def run_reference(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog
     u_cmd = [0.0] * nv
     for k in range(n_steps + 1):
         t = k * ts
-        u_cmd[0] = leader_input(leader, t, x[0][1])
+        u_cmd[0] = _leader_input(leader, t, x[0][1])
         e_row, delta_row, dref_row = [], [], []
         # followers front to back, all using predecessor values at time t
         for i in range(1, nv):

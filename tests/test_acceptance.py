@@ -71,12 +71,11 @@ def test_a01_predictor_exactness():
         worst = 0.0
         for _ in range(1000):
             x = dp.VehicleState(*rng.normal(size=3))
-            hist = dp.InputHistory(tuple(rng.normal(size=d)), ts, d)
+            hist = dp.InputHistory(tuple(rng.normal(size=d)), ts)
             predicted = dp.predict(model, x, hist)
-            sim, h = x, hist
-            for _ in range(d):
-                sim = dp.step(model, sim, h.oldest)
-                h = h.push(0.0)
+            sim = x
+            for u in hist.samples:
+                sim = dp.step(model, sim, u)
             worst = max(
                 worst,
                 abs(predicted.q - sim.q),

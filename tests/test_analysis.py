@@ -312,6 +312,14 @@ class TestPropernessRootCheck:
         assert verdict.stable == dp.is_proper(policy, ref_params).stable
         assert verdict.rightmost_root.real > 5.0 / ref_params.phi
 
+    @pytest.mark.parametrize("h_a", [1e30, 1e100, 1e305])
+    def test_extended_huge_acceleration_headway(self, ref_params, h_a):
+        """The internal roots sit near +-i h_a^{-1/2}, lost in the generator's
+        rounding; the delay-free roots of a + b seed them instead."""
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=h_a)
+        verdict = dp.properness_root_check(policy, ref_params)
+        assert verdict.stable == dp.is_proper(policy, ref_params).stable
+
     def test_spurious_right_eigenvalues_are_filtered(self):
         """The generator's top eigenvalues here (33.6+260j, 31.5+418j,
         25.2+191j) are spurious: |e| > R(Re e).  Newton from the first lands

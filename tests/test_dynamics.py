@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,16 +38,22 @@ class TestVehicleTypes:
         with pytest.raises(ValueError):
             dp.VehicleState(q=math.inf)
 
-    def test_history_push(self):
-        h = dp.InputHistory((1.0, 2.0, 3.0), 0.01, 3)
-        h2 = h.push(4.0)
-        assert h2.samples == (2.0, 3.0, 4.0)
-        assert h.samples == (1.0, 2.0, 3.0)  # immutable
-        assert h.oldest == 1.0
+    def test_history_depth_is_its_sample_count(self):
+        assert dp.InputHistory((1.0, 2.0, 3.0), 0.01).depth == 3
+        assert dp.InputHistory((), 0.01).depth == 0
+        assert dp.InputHistory.constant(0.5, 2, 0.01).samples == (0.5, 0.5)
+        with pytest.raises(ValueError):
+            dp.InputHistory.constant(0.5, -1, 0.01)
 
-    def test_history_length_mismatch(self):
-        with pytest.raises(dp.HistoryDepthError):
-            dp.InputHistory((1.0, 2.0), 0.01, 3)
+
+def zoh_series_reference(tau: float, t: float) -> tuple[Fraction, ...]:
+    """Exact (Phi[0,2], Gamma[0], Gamma[1]) for x = t / tau <= 1e-3:
+    t^2 c2, t^2 x c3 and t x c2 with c_m = sum_k (-x)^k / (k+m)!, in rational
+    arithmetic on the binary values of tau and t, cut where the next term is
+    below 1e-40 relative."""
+    t, x = Fraction(t), Fraction(t) / Fraction(tau)
+    c2, c3 = (sum((-x) ** k / math.factorial(k + m) for k in range(14)) for m in (2, 3))
+    return t * t * c2, t * t * x * c3, t * x * c2
 
 
 class TestMatrixExponential:
@@ -115,6 +122,17 @@ class TestDiscretize:
             want = (exact @ np.append(x0, u))[:3]
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("tau", [10.0, 1e3, 1e10, 1e200])
+    def test_long_engine_lag_against_exact_series(self, tau):
+        """tau >> Ts: the entries whose closed forms cancel (and whose tau^2
+        overflows at 1e200) agree with exact rational arithmetic."""
+        p = dp.VehicleParams(tau=tau, phi=0.0)
+        m = dp.discretize(p, 0.01)
+        assert dp.matrix_exponential_closed_form(p, 0.01)[0, 2] == m.Phi[0, 2]
+        got = (m.Phi[0, 2], m.Gamma[0], m.Gamma[1])
+        for g, want in zip(got, zoh_series_reference(tau, 0.01)):
+            assert abs(Fraction(g) - want) <= 2e-15 * abs(want)
+
     def test_model_invariants(self, ref_params):
         ts = 0.01
         m = dp.discretize(ref_params, ts)
@@ -130,6 +148,13 @@ class TestDiscretize:
             dp.discretize(p, 0.02)
         with pytest.raises(DelayGranularityError):
             dp.dynamics.delay_steps(dp.VehicleParams(0.067, 0.155), 0.01)
+
+    def test_delay_window_bounded(self):
+        """At most MAX_SAMPLES buffered inputs, checked before any is built."""
+        most = dp.VehicleParams(0.067, 1e4)  # 1e4 / 0.01 = 10^6 samples
+        assert dp.dynamics.delay_steps(most, 0.01) == dp.dynamics.MAX_SAMPLES
+        with pytest.raises(ValueError, match="exceeds"):
+            dp.dynamics.delay_steps(dp.VehicleParams(0.067, 1e300), 0.01)
 
 
 class TestStep:

@@ -12,10 +12,8 @@ from oracles import predict_acceleration_continuous
 
 def simulate_forward(model, x, history):
     """d-step simulation oracle consuming the buffered inputs in order."""
-    h = history
-    for _ in range(history.depth):
-        x = dp.step(model, x, h.oldest)
-        h = h.push(0.0)
+    for u in history.samples:
+        x = dp.step(model, x, u)
     return x
 
 
@@ -23,7 +21,7 @@ class TestPredict:
     def test_zero_horizon_returns_state(self, ref_params):
         model = dp.discretize(dp.VehicleParams(0.067, 0.0), 0.01)
         x = dp.VehicleState(1.0, 2.0, 3.0)
-        assert predict(model, x, dp.InputHistory.zeros(0, 0.01)) == x
+        assert predict(model, x, dp.InputHistory((), 0.01)) == x
 
     def test_constant_buffer_closed_form(self, ref_params):
         ts, u0 = 0.01, 0.7
@@ -40,7 +38,7 @@ class TestPredict:
         model = dp.discretize(ref_params, ts)
         for _ in range(200):
             x = dp.VehicleState(*rng.normal(size=3))
-            hist = dp.InputHistory(tuple(rng.normal(size=15)), ts, 15)
+            hist = dp.InputHistory(tuple(rng.normal(size=15)), ts)
             got = predict(model, x, hist)
             want = simulate_forward(model, x, hist)
             err = max(
@@ -51,13 +49,13 @@ class TestPredict:
     def test_sample_period_mismatch(self, ref_params):
         model = dp.discretize(ref_params, 0.01)
         with pytest.raises(dp.HistoryDepthError):
-            predict(model, dp.VehicleState(), dp.InputHistory.zeros(15, 0.005))
+            predict(model, dp.VehicleState(), dp.InputHistory((0.0,) * 15, 0.005))
 
 
 class TestPredictAccelerationContinuous:
     def test_pure_decay(self):
         p = dp.VehicleParams(tau=0.1, phi=0.1)
-        hist = dp.InputHistory.zeros(10, 0.01)
+        hist = dp.InputHistory((0.0,) * 10, 0.01)
         out = predict_acceleration_continuous(p, 1.0, hist)
         assert out == pytest.approx(math.exp(-1.0), abs=1e-12)
 
@@ -73,7 +71,7 @@ class TestPredictAccelerationContinuous:
         model = dp.discretize(ref_params, ts)
         for _ in range(1000):
             a_now = rng.normal()
-            hist = dp.InputHistory(tuple(rng.normal(size=15)), ts, 15)
+            hist = dp.InputHistory(tuple(rng.normal(size=15)), ts)
             x = dp.VehicleState(0.0, 0.0, a_now)
             discrete = predict(model, x, hist).a
             continuous = predict_acceleration_continuous(ref_params, a_now, hist)
@@ -94,7 +92,7 @@ def test_prediction_is_affine(seed):
 
     def pred(x, h):
         return predict(
-            model, dp.VehicleState(*x), dp.InputHistory(tuple(h), ts, d)
+            model, dp.VehicleState(*x), dp.InputHistory(tuple(h), ts)
         ).as_array()
 
     combined = pred(alpha * x1 + beta * x2, alpha * h1 + beta * h2)
@@ -112,11 +110,11 @@ def test_shift_consistency(seed):
     model = dp.discretize(p, ts)
     d = int(rng.integers(2, 20))
     x = dp.VehicleState(*rng.normal(size=3))
-    hist = dp.InputHistory(tuple(rng.normal(size=d)), ts, d)
+    hist = dp.InputHistory(tuple(rng.normal(size=d)), ts)
 
     full = predict(model, x, hist)
-    stepped = dp.step(model, x, hist.oldest)
-    rest = dp.InputHistory(hist.samples[1:], ts, d - 1)
+    stepped = dp.step(model, x, hist.samples[0])
+    rest = dp.InputHistory(hist.samples[1:], ts)
     via_step = predict(model, stepped, rest)
     assert np.allclose(
         full.as_array(), via_step.as_array(), rtol=1e-12, atol=1e-12

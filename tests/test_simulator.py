@@ -76,6 +76,8 @@ class TestLeaderInput:
             dp.LeaderSegment.pulse(0.0, 1.0)
         with pytest.raises(ValueError):
             dp.LeaderSegment.cruise(1.0, 5.0, 0.0)
+        with pytest.raises(ValueError):
+            dp.LeaderSegment(1.0, v_ref=5.0, gain=-0.5)
 
 
 class TestRun:
@@ -201,7 +203,7 @@ class TestRun:
         model = dp.discretize(REF_VEHICLE, 0.01)
         spec = cfg.controllers[0]
         d = 15
-        hist = dp.InputHistory.zeros(d, 0.01)
+        hist = dp.InputHistory((0.0,) * d, 0.01)
         for k in range(len(log.t) - 1):
             state = dp.VehicleState(log.q[k, 1], log.v[k, 1], log.a[k, 1])
             predicted = dp.predict(model, state, hist)
@@ -215,7 +217,7 @@ class TestRun:
             )
             u = dp.control(spec, inputs)
             assert u == pytest.approx(log.u[k, 1], rel=1e-12, abs=1e-12)
-            hist = hist.push(log.u[k, 1])
+            hist = dp.InputHistory(hist.samples[1:] + (log.u[k, 1],), 0.01)
 
 
 class TestMeasurementModel:
@@ -332,7 +334,7 @@ class TestConfigValidation:
             dp.PlatoonConfig(
                 vehicles=(
                     dp.VehicleSetup(REF_VEHICLE),
-                    dp.VehicleSetup(REF_VEHICLE, history=dp.InputHistory.zeros(10, 0.01)),
+                    dp.VehicleSetup(REF_VEHICLE, history=dp.InputHistory((0.0,) * 10, 0.01)),
                 ),
                 policies=(EXT,),
                 controllers=(spec,),
@@ -342,7 +344,7 @@ class TestConfigValidation:
 
     def test_history_sample_period_checked(self):
         spec = dp.ControllerSpec(EXT, EXT_GAINS, ego=REF_VEHICLE, predecessor=REF_VEHICLE)
-        history = dp.InputHistory((0.5,) * 15, 0.02, 15)  # depth right, period not
+        history = dp.InputHistory((0.5,) * 15, 0.02)  # depth right, period not
         with pytest.raises(HistoryDepthError, match="sample period"):
             dp.PlatoonConfig(
                 vehicles=(dp.VehicleSetup(REF_VEHICLE), dp.VehicleSetup(REF_VEHICLE, history=history)),
@@ -393,11 +395,11 @@ class TestConfigValidation:
         lambda: MeasurementOptions(radar_rate_hz=math.nan),
         lambda: dp.ControllerSpec(EXT, dp.ControllerGains(k_p=math.inf), ego=REF_VEHICLE),
         lambda: analysis.stability_region_boundary(math.inf, 10),
-        lambda: dp.InputHistory((0.0, math.nan), 0.01, 2),
+        lambda: dp.InputHistory((0.0, math.nan), 0.01),
         lambda: dp.InputHistory.constant(math.inf, 3, 0.01),
         lambda: dp.InputHistory.constant(math.nan, 0, 0.01),
-        lambda: dp.InputHistory.zeros(2, math.nan),
-        lambda: dp.InputHistory.zeros(2, math.inf),
+        lambda: dp.InputHistory((0.0, 0.0), math.nan),
+        lambda: dp.InputHistory((0.0, 0.0), math.inf),
     ],
     ids=[
         "policy-h_v-nan", "policy-h_v-inf", "policy-standstill-nan", "pulse-amplitude-nan",
@@ -464,7 +466,7 @@ def platoon_runs(draw):
     for p, d in zip(params, depths):
         history = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(d))
         state = dp.VehicleState(q, 3.0 * draw(unit), draw(st.floats(-0.5, 0.5)))
-        setups.append(dp.VehicleSetup(p, state, dp.InputHistory(history, ts, d)))
+        setups.append(dp.VehicleSetup(p, state, dp.InputHistory(history, ts)))
         q -= 5.0 + 10.0 * draw(unit)
     policies, specs = [], []
     for f in range(1, nv):
