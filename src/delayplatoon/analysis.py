@@ -160,73 +160,78 @@ def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_max(f, lo, hi):
-    """Maximize f on every bracket [lo[k], hi[k]] at once; returns (x, f(x)).
+def golden_section_max(f, lo: float, hi: float):
+    """Maximize f on [lo, hi] by golden section (Kiefer 1953); returns (x, f(x)).
 
-    Golden-section search (Kiefer 1953) on each bracket, all brackets shrunk
-    in lockstep: f takes an array of abscissae and is called once per
-    iteration on the new probe of every bracket still moving.  A bracket
-    stops once its width is below 1e-10 relative to the magnitude of its
-    abscissa (with an absolute floor for intervals at 0), so each bracket
-    follows the iterates it would have on its own.  f is assumed unimodal
-    on each bracket.
+    f takes and returns a float and is assumed unimodal on the bracket.  The
+    bracket is shrunk until its width is below 1e-10 relative to the
+    magnitude of its abscissa (with an absolute floor for intervals at 0);
+    ties fc >= fd keep the left part.
     """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    width = b - a
-    c = b - _INVPHI * width
-    d = a + _INVPHI * width
-    fc, fd = np.split(f(np.concatenate((c, d))), 2)
-    x = np.empty_like(a)
-    fx = np.empty_like(a)
-    slot = np.arange(a.size)  # input position of each bracket still moving
-    while slot.size:
-        left = fc >= fd
-        moving = width > 1e-10 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-30)
-        if np.count_nonzero(moving) < slot.size:
-            x[slot] = np.where(left, c, d)
-            fx[slot] = np.where(left, fc, fd)
-            slot, a, b, c, d, fc, fd, left = (
-                v[moving] for v in (slot, a, b, c, d, fc, fd, left)
-            )
-            if not slot.size:
-                break
-        # fc >= fd keeps [a, d] and probes a new c; otherwise [c, b] and a new d
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        width = b - a
-        step = _INVPHI * width
-        probe = np.where(left, b - step, a + step)
-        fp = f(probe)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    return x, fx
+    a, b = float(lo), float(hi)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > 1e-10 * max(abs(a), abs(b), 1e-30):
+        if fc >= fd:  # keep [a, d], probe a new c
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:  # keep [c, b], probe a new d
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    if fc >= fd:
+        return c, fc
+    return d, fd
+
+
+def scalar_magnitude(policy: SpacingPolicy, params: VehicleParams):
+    """|T(i w)| at one float w >= 0, bitwise equal to transfer_magnitude.
+
+    The same operations in the same order on floats, with math.sin/math.cos
+    in place of the numpy loops (they return the same doubles as numpy's
+    float64 sin/cos with numpy 2.4; TestRefinedPeak checks it) and np.hypot
+    kept, since math.hypot rounds differently.  An overflowing h_a w^2
+    gives |T| = 0 without a warning, as Python floats do not warn.
+    """
+    phi = params.phi
+    if policy.kind is PolicyKind.DELAYED_CONSTANT:
+        return lambda w: 1.0
+    hv, ha, hypot, sin, cos = policy.h_v, policy.h_a, np.hypot, math.sin, math.cos
+    if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+        def magnitude(w: float) -> float:
+            wp = w * phi
+            return float(1.0 / hypot(w * hv - sin(wp), cos(wp)))
+    else:
+        def magnitude(w: float) -> float:
+            wp = w * phi
+            return float(1.0 / hypot(1.0 - ha * w * w * cos(wp), hv * w - ha * w * w * sin(wp)))
+    return magnitude
 
 
 @np.errstate(over="ignore", invalid="ignore")  # h_a w^2 overflowing gives |T| = 0
 def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray):
     """(peak_omega, peak_magnitude, grid magnitudes) of |T| on a grid.
 
-    Every local maximum of the grid magnitudes, endpoints included, is
-    golden-refined to relative width 1e-10 on the bracket of its two grid
-    neighbours; all brackets are refined together in one lockstep pass, so
-    |T| is evaluated once per iteration whatever the number of maxima.
+    The grid magnitudes are one vectorized transfer_magnitude call.  Every
+    local maximum of them, endpoints included, is then golden-refined to
+    relative width 1e-10 on the bracket of its two grid neighbours by its
+    own scalar golden_section_max over scalar_magnitude.  The largest
+    refined value above the grid maximum wins, the first of equal ones.
     """
     mags = transfer_magnitude(policy, params, grid)
     n = len(grid)
     edged = np.concatenate(([-np.inf], mags, [-np.inf]))
     peaks = np.flatnonzero((edged[1:-1] >= edged[:-2]) & (edged[1:-1] >= edged[2:]))
-    w_ref, m_ref = golden_section_max(
-        lambda w: transfer_magnitude(policy, params, w),
-        grid[np.maximum(peaks - 1, 0)],
-        grid[np.minimum(peaks + 1, n - 1)],
-    )
     k = int(np.argmax(mags))
     best_w, best_m = float(grid[k]), float(mags[k])
-    better = np.flatnonzero(m_ref > best_m)
-    if better.size:
-        k = better[np.argmax(m_ref[better])]
-        best_w, best_m = float(w_ref[k]), float(m_ref[k])
+    magnitude = scalar_magnitude(policy, params)
+    knots = grid.tolist()
+    for k in peaks.tolist():
+        w, m = golden_section_max(magnitude, knots[max(k - 1, 0)], knots[min(k + 1, n - 1)])
+        if m > best_m:
+            best_w, best_m = w, m
     return best_w, best_m, mags
 
 
@@ -235,7 +240,7 @@ def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> Stab
 
     Grid of SWEEP_POINTS log-spaced points on [1e-3, omega_max] with
     omega_max = max(10 / h_v, 20 pi / phi); every local maximum is refined by
-    golden section to relative width 1e-10, all maxima in one lockstep pass
+    its own scalar golden-section search to relative width 1e-10
     (refined_peak).  Stable iff sup <= 1 + 1e-9.
     """
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
@@ -383,7 +388,9 @@ def _generator_matrix(qp: QuasiPolynomial) -> np.ndarray:
     return matrix
 
 
-def _polish_eigenvalues(qp: QuasiPolynomial, generator: np.ndarray) -> list[complex]:
+def _polish_eigenvalues(
+    qp: QuasiPolynomial, generator: np.ndarray, axis_floor: float = 0.0
+) -> list[complex]:
     """Distinct roots, Newton-polished from the generator's eigenvalues.
 
     Eigenvalues e with Im >= 0 and |e| <= R(Re e) seed damped Newton from
@@ -393,11 +400,13 @@ def _polish_eigenvalues(qp: QuasiPolynomial, generator: np.ndarray) -> list[comp
     so far, since the box certificate needs only the roots right of one.
     A conjugate pair closer than the dedupe distance (as a double real root
     discretizes) seeds its real part first.  Roots are folded into the
-    upper half plane and deduplicated.
+    upper half plane, snapped onto the real axis where |Im| <= 1e-9
+    (axis_floor + |root|), and deduplicated.  With axis_floor = 0 the snap
+    is relative, so a small complex pair (h_a lambda^2 + (h_v - phi) lambda
+    + 1 at h_a = 1e20: -4.25e-21 +- 1e-10 i) keeps its imaginary part.
     """
     eigs = np.linalg.eigvals(generator)
     eigs = eigs[(eigs.imag >= 0.0) & (np.abs(eigs) <= _root_bound(qp, eigs.real))]
-    axis_tol = 1e-9
     roots: list[complex] = []
     right = 0.0  # largest real part among roots, once there is one
     for eig in eigs[np.argsort(-eigs.real, kind="stable")]:
@@ -412,7 +421,7 @@ def _polish_eigenvalues(qp: QuasiPolynomial, generator: np.ndarray) -> list[comp
                 continue
             if lam.imag < 0.0:  # conjugate symmetry: fold into the upper half plane
                 lam = lam.conjugate()
-            if abs(lam.imag) <= axis_tol * (1.0 + abs(lam)):
+            if abs(lam.imag) <= 1e-9 * (axis_floor + abs(lam)):
                 lam = complex(lam.real, 0.0)
             if any(abs(lam - r) <= 1e-6 * (1.0 + abs(r)) for r in roots):
                 continue
@@ -454,9 +463,13 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
     finite on the box, or when the count does not match.
     """
     roots = _polish_eigenvalues(qp, _generator_matrix(qp))
-    if not roots:  # tiny coefficients (h_a >~ 1e28) drown the generator's
-        # eigenvalues in its rounding: seed at the roots of a + b (phi = 0)
-        roots = _polish_eigenvalues(qp, _generator_matrix(QuasiPolynomial(qp.a, qp.b, 0.0)))
+    if not roots:  # tiny coefficients (h_a >~ 1e26) drown the generator's
+        # eigenvalues in its rounding: seed at the roots of a + b (phi = 0).
+        # Their real parts are Newton's stopping error (-5e-29 where the pair
+        # has -4.25e-29 at h_a = 1e28), so the axis snap keeps its absolute
+        # 1e-9 floor on this path
+        delay_free = _generator_matrix(QuasiPolynomial(qp.a, qp.b, 0.0))
+        roots = _polish_eigenvalues(qp, delay_free, axis_floor=1.0)
     if not roots:
         raise RefinementError("no eigenvalue seed converged to a root")
     top = max(roots, key=lambda r: r.real)

@@ -57,6 +57,8 @@ __all__ = [
     "open_loop_step_response",
 ]
 
+MAX_LOG_VALUES = 11 * MAX_SAMPLES  # logged values of a run: MAX_SAMPLES two-vehicle samples
+
 
 @dataclass(frozen=True)
 class LeaderSegment:
@@ -164,6 +166,14 @@ class PlatoonConfig:
             raise ValueError(
                 f"horizon / ts = {self.horizon / self.ts:.6g} gives more than "
                 f"{MAX_SAMPLES} samples"
+            )
+        # the log keeps q, v, a, u per vehicle and e, delta, delta_ref per follower
+        n_samples = round(self.horizon / self.ts) + 1
+        columns = 4 * len(self.vehicles) + 3 * nf
+        if n_samples * columns > MAX_LOG_VALUES:
+            raise ValueError(
+                f"{n_samples} samples of {columns} logged columns exceed "
+                f"{MAX_LOG_VALUES} values"
             )
         for setup in self.vehicles:
             d = delay_steps(setup.params, self.ts)  # raises DelayGranularityError

@@ -1,8 +1,9 @@
 """References that the tests compare the package against: closed forms, the
 convolution-integral predictor, the continuous-time (A, B) of the vehicle
 model, the generic controller indexed by the relative degrees of the policy
-rows, the float-loop simulator that `delayplatoon.run` replaced and the
-scalar golden-section refinement that `refined_peak` replaced.
+rows, the float-loop simulator that `delayplatoon.run` replaced and a
+golden-section refinement that evaluates |T| through `transfer_magnitude`,
+which `refined_peak` and its float kernel must match bitwise.
 
 The spacing errors, tracking laws, leader law and sensor hold here are
 written out independently of `delayplatoon.controllers.track`, of

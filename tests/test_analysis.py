@@ -1,4 +1,6 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,14 +108,16 @@ def _assert_refinement_matches_reference(policy, params):
     w, m, mags = analysis.refined_peak(policy, params, grid)
     w_ref, m_ref, mags_ref = refined_peak_reference(policy, params, grid)
     assert np.array_equal(mags, mags_ref)
-    assert w == pytest.approx(w_ref, rel=1e-12)
-    assert m == pytest.approx(m_ref, rel=1e-12)
+    assert (w, m) == (w_ref, m_ref)
+    magnitude = analysis.scalar_magnitude(policy, params)
+    assert [magnitude(x) for x in grid.tolist()] == mags.tolist()
     verdict = dp.string_stability_sweep(policy, params)
     assert verdict.stable == (m_ref <= 1.0 + analysis.SWEEP_TOL)
 
 
 class TestRefinedPeak:
-    """The lockstep refinement against the scalar one-loop-per-peak oracle."""
+    """The scalar-kernel refinement against the one-loop-per-peak oracle that
+    evaluates |T| through transfer_magnitude."""
 
     @settings(max_examples=40, deadline=None)
     @given(phi=st.floats(0.05, 0.3), ratio=st.floats(0.05, 3.0))
@@ -130,9 +134,20 @@ class TestRefinedPeak:
         )
         _assert_refinement_matches_reference(policy, dp.VehicleParams(0.067, phi))
 
-    def test_all_peaks_share_one_pass(self, monkeypatch):
-        """Ten maxima cost one grid call and one call per lockstep iteration,
-        not one golden-section loop each (refined_peak_reference makes 439)."""
+    def test_golden_section_matches_oracle(self):
+        """Brackets of different widths stop at different iterations, each
+        where the oracle's search on it stops, at the same point."""
+        def f(x):
+            return -(x - 1.3) ** 2
+
+        for lo, hi in ((0.0, 3.0), (1.0, 1.5), (1.29, 1.31), (-5.0, 5.0)):
+            assert analysis.golden_section_max(f, lo, hi) == golden_section_max(
+                f, lo, hi, rel_tol=1e-10
+            )
+
+    def test_grid_is_the_only_array_evaluation(self, monkeypatch):
+        """Ten maxima cost one transfer_magnitude call, for the grid; the
+        refinement evaluates the scalar kernel only."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.05)
         params = dp.VehicleParams(0.067, 0.15)
         grid = analysis.default_sweep_grid(policy, params)
@@ -147,19 +162,25 @@ class TestRefinedPeak:
 
         monkeypatch.setattr(analysis, "transfer_magnitude", counting)
         analysis.refined_peak(policy, params, grid)
-        assert len(calls) <= 45
+        assert calls == [grid.size]
 
-    def test_brackets_follow_their_own_iterates(self):
-        """Brackets of different widths stop at different iterations, each
-        where the scalar search on it alone stops."""
-        def f(x):
-            return -(x - 1.3) ** 2
-
-        lo = np.array([0.0, 1.0, 1.29, -5.0])
-        hi = np.array([3.0, 1.5, 1.31, 5.0])
-        x, fx = analysis.golden_section_max(f, lo, hi)
-        for k in range(len(lo)):
-            assert (x[k], fx[k]) == golden_section_max(f, lo[k], hi[k], rel_tol=1e-10)
+    def test_overflowing_extended_tuning(self):
+        """h_a w^2 overflows at the top of the grid: |T| = 0 there, from the
+        grid pass and the scalar kernel alike, and no RuntimeWarning."""
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=1e300)
+        params = dp.VehicleParams(0.067, 0.001)  # omega_max = 20 pi / phi = 62,832
+        grid = analysis.default_sweep_grid(policy, params)
+        top = float(grid[-1])
+        assert not math.isfinite(1e300 * top * top)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, m, mags = analysis.refined_peak(policy, params, grid)
+            assert analysis.scalar_magnitude(policy, params)(top) == 0.0
+            verdict = dp.string_stability_sweep(policy, params)
+        assert mags[-1] == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (w, m) == refined_peak_reference(policy, params, grid)[:2]
+        assert verdict.stable and verdict.peak_magnitude == m
 
 
 class TestRightmostRoot:
@@ -311,6 +332,18 @@ class TestPropernessRootCheck:
         verdict = dp.properness_root_check(policy, ref_params)
         assert verdict.stable == dp.is_proper(policy, ref_params).stable
         assert verdict.rightmost_root.real > 5.0 / ref_params.phi
+
+    @pytest.mark.parametrize("h_a", [1e16, 1e20])
+    def test_extended_small_complex_pair_stays_complex(self, h_a):
+        """The internal roots are the pair of h_a lambda^2 + (h_v - phi) lambda
+        + 1, about -(h_v - phi) / (2 h_a) +- i h_a^{-1/2}: at h_a = 1e20 |Im|
+        = 1e-10 is below an absolute 1e-9 axis tolerance, yet far from zero."""
+        h_v, phi = 1.0, 0.15
+        root = dp.rightmost_root(QuasiPolynomial.extended_internal(h_v, h_a, phi))
+        c = h_v - phi
+        want = (-c + cmath.sqrt(c * c - 4.0 * h_a)) / (2.0 * h_a)
+        assert root.real == pytest.approx(want.real, rel=1e-6)
+        assert abs(root.imag) == pytest.approx(want.imag, rel=1e-6)
 
     @pytest.mark.parametrize("h_a", [1e30, 1e100, 1e305])
     def test_extended_huge_acceleration_headway(self, ref_params, h_a):

@@ -194,6 +194,25 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err and not out.exists()
 
+    def test_log_size_bounded(self, tmp_path, capsys):
+        """Ten vehicles for 164,180 samples (under MAX_SAMPLES) would log
+        more than 11 MAX_SAMPLES values: a usage error before any run."""
+        vehicles = "".join(f"[vehicle.{i}]\ntau = 0.067\nphi = 0.15\n\n" for i in range(10))
+        followers = "".join(
+            f"[policy.{i}]\nkind = ext\nh_v = 1.2\nh_a = 0.25\n\n[controller.{i}]\nk_p = 0.2\n\n"
+            for i in range(1, 10)
+        )
+        scn = tmp_path / "ten.scn"
+        scn.write_text(
+            "[sim]\nts = 0.01\nhorizon = 1641.79\n\n" + vehicles + followers
+            + "[leader]\nsegments =\n    pulse 1.0 0.0\n"
+        )
+        out = tmp_path / "out.csv"
+        assert main(["simulate", str(scn), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ScenarioError: ") and len(err.splitlines()) == 1
+        assert "164180 samples of 67 logged columns" in err and not out.exists()
+
     def test_delay_longer_than_any_run_rejected(self, tmp_path, capsys):
         """phi / ts = 1e302 is rejected before any input history is built."""
         scn = tmp_path / "long_delay.scn"

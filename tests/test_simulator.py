@@ -371,6 +371,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="samples"):
             two_vehicle_config(EXT, EXT_GAINS, horizon=most + 0.01)
 
+    def test_log_size_bounded(self):
+        """Ten vehicles log 4 * 10 + 3 * 9 = 67 columns, so the log-size cap
+        (11 MAX_SAMPLES values) allows 164,179 samples, not MAX_SAMPLES."""
+        def ten_vehicles(horizon):
+            spec = dp.ControllerSpec(EXT, EXT_GAINS, ego=REF_VEHICLE, predecessor=REF_VEHICLE)
+            return dp.PlatoonConfig(
+                vehicles=(dp.VehicleSetup(REF_VEHICLE),) * 10,
+                policies=(EXT,) * 9,
+                controllers=(spec,) * 9,
+                ts=0.01,
+                horizon=horizon,
+            )
+
+        most = dp.simulator.MAX_LOG_VALUES // 67
+        assert most == 164_179
+        assert ten_vehicles((most - 1) * 0.01).horizon == (most - 1) * 0.01
+        with pytest.raises(ValueError, match="164180 samples of 67 logged columns"):
+            ten_vehicles(most * 0.01)
+
     def test_follower_counts(self):
         with pytest.raises(ValueError):
             dp.PlatoonConfig(
