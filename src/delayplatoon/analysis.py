@@ -3,11 +3,11 @@
 Covers the closed-loop velocity transfer magnitudes under perfect tracking,
 the string-stability frequency sweep, the rightmost root of the one-delay
 internal dynamics a(lambda) + b(lambda) e^{-phi lambda}, deg b < deg a (one
-pass: Newton seeded by pseudospectral generator eigenvalues, certified by
-one argument-principle winding count over a box that the closed-form
-modulus bound R(s) sizes; a mismatch raises RefinementError, it is not
-retried), the properness region boundary, and the time-domain L2
-string-stability check.
+pass: Newton seeded by the eigenvalues of a 12-node pseudospectral
+generator, certified by one adaptive argument-principle count over a box
+that the closed-form modulus bound R(s) sizes; a mismatch raises
+RefinementError, it is not retried), the properness region boundary, and
+the time-domain L2 string-stability check.
 """
 
 from __future__ import annotations
@@ -294,32 +294,84 @@ def _turns(f: np.ndarray) -> float:
     return float(np.sum(np.angle(np.roll(f, -1) / f)) / (2.0 * math.pi))
 
 
-def _winding_number(qp: QuasiPolynomial, lo: float, half: float) -> int:
-    """Winding of p around 0 along the box Re in [lo, half], Im in [-half, half].
+ROOT_COUNT_CAP = 20000  # evaluations of p before _root_count gives up
+_COUNT_ROUNDING = 8.0 * 2.0**-52  # rounding error of p, relative to the newton_terms scale
+_TWO_PI = 2.0 * math.pi
 
-    The box is conjugate symmetric, so real roots sit strictly inside it.
-    The count over 8192 points must lie within 1e-3 of an integer that the
-    count over its 4096 even points rounds to as well; otherwise
-    RefinementError.  Each side carries c0 + (c1 - c0) j / m, so the even
-    points are bitwise the 4096 of the first pass and only the odd are new.
+
+def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
+    """(roots in the box Re in [lo, half], Im in [-half, half], with their
+    multiplicities; points evaluated).
+
+    The argument principle, adaptively (Ying & Katz, Numer. Math. 53,
+    1988): a side segment [z0, z1] is accepted once L |z1 - z0| plus the
+    rounding of p at both ends lies below max(|p(z0)|, |p(z1)|), where L
+    bounds |p'| on the segment by the monomial magnitudes at the larger
+    |z| and e^{-phi Re} at the smaller Re.  p then stays in a disc around
+    the larger end value that excludes 0, so the change of arg p along the
+    segment is the principal argument of p(z1) / p(z0); a segment that
+    fails the test is bisected.  The box is conjugate symmetric, so real
+    roots sit strictly inside it.  RefinementError where p is not finite
+    or 0 on the contour, or after ROOT_COUNT_CAP evaluations.
     """
-    corners = [complex(lo, -half), complex(half, -half), complex(half, half), complex(lo, half)]
+    a, b, phi = qp.a, qp.b + (0.0,), qp.phi
+    # Horner rows from degree n - 1 down: the coefficients of a and b, their
+    # magnitudes, and those of the bound |p'| <= sum_j (j + 1) |a_{j+1}| r^j
+    # + e^{-phi Re} sum_j ((j + 1) |b_{j+1}| + phi |b_j|) r^j at |lambda| <= r
+    rows = [
+        (a[j], b[j], abs(a[j]), abs(b[j]), (j + 1) * abs(a[j + 1]),
+         (j + 1) * abs(b[j + 1]) + phi * abs(b[j]))
+        for j in reversed(range(len(a) - 1))
+    ]
 
-    def evaluate(j: np.ndarray, m: int) -> np.ndarray:
-        z = np.concatenate(
-            [c0 + (c1 - c0) * (j / m) for c0, c1 in zip(corners, corners[1:] + corners[:1])]
-        )
-        return _contour_values(qp, z, "winding contour")
+    def point(z: complex):
+        r = abs(z)
+        fa, fb, ma, mb, sa, sb = complex(a[-1]), 0.0j, abs(a[-1]), 0.0, 0.0, 0.0
+        for aj, bj, maj, mbj, saj, sbj in rows:
+            fa = fa * z + aj
+            fb = fb * z + bj
+            ma = ma * r + maj
+            mb = mb * r + mbj
+            sa = sa * r + saj
+            sb = sb * r + sbj
+        try:
+            decay = math.exp(-phi * z.real)
+            f = fa + fb * cmath.exp(-phi * z)
+        except OverflowError:
+            f = decay = math.inf
+        # newton_terms' monomial scale, its delayed part widened by phi r: the
+        # rounded exponent -phi z perturbs e^{-phi z} by about phi |z| ulps
+        scale = ma + mb * decay * (1.0 + phi * r)
+        if not (cmath.isfinite(f) and math.isfinite(scale)):
+            raise RefinementError("quasi-polynomial is not finite on the winding contour")
+        if f == 0.0:
+            raise RefinementError("root on the winding contour")
+        return z, cmath.phase(f), abs(f), _COUNT_ROUNDING * scale, sa, sb, decay
 
-    coarse = evaluate(np.arange(1024), 1024)
-    f = np.empty(8192, dtype=complex)
-    f[0::2] = coarse
-    f[1::2] = evaluate(np.arange(1, 2048, 2), 2048)
-    winding = _turns(f)
-    rounded = round(winding)
-    if abs(winding - rounded) < 1e-3 and round(_turns(coarse)) == rounded:
-        return rounded
-    raise RefinementError("winding number did not stabilize")
+    corners = [
+        point(complex(lo, -half)), point(complex(half, -half)),
+        point(complex(half, half)), point(complex(lo, half)),
+    ]
+    evaluations = 4
+    turns = 0.0
+    for k in range(4):
+        z0, arg0, mod0, err0, sa0, sb0, e0 = corners[k]
+        pending = [corners[(k + 1) % 4]]
+        while pending:
+            z1, arg1, mod1, err1, sa1, sb1, e1 = pending[-1]
+            slope = max(sa0, sa1) + max(sb0, sb1) * max(e0, e1)
+            if slope * abs(z1 - z0) + err0 + err1 < max(mod0, mod1):
+                step = arg1 - arg0  # wrapped below: the principal arg of p(z1) / p(z0)
+                turns += step - _TWO_PI * round(step / _TWO_PI)
+                z0, arg0, mod0, err0, sa0, sb0, e0 = pending.pop()
+            elif evaluations >= ROOT_COUNT_CAP:
+                raise RefinementError(
+                    f"root count did not converge within {ROOT_COUNT_CAP} evaluations"
+                )
+            else:
+                pending.append(point(0.5 * (z0 + z1)))
+                evaluations += 1
+    return round(turns / _TWO_PI), evaluations
 
 
 def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
@@ -360,19 +412,21 @@ def _generator_matrix(qp: QuasiPolynomial) -> np.ndarray:
 
     p is the characteristic function of x^(n)(t) = -sum_j (a_j x^(j)(t) +
     b_j x^(j)(t - phi)).  The state (x, ..., x^(n-1)) on [-phi, 0] is
-    collocated at 25 Chebyshev points (Breda, Maset & Vermiglio, SIAM J.
-    Sci. Comput. 2005): the first block row is the DDE, whose delayed term
-    is -b in the last block since -phi is the last node; the others
-    differentiate the interpolant.  With phi = 0 it is the companion matrix
-    of a.  Raises RefinementError when an entry overflows, since no
-    eigenvalue can seed the search then.
+    collocated at the 13 points of a 12-node Chebyshev grid (Breda, Maset &
+    Vermiglio, SIAM J. Sci. Comput. 2005), a 13n x 13n matrix: its
+    eigenvalues only seed Newton, and the root count certifies the result.
+    The first block row is the DDE, whose delayed term is -b in the last
+    block since -phi is the last node; the others differentiate the
+    interpolant.  With phi = 0 it is the companion matrix of a.  Raises
+    RefinementError when an entry overflows, since no eigenvalue can seed
+    the search then.
     """
     n = len(qp.b)
     companion = np.eye(n, k=1)
     companion[-1] = np.negative(qp.a[:n])
     matrix = companion
     if qp.phi > 0.0:
-        n_nodes = 24
+        n_nodes = 12
         theta = 0.5 * qp.phi * (np.cos(math.pi * np.arange(n_nodes + 1) / n_nodes) - 1.0)
         w = np.ones(n_nodes + 1)  # interpolation weights (-1)^j, halved at both ends
         w[[0, -1]] = 0.5
@@ -450,17 +504,18 @@ def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]
 def rightmost_root(qp: QuasiPolynomial) -> complex:
     """The root of p with the largest real part, certified.
 
-    Seeds damped Newton iterations at the eigenvalues of a 24-node Chebyshev
+    Seeds damped Newton iterations at the eigenvalues of a 12-node Chebyshev
     pseudospectral discretization of the delay equation's generator (those
     within the bound R of _root_bound), or, when none converges, at the
     roots of the delay-free polynomial a + b; deduplicates, and takes the
     rightmost polished root s*.  Every root with Re >= lo = s* - BOX_MARGIN
     (1 + |s*|) has modulus below R(lo), so the box [lo, R] x [-R, R] holds
-    all of them: an argument-principle winding count over its boundary must
-    equal the polished roots right of lo, with the multiplicity of each
-    certified on a small circle.  Then no root lies right of s*.  Raises
-    RefinementError when no seed converges, when the bound or p is not
-    finite on the box, or when the count does not match.
+    all of them: the adaptive argument-principle count over its boundary
+    (_root_count) must equal the polished roots right of lo, with the
+    multiplicity of each certified on a small circle.  Then no root lies
+    right of s*.  Raises RefinementError when no seed converges, when the
+    bound or p is not finite on the box, when the count reaches its cap,
+    or when it does not match.
     """
     roots = _polish_eigenvalues(qp, _generator_matrix(qp))
     if not roots:  # tiny coefficients (h_a >~ 1e26) drown the generator's
@@ -478,7 +533,7 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
     half = max(float(_root_bound(qp, lo)), delta)
     if not math.isfinite(half):
         raise RefinementError(f"root bound is not finite at Re = {lo:g}")
-    winding = _winding_number(qp, lo, half)
+    winding, _ = _root_count(qp, lo, half)
     # winding counts every root inside the box with its multiplicity, so
     # complex roots found in the upper half count twice
     expected = sum(

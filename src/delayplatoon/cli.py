@@ -54,12 +54,21 @@ def _input_checked():
         raise _RejectedInput from exc
 
 
+_CSV_BLOCK_ROWS = 4096  # rows per %-format: bounds the text held at once
+
+
 def _write_table(path, table, header: str, footer: str = "") -> None:
     """One CSV: the header line, the rows of table at 17 significant digits,
-    then the footer line if any."""
-    with open(path, "w") as fh:  # a handle: savetxt would gzip a *.gz path
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header,
-                   footer=footer, comments="")
+    then the footer line if any; the bytes of np.savetxt with fmt="%.17g",
+    one %-format per block of rows."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        if footer:
+            fh.write(footer + "\n")
 
 
 def write_csv(log: TrajectoryLog, path) -> None:

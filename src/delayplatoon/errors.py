@@ -18,7 +18,9 @@ class DegreeError(ValueError):
 
 
 class RefinementError(RuntimeError):
-    """Root search certificate failed (winding count mismatch or no convergence)."""
+    """Root search certificate failed: no seed converged, p is not finite or 0
+    on the counting contour, the root count reached its evaluation cap, or it
+    does not match the roots found."""
 
 
 class ScenarioError(ValueError):

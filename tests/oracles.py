@@ -3,7 +3,8 @@ convolution-integral predictor, the continuous-time (A, B) of the vehicle
 model, the generic controller indexed by the relative degrees of the policy
 rows, the float-loop simulator that `delayplatoon.run` replaced and a
 golden-section refinement that evaluates |T| through `transfer_magnitude`,
-which `refined_peak` and its float kernel must match bitwise.
+which `refined_peak` and its float kernel must match bitwise, and the
+fixed-grid winding count that the adaptive `_root_count` must agree with.
 
 The spacing errors, tracking laws, leader law and sensor hold here are
 written out independently of `delayplatoon.controllers.track`, of
@@ -23,7 +24,7 @@ import scipy.special
 
 from delayplatoon.controllers import ControlInputs, ControllerGains, validate_gains
 from delayplatoon.dynamics import InputHistory, VehicleParams, delay_steps, discretize
-from delayplatoon.errors import ChannelError, DegreeError
+from delayplatoon.errors import ChannelError, DegreeError, RefinementError
 from delayplatoon.analysis import transfer_magnitude
 from delayplatoon.predictor import prediction_weights
 from delayplatoon.simulator import LeaderProfile, PlatoonConfig, TrajectoryLog, VehicleSetup
@@ -388,3 +389,30 @@ def refined_peak_reference(policy, params, grid: np.ndarray):
         if m_ref > best_m:
             best_w, best_m = w_ref, m_ref
     return best_w, best_m, mags
+
+
+def winding_number_reference(qp, lo: float, half: float) -> int:
+    """Winding of p around 0 along the box Re in [lo, half], Im in
+    [-half, half], from two fixed grids: the count over 8192 boundary points
+    must lie within 1e-3 of an integer that the count over its 4096 even
+    points rounds to as well.  The fixed-grid scan that `_root_count`
+    replaced; RefinementError where p is not finite or 0 on a grid point, or
+    where the two grids disagree."""
+    corners = [complex(lo, -half), complex(half, -half), complex(half, half), complex(lo, half)]
+    frac = np.arange(2048) / 2048
+    z = np.concatenate([c0 + (c1 - c0) * frac for c0, c1 in zip(corners, corners[1:] + corners[:1])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = qp(z)
+    if not np.all(np.isfinite(f)):
+        raise RefinementError("quasi-polynomial is not finite on the winding contour")
+    if np.any(f == 0.0):
+        raise RefinementError("root on the winding contour")
+
+    def turns(g):
+        return float(np.sum(np.angle(np.roll(g, -1) / g)) / (2.0 * math.pi))
+
+    winding = turns(f)
+    rounded = round(winding)
+    if abs(winding - rounded) < 1e-3 and round(turns(f[0::2])) == rounded:
+        return rounded
+    raise RefinementError("winding number did not stabilize")

@@ -13,7 +13,12 @@ from delayplatoon import analysis
 from delayplatoon.analysis import QuasiPolynomial
 from delayplatoon.spacing import PolicyKind
 
-from oracles import dch_rightmost_root, golden_section_max, refined_peak_reference
+from oracles import (
+    dch_rightmost_root,
+    golden_section_max,
+    refined_peak_reference,
+    winding_number_reference,
+)
 
 DCH = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.4)
 EXT = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.2, h_a=0.25)
@@ -273,6 +278,15 @@ class TestRightmostRoot:
                 root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
                 assert abs(root - dch_rightmost_root(h_v, phi)) <= 1e-10
 
+    def test_dch_matches_principal_lambert_w_to_1e_12(self):
+        """The rightmost DCH root is W_0(-phi / h_v) / phi; Newton from the
+        12-node generator's seeds lands on it to 1e-12 relative."""
+        for h_v in np.geomspace(0.01, 10.0, 30):
+            for phi in np.linspace(0.05, 0.3, 11):
+                want = complex(scipy.special.lambertw(-phi / h_v, 0)) / phi
+                root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
+                assert abs(root - want) <= 1e-12 * abs(want)
+
     def test_neutral_rejected(self):
         # lambda + lambda e^{-0.1 lambda}: the delayed term has the full degree
         with pytest.raises(ValueError, match="neutral"):
@@ -354,9 +368,9 @@ class TestPropernessRootCheck:
         assert verdict.stable == dp.is_proper(policy, ref_params).stable
 
     def test_spurious_right_eigenvalues_are_filtered(self):
-        """The generator's top eigenvalues here (33.6+260j, 31.5+418j,
-        25.2+191j) are spurious: |e| > R(Re e).  Newton from the first lands
-        on 15.52+198.0j, a root left of the rightmost one."""
+        """The 12-node generator's top eigenvalue here, 38.2+106j, is
+        spurious: |e| > R(Re e).  Newton from it would land on 20.01+49.39j,
+        a root left of the rightmost one."""
         policy = dp.SpacingPolicy(
             PolicyKind.DELAYED_EXTENDED_HEADWAY,
             h_v=2.368866384477878, h_a=1.2461492890856137e-4,
@@ -387,9 +401,26 @@ class TestPropernessRootCheck:
 
 
 class TestAgreementGrids:
-    """Closed-form properness matches the rightmost-root verdict."""
+    """Closed-form properness matches the rightmost-root verdict, and the
+    adaptive root count stays cheap over the grid: the median and maximum
+    of its evaluations, deterministic counts rather than times, are bounded
+    at about twice those of the current count (DCH 54 and 1,118, extended
+    82 and 1,776)."""
 
-    def test_dch_50x50(self):
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        counts = []
+        count = analysis._root_count
+
+        def recording(*args):
+            winding, n = count(*args)
+            counts.append(n)
+            return winding, n
+
+        monkeypatch.setattr(analysis, "_root_count", recording)
+        return counts
+
+    def test_dch_50x50(self, evaluations):
         mismatches = 0
         for h_v in np.linspace(0.05, 0.5, 50):
             for phi in np.linspace(0.05, 0.3, 50):
@@ -401,8 +432,10 @@ class TestAgreementGrids:
                 root = dp.properness_root_check(policy, params).stable
                 mismatches += closed != root
         assert mismatches == 0
+        assert len(evaluations) == 2499
+        assert np.median(evaluations) <= 110 and max(evaluations) <= 2200
 
-    def test_extended_50x50(self, ref_params):
+    def test_extended_50x50(self, ref_params, evaluations):
         mismatches = 0
         for h_v in np.linspace(0.2, 2.0, 50):
             for h_a in np.linspace(0.05, 1.0, 50):
@@ -415,6 +448,8 @@ class TestAgreementGrids:
                 root = dp.properness_root_check(policy, ref_params).stable
                 mismatches += closed.stable != root
         assert mismatches == 0
+        assert len(evaluations) == 2500
+        assert np.median(evaluations) <= 160 and max(evaluations) <= 3500
 
 
 class TestStabilityRegionBoundary:
@@ -504,13 +539,13 @@ class TestWindingCertificate:
         # lambda + 1 with the box edge through the root at -1
         qp = QuasiPolynomial((1.0, 1.0), (), 0.0)
         with pytest.raises(dp.RefinementError, match="root on the winding contour"):
-            analysis._winding_number(qp, -1.0, 2.0)
+            analysis._root_count(qp, -1.0, 2.0)
 
     def test_non_finite_contour_values_rejected(self):
         # 1/h_v = 1e308 overflows p on the left edge Re = -10/phi
         qp = QuasiPolynomial.dch_internal(1e-308, 0.15)
         with pytest.raises(dp.RefinementError, match="not finite"):
-            analysis._winding_number(qp, -10.0 / 0.15, 4.0 * math.pi / 0.15)
+            analysis._root_count(qp, -10.0 / 0.15, 4.0 * math.pi / 0.15)
 
     def test_no_converged_seed_is_a_refinement_error(self):
         # the eigenvalue seeds miss the roots near 4672 +- 21i (1 + 2k)
@@ -535,23 +570,49 @@ class TestWindingCertificate:
             dp.rightmost_root(qp)
         assert len(builds) == 1
 
-    def test_doubled_contour_evaluates_only_new_points(self, monkeypatch):
-        """The 8192-point pass reuses the 4096 values of the first pass."""
+    def test_box_count(self):
+        """The principal pair of lambda + e^{-0.15 lambda} / 0.4, -6.58 +-
+        1.30i, lies in the box; the next pair, at Re -20.5, left of it."""
         qp = QuasiPolynomial.dch_internal(0.4, 0.15)
-        lo, half = -10.0, 8.0
-        sizes = []
-        evaluate = QuasiPolynomial.__call__
+        count, evaluations = analysis._root_count(qp, -10.0, 8.0)
+        assert count == 2 == winding_number_reference(qp, -10.0, 8.0)
+        assert 4 < evaluations < 8192
 
-        def counting(self, lam):
-            sizes.append(np.size(lam))
-            return evaluate(self, lam)
+    def test_evaluation_cap_is_a_refinement_error(self):
+        # (lambda + 1)^2 + 0.09: the roots -1 +- 0.3i sit on the left edge
+        # between the dyadic bisection points, so no segment near them is
+        # ever accepted; a box clear of them is counted
+        qp = QuasiPolynomial((1.09, 2.0, 1.0), (), 0.0)
+        with pytest.raises(dp.RefinementError, match="did not converge within 20000 evaluations"):
+            analysis._root_count(qp, -1.0, 2.0)
+        assert analysis._root_count(qp, -1.5, 2.0)[0] == 2
 
-        monkeypatch.setattr(QuasiPolynomial, "__call__", counting)
-        winding = analysis._winding_number(qp, lo, half)
-        assert sizes == [4096, 4096]
-        monkeypatch.undo()
-        corners = [complex(lo, -half), complex(half, -half), complex(half, half), complex(lo, half)]
-        frac = np.arange(2048) / 2048
-        f = qp(np.concatenate([c0 + (c1 - c0) * frac for c0, c1 in zip(corners, corners[1:] + corners[:1])]))
-        assert winding == round(np.sum(np.angle(np.roll(f, -1) / f)) / (2.0 * math.pi))
-        assert winding == 2
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+class TestRootCountAgreesWithFixedGrid:
+    """The adaptive count equals the 4096 + 8192-point scan it replaced on
+    the boxes that rightmost_root builds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.one_of(
+            st.tuples(st.just(None), log_uniform(0.01, 10.0), st.floats(0.05, 0.3)),
+            st.tuples(log_uniform(1e-4, 1e3), log_uniform(0.03, 3.0), st.floats(0.05, 0.3)),
+        )
+    )
+    def test_random_tunings(self, data):
+        h_a, h_v, phi = data
+        if h_a is None:
+            qp = QuasiPolynomial.dch_internal(h_v, phi)
+        else:
+            qp = QuasiPolynomial.extended_internal(h_v, h_a, phi)
+        boxes = []
+        count = analysis._root_count
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_root_count", lambda *args: boxes.append(args) or count(*args))
+            dp.rightmost_root(qp)
+        (box,) = boxes
+        assert count(*box)[0] == winding_number_reference(*box)

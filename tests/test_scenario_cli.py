@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import delayplatoon as dp
-from delayplatoon import analysis
+from delayplatoon import analysis, cli
 from delayplatoon.cli import main, write_csv
 from delayplatoon.errors import DelayGranularityError, ScenarioError
 from delayplatoon.scenario import load_scenario_text
@@ -556,6 +556,31 @@ def sweep_writer(tmp_path):
 def test_csv_bytes_follow_the_17_digit_format(tmp_path, capsys, writer):
     expected = writer(tmp_path)
     assert (tmp_path / "out.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("name", ["paper_constant.scn", "paper_dch.scn", "paper_extended.scn"])
+def test_csv_bytes_equal_savetxt(tmp_path, monkeypatch, name):
+    """The one-format writer gives np.savetxt's bytes on every bundled run."""
+    tables = []
+    write_table = cli._write_table
+    monkeypatch.setattr(cli, "_write_table", lambda *args: tables.append(args) or write_table(*args))
+    assert main(["simulate", str(bundled(name)), str(tmp_path / "out.csv")]) == 0
+    (_, table, header), = tables
+    with open(tmp_path / "savetxt.csv", "w") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def test_csv_blocks_equal_savetxt(tmp_path):
+    """Tables longer than one block of rows, with a footer, keep np.savetxt's bytes."""
+    rng = np.random.default_rng(5)
+    rows = 2 * cli._CSV_BLOCK_ROWS + 3
+    table = rng.standard_normal((rows, 3)) * 10.0 ** rng.uniform(-300, 300, (rows, 3))
+    table[0] = (-0.0, 0.1, 1e22)
+    cli._write_table(tmp_path / "out.csv", table, "x,y,z", "# end")
+    with open(tmp_path / "savetxt.csv", "w") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header="x,y,z", footer="# end", comments="")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
 def test_import_loads_neither_scipy_nor_numba():
