@@ -256,6 +256,7 @@ def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> Stab
 
 
 BOX_MARGIN = 0.01  # the box reaches _box_margin(s*) left of the rightmost root s*
+SEED_SPREAD_FACTOR = 4.0  # widens the seed stop by the seeds' measured error
 
 
 def _box_margin(s: float) -> float:
@@ -452,19 +453,26 @@ def _polish_eigenvalues(
     the discretization, which lie right of the true roots, and the pass
     stops at the first eigenvalue two box margins left of the rightmost root
     so far, since the box certificate needs only the roots right of one.
-    A conjugate pair closer than the dedupe distance (as a double real root
-    discretizes) seeds its real part first.  Roots are folded into the
-    upper half plane, snapped onto the real axis where |Im| <= 1e-9
-    (axis_floor + |root|), and deduplicated.  With axis_floor = 0 the snap
-    is relative, so a small complex pair (h_a lambda^2 + (h_v - phi) lambda
-    + 1 at h_a = 1e20: -4.25e-21 +- 1e-10 i) keeps its imaginary part.
+    That stop is widened by SEED_SPREAD_FACTOR (1 + |e|) times the largest
+    relative Newton displacement |root - seed| / (1 + |seed|) so far: where
+    the eigenvalues are far from their roots (tiny h_a, |lambda| phi of 10
+    or more), a seed left of the plain stop can still lead to a root inside
+    the box.  A conjugate pair closer than the dedupe distance (as a double
+    real root discretizes) seeds its real part first.  Roots are folded
+    into the upper half plane, snapped onto the real axis where |Im| <=
+    1e-9 (axis_floor + |root|), and deduplicated.  With axis_floor = 0 the
+    snap is relative, so a small complex pair (h_a lambda^2 + (h_v - phi)
+    lambda + 1 at h_a = 1e20: -4.25e-21 +- 1e-10 i) keeps its imaginary
+    part.
     """
     eigs = np.linalg.eigvals(generator)
     eigs = eigs[(eigs.imag >= 0.0) & (np.abs(eigs) <= _root_bound(qp, eigs.real))]
     roots: list[complex] = []
     right = 0.0  # largest real part among roots, once there is one
+    spread = 0.0  # largest relative Newton displacement so far
     for eig in eigs[np.argsort(-eigs.real, kind="stable")]:
-        if roots and eig.real < right - 2.0 * _box_margin(right):
+        slack = 2.0 * _box_margin(right) + SEED_SPREAD_FACTOR * spread * (1.0 + abs(eig))
+        if roots and eig.real < right - slack:
             break
         seeds = [complex(eig)]
         if 0.0 < eig.imag <= 0.5e-6 * (1.0 + abs(eig)):
@@ -477,6 +485,7 @@ def _polish_eigenvalues(
                 lam = lam.conjugate()
             if abs(lam.imag) <= 1e-9 * (axis_floor + abs(lam)):
                 lam = complex(lam.real, 0.0)
+            spread = max(spread, abs(lam - seed) / (1.0 + abs(seed)))
             if any(abs(lam - r) <= 1e-6 * (1.0 + abs(r)) for r in roots):
                 continue
             roots.append(lam)

@@ -338,10 +338,13 @@ class TestPropernessRootCheck:
         verdict = dp.properness_root_check(policy, ref_params)
         assert abs(verdict.rightmost_root.real) <= 1e-5
 
-    @pytest.mark.parametrize("h_a", [1e-4, 1e-5, 3e-6, 1e-6])
+    @pytest.mark.parametrize("h_a", [1e-4, 1e-5, 3e-6, 1e-6, 2e-9])
     def test_extended_small_acceleration_headway(self, ref_params, h_a):
         """The root near -1/h_v cancels h_v lambda + 1, and the unstable roots
-        near W_0(-phi h_v / h_a) / phi lie beyond 5 / phi."""
+        near W_0(-phi h_v / h_a) / phi lie beyond 5 / phi.  At h_a = 2e-9
+        Newton takes the top seed 98.7+43.2j to 101.8+59.3j, and the seed of
+        the rightmost pair 102.6+19.7j is 98.7+15.9j, left of the plain
+        seed stop at 99.7: the stop widens by the first seed's error."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=h_a)
         verdict = dp.properness_root_check(policy, ref_params)
         assert verdict.stable == dp.is_proper(policy, ref_params).stable
