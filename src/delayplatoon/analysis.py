@@ -3,11 +3,11 @@
 Covers the closed-loop velocity transfer magnitudes under perfect tracking,
 the string-stability frequency sweep, the rightmost root of the one-delay
 internal dynamics a(lambda) + b(lambda) e^{-phi lambda}, deg b < deg a (one
-pass: Newton seeded by the eigenvalues of a 12-node pseudospectral
-generator, certified by one adaptive argument-principle count over a box
-that the closed-form modulus bound R(s) sizes; a mismatch raises
-RefinementError, it is not retried), the properness region boundary, and
-the time-domain L2 string-stability check.
+pass: Newton seeded by pseudospectral generator eigenvalues, certified by
+one adaptive argument-principle count over a box that the closed-form
+modulus bound R(s) sizes; a mismatch raises RefinementError, it is not
+retried), the properness region boundary, and the time-domain L2
+string-stability check.
 """
 
 from __future__ import annotations
@@ -256,7 +256,6 @@ def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> Stab
 
 
 BOX_MARGIN = 0.01  # the box reaches _box_margin(s*) left of the rightmost root s*
-SEED_SPREAD_FACTOR = 4.0  # widens the seed stop by the seeds' measured error
 
 
 def _box_margin(s: float) -> float:
@@ -413,21 +412,19 @@ def _generator_matrix(qp: QuasiPolynomial) -> np.ndarray:
 
     p is the characteristic function of x^(n)(t) = -sum_j (a_j x^(j)(t) +
     b_j x^(j)(t - phi)).  The state (x, ..., x^(n-1)) on [-phi, 0] is
-    collocated at the 13 points of a 12-node Chebyshev grid (Breda, Maset &
-    Vermiglio, SIAM J. Sci. Comput. 2005), a 13n x 13n matrix: its
-    eigenvalues only seed Newton, and the root count certifies the result.
-    The first block row is the DDE, whose delayed term is -b in the last
-    block since -phi is the last node; the others differentiate the
-    interpolant.  With phi = 0 it is the companion matrix of a.  Raises
-    RefinementError when an entry overflows, since no eigenvalue can seed
-    the search then.
+    collocated at 25 Chebyshev points (Breda, Maset & Vermiglio, SIAM J.
+    Sci. Comput. 2005): the first block row is the DDE, whose delayed term
+    is -b in the last block since -phi is the last node; the others
+    differentiate the interpolant.  With phi = 0 it is the companion matrix
+    of a.  Raises RefinementError when an entry overflows, since no
+    eigenvalue can seed the search then.
     """
     n = len(qp.b)
     companion = np.eye(n, k=1)
     companion[-1] = np.negative(qp.a[:n])
     matrix = companion
     if qp.phi > 0.0:
-        n_nodes = 12
+        n_nodes = 24
         theta = 0.5 * qp.phi * (np.cos(math.pi * np.arange(n_nodes + 1) / n_nodes) - 1.0)
         w = np.ones(n_nodes + 1)  # interpolation weights (-1)^j, halved at both ends
         w[[0, -1]] = 0.5
@@ -453,26 +450,19 @@ def _polish_eigenvalues(
     the discretization, which lie right of the true roots, and the pass
     stops at the first eigenvalue two box margins left of the rightmost root
     so far, since the box certificate needs only the roots right of one.
-    That stop is widened by SEED_SPREAD_FACTOR (1 + |e|) times the largest
-    relative Newton displacement |root - seed| / (1 + |seed|) so far: where
-    the eigenvalues are far from their roots (tiny h_a, |lambda| phi of 10
-    or more), a seed left of the plain stop can still lead to a root inside
-    the box.  A conjugate pair closer than the dedupe distance (as a double
-    real root discretizes) seeds its real part first.  Roots are folded
-    into the upper half plane, snapped onto the real axis where |Im| <=
-    1e-9 (axis_floor + |root|), and deduplicated.  With axis_floor = 0 the
-    snap is relative, so a small complex pair (h_a lambda^2 + (h_v - phi)
-    lambda + 1 at h_a = 1e20: -4.25e-21 +- 1e-10 i) keeps its imaginary
-    part.
+    A conjugate pair closer than the dedupe distance (as a double real root
+    discretizes) seeds its real part first.  Roots are folded into the
+    upper half plane, snapped onto the real axis where |Im| <= 1e-9
+    (axis_floor + |root|), and deduplicated.  With axis_floor = 0 the snap
+    is relative, so a small complex pair (h_a lambda^2 + (h_v - phi) lambda
+    + 1 at h_a = 1e20: -4.25e-21 +- 1e-10 i) keeps its imaginary part.
     """
     eigs = np.linalg.eigvals(generator)
     eigs = eigs[(eigs.imag >= 0.0) & (np.abs(eigs) <= _root_bound(qp, eigs.real))]
     roots: list[complex] = []
     right = 0.0  # largest real part among roots, once there is one
-    spread = 0.0  # largest relative Newton displacement so far
     for eig in eigs[np.argsort(-eigs.real, kind="stable")]:
-        slack = 2.0 * _box_margin(right) + SEED_SPREAD_FACTOR * spread * (1.0 + abs(eig))
-        if roots and eig.real < right - slack:
+        if roots and eig.real < right - 2.0 * _box_margin(right):
             break
         seeds = [complex(eig)]
         if 0.0 < eig.imag <= 0.5e-6 * (1.0 + abs(eig)):
@@ -485,7 +475,6 @@ def _polish_eigenvalues(
                 lam = lam.conjugate()
             if abs(lam.imag) <= 1e-9 * (axis_floor + abs(lam)):
                 lam = complex(lam.real, 0.0)
-            spread = max(spread, abs(lam - seed) / (1.0 + abs(seed)))
             if any(abs(lam - r) <= 1e-6 * (1.0 + abs(r)) for r in roots):
                 continue
             roots.append(lam)
@@ -513,7 +502,7 @@ def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]
 def rightmost_root(qp: QuasiPolynomial) -> complex:
     """The root of p with the largest real part, certified.
 
-    Seeds damped Newton iterations at the eigenvalues of a 12-node Chebyshev
+    Seeds damped Newton iterations at the eigenvalues of a 24-node Chebyshev
     pseudospectral discretization of the delay equation's generator (those
     within the bound R of _root_bound), or, when none converges, at the
     roots of the delay-free polynomial a + b; deduplicates, and takes the

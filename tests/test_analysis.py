@@ -280,7 +280,7 @@ class TestRightmostRoot:
 
     def test_dch_matches_principal_lambert_w_to_1e_12(self):
         """The rightmost DCH root is W_0(-phi / h_v) / phi; Newton from the
-        12-node generator's seeds lands on it to 1e-12 relative."""
+        generator's seeds lands on it to 1e-12 relative."""
         for h_v in np.geomspace(0.01, 10.0, 30):
             for phi in np.linspace(0.05, 0.3, 11):
                 want = complex(scipy.special.lambertw(-phi / h_v, 0)) / phi
@@ -341,10 +341,10 @@ class TestPropernessRootCheck:
     @pytest.mark.parametrize("h_a", [1e-4, 1e-5, 3e-6, 1e-6, 2e-9])
     def test_extended_small_acceleration_headway(self, ref_params, h_a):
         """The root near -1/h_v cancels h_v lambda + 1, and the unstable roots
-        near W_0(-phi h_v / h_a) / phi lie beyond 5 / phi.  At h_a = 2e-9
-        Newton takes the top seed 98.7+43.2j to 101.8+59.3j, and the seed of
-        the rightmost pair 102.6+19.7j is 98.7+15.9j, left of the plain
-        seed stop at 99.7: the stop widens by the first seed's error."""
+        near W_0(-phi h_v / h_a) / phi lie beyond 5 / phi.  At h_a = 2e-9 the
+        rightmost pair, 102.6+19.7j, has |lambda| phi of about 16, where a
+        12-node generator's seed for it (98.7+15.9j) falls left of the seed
+        stop."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=h_a)
         verdict = dp.properness_root_check(policy, ref_params)
         assert verdict.stable == dp.is_proper(policy, ref_params).stable
@@ -371,9 +371,9 @@ class TestPropernessRootCheck:
         assert verdict.stable == dp.is_proper(policy, ref_params).stable
 
     def test_spurious_right_eigenvalues_are_filtered(self):
-        """The 12-node generator's top eigenvalue here, 38.2+106j, is
-        spurious: |e| > R(Re e).  Newton from it would land on 20.01+49.39j,
-        a root left of the rightmost one."""
+        """The generator's top eigenvalues here (33.6+260j, 31.5+418j,
+        25.2+191j) are spurious: |e| > R(Re e).  Newton from the first lands
+        on 15.52+198.0j, a root left of the rightmost one."""
         policy = dp.SpacingPolicy(
             PolicyKind.DELAYED_EXTENDED_HEADWAY,
             h_v=2.368866384477878, h_a=1.2461492890856137e-4,
