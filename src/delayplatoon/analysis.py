@@ -3,8 +3,9 @@
 Covers the closed-loop velocity transfer magnitudes under perfect tracking,
 the string-stability frequency sweep, the rightmost root of the one-delay
 internal dynamics a(lambda) + b(lambda) e^{-phi lambda}, deg b < deg a (one
-pass: Newton seeded by pseudospectral generator eigenvalues, certified by
-one adaptive argument-principle count over a box that the closed-form
+pass: Newton seeded by the eigenvalues of a pseudospectral generator built
+from a cached Chebyshev block, certified by one adaptive argument-principle
+count over the upper half of a conjugate-symmetric box that the closed-form
 modulus bound R(s) sizes; a mismatch raises RefinementError, it is not
 retried), the properness region boundary, and the time-domain L2
 string-stability check.
@@ -13,6 +14,7 @@ string-stability check.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +37,7 @@ __all__ = [
 
 SWEEP_TOL = 1e-9  # sup |T| <= 1 + SWEEP_TOL counts as string stable
 SWEEP_POINTS = 4096  # points of the default sweep grid
+OMEGA_CAP = 1e308  # largest top frequency of the default sweep grid
 ROOT_STABLE_TOL = 1e-9  # Re(rightmost) < -ROOT_STABLE_TOL |rightmost| counts as stable
 
 
@@ -76,8 +79,13 @@ class QuasiPolynomial:
 
     @classmethod
     def dch_internal(cls, h_v: float, phi: float) -> "QuasiPolynomial":
-        """lambda + (1/h_v) e^{-phi lambda}: internal factor of the DCH loop."""
-        return cls((0.0, 1.0), (1.0 / float(h_v),), phi)
+        """lambda + (1/h_v) e^{-phi lambda}: internal factor of the DCH loop.
+
+        Built as h_v lambda + e^{-phi lambda}, so that the constructor's
+        division makes 1/h_v, and an overflow to inf reaches the root search
+        as RefinementError rather than failing validation.
+        """
+        return cls((0.0, h_v), (1.0,), phi)
 
     @classmethod
     def extended_internal(cls, h_v: float, h_a: float, phi: float) -> "QuasiPolynomial":
@@ -147,13 +155,15 @@ def transfer_magnitude(policy: SpacingPolicy, params: VehicleParams, omega):
 
 
 def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int = SWEEP_POINTS):
-    """n_grid log-spaced points on [1e-3, omega_max], omega_max = max(10/h_v, 20 pi/phi)."""
+    """n_grid log-spaced points on [1e-3, omega_max], omega_max = max(10/h_v,
+    20 pi/phi) capped at OMEGA_CAP, so that a bound that overflows to inf
+    (h_v or phi below about 5.6e-308) still gives a finite grid."""
     bounds = []
     if policy.h_v > 0.0:
         bounds.append(10.0 / policy.h_v)
     if params.phi > 0.0:
         bounds.append(20.0 * math.pi / params.phi)
-    omega_max = max(bounds) if bounds else 1e3
+    omega_max = min(max(bounds), OMEGA_CAP) if bounds else 1e3
     return np.logspace(-3.0, math.log10(omega_max), n_grid)
 
 
@@ -227,9 +237,8 @@ def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray)
     k = int(np.argmax(mags))
     best_w, best_m = float(grid[k]), float(mags[k])
     magnitude = scalar_magnitude(policy, params)
-    knots = grid.tolist()
     for k in peaks.tolist():
-        w, m = golden_section_max(magnitude, knots[max(k - 1, 0)], knots[min(k + 1, n - 1)])
+        w, m = golden_section_max(magnitude, grid[max(k - 1, 0)], grid[min(k + 1, n - 1)])
         if m > best_m:
             best_w, best_m = w, m
     return best_w, best_m, mags
@@ -239,7 +248,8 @@ def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> Stab
     """sup_omega |T(i omega)| over a refined log grid.
 
     Grid of SWEEP_POINTS log-spaced points on [1e-3, omega_max] with
-    omega_max = max(10 / h_v, 20 pi / phi); every local maximum is refined by
+    omega_max = max(10 / h_v, 20 pi / phi), at most OMEGA_CAP
+    (default_sweep_grid); every local maximum is refined by
     its own scalar golden-section search to relative width 1e-10
     (refined_peak).  Stable iff sup <= 1 + 1e-9.
     """
@@ -304,15 +314,20 @@ def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
     multiplicities; points evaluated).
 
     The argument principle, adaptively (Ying & Katz, Numer. Math. 53,
-    1988): a side segment [z0, z1] is accepted once L |z1 - z0| plus the
-    rounding of p at both ends lies below max(|p(z0)|, |p(z1)|), where L
-    bounds |p'| on the segment by the monomial magnitudes at the larger
-    |z| and e^{-phi Re} at the smaller Re.  p then stays in a disc around
-    the larger end value that excludes 0, so the change of arg p along the
-    segment is the principal argument of p(z1) / p(z0); a segment that
-    fails the test is bisected.  The box is conjugate symmetric, so real
-    roots sit strictly inside it.  RefinementError where p is not finite
-    or 0 on the contour, or after ROOT_COUNT_CAP evaluations.
+    1988), on the upper half of the contour only: p has real coefficients,
+    so p(conj z) = conj p(z), and the lower half of the box's boundary
+    changes arg p by as much as the upper half, the path (half, 0) ->
+    (half, half) -> (lo, half) -> (lo, 0).  Its change is therefore pi
+    times the count (a single real root gives pi, not a whole turn).  A
+    segment [z0, z1] is accepted once L |z1 - z0| plus the rounding of p at
+    both ends lies below max(|p(z0)|, |p(z1)|), where L bounds |p'| on the
+    segment by the monomial magnitudes at the larger |z| and e^{-phi Re} at
+    the smaller Re.  p then stays in a disc around the larger end value
+    that excludes 0, so the change of arg p along the segment is the
+    principal argument of p(z1) / p(z0); a segment that fails the test is
+    bisected.  Real roots sit strictly inside the box, off the path.
+    RefinementError where p is not finite or 0 on the path, or after
+    ROOT_COUNT_CAP evaluations.
     """
     a, b, phi = qp.a, qp.b + (0.0,), qp.phi
     # Horner rows from degree n - 1 down: the coefficients of a and b, their
@@ -349,20 +364,20 @@ def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
         return z, cmath.phase(f), abs(f), _COUNT_ROUNDING * scale, sa, sb, decay
 
     corners = [
-        point(complex(lo, -half)), point(complex(half, -half)),
-        point(complex(half, half)), point(complex(lo, half)),
+        point(complex(half, 0.0)), point(complex(half, half)),
+        point(complex(lo, half)), point(complex(lo, 0.0)),
     ]
     evaluations = 4
-    turns = 0.0
-    for k in range(4):
+    swept = 0.0  # change of arg p along the path so far
+    for k in range(3):
         z0, arg0, mod0, err0, sa0, sb0, e0 = corners[k]
-        pending = [corners[(k + 1) % 4]]
+        pending = [corners[k + 1]]
         while pending:
             z1, arg1, mod1, err1, sa1, sb1, e1 = pending[-1]
             slope = max(sa0, sa1) + max(sb0, sb1) * max(e0, e1)
             if slope * abs(z1 - z0) + err0 + err1 < max(mod0, mod1):
                 step = arg1 - arg0  # wrapped below: the principal arg of p(z1) / p(z0)
-                turns += step - _TWO_PI * round(step / _TWO_PI)
+                swept += step - _TWO_PI * round(step / _TWO_PI)
                 z0, arg0, mod0, err0, sa0, sb0, e0 = pending.pop()
             elif evaluations >= ROOT_COUNT_CAP:
                 raise RefinementError(
@@ -371,7 +386,7 @@ def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
             else:
                 pending.append(point(0.5 * (z0 + z1)))
                 evaluations += 1
-    return round(turns / _TWO_PI), evaluations
+    return round(swept / math.pi), evaluations
 
 
 def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
@@ -406,33 +421,50 @@ def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
     return None
 
 
+_NODES = 24  # Chebyshev intervals of the pseudospectral generator
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev_block(n: int) -> np.ndarray:
+    """kron(D[1:], I_n), read-only, for the Chebyshev differentiation
+    matrix D on the _NODES + 1 points 0 = t_0 > ... > t_N = -1 of [-1, 0].
+
+    On [-phi, 0] the nodes are phi t_j and the differentiation matrix is
+    D / phi, so one block per state dimension n serves every delay.
+    """
+    t = 0.5 * (np.cos(math.pi * np.arange(_NODES + 1) / _NODES) - 1.0)
+    w = np.ones(_NODES + 1)  # interpolation weights (-1)^j, halved at both ends
+    w[[0, -1]] = 0.5
+    w[1::2] *= -1.0
+    diff = np.outer(1.0 / w, w) / (t[:, None] - t[None, :] + np.eye(_NODES + 1))
+    diff -= np.diag(diff.sum(axis=1))
+    block = np.kron(diff[1:], np.eye(n))
+    block.flags.writeable = False
+    return block
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as RefinementError
 def _generator_matrix(qp: QuasiPolynomial) -> np.ndarray:
     """Chebyshev pseudospectral generator of the delay equation behind p.
 
     p is the characteristic function of x^(n)(t) = -sum_j (a_j x^(j)(t) +
     b_j x^(j)(t - phi)).  The state (x, ..., x^(n-1)) on [-phi, 0] is
-    collocated at 25 Chebyshev points (Breda, Maset & Vermiglio, SIAM J.
-    Sci. Comput. 2005): the first block row is the DDE, whose delayed term
-    is -b in the last block since -phi is the last node; the others
-    differentiate the interpolant.  With phi = 0 it is the companion matrix
-    of a.  Raises RefinementError when an entry overflows, since no
-    eigenvalue can seed the search then.
+    collocated at _NODES + 1 = 25 Chebyshev points (Breda, Maset &
+    Vermiglio, SIAM J. Sci. Comput. 2005): the first block row is the DDE,
+    whose delayed term is -b in the last block since -phi is the last node;
+    the others differentiate the interpolant, the cached _chebyshev_block
+    divided by phi.  With phi = 0 it is the companion matrix of a.  Raises
+    RefinementError when an entry overflows, since no eigenvalue can seed
+    the search then.
     """
     n = len(qp.b)
     companion = np.eye(n, k=1)
     companion[-1] = np.negative(qp.a[:n])
     matrix = companion
     if qp.phi > 0.0:
-        n_nodes = 24
-        theta = 0.5 * qp.phi * (np.cos(math.pi * np.arange(n_nodes + 1) / n_nodes) - 1.0)
-        w = np.ones(n_nodes + 1)  # interpolation weights (-1)^j, halved at both ends
-        w[[0, -1]] = 0.5
-        w[1::2] *= -1.0
-        diff = np.outer(1.0 / w, w) / (theta[:, None] - theta[None, :] + np.eye(n_nodes + 1))
-        diff -= np.diag(diff.sum(axis=1))
-        matrix = np.zeros(((n_nodes + 1) * n, (n_nodes + 1) * n))
-        matrix[n:, :] = np.kron(diff[1:], np.eye(n))
+        block = _chebyshev_block(n)
+        matrix = np.zeros((block.shape[1], block.shape[1]))
+        np.divide(block, qp.phi, out=matrix[n:])
         matrix[:n, :n] = companion
         matrix[n - 1, -n:] = np.negative(qp.b)
     if not np.all(np.isfinite(matrix)):
@@ -508,10 +540,11 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
     roots of the delay-free polynomial a + b; deduplicates, and takes the
     rightmost polished root s*.  Every root with Re >= lo = s* - BOX_MARGIN
     (1 + |s*|) has modulus below R(lo), so the box [lo, R] x [-R, R] holds
-    all of them: the adaptive argument-principle count over its boundary
-    (_root_count) must equal the polished roots right of lo, with the
-    multiplicity of each certified on a small circle.  Then no root lies
-    right of s*.  Raises RefinementError when no seed converges, when the
+    all of them: the adaptive argument-principle count over the upper half
+    of its boundary (_root_count; the box is symmetric about the real
+    axis, so half the walk counts every root) must equal the polished
+    roots right of lo, conjugates included, with the multiplicity of each
+    certified on a small circle.  Then no root lies right of s*.  Raises RefinementError when no seed converges, when the
     bound or p is not finite on the box, when the count reaches its cap,
     or when it does not match.
     """

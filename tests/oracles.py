@@ -3,8 +3,10 @@ convolution-integral predictor, the continuous-time (A, B) of the vehicle
 model, the generic controller indexed by the relative degrees of the policy
 rows, the float-loop simulator that `delayplatoon.run` replaced and a
 golden-section refinement that evaluates |T| through `transfer_magnitude`,
-which `refined_peak` and its float kernel must match bitwise, and the
-fixed-grid winding count that the adaptive `_root_count` must agree with.
+which `refined_peak` and its float kernel must match bitwise, the
+fixed-grid winding count that the adaptive `_root_count` must agree with,
+and the per-call build of the pseudospectral generator that
+`_generator_matrix` replaced with a cached Chebyshev block.
 
 The spacing errors, tracking laws, leader law and sensor hold here are
 written out independently of `delayplatoon.controllers.track`, of
@@ -416,3 +418,27 @@ def winding_number_reference(qp, lo: float, half: float) -> int:
     if abs(winding - rounded) < 1e-3 and round(turns(f[0::2])) == rounded:
         return rounded
     raise RefinementError("winding number did not stabilize")
+
+
+def generator_matrix_reference(qp) -> np.ndarray:
+    """The Chebyshev pseudospectral generator of p, built from scratch on
+    the 25 nodes of [-phi, 0]: the differentiation matrix from the scaled
+    nodes, its Kronecker block, the companion row of a and -b in the last
+    block.  With phi = 0 the companion matrix of a."""
+    n = len(qp.b)
+    companion = np.eye(n, k=1)
+    companion[-1] = np.negative(qp.a[:n])
+    if qp.phi == 0.0:
+        return companion
+    n_nodes = 24
+    theta = 0.5 * qp.phi * (np.cos(math.pi * np.arange(n_nodes + 1) / n_nodes) - 1.0)
+    w = np.ones(n_nodes + 1)  # interpolation weights (-1)^j, halved at both ends
+    w[[0, -1]] = 0.5
+    w[1::2] *= -1.0
+    diff = np.outer(1.0 / w, w) / (theta[:, None] - theta[None, :] + np.eye(n_nodes + 1))
+    diff -= np.diag(diff.sum(axis=1))
+    matrix = np.zeros(((n_nodes + 1) * n, (n_nodes + 1) * n))
+    matrix[n:, :] = np.kron(diff[1:], np.eye(n))
+    matrix[:n, :n] = companion
+    matrix[n - 1, -n:] = np.negative(qp.b)
+    return matrix

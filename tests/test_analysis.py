@@ -15,6 +15,7 @@ from delayplatoon.spacing import PolicyKind
 
 from oracles import (
     dch_rightmost_root,
+    generator_matrix_reference,
     golden_section_max,
     refined_peak_reference,
     winding_number_reference,
@@ -106,6 +107,29 @@ class TestStringStabilitySweep:
     def test_constant_policy(self, ref_params):
         verdict = dp.string_stability_sweep(CONSTANT, ref_params)
         assert verdict.stable and verdict.peak_magnitude == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=1e-310),
+            dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1e-310, h_a=0.5),
+        ],
+        ids=["dch", "ext"],
+    )
+    def test_overflowing_top_frequency_is_capped(self, policy):
+        """10 / h_v overflows to inf: the grid stops at OMEGA_CAP instead of
+        turning into NaN, and the peak is finite and real."""
+        params = dp.VehicleParams(0.067, 0.15)
+        assert not math.isfinite(10.0 / policy.h_v)
+        grid = analysis.default_sweep_grid(policy, params)
+        assert np.all(np.isfinite(grid)) and grid[-1] == analysis.OMEGA_CAP
+        verdict = dp.string_stability_sweep(policy, params)
+        assert not verdict.stable
+        assert 0.0 < verdict.peak_omega <= analysis.OMEGA_CAP
+        assert verdict.peak_magnitude == pytest.approx(
+            direct_magnitude(policy, params, verdict.peak_omega), rel=1e-9
+        )
 
 
 def _assert_refinement_matches_reference(policy, params):
@@ -403,12 +427,44 @@ class TestPropernessRootCheck:
             dp.properness_root_check(CONSTANT, ref_params)
 
 
+class TestGeneratorMatrix:
+    """The generator built from the cached Chebyshev block against one built
+    from scratch on the scaled nodes."""
+
+    @pytest.mark.parametrize("phi", [0.0, 1e-3, 0.05, 0.15, 0.3, 2.0])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda phi: QuasiPolynomial.dch_internal(0.4, phi),
+            lambda phi: QuasiPolynomial.extended_internal(1.2, 0.25, phi),
+        ],
+        ids=["dch", "ext"],
+    )
+    def test_matches_per_call_construction(self, make, phi):
+        # the whole matrix, not entry by entry: the near-zero diagonal of the
+        # differentiation block is rounding noise of its row sums
+        qp = make(phi)
+        matrix = analysis._generator_matrix(qp)
+        reference = generator_matrix_reference(qp)
+        assert matrix.shape == reference.shape
+        assert np.max(np.abs(matrix - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_cached_block_is_read_only(self):
+        block = analysis._chebyshev_block(2)
+        assert analysis._chebyshev_block(2) is block
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
+        analysis._generator_matrix(QuasiPolynomial.extended_internal(1.2, 0.25, 0.15))
+        assert not block.flags.writeable
+
+
 class TestAgreementGrids:
     """Closed-form properness matches the rightmost-root verdict, and the
     adaptive root count stays cheap over the grid: the median and maximum
     of its evaluations, deterministic counts rather than times, are bounded
-    at about twice those of the current count (DCH 54 and 1,118, extended
-    82 and 1,776)."""
+    at 1.5 times those of the half-contour count (DCH 28 and 560, extended
+    42 and 889), below those of the full contour (DCH 54 and 1,118,
+    extended 82 and 1,776)."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
@@ -436,7 +492,7 @@ class TestAgreementGrids:
                 mismatches += closed != root
         assert mismatches == 0
         assert len(evaluations) == 2499
-        assert np.median(evaluations) <= 110 and max(evaluations) <= 2200
+        assert np.median(evaluations) <= 42 and max(evaluations) <= 840
 
     def test_extended_50x50(self, ref_params, evaluations):
         mismatches = 0
@@ -452,7 +508,7 @@ class TestAgreementGrids:
                 mismatches += closed.stable != root
         assert mismatches == 0
         assert len(evaluations) == 2500
-        assert np.median(evaluations) <= 160 and max(evaluations) <= 3500
+        assert np.median(evaluations) <= 63 and max(evaluations) <= 1340
 
 
 class TestStabilityRegionBoundary:
@@ -580,6 +636,21 @@ class TestWindingCertificate:
         count, evaluations = analysis._root_count(qp, -10.0, 8.0)
         assert count == 2 == winding_number_reference(qp, -10.0, 8.0)
         assert 4 < evaluations < 8192
+
+    @pytest.mark.parametrize(
+        "qp,count",
+        [
+            (QuasiPolynomial((1.0, 1.0), (), 0.0), 1),  # lambda + 1
+            (QuasiPolynomial((1.0, 2.0, 1.0), (), 0.0), 2),  # (lambda + 1)^2
+            (QuasiPolynomial.dch_internal(1.0, 0.15), 1),  # real roots -1.24, -19.4
+        ],
+        ids=["simple", "double", "dch-real"],
+    )
+    def test_real_roots_count_on_the_half_contour(self, qp, count):
+        """A real root changes arg p by pi along the upper half of the box,
+        so the half contour counts odd numbers of roots as well."""
+        assert analysis._root_count(qp, -2.0, 2.0)[0] == count
+        assert winding_number_reference(qp, -2.0, 2.0) == count
 
     def test_evaluation_cap_is_a_refinement_error(self):
         # (lambda + 1)^2 + 0.09: the roots -1 +- 0.3i sit on the left edge

@@ -1,10 +1,13 @@
-"""The benchmark's correctness gate, run in-process on one pass per workload.
+"""The benchmark's correctness gate, run in-process.
 
 perfbench/run.py checks every op's output against perfbench/refs.json and
-rejects a run with failed ops.  This runs pass 0 of seed 1 of each workload
-(27 platoon_sim, 32 stability_map and 9 cli_session ops) through the same
-check, so a change that would fail the benchmark fails here first.  It only
-reads perfbench/; the CLI ops write into the test's temporary directory.
+rejects a run with failed ops.  This runs seed 1 through the same check:
+pass 0 of platoon_sim (27 ops) and cli_session (9 ops), and all four
+passes of stability_map, which hold each of its 128 references once, since
+its rightmost roots move in their last bits whenever the root search
+changes.  So a change that would fail the benchmark fails here first.  It
+only reads perfbench/; the CLI ops write into the test's temporary
+directory.
 """
 
 import importlib.util
@@ -27,14 +30,18 @@ def workloads():
 
 
 @pytest.mark.parametrize(
-    "name,n_ops", [("platoon_sim", 27), ("stability_map", 32), ("cli_session", 9)]
+    "name,n_passes,n_ops",
+    [("platoon_sim", 1, 27), ("stability_map", 4, 128), ("cli_session", 1, 9)],
 )
-def test_first_pass_passes_the_benchmark_check(workloads, tmp_path, name, n_ops):
+def test_passes_pass_the_benchmark_check(workloads, tmp_path, name, n_passes, n_ops):
     cls = workloads.WORKLOADS[name]
     workload = cls(out_dir=tmp_path) if name == "cli_session" else cls()
     refs = workloads.load_refs()[name]
-    cases = workloads.make_passes(workload, refs, seed=1)[0]
-    assert len(cases) == n_ops
+    passes = workloads.make_passes(workload, refs, seed=1)[:n_passes]
+    cases = [case for cases in passes for case in cases]
+    assert len({case.id for case in cases}) == len(cases) == n_ops
+    if name == "stability_map":
+        assert n_ops == len(refs)
     for case in cases:
         ref = refs[case.id]
         assert ref["hash"] == case.params_hash, case.id

@@ -323,6 +323,14 @@ class TestAnalyzeCommand:
         assert main(["analyze", "dch", "--hv", "1", "--tau", tau]) == 0
         assert "relative degrees: rho=inf, rho_bar=2" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_top_frequency_gives_a_finite_peak(self, capsys):
+        """10 / h_v overflows at h_v = 1e-320; the sweep still finds the
+        peak of 1 / |1 - w^2 e^{i w phi}|."""
+        assert main(["analyze", "ext", "--hv", "1e-320", "--ha", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "string stable: no [sweep, peak omega=0.988966, |T|=6.74729856]" in out
+
     def test_huge_acceleration_headway_is_never_a_root_check_no(self):
         """At h_a = 1e305 the internal roots sit near 1e-153, too small for
         the generator's eigenvalues; seeded at the delay-free roots, the root
@@ -408,6 +416,21 @@ class TestSweepCommand:
         _, rows = read_csv(out)
         assert rows[-1, 1] == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv", [["dch", "--hv", "1e-310"], ["ext", "--hv", "1e-310", "--ha", "0.5"]],
+        ids=["dch", "ext"],
+    )
+    def test_overflowing_top_frequency_is_capped(self, tmp_path, capsys, argv):
+        """10 / h_v overflows to inf: the default grid stops at 1e308 and
+        every row and the peak stay finite."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(out)] + argv) == 0
+        stdout, err = capsys.readouterr()
+        assert err == "" and "nan" not in stdout and "inf" not in stdout
+        _, rows = read_csv(out)
+        assert np.all(np.isfinite(rows)) and rows[-1, 0] == 1e308
+
     def test_custom_range(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
@@ -487,6 +510,10 @@ class TestExitCodeContract:
             pytest.param(  # the pseudospectral generator overflows
                 ["analyze", "ext", "--hv", "1e300", "--ha", "1e-300"],
                 "verdict: not proper", id="argv2",
+            ),
+            pytest.param(  # 1 / h_v overflows to inf in the constructor
+                ["analyze", "dch", "--hv", "1e-320", "--phi", "0.15"],
+                "verdict: not proper, not string stable", id="argv3",
             ),
         ],
     )
