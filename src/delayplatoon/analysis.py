@@ -424,7 +424,7 @@ def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
 _NODES = 24  # Chebyshev intervals of the pseudospectral generator
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _chebyshev_block(n: int) -> np.ndarray:
     """kron(D[1:], I_n), read-only, for the Chebyshev differentiation
     matrix D on the _NODES + 1 points 0 = t_0 > ... > t_N = -1 of [-1, 0].

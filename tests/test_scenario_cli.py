@@ -323,7 +323,6 @@ class TestAnalyzeCommand:
         assert main(["analyze", "dch", "--hv", "1", "--tau", tau]) == 0
         assert "relative degrees: rho=inf, rho_bar=2" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_top_frequency_gives_a_finite_peak(self, capsys):
         """10 / h_v overflows at h_v = 1e-320; the sweep still finds the
         peak of 1 / |1 - w^2 e^{i w phi}|."""
@@ -416,7 +415,6 @@ class TestSweepCommand:
         _, rows = read_csv(out)
         assert rows[-1, 1] == 0.0
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv", [["dch", "--hv", "1e-310"], ["ext", "--hv", "1e-310", "--ha", "0.5"]],
         ids=["dch", "ext"],
