@@ -2,12 +2,13 @@
 
 Covers the closed-loop velocity transfer magnitudes under perfect tracking,
 the string-stability frequency sweep, the rightmost root of the one-delay
-internal dynamics a(lambda) + b(lambda) e^{-phi lambda}, deg b < deg a (one
-pass: Newton seeded by the eigenvalues of a pseudospectral generator built
-from a cached Chebyshev block, certified by one adaptive argument-principle
-count over the upper half of a conjugate-symmetric box that the closed-form
-modulus bound R(s) sizes; a mismatch raises RefinementError, it is not
-retried), the properness region boundary, and the time-domain L2
+internal dynamics a(lambda) + b(lambda) e^{-phi lambda}, deg b < deg a
+(Newton seeded by the eigenvalues of a 12-node pseudospectral generator
+built from a cached Chebyshev block, certified by one adaptive
+argument-principle count over the upper half of a conjugate-symmetric box
+that the closed-form modulus bound R(s) sizes; a failed certificate is
+re-seeded once from 24 nodes, and a second failure raises
+RefinementError), the properness region boundary, and the time-domain L2
 string-stability check.
 """
 
@@ -421,22 +422,24 @@ def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
     return None
 
 
-_NODES = 24  # Chebyshev intervals of the pseudospectral generator
+_SEED_NODES = 12  # Chebyshev intervals of the generator that seeds the search
+_RESEED_NODES = 24  # ... of the one re-seed when the _SEED_NODES certificate fails
 
 
 @functools.cache
-def _chebyshev_block(n: int) -> np.ndarray:
+def _chebyshev_block(n: int, nodes: int) -> np.ndarray:
     """kron(D[1:], I_n), read-only, for the Chebyshev differentiation
-    matrix D on the _NODES + 1 points 0 = t_0 > ... > t_N = -1 of [-1, 0].
+    matrix D on the nodes + 1 points 0 = t_0 > ... > t_N = -1 of [-1, 0].
 
     On [-phi, 0] the nodes are phi t_j and the differentiation matrix is
-    D / phi, so one block per state dimension n serves every delay.
+    D / phi, so one block per state dimension n and node count serves every
+    delay.
     """
-    t = 0.5 * (np.cos(math.pi * np.arange(_NODES + 1) / _NODES) - 1.0)
-    w = np.ones(_NODES + 1)  # interpolation weights (-1)^j, halved at both ends
+    t = 0.5 * (np.cos(math.pi * np.arange(nodes + 1) / nodes) - 1.0)
+    w = np.ones(nodes + 1)  # interpolation weights (-1)^j, halved at both ends
     w[[0, -1]] = 0.5
     w[1::2] *= -1.0
-    diff = np.outer(1.0 / w, w) / (t[:, None] - t[None, :] + np.eye(_NODES + 1))
+    diff = np.outer(1.0 / w, w) / (t[:, None] - t[None, :] + np.eye(nodes + 1))
     diff -= np.diag(diff.sum(axis=1))
     block = np.kron(diff[1:], np.eye(n))
     block.flags.writeable = False
@@ -444,25 +447,25 @@ def _chebyshev_block(n: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as RefinementError
-def _generator_matrix(qp: QuasiPolynomial) -> np.ndarray:
+def _generator_matrix(qp: QuasiPolynomial, nodes: int = _SEED_NODES) -> np.ndarray:
     """Chebyshev pseudospectral generator of the delay equation behind p.
 
     p is the characteristic function of x^(n)(t) = -sum_j (a_j x^(j)(t) +
     b_j x^(j)(t - phi)).  The state (x, ..., x^(n-1)) on [-phi, 0] is
-    collocated at _NODES + 1 = 25 Chebyshev points (Breda, Maset &
-    Vermiglio, SIAM J. Sci. Comput. 2005): the first block row is the DDE,
-    whose delayed term is -b in the last block since -phi is the last node;
-    the others differentiate the interpolant, the cached _chebyshev_block
-    divided by phi.  With phi = 0 it is the companion matrix of a.  Raises
-    RefinementError when an entry overflows, since no eigenvalue can seed
-    the search then.
+    collocated at nodes + 1 Chebyshev points (Breda, Maset & Vermiglio,
+    SIAM J. Sci. Comput. 2005), an (nodes + 1) n square matrix: the first
+    block row is the DDE, whose delayed term is -b in the last block since
+    -phi is the last node; the others differentiate the interpolant, the
+    cached _chebyshev_block divided by phi.  With phi = 0 it is the
+    companion matrix of a.  Raises RefinementError when an entry overflows,
+    since no eigenvalue can seed the search then.
     """
     n = len(qp.b)
     companion = np.eye(n, k=1)
     companion[-1] = np.negative(qp.a[:n])
     matrix = companion
     if qp.phi > 0.0:
-        block = _chebyshev_block(n)
+        block = _chebyshev_block(n, nodes)
         matrix = np.zeros((block.shape[1], block.shape[1]))
         np.divide(block, qp.phi, out=matrix[n:])
         matrix[:n, :n] = companion
@@ -479,22 +482,26 @@ def _polish_eigenvalues(
 
     Eigenvalues e with Im >= 0 and |e| <= R(Re e) seed damped Newton from
     the right: the bound drops the spurious high-frequency eigenvalues of
-    the discretization, which lie right of the true roots, and the pass
-    stops at the first eigenvalue two box margins left of the rightmost root
-    so far, since the box certificate needs only the roots right of one.
-    A conjugate pair closer than the dedupe distance (as a double real root
-    discretizes) seeds its real part first.  Roots are folded into the
-    upper half plane, snapped onto the real axis where |Im| <= 1e-9
-    (axis_floor + |root|), and deduplicated.  With axis_floor = 0 the snap
-    is relative, so a small complex pair (h_a lambda^2 + (h_v - phi) lambda
-    + 1 at h_a = 1e20: -4.25e-21 +- 1e-10 i) keeps its imaginary part.
+    the discretization, which lie right of the true roots.  The pass stops
+    at the first eigenvalue two box margins plus 4 (1 + |e|) d left of the
+    rightmost root so far, d the largest relative Newton displacement |root
+    - seed| / (1 + |seed|) so far, since the box certificate needs only the
+    roots right of one: a coarse generator misplaces a seed by about as
+    much as it misplaces its neighbours.  A conjugate pair closer than the
+    dedupe distance (as a double real root discretizes) seeds its real part
+    first.  Roots are folded into the upper half plane, snapped onto the
+    real axis where |Im| <= 1e-9 (axis_floor + |root|), and deduplicated.
+    With axis_floor = 0 the snap is relative, so a small complex pair (h_a
+    lambda^2 + (h_v - phi) lambda + 1 at h_a = 1e20: -4.25e-21 +- 1e-10 i)
+    keeps its imaginary part.
     """
     eigs = np.linalg.eigvals(generator)
     eigs = eigs[(eigs.imag >= 0.0) & (np.abs(eigs) <= _root_bound(qp, eigs.real))]
     roots: list[complex] = []
     right = 0.0  # largest real part among roots, once there is one
+    drift = 0.0  # largest relative Newton displacement so far
     for eig in eigs[np.argsort(-eigs.real, kind="stable")]:
-        if roots and eig.real < right - 2.0 * _box_margin(right):
+        if roots and eig.real < right - 2.0 * _box_margin(right) - 4.0 * (1.0 + abs(eig)) * drift:
             break
         seeds = [complex(eig)]
         if 0.0 < eig.imag <= 0.5e-6 * (1.0 + abs(eig)):
@@ -505,6 +512,7 @@ def _polish_eigenvalues(
                 continue
             if lam.imag < 0.0:  # conjugate symmetry: fold into the upper half plane
                 lam = lam.conjugate()
+            drift = max(drift, abs(lam - seed) / (1.0 + abs(seed)))
             if abs(lam.imag) <= 1e-9 * (axis_floor + abs(lam)):
                 lam = complex(lam.real, 0.0)
             if any(abs(lam - r) <= 1e-6 * (1.0 + abs(r)) for r in roots):
@@ -531,33 +539,9 @@ def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]
     raise RefinementError(f"could not certify the multiplicity of root {root}")
 
 
-def rightmost_root(qp: QuasiPolynomial) -> complex:
-    """The root of p with the largest real part, certified.
-
-    Seeds damped Newton iterations at the eigenvalues of a 24-node Chebyshev
-    pseudospectral discretization of the delay equation's generator (those
-    within the bound R of _root_bound), or, when none converges, at the
-    roots of the delay-free polynomial a + b; deduplicates, and takes the
-    rightmost polished root s*.  Every root with Re >= lo = s* - BOX_MARGIN
-    (1 + |s*|) has modulus below R(lo), so the box [lo, R] x [-R, R] holds
-    all of them: the adaptive argument-principle count over the upper half
-    of its boundary (_root_count; the box is symmetric about the real
-    axis, so half the walk counts every root) must equal the polished
-    roots right of lo, conjugates included, with the multiplicity of each
-    certified on a small circle.  Then no root lies right of s*.  Raises RefinementError when no seed converges, when the
-    bound or p is not finite on the box, when the count reaches its cap,
-    or when it does not match.
-    """
-    roots = _polish_eigenvalues(qp, _generator_matrix(qp))
-    if not roots:  # tiny coefficients (h_a >~ 1e26) drown the generator's
-        # eigenvalues in its rounding: seed at the roots of a + b (phi = 0).
-        # Their real parts are Newton's stopping error (-5e-29 where the pair
-        # has -4.25e-29 at h_a = 1e28), so the axis snap keeps its absolute
-        # 1e-9 floor on this path
-        delay_free = _generator_matrix(QuasiPolynomial(qp.a, qp.b, 0.0))
-        roots = _polish_eigenvalues(qp, delay_free, axis_floor=1.0)
-    if not roots:
-        raise RefinementError("no eigenvalue seed converged to a root")
+def _certified_top(qp: QuasiPolynomial, roots: list[complex], seeding: str) -> complex:
+    """The rightmost of roots, once the box count certifies that no root of
+    p lies right of it (rightmost_root); RefinementError otherwise."""
     top = max(roots, key=lambda r: r.real)
     delta = _box_margin(top.real)
     lo = top.real - delta
@@ -572,9 +556,51 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
     )
     if expected != winding:
         raise RefinementError(
-            f"winding count {winding} != {expected} roots found (conjugates included)"
+            f"winding count {winding} != {expected} roots found (conjugates included;"
+            f" seeded from {seeding})"
         )
     return top
+
+
+def rightmost_root(qp: QuasiPolynomial) -> complex:
+    """The root of p with the largest real part, certified.
+
+    Seeds damped Newton iterations at the eigenvalues of a 12-node
+    Chebyshev pseudospectral discretization of the delay equation's
+    generator (those within the bound R of _root_bound), deduplicates, and
+    takes the rightmost polished root s*.  Every root with Re >= lo = s* -
+    BOX_MARGIN (1 + |s*|) has modulus below R(lo), so the box [lo, R] x
+    [-R, R] holds all of them: the adaptive argument-principle count over
+    the upper half of its boundary (_root_count; the box is symmetric about
+    the real axis, so half the walk counts every root) must equal the
+    polished roots right of lo, conjugates included, with the multiplicity
+    of each certified on a small circle.  Then no root lies right of s*.
+    When no 12-node seed converges or the certificate fails, the search is
+    seeded once more from a 24-node generator, and when none of its seeds
+    converges either, from the roots of the delay-free polynomial a + b.
+    Raises RefinementError when no seed converges, when the bound or p is
+    not finite on the box, when the count reaches its cap, or when it does
+    not match the roots of the last seeding.
+    """
+    roots = _polish_eigenvalues(qp, _generator_matrix(qp, _SEED_NODES))
+    if roots:
+        try:
+            return _certified_top(qp, roots, f"{_SEED_NODES} Chebyshev nodes")
+        except RefinementError:
+            pass  # re-seeded below from the finer generator
+    seeding = f"{_SEED_NODES}, then {_RESEED_NODES} Chebyshev nodes"
+    roots = _polish_eigenvalues(qp, _generator_matrix(qp, _RESEED_NODES))
+    if not roots:  # tiny coefficients (h_a >~ 1e27) drown the generator's
+        # eigenvalues in its rounding: seed at the roots of a + b (phi = 0).
+        # Their real parts are Newton's stopping error (-5e-29 where the pair
+        # has -4.25e-29 at h_a = 1e28), so the axis snap keeps its absolute
+        # 1e-9 floor on this path
+        delay_free = _generator_matrix(QuasiPolynomial(qp.a, qp.b, 0.0))
+        roots = _polish_eigenvalues(qp, delay_free, axis_floor=1.0)
+        seeding += " and the delay-free roots"
+    if not roots:
+        raise RefinementError("no eigenvalue seed converged to a root")
+    return _certified_top(qp, roots, seeding)
 
 
 def properness_root_check(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:

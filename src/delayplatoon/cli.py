@@ -209,13 +209,15 @@ def cmd_predict_demo(args) -> int:
     x = x0
     for u in history.samples:
         x = step(model, x, u)
-    discrepancy = max(
-        abs(predicted.q - x.q), abs(predicted.v - x.v), abs(predicted.a - x.a)
-    )
+    pairs = ((predicted.q, x.q), (predicted.v, x.v), (predicted.a, x.a))
+    discrepancy = max(abs(p - s) for p, s in pairs)
+    # exact up to rounding: each component within 1e-12 of its magnitude (at
+    # least 1), since one ulp of q = 1e6 is already 1.2e-10
+    exact = all(abs(p - s) <= 1e-12 * max(1.0, abs(p), abs(s)) for p, s in pairs)
     print(f"predicted : q={_fmt(predicted.q)} v={_fmt(predicted.v)} a={_fmt(predicted.a)}")
     print(f"simulated : q={_fmt(x.q)} v={_fmt(x.v)} a={_fmt(x.a)}")
     print(f"max discrepancy: {_fmt(discrepancy)}")
-    return EXIT_OK if discrepancy <= 1e-12 else EXIT_NEGATIVE
+    return EXIT_OK if exact else EXIT_NEGATIVE
 
 
 def _add_policy_args(p: argparse.ArgumentParser):

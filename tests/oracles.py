@@ -420,17 +420,16 @@ def winding_number_reference(qp, lo: float, half: float) -> int:
     raise RefinementError("winding number did not stabilize")
 
 
-def generator_matrix_reference(qp) -> np.ndarray:
+def generator_matrix_reference(qp, n_nodes: int) -> np.ndarray:
     """The Chebyshev pseudospectral generator of p, built from scratch on
-    the 25 nodes of [-phi, 0]: the differentiation matrix from the scaled
-    nodes, its Kronecker block, the companion row of a and -b in the last
-    block.  With phi = 0 the companion matrix of a."""
+    n_nodes + 1 Chebyshev points of [-phi, 0]: the differentiation matrix
+    from the scaled points, its Kronecker block, the companion row of a and
+    -b in the last block.  With phi = 0 the companion matrix of a."""
     n = len(qp.b)
     companion = np.eye(n, k=1)
     companion[-1] = np.negative(qp.a[:n])
     if qp.phi == 0.0:
         return companion
-    n_nodes = 24
     theta = 0.5 * qp.phi * (np.cos(math.pi * np.arange(n_nodes + 1) / n_nodes) - 1.0)
     w = np.ones(n_nodes + 1)  # interpolation weights (-1)^j, halved at both ends
     w[[0, -1]] = 0.5

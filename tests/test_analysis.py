@@ -394,9 +394,9 @@ class TestPropernessRootCheck:
         assert verdict.stable == dp.is_proper(policy, ref_params).stable
 
     def test_spurious_right_eigenvalues_are_filtered(self):
-        """The generator's top eigenvalues here (33.6+260j, 31.5+418j,
-        25.2+191j) are spurious: |e| > R(Re e).  Newton from the first lands
-        on 15.52+198.0j, a root left of the rightmost one."""
+        """The 12-node generator's top eigenvalue here, 38.2+106j, is
+        spurious: |e| > R(Re e).  Newton from it lands on 20.01+49.39j, a
+        root left of the rightmost one."""
         policy = dp.SpacingPolicy(
             PolicyKind.DELAYED_EXTENDED_HEADWAY,
             h_v=2.368866384477878, h_a=1.2461492890856137e-4,
@@ -428,8 +428,10 @@ class TestPropernessRootCheck:
 
 class TestGeneratorMatrix:
     """The generator built from the cached Chebyshev block against one built
-    from scratch on the scaled nodes."""
+    directly from the scaled nodes, at the seeding and the re-seeding
+    node counts."""
 
+    @pytest.mark.parametrize("nodes", [12, 24])
     @pytest.mark.parametrize("phi", [0.0, 1e-3, 0.05, 0.15, 0.3, 2.0])
     @pytest.mark.parametrize(
         "make",
@@ -439,18 +441,24 @@ class TestGeneratorMatrix:
         ],
         ids=["dch", "ext"],
     )
-    def test_matches_per_call_construction(self, make, phi):
+    def test_matches_per_call_construction(self, make, phi, nodes):
         # the whole matrix, not entry by entry: the near-zero diagonal of the
         # differentiation block is rounding noise of its row sums
         qp = make(phi)
-        matrix = analysis._generator_matrix(qp)
-        reference = generator_matrix_reference(qp)
+        matrix = analysis._generator_matrix(qp, nodes)
+        reference = generator_matrix_reference(qp, nodes)
         assert matrix.shape == reference.shape
         assert np.max(np.abs(matrix - reference)) <= 1e-13 * np.max(np.abs(reference))
 
+    def test_default_seeding_uses_12_nodes(self):
+        qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
+        assert analysis._generator_matrix(qp).shape == (26, 26)
+        qp = QuasiPolynomial.dch_internal(0.4, 0.15)
+        assert analysis._generator_matrix(qp).shape == (13, 13)
+
     def test_cached_block_is_read_only(self):
-        block = analysis._chebyshev_block(2)
-        assert analysis._chebyshev_block(2) is block
+        block = analysis._chebyshev_block(2, 12)
+        assert analysis._chebyshev_block(2, 12) is block
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0] = 1.0
 
@@ -590,6 +598,17 @@ class TestL2StringStability:
             dp.l2_string_stability_check(np.zeros((10, 2)), ts)
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The node counts of the generators that rightmost_root builds."""
+    nodes = []
+    generator = analysis._generator_matrix
+    monkeypatch.setattr(
+        analysis, "_generator_matrix", lambda qp, n: nodes.append(n) or generator(qp, n)
+    )
+    return nodes
+
+
 class TestWindingCertificate:
     def test_root_on_contour_is_rejected(self):
         # lambda + 1 with the box edge through the root at -1
@@ -608,23 +627,20 @@ class TestWindingCertificate:
         with pytest.raises(dp.RefinementError, match="no eigenvalue seed converged"):
             dp.rightmost_root(QuasiPolynomial.dch_internal(1e-308, 0.15))
 
-    def test_missing_roots_fail_the_certificate_without_retry(self, monkeypatch):
-        """A root the eigenvalue seeds miss is a RefinementError after one
-        generator build, not a search repeated on finer generators: without
-        the rightmost pair, the box around the next one still holds it."""
-        builds = []
-        generator = analysis._generator_matrix
+    def test_missing_roots_fail_the_certificate_without_retry(self, monkeypatch, builds):
+        """A root the eigenvalue seeds miss is a RefinementError after two
+        generator builds, the 12-node seeding and its one 24-node re-seed,
+        not a search repeated on ever finer generators: without the
+        rightmost pair, the box around the next one still holds it."""
         second = complex(scipy.special.lambertw(-0.15 / 0.4, 1)) / 0.15
         monkeypatch.setattr(
             analysis, "_polish_eigenvalues", lambda qp, gen: [complex(second.real, abs(second.imag))]
         )
-        monkeypatch.setattr(
-            analysis, "_generator_matrix", lambda *args: builds.append(args) or generator(*args)
-        )
         qp = QuasiPolynomial.dch_internal(0.4, 0.15)
-        with pytest.raises(dp.RefinementError, match=r"^winding count \d+ != \d+ roots found"):
+        message = r"^winding count \d+ != \d+ roots found .*; seeded from 12, then 24 Chebyshev"
+        with pytest.raises(dp.RefinementError, match=message):
             dp.rightmost_root(qp)
-        assert len(builds) == 1
+        assert builds == [12, 24]
 
     def test_box_count(self):
         """The principal pair of lambda + e^{-0.15 lambda} / 0.4, -6.58 +-
@@ -663,6 +679,12 @@ def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
 
 
+def internal(h_a, h_v, phi):
+    if h_a is None:
+        return QuasiPolynomial.dch_internal(h_v, phi)
+    return QuasiPolynomial.extended_internal(h_v, h_a, phi)
+
+
 class TestRootCountAgreesWithFixedGrid:
     """The adaptive count equals the 4096 + 8192-point scan it replaced on
     the boxes that rightmost_root builds."""
@@ -675,11 +697,7 @@ class TestRootCountAgreesWithFixedGrid:
         )
     )
     def test_random_tunings(self, data):
-        h_a, h_v, phi = data
-        if h_a is None:
-            qp = QuasiPolynomial.dch_internal(h_v, phi)
-        else:
-            qp = QuasiPolynomial.extended_internal(h_v, h_a, phi)
+        qp = internal(*data)
         boxes = []
         count = analysis._root_count
         with pytest.MonkeyPatch.context() as mp:
@@ -687,3 +705,67 @@ class TestRootCountAgreesWithFixedGrid:
             dp.rightmost_root(qp)
         (box,) = boxes
         assert count(*box)[0] == winding_number_reference(*box)
+
+
+class TestSeeding:
+    """rightmost_root seeds from a 12-node generator and re-seeds once from
+    24 nodes when that seeding fails its certificate."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.one_of(
+            st.tuples(st.just(None), log_uniform(0.01, 10.0), st.floats(0.05, 0.3)),
+            st.tuples(log_uniform(1e-4, 1e3), log_uniform(0.03, 3.0), st.floats(0.05, 0.3)),
+            st.tuples(log_uniform(1e-9, 1e-4), log_uniform(1.0, 1e3), st.floats(0.05, 0.3)),
+        )
+    )
+    def test_agrees_with_24_node_seeding(self, data):
+        qp = internal(*data)
+        root = dp.rightmost_root(qp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_SEED_NODES", 24)
+            reference = dp.rightmost_root(qp)
+        assert abs(root - reference) <= 1e-9 * abs(reference)
+
+    def test_dch_long_delay_needs_the_reseed(self, builds):
+        """At phi / h_v = 1e5 the 12-node seeds miss a pair inside the box;
+        the 24-node seeds give the principal Lambert-W root W_0(-phi / h_v)
+        / phi."""
+        h_v, phi = 1e-3, 100.0
+        root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
+        assert builds == [12, 24]
+        want = complex(scipy.special.lambertw(-phi / h_v, 0)) / phi
+        assert abs(root - complex(want.real, abs(want.imag))) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize(
+        "h_v,h_a,want",
+        [
+            (100.0, 1e-3, 0.1355682654233916 + 0.02915591801488796j),
+            (1e3, 1.0, 0.09252795119784595 + 0.02840713316930663j),
+        ],
+    )
+    def test_extended_long_delay_needs_the_reseed(self, builds, h_v, h_a, want):
+        root = dp.rightmost_root(QuasiPolynomial.extended_internal(h_v, h_a, 100.0))
+        assert builds == [12, 24]
+        assert abs(root - want) <= 1e-9 * abs(want)
+
+    def test_small_acceleration_headway_needs_no_reseed(self, builds):
+        """The widened seed stop keeps the 12-node seeds of the pairs inside
+        the box (see test_extended_small_acceleration_headway)."""
+        dp.rightmost_root(QuasiPolynomial.extended_internal(1.0, 2e-9, 0.15))
+        assert builds == [12]
+
+    @pytest.mark.parametrize("h_v", [0.01, 0.1, 1.0])
+    def test_huge_acceleration_headway_pair_from_the_generator(self, h_v):
+        """At h_a = 1e26 the 12-node generator seeds the pair near +-i
+        h_a^{-1/2}, which the 24-node one loses in its rounding at these
+        h_v: the root is the closed-form pair of h_a lambda^2 + (h_v - phi)
+        lambda + 1, not the delay-free fallback's real artifact.  Its real
+        part, about 1e-15 of |root|, lies within Newton's stop and is not
+        pinned."""
+        h_a, phi = 1e26, 0.15
+        root = dp.rightmost_root(QuasiPolynomial.extended_internal(h_v, h_a, phi))
+        c = h_v - phi
+        want = (-c + cmath.sqrt(c * c - 4.0 * h_a)) / (2.0 * h_a)
+        assert root.imag > 0.0
+        assert abs(root - want) <= 1e-13 * abs(want)

@@ -459,6 +459,29 @@ class TestPredictDemoCommand:
         f.write_text("\n".join(str(x) for x in rng.normal(size=15)))
         assert main(["predict-demo", str(f), "--q0", "1.0", "--v0", "-2.0"]) == 0
 
+    LARGE_POSITION = ["--q0", "1e6", "--v0", "20", "--a0", "0.3"]
+
+    def test_large_position_is_exact(self, tmp_path, capsys):
+        """The discrepancy at q of about 1e6, 2.3e-10, is 2 ulps of q: the
+        check is relative to each component's magnitude."""
+        f = tmp_path / "u.txt"
+        f.write_text("0.5\n" * 15)
+        assert main(["predict-demo", str(f), *self.LARGE_POSITION]) == 0
+        assert "max discrepancy: 2.3283064365386963e-10" in capsys.readouterr().out
+
+    def test_perturbed_predictor_is_inexact(self, tmp_path, monkeypatch):
+        f = tmp_path / "u.txt"
+        f.write_text("0.5\n" * 15)
+        predict = cli.predict
+
+        def perturbed(*args):
+            x = predict(*args)
+            return dp.VehicleState(x.q * (1.0 + 1e-9), x.v * (1.0 + 1e-9), x.a * (1.0 + 1e-9))
+
+        monkeypatch.setattr(cli, "predict", perturbed)
+        assert main(["predict-demo", str(f), *self.LARGE_POSITION]) == 1
+        assert main(["predict-demo", str(f)]) == 1
+
     def test_non_integer_delay_rejected(self, tmp_path):
         f = tmp_path / "u.txt"
         f.write_text("0.0\n" * 15)
