@@ -1,15 +1,17 @@
 """Frequency-domain and quasi-polynomial stability machinery.
 
-Covers the closed-loop velocity transfer magnitudes under perfect tracking,
-the string-stability frequency sweep, the rightmost root of the one-delay
-internal dynamics a(lambda) + b(lambda) e^{-phi lambda}, deg b < deg a
-(Newton seeded by the eigenvalues of a 12-node pseudospectral generator
-built from a cached Chebyshev block, certified by one adaptive
-argument-principle count over the upper half of a conjugate-symmetric box
-that the closed-form modulus bound R(s) sizes; a failed certificate is
-re-seeded once from 24 nodes, and a second failure raises
-RefinementError), the properness region boundary, and the time-domain L2
-string-stability check.
+Covers the closed-loop velocity transfer magnitudes under perfect tracking
+(one kernel, on arrays for the sweep's grid and on floats for its
+golden-section refinement), the string-stability frequency sweep, the
+rightmost root of the one-delay internal dynamics p = a(lambda) + b(lambda)
+e^{-phi lambda}, deg b < deg a, with every evaluation of p running Horner
+over one cached row table (Newton seeded by the eigenvalues of a 12-node
+pseudospectral generator built from a cached Chebyshev block, certified by
+one adaptive argument-principle count over the upper half of a
+conjugate-symmetric box that the closed-form modulus bound R(s) sizes; a
+failed certificate is re-seeded once from 24 nodes, and a second failure
+raises RefinementError), the properness region boundary, and the
+time-domain L2 string-stability check.
 """
 
 from __future__ import annotations
@@ -93,10 +95,28 @@ class QuasiPolynomial:
         """h_a lambda^2 + (h_v lambda + 1) e^{-phi lambda}."""
         return cls((0.0, 0.0, h_a), (1.0, h_v), phi)
 
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """Horner rows from degree n - 1 down: a_j, b_j, |a_j|, |b_j| and the
+        coefficients (j + 1) |a_{j+1}| and (j + 1) |b_{j+1}| + phi |b_j| of
+        the bound |p'| <= sum_j (j + 1) |a_{j+1}| r^j + e^{-phi Re} sum_j
+        ((j + 1) |b_{j+1}| + phi |b_j|) r^j at |lambda| <= r.  Every
+        evaluation of p runs Horner over these rows from a_n = 1 and b_n = 0.
+        """
+        a, b, phi = self.a, self.b + (0.0,), self.phi
+        return tuple(
+            (a[j], b[j], abs(a[j]), abs(b[j]), (j + 1) * abs(a[j + 1]),
+             (j + 1) * abs(b[j + 1]) + phi * abs(b[j]))
+            for j in reversed(range(len(a) - 1))
+        )
+
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        delayed = np.polyval(self.b[::-1], lam) * np.exp(-lam * self.phi)
-        return np.polyval(self.a[::-1], lam) + delayed
+        fa, fb = 1.0 + 0.0j, 0.0j
+        for aj, bj, *_ in self.rows:
+            fa = fa * lam + aj
+            fb = fb * lam + bj
+        return fa + fb * np.exp(-lam * self.phi)
 
     def newton_terms(self, lam: complex) -> tuple[complex, complex, float]:
         """(p(lam), p'(lam), residual scale) in one pass.
@@ -107,52 +127,60 @@ class QuasiPolynomial:
         cancels.  OverflowError where an exp overflows.
         """
         r = abs(lam)
-        ca, dca, ma = _horner(self.a, lam, r)
-        cb, dcb, mb = _horner(self.b, lam, r)
+        fa, dfa, fb, dfb, ma, mb = 1.0 + 0.0j, 0.0j, 0.0j, 0.0j, 1.0, 0.0
+        for aj, bj, maj, mbj, _, _ in self.rows:
+            dfa = dfa * lam + fa
+            fa = fa * lam + aj
+            dfb = dfb * lam + fb
+            fb = fb * lam + bj
+            ma = ma * r + maj
+            mb = mb * r + mbj
         e = cmath.exp(-lam * self.phi)
-        p = ca + cb * e
-        dp = dca + (dcb - self.phi * cb) * e
+        p = fa + fb * e
+        dp = dfa + (dfb - self.phi * fb) * e
         scale = ma + mb * math.exp(-lam.real * self.phi)
         return p, dp, max(scale, 1e-300)
 
 
-def _horner(coeffs: tuple[float, ...], lam: complex, r: float) -> tuple[complex, complex, float]:
-    """(c(lam), c'(lam), sum_j |c_j| r^j) for ascending coefficients c."""
-    c = dc = 0.0j
-    m = 0.0
-    for coef in reversed(coeffs):
-        dc = dc * lam + c
-        c = c * lam + coef
-        m = m * r + abs(coef)
-    return c, dc, m
-
-
-def transfer_magnitude(policy: SpacingPolicy, params: VehicleParams, omega):
-    """|T(i omega)| of the velocity transfer under perfect tracking.
+def magnitude_kernel(policy: SpacingPolicy, params: VehicleParams, sin, cos):
+    """w -> |T(i w)| of the velocity transfer under perfect tracking.
 
     Evaluated as 1 / hypot of the real and imaginary parts of 1/T, which
     cannot overflow where |T| is representable: for the constant headway
     policy (w h_v - sin(w phi)) + i cos(w phi), whose squared modulus is
     (w h_v)^2 - 2 w h_v sin(w phi) + 1; the extended denominator splits into
     (1 - h_a w^2 cos(w phi)) + i (h_v w - h_a w^2 sin(w phi)).  The constant
-    policy has |T| = 1 at every frequency.
+    policy has |T| = 1 at every frequency.  The same body serves arrays with
+    sin, cos = np.sin, np.cos and floats with math.sin, math.cos, which
+    return the same doubles with numpy 2.4 (TestRefinedPeak checks it);
+    np.hypot serves both, since math.hypot rounds differently.  On floats an
+    overflowing h_a w^2 gives |T| = 0 without a warning.
     """
+    phi, hv, ha, hypot = params.phi, policy.h_v, policy.h_a, np.hypot
+    if policy.kind is PolicyKind.DELAYED_CONSTANT:
+        return lambda _w: 1.0
+    if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+        def magnitude(w):
+            wp = w * phi
+            return 1.0 / hypot(w * hv - sin(wp), cos(wp))
+    else:
+        def magnitude(w):
+            wp = w * phi
+            return 1.0 / hypot(1.0 - ha * w * w * cos(wp), hv * w - ha * w * w * sin(wp))
+    return magnitude
+
+
+@np.errstate(over="ignore", invalid="ignore")  # h_a w^2 overflowing gives |T| = 0
+def transfer_magnitude(policy: SpacingPolicy, params: VehicleParams, omega):
+    """|T(i omega)| at every finite omega >= 0 (magnitude_kernel on arrays)."""
     w = np.asarray(omega, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("omega must be >= 0")
-    phi = params.phi
+    if w.size and not (0.0 <= w.min() and w.max() < math.inf):  # nan fails both
+        raise ValueError("omega must be finite and >= 0")
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
         out = np.ones_like(w)
-    elif policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-        out = 1.0 / np.hypot(w * policy.h_v - np.sin(w * phi), np.cos(w * phi))
     else:
-        hv, ha = policy.h_v, policy.h_a
-        re = 1.0 - ha * w * w * np.cos(w * phi)
-        im = hv * w - ha * w * w * np.sin(w * phi)
-        out = 1.0 / np.hypot(re, im)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out)
-    return out
+        out = magnitude_kernel(policy, params, np.sin, np.cos)(w)
+    return float(out) if w.ndim == 0 else out
 
 
 def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int = SWEEP_POINTS):
@@ -197,38 +225,13 @@ def golden_section_max(f, lo: float, hi: float):
     return d, fd
 
 
-def scalar_magnitude(policy: SpacingPolicy, params: VehicleParams):
-    """|T(i w)| at one float w >= 0, bitwise equal to transfer_magnitude.
-
-    The same operations in the same order on floats, with math.sin/math.cos
-    in place of the numpy loops (they return the same doubles as numpy's
-    float64 sin/cos with numpy 2.4; TestRefinedPeak checks it) and np.hypot
-    kept, since math.hypot rounds differently.  An overflowing h_a w^2
-    gives |T| = 0 without a warning, as Python floats do not warn.
-    """
-    phi = params.phi
-    if policy.kind is PolicyKind.DELAYED_CONSTANT:
-        return lambda w: 1.0
-    hv, ha, hypot, sin, cos = policy.h_v, policy.h_a, np.hypot, math.sin, math.cos
-    if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-        def magnitude(w: float) -> float:
-            wp = w * phi
-            return float(1.0 / hypot(w * hv - sin(wp), cos(wp)))
-    else:
-        def magnitude(w: float) -> float:
-            wp = w * phi
-            return float(1.0 / hypot(1.0 - ha * w * w * cos(wp), hv * w - ha * w * w * sin(wp)))
-    return magnitude
-
-
-@np.errstate(over="ignore", invalid="ignore")  # h_a w^2 overflowing gives |T| = 0
 def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray):
     """(peak_omega, peak_magnitude, grid magnitudes) of |T| on a grid.
 
     The grid magnitudes are one vectorized transfer_magnitude call.  Every
     local maximum of them, endpoints included, is then golden-refined to
     relative width 1e-10 on the bracket of its two grid neighbours by its
-    own scalar golden_section_max over scalar_magnitude.  The largest
+    own scalar golden_section_max over magnitude_kernel on floats.  The largest
     refined value above the grid maximum wins, the first of equal ones.
     """
     mags = transfer_magnitude(policy, params, grid)
@@ -237,12 +240,12 @@ def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray)
     peaks = np.flatnonzero((edged[1:-1] >= edged[:-2]) & (edged[1:-1] >= edged[2:]))
     k = int(np.argmax(mags))
     best_w, best_m = float(grid[k]), float(mags[k])
-    magnitude = scalar_magnitude(policy, params)
+    magnitude = magnitude_kernel(policy, params, math.sin, math.cos)
     for k in peaks.tolist():
         w, m = golden_section_max(magnitude, grid[max(k - 1, 0)], grid[min(k + 1, n - 1)])
         if m > best_m:
             best_w, best_m = w, m
-    return best_w, best_m, mags
+    return best_w, float(best_m), mags  # the float kernel gives numpy doubles
 
 
 def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
@@ -330,19 +333,11 @@ def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
     RefinementError where p is not finite or 0 on the path, or after
     ROOT_COUNT_CAP evaluations.
     """
-    a, b, phi = qp.a, qp.b + (0.0,), qp.phi
-    # Horner rows from degree n - 1 down: the coefficients of a and b, their
-    # magnitudes, and those of the bound |p'| <= sum_j (j + 1) |a_{j+1}| r^j
-    # + e^{-phi Re} sum_j ((j + 1) |b_{j+1}| + phi |b_j|) r^j at |lambda| <= r
-    rows = [
-        (a[j], b[j], abs(a[j]), abs(b[j]), (j + 1) * abs(a[j + 1]),
-         (j + 1) * abs(b[j + 1]) + phi * abs(b[j]))
-        for j in reversed(range(len(a) - 1))
-    ]
+    phi, rows = qp.phi, qp.rows
 
     def point(z: complex):
         r = abs(z)
-        fa, fb, ma, mb, sa, sb = complex(a[-1]), 0.0j, abs(a[-1]), 0.0, 0.0, 0.0
+        fa, fb, ma, mb, sa, sb = 1.0 + 0.0j, 0.0j, 1.0, 0.0, 0.0, 0.0
         for aj, bj, maj, mbj, saj, sbj in rows:
             fa = fa * z + aj
             fb = fb * z + bj
@@ -658,11 +653,15 @@ def l2_string_stability_check(velocity_logs, Ts: float) -> list[L2PairVerdict]:
     velocity_logs is (n_samples, n_vehicles), column 0 the leader.  For each
     consecutive pair the cumulative trapezoidal integral of v^2 must satisfy
     E_i(T) <= E_{i-1}(T) at every sample time; a violation only counts if it
-    exceeds 1e-9 of the pair's final cumulative energy.
+    exceeds 1e-9 of the pair's final cumulative energy.  Raises ValueError
+    naming the first non-finite sample.
     """
     v = np.asarray(velocity_logs, dtype=float)
     if v.ndim != 2 or v.shape[1] < 2:
         raise ValueError("need a (n_samples, n_vehicles >= 2) velocity array")
+    if not np.all(np.isfinite(v)):
+        k, i = np.argwhere(~np.isfinite(v))[0].tolist()
+        raise ValueError(f"velocity of vehicle {i} at sample {k} is not finite: {v[k, i]}")
     if not (math.isfinite(Ts) and Ts > 0.0):
         raise ValueError("Ts must be finite and > 0")
     # cumulative trapezoidal integral of v^2, 0 at the first sample

@@ -112,8 +112,8 @@ def cmd_analyze(args) -> int:
     with _input_checked():
         policy, params = _policy_from_args(args)
     rows = policy_rows(policy)
-    rho, rho_bar = relative_degrees(rows, params)
-    solvable = solvability_check(rows, params)
+    rho, rho_bar = relative_degrees(rows)
+    solvable = solvability_check(rows)
     proper = is_proper(policy, params)
     stable = is_string_stable(policy, params)
 

@@ -99,7 +99,7 @@ class ControllerSpec:
     predecessor: VehicleParams | None = None
 
     def __post_init__(self):
-        rho_bar = relative_degrees(policy_rows(self.policy), self.ego)[1]
+        rho_bar = relative_degrees(policy_rows(self.policy))[1]
         violations = validate_gains(rho_bar, self.gains)
         if violations:
             raise ValueError("invalid gains: " + "; ".join(violations))

@@ -65,6 +65,8 @@ class SpacingPolicy:
     standstill: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, PolicyKind):
+            raise ValueError(f"kind must be a PolicyKind, got {self.kind!r}")
         if not all(map(math.isfinite, (self.h_v, self.h_a, self.standstill))):
             raise ValueError("h_v, h_a and standstill must be finite")
         if self.standstill < 0.0:
@@ -139,23 +141,23 @@ def _relative_degree(row) -> float:
     return math.inf
 
 
-def relative_degrees(rows: PolicyRows, params: VehicleParams) -> tuple[float, float]:
+def relative_degrees(rows: PolicyRows) -> tuple[float, float]:
     """(rho, rho_bar): smallest k with H A^{k-1} B != 0 (resp. H_bar), inf if none.
 
     For q' = v, v' = a, a' = (u - a)/tau, H A^{k-1} B = h_{3-k} / tau once
     the entries after h_{3-k} are 0, so rho is the position of the last
     nonzero entry of the row, counted from the end.  tau > 0 only scales the
-    products, so it does not enter and no power of it is formed.
+    products, so the rows alone decide and no vehicle parameter is read.
     """
     return _relative_degree(rows.H), _relative_degree(rows.H_bar)
 
 
-def solvability_check(rows: PolicyRows, params: VehicleParams) -> SolvabilityResult:
+def solvability_check(rows: PolicyRows) -> SolvabilityResult:
     """Whether a decentralized tracking controller exists for these rows.
 
     True iff rho_bar < rho, or rho_bar == 3 with H x = -q (H = [-1, 0, 0]).
     """
-    rho, rho_bar = relative_degrees(rows, params)
+    rho, rho_bar = relative_degrees(rows)
     if rho_bar < rho:
         return SolvabilityResult(True, f"rho_bar = {rho_bar} < rho = {rho}")
     if rho_bar == 3 and rows.H == (-1.0, 0.0, 0.0):

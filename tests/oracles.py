@@ -3,9 +3,10 @@ convolution-integral predictor, the continuous-time (A, B) of the vehicle
 model, the generic controller indexed by the relative degrees of the policy
 rows, the float-loop simulator that `delayplatoon.run` replaced and a
 golden-section refinement that evaluates |T| through `transfer_magnitude`,
-which `refined_peak` and its float kernel must match bitwise, the
-fixed-grid winding count that the adaptive `_root_count` must agree with,
-and the per-call build of the pseudospectral generator that
+which `refined_peak` and its float kernel must match bitwise, `np.polyval`
+evaluations of the quasi-polynomial, which its Horner rows must match
+bitwise, the fixed-grid winding count that the adaptive `_root_count` must
+agree with, and the per-call build of the pseudospectral generator that
 `_generator_matrix` replaced with a cached Chebyshev block.
 
 The spacing errors, tracking laws, leader law and sensor hold here are
@@ -391,6 +392,12 @@ def refined_peak_reference(policy, params, grid: np.ndarray):
         if m_ref > best_m:
             best_w, best_m = w_ref, m_ref
     return best_w, best_m, mags
+
+
+def quasi_polynomial_reference(qp, z):
+    """p(z) = a(z) + b(z) e^{-phi z} by np.polyval on the coefficient tuples."""
+    z = np.asarray(z, dtype=complex)
+    return np.polyval(qp.a[::-1], z) + np.polyval(qp.b[::-1], z) * np.exp(-z * qp.phi)
 
 
 def winding_number_reference(qp, lo: float, half: float) -> int:

@@ -17,6 +17,7 @@ from oracles import (
     dch_rightmost_root,
     generator_matrix_reference,
     golden_section_max,
+    quasi_polynomial_reference,
     refined_peak_reference,
     winding_number_reference,
 )
@@ -38,6 +39,19 @@ def direct_magnitude(policy, params, omega):
     return float(1.0 / abs(den))
 
 
+OMEGAS = np.random.default_rng(1234).uniform(1e-3, 200.0, size=200)
+
+
+def _assert_routes_agree(policy, params):
+    """The array pass and the float kernel against the complex denominator."""
+    array = dp.transfer_magnitude(policy, params, OMEGAS)
+    kernel = analysis.magnitude_kernel(policy, params, math.sin, math.cos)
+    for omega, left in zip(OMEGAS.tolist(), array.tolist()):
+        right = direct_magnitude(policy, params, omega)
+        assert left == pytest.approx(right, rel=1e-12)
+        assert kernel(omega) == pytest.approx(right, rel=1e-12)
+
+
 class TestTransferMagnitude:
     def test_dc_gain_unity(self, ref_params):
         for policy in (CONSTANT, DCH, EXT):
@@ -48,20 +62,24 @@ class TestTransferMagnitude:
         mags = dp.transfer_magnitude(CONSTANT, ref_params, omegas)
         assert np.all(mags == 1.0)
 
-    def test_dch_two_route_agreement(self, ref_params, rng):
+    def test_dch_closed_form(self, ref_params):
         got = dp.transfer_magnitude(DCH, ref_params, 1.0)
         want = 1.0 / math.sqrt(0.16 - 0.8 * math.sin(0.15) + 1.0)
         assert got == pytest.approx(want, rel=1e-15)
-        for omega in rng.uniform(1e-3, 200.0, size=200):
-            left = dp.transfer_magnitude(DCH, ref_params, omega)
-            right = direct_magnitude(DCH, ref_params, omega)
-            assert left == pytest.approx(right, rel=1e-12)
 
-    def test_extended_two_route_agreement(self, ref_params, rng):
-        for omega in rng.uniform(1e-3, 200.0, size=200):
-            left = dp.transfer_magnitude(EXT, ref_params, omega)
-            right = direct_magnitude(EXT, ref_params, omega)
-            assert left == pytest.approx(right, rel=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(phi=st.floats(0.05, 0.3), h_v=st.floats(0.05, 3.0))
+    @example(phi=0.15, h_v=0.4)
+    def test_dch_two_route_agreement(self, phi, h_v):
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=h_v)
+        _assert_routes_agree(policy, dp.VehicleParams(0.067, phi))
+
+    @settings(max_examples=40, deadline=None)
+    @given(phi=st.floats(0.05, 0.3), h_v=st.floats(0.05, 3.0), log_h_a=st.floats(-4.0, 0.0))
+    @example(phi=0.15, h_v=1.2, log_h_a=math.log10(0.25))
+    def test_extended_two_route_agreement(self, phi, h_v, log_h_a):
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=h_v, h_a=10.0**log_h_a)
+        _assert_routes_agree(policy, dp.VehicleParams(0.067, phi))
 
     def test_dch_extreme_tunings_stay_finite(self, ref_params):
         """|T| of the constant headway policy is evaluated without overflow:
@@ -79,6 +97,12 @@ class TestTransferMagnitude:
     def test_rejects_negative_frequency(self, ref_params):
         with pytest.raises(ValueError):
             dp.transfer_magnitude(DCH, ref_params, -1.0)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, [1.0, math.nan], [0.5, math.inf]])
+    def test_rejects_non_finite_frequency(self, ref_params, omega):
+        for policy in (CONSTANT, DCH, EXT):
+            with pytest.raises(ValueError, match="finite"):
+                dp.transfer_magnitude(policy, ref_params, omega)
 
 
 class TestStringStabilitySweep:
@@ -137,7 +161,7 @@ def _assert_refinement_matches_reference(policy, params):
     w_ref, m_ref, mags_ref = refined_peak_reference(policy, params, grid)
     assert np.array_equal(mags, mags_ref)
     assert (w, m) == (w_ref, m_ref)
-    magnitude = analysis.scalar_magnitude(policy, params)
+    magnitude = analysis.magnitude_kernel(policy, params, math.sin, math.cos)
     assert [magnitude(x) for x in grid.tolist()] == mags.tolist()
     verdict = dp.string_stability_sweep(policy, params)
     assert verdict.stable == (m_ref <= 1.0 + analysis.SWEEP_TOL)
@@ -194,7 +218,8 @@ class TestRefinedPeak:
 
     def test_overflowing_extended_tuning(self):
         """h_a w^2 overflows at the top of the grid: |T| = 0 there, from the
-        grid pass and the scalar kernel alike, and no RuntimeWarning."""
+        grid pass, the scalar kernel and a direct call alike, and no
+        RuntimeWarning."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=1e300)
         params = dp.VehicleParams(0.067, 0.001)  # omega_max = 20 pi / phi = 62,832
         grid = analysis.default_sweep_grid(policy, params)
@@ -203,12 +228,37 @@ class TestRefinedPeak:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, m, mags = analysis.refined_peak(policy, params, grid)
-            assert analysis.scalar_magnitude(policy, params)(top) == 0.0
+            assert analysis.magnitude_kernel(policy, params, math.sin, math.cos)(top) == 0.0
+            assert dp.transfer_magnitude(policy, params, top) == 0.0
             verdict = dp.string_stability_sweep(policy, params)
         assert mags[-1] == 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             assert (w, m) == refined_peak_reference(policy, params, grid)[:2]
         assert verdict.stable and verdict.peak_magnitude == m
+
+
+class TestQuasiPolynomialEvaluation:
+    """Every evaluation of p runs Horner over the one row table."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        h_v=st.floats(0.05, 3.0), log_h_a=st.floats(-4.0, 0.0), phi=st.floats(0.0, 0.3),
+        extended=st.booleans(), re=st.floats(-100.0, 100.0), im=st.floats(-100.0, 100.0),
+    )
+    def test_call_matches_newton_terms_and_polyval(self, h_v, log_h_a, phi, extended, re, im):
+        if extended:
+            qp = QuasiPolynomial.extended_internal(h_v, 10.0**log_h_a, phi)
+        else:
+            qp = QuasiPolynomial.dch_internal(h_v, phi)
+        z = complex(re, im)
+        got = qp(z)
+        assert got == quasi_polynomial_reference(qp, z)
+        # numpy's complex multiply may fuse a multiply-add (AVX-512 loops
+        # do), CPython's does not: the float Horner pass agrees to rounding
+        p, _, scale = qp.newton_terms(z)
+        assert abs(got - p) <= analysis._COUNT_ROUNDING * scale
+        circle = z + 1e-3 * np.exp(2j * math.pi * np.arange(256) / 256)
+        assert np.array_equal(qp(circle), quasi_polynomial_reference(qp, circle))
 
 
 class TestRightmostRoot:
@@ -596,6 +646,14 @@ class TestL2StringStability:
     def test_invalid_sample_period_rejected(self, ts):
         with pytest.raises(ValueError):
             dp.l2_string_stability_check(np.zeros((10, 2)), ts)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_velocity_rejected(self, bad):
+        """An infinite energy would scale the tolerance to inf and pass."""
+        with pytest.raises(ValueError, match="vehicle 1 at sample 0 is not finite"):
+            dp.l2_string_stability_check([[1.0, bad], [1.0, 1.0], [1.0, 1.0]], 0.01)
+        with pytest.raises(ValueError, match="vehicle 0 at sample 2 is not finite"):
+            dp.l2_string_stability_check([[1.0, 1.0], [1.0, 1.0], [bad, bad]], 0.01)
 
 
 @pytest.fixture

@@ -81,7 +81,7 @@ class TestControllerSpec:
     def test_rho_bar_mapping(self):
         """ControllerSpec checks the gains for rho_bar of the policy rows."""
         for policy, rho_bar in ((CONSTANT, 3), (DCH, 2), (EXT, 1)):
-            assert dp.relative_degrees(dp.policy_rows(policy), REF_VEHICLE)[1] == rho_bar
+            assert dp.relative_degrees(dp.policy_rows(policy))[1] == rho_bar
         with pytest.raises(ValueError, match="k_d "):
             dp.ControllerSpec(DCH, EXT_GAINS, ego=REF_VEHICLE)
         with pytest.raises(ValueError, match="k_dd "):

@@ -28,6 +28,15 @@ class TestPolicyTypes:
         with pytest.raises(ValueError):
             dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.4, standstill=-1.0)
 
+    @pytest.mark.parametrize(
+        "kind, kwargs", [("dch", {"h_v": 1.0, "h_a": 0.5}), ("constant", {})], ids=["dch", "constant"]
+    )
+    def test_kind_must_be_a_policy_kind(self, kind, kwargs):
+        """A kind token is not a kind: "dch" with h_a > 0 would pass as the
+        extended policy, and "constant" would fail the extended check."""
+        with pytest.raises(ValueError, match="kind must be a PolicyKind"):
+            dp.SpacingPolicy(kind, **kwargs)
+
     def test_kind_parsing(self):
         assert PolicyKind.parse("dch") is PolicyKind.DELAYED_CONSTANT_HEADWAY
         assert PolicyKind.parse("EXT") is PolicyKind.DELAYED_EXTENDED_HEADWAY
@@ -53,22 +62,20 @@ class TestPolicyRows:
 
 
 class TestRelativeDegrees:
-    def test_constant_headway(self, ref_params):
-        rho, rho_bar = dp.relative_degrees(dp.policy_rows(DCH), ref_params)
+    def test_constant_headway(self):
+        rho, rho_bar = dp.relative_degrees(dp.policy_rows(DCH))
         assert rho == math.inf and rho_bar == 2
 
-    def test_extended(self, ref_params):
-        rho, rho_bar = dp.relative_degrees(dp.policy_rows(EXT), ref_params)
+    def test_extended(self):
+        rho, rho_bar = dp.relative_degrees(dp.policy_rows(EXT))
         assert (rho, rho_bar) == (2, 1)
 
-    def test_constant(self, ref_params):
-        rho, rho_bar = dp.relative_degrees(dp.policy_rows(CONSTANT), ref_params)
+    def test_constant(self):
+        rho, rho_bar = dp.relative_degrees(dp.policy_rows(CONSTANT))
         assert (rho, rho_bar) == (3, 3)
 
 
-    @pytest.mark.parametrize("tau", [1e-200, 0.067, 1e200])
-    def test_tau_does_not_enter(self, tau):
-        params = dp.VehicleParams(tau=tau, phi=0.15)
+    def test_degrees_from_the_rows_alone(self):
         cases = [
             (dp.policy_rows(DCH), (math.inf, 2)),
             (dp.policy_rows(EXT), (2, 1)),
@@ -76,23 +83,23 @@ class TestRelativeDegrees:
             (PolicyRows((0.0, 0.0, 1.0), (0.0, 1.0, 0.0)), (1, 2)),
         ]
         for rows, degrees in cases:
-            assert dp.relative_degrees(rows, params) == degrees
+            assert dp.relative_degrees(rows) == degrees
 
 
 class TestSolvability:
-    def test_constant_is_solvable_via_position_clause(self, ref_params):
-        result = dp.solvability_check(dp.policy_rows(CONSTANT), ref_params)
+    def test_constant_is_solvable_via_position_clause(self):
+        result = dp.solvability_check(dp.policy_rows(CONSTANT))
         assert result.ok
 
-    def test_headway_policies_solvable(self, ref_params):
-        assert dp.solvability_check(dp.policy_rows(DCH), ref_params)
-        assert dp.solvability_check(dp.policy_rows(EXT), ref_params)
+    def test_headway_policies_solvable(self):
+        assert dp.solvability_check(dp.policy_rows(DCH))
+        assert dp.solvability_check(dp.policy_rows(EXT))
 
-    def test_synthetic_rows_not_solvable(self, ref_params):
+    def test_synthetic_rows_not_solvable(self):
         rows = PolicyRows((0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
-        rho, rho_bar = dp.relative_degrees(rows, ref_params)
+        rho, rho_bar = dp.relative_degrees(rows)
         assert (rho, rho_bar) == (1, 2)
-        assert not dp.solvability_check(rows, ref_params)
+        assert not dp.solvability_check(rows)
 
 
 def policy_law(policy):
