@@ -71,8 +71,9 @@ def _write_table(path, table, header: str, footer: str = "") -> None:
             fh.write(footer + "\n")
 
 
-def write_csv(log: TrajectoryLog, path) -> None:
-    """Trajectory CSV: t, per-vehicle q,v,a,u, per-follower e,delta,deltaref."""
+def _trajectory_table(log: TrajectoryLog) -> tuple[list[str], np.ndarray]:
+    """Column names and rows of the trajectory CSV: t, per-vehicle q,v,a,u,
+    per-follower e,delta,deltaref."""
     n, nv, nf = len(log.t), log.n_vehicles, log.n_followers
     header = ["t"]
     header += [f"{c}{i}" for i in range(nv) for c in ("q", "v", "a", "u")]
@@ -82,7 +83,26 @@ def write_csv(log: TrajectoryLog, path) -> None:
         np.stack((log.q, log.v, log.a, log.u), axis=2).reshape(n, 4 * nv),
         np.stack((log.e, log.delta, log.delta_ref), axis=2).reshape(n, 3 * nf),
     ))
+    return header, table
+
+
+def write_csv(log: TrajectoryLog, path) -> None:
+    """Trajectory CSV: t, per-vehicle q,v,a,u, per-follower e,delta,deltaref."""
+    header, table = _trajectory_table(log)
     _write_table(path, table, ",".join(header))
+
+
+def _require_finite(log: TrajectoryLog) -> None:
+    """RuntimeError naming the first non-finite sample, earliest in time and
+    then first in CSV column order, so a diverging run writes no CSV."""
+    header, table = _trajectory_table(log)
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        k, c = bad[0]
+        raise RuntimeError(
+            f"the run diverged: {header[c]} = {table[k, c]} at t = {table[k, 0]:.17g} s "
+            f"(sample {k}); no CSV written"
+        )
 
 
 def _policy_from_args(args) -> tuple[SpacingPolicy, VehicleParams]:
@@ -99,6 +119,7 @@ def cmd_simulate(args) -> int:
     with _input_checked():
         scenario = parse_scenario(args.scenario)
     log = simulator.run(scenario.config, scenario.profile)
+    _require_finite(log)
     write_csv(log, args.out)
     print(f"wrote {len(log.t)} samples for {log.n_vehicles} vehicles to {args.out}")
     return EXIT_OK

@@ -2,9 +2,10 @@
 
 One law per policy, each an exact input-output linearization: with it the
 spacing error obeys a linear ODE of order rho_bar driven only by its own
-state.  ``track`` writes the three laws out, each with its spacing errors
-and reference spacing, on plain floats; the simulator calls it every step
-and ``control`` calls it on one set of measurements.  The generic form
+state.  ``tracking_law`` writes the three laws out, each with its spacing
+errors and reference spacing, on plain floats, and returns the spec's law
+bound to its gains and lags; the simulator binds it once per follower and
+calls it every step, ``control`` on one set of measurements.  The generic form
 indexed by the relative degrees of the (H, H_bar) rows lives in
 ``tests/oracles.py`` as the reference the laws are checked against.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .dynamics import VehicleParams, VehicleState
 from .errors import ChannelError, DegreeError
@@ -23,9 +23,8 @@ __all__ = [
     "ControllerGains",
     "ControlInputs",
     "ControllerSpec",
-    "TrackingLaw",
     "validate_gains",
-    "track",
+    "tracking_law",
     "control",
 ]
 
@@ -109,55 +108,51 @@ class ControllerSpec:
             )
 
 
-class TrackingLaw(NamedTuple):
-    """The floats of one follower's tracking law, unpacked once from its spec.
-    tau_pred is nan without predecessor parameters; only the constant law reads it."""
+def tracking_law(spec: ControllerSpec):
+    """The policy's tracking law, bound once to the spec's gains and lags.
 
-    kind: PolicyKind
-    h_v: float
-    h_a: float
-    k_p: float
-    k_d: float
-    k_dd: float
-    tau: float
-    tau_pred: float
-
-    @classmethod
-    def of(cls, spec: ControllerSpec) -> "TrackingLaw":
-        pred = spec.predecessor
-        return cls(
-            spec.policy.kind, spec.policy.h_v, spec.policy.h_a,
-            spec.gains.k_p, spec.gains.k_d, spec.gains.k_dd,
-            spec.ego.tau, math.nan if pred is None else pred.tau,
-        )
-
-
-def track(law: TrackingLaw, q, v, a, qh, vh, ah, delta, delta_dot, pred_a, pred_u):
-    """(u, e, H x + H_bar x_hat) of one follower: the policy's spacing errors and
-    law on the ego state now (q, v, a), the one predicted at t + phi (qh, vh, ah),
-    the standstill-adjusted range delta, its rate, and the predecessor's
-    acceleration and delayed input where the law reads them."""
-    kind, h_v, h_a, k_p, k_d, k_dd, tau, tau_pred = law
+    The law maps the ego state now (q, v, a), the one predicted at t + phi
+    (qh, vh, ah), the standstill-adjusted range delta, its rate, and the
+    predecessor's acceleration and delayed input to (u, e, H x + H_bar x_hat).
+    The inputs a policy's law does not read are named with a leading "_".
+    """
+    kind, h_v, h_a = spec.policy.kind, spec.policy.h_v, spec.policy.h_a
+    k_p, k_d, k_dd = spec.gains.k_p, spec.gains.k_d, spec.gains.k_dd
+    tau = spec.ego.tau
     if kind is PolicyKind.DELAYED_CONSTANT:
-        # Delta_ref = q(t+phi) - q(t); e''' = -k_dd e'' - k_d e' - k_p e, with the
-        # predecessor's delayed input fed forward through its engine lag
-        e = delta + q - qh
-        edot = delta_dot + v - vh
-        eddot = pred_a - ah
-        u = (tau / tau_pred) * (pred_u - pred_a) + ah + tau * (k_p * e + k_d * edot + k_dd * eddot)
-        return u, e, qh - q
-    if kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-        # Delta_ref = h_v v(t+phi); e'' = -k_d e' - k_p e
-        e = delta - h_v * vh
-        edot = delta_dot - h_v * ah
-        return ah + (tau / h_v) * (pred_a - a + k_p * e + k_d * edot), e, h_v * vh
-    # Delta_ref = h_v v(t) + h_a a(t+phi); e' = -k_p e from onboard measurements
-    e = delta - h_v * v - h_a * ah
-    return ah + (tau / h_a) * (delta_dot - h_v * a + k_p * e), e, h_v * v + h_a * ah
+        lag_ratio = tau / spec.predecessor.tau
+
+        def law(q, v, _a, qh, vh, ah, delta, delta_dot, pred_a, pred_u):
+            # Delta_ref = q(t+phi) - q(t); e''' = -k_dd e'' - k_d e' - k_p e, with
+            # the predecessor's delayed input fed forward through its engine lag
+            e = delta + q - qh
+            edot = delta_dot + v - vh
+            eddot = pred_a - ah
+            u = lag_ratio * (pred_u - pred_a) + ah + tau * (k_p * e + k_d * edot + k_dd * eddot)
+            return u, e, qh - q
+
+    elif kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+        gain = tau / h_v
+
+        def law(_q, _v, a, _qh, vh, ah, delta, delta_dot, pred_a, _pred_u):
+            # Delta_ref = h_v v(t+phi); e'' = -k_d e' - k_p e
+            e = delta - h_v * vh
+            edot = delta_dot - h_v * ah
+            return ah + gain * (pred_a - a + k_p * e + k_d * edot), e, h_v * vh
+
+    else:
+        gain = tau / h_a
+
+        def law(_q, v, a, _qh, _vh, ah, delta, delta_dot, _pred_a, _pred_u):
+            # Delta_ref = h_v v(t) + h_a a(t+phi); e' = -k_p e from onboard measurements
+            e = delta - h_v * v - h_a * ah
+            return ah + gain * (delta_dot - h_v * a + k_p * e), e, h_v * v + h_a * ah
+
+    return law
 
 
 def control(spec: ControllerSpec, inputs: ControlInputs) -> float:
-    """The policy's tracking law (``track``) on one set of measurements;
+    """The policy's tracking law (``tracking_law``) on one set of measurements;
     ChannelError when a predecessor channel the law reads is None."""
     kind = spec.policy.kind
     if kind is not PolicyKind.DELAYED_EXTENDED_HEADWAY and inputs.predecessor_a is None:
@@ -165,8 +160,8 @@ def control(spec: ControllerSpec, inputs: ControlInputs) -> float:
     if kind is PolicyKind.DELAYED_CONSTANT and inputs.predecessor_u_delayed is None:
         raise ChannelError("constant control needs the predecessor's delayed input")
     x, xh = inputs.ego_state, inputs.ego_predicted
-    u, _, _ = track(
-        TrackingLaw.of(spec), x.q, x.v, x.a, xh.q, xh.v, xh.a, inputs.delta,
+    u, _, _ = tracking_law(spec)(
+        x.q, x.v, x.a, xh.q, xh.v, xh.a, inputs.delta,
         inputs.delta_dot, inputs.predecessor_a, inputs.predecessor_u_delayed,
     )
     return float(u)

@@ -2,23 +2,31 @@
 
 Controllers are the continuous-time laws evaluated at the 100 Hz-class
 sample instants with a zero-order hold; vehicle propagation between samples
-is exact.  Within a step the leader input is computed first and the
-followers run front to back, each using predecessor values from the same
+is exact.  At each sample the leader input is computed first, then the
+followers' inputs front to back, each from predecessor values of the same
 sample instant (ideal channels); optional sample-and-hold flags emulate the
 coarser radar and V2V rates, both off by default.  A leader segment applies
 u = amplitude + gain (v_ref - v), a cruise with amplitude 0, a pulse gain 0.
 
-``run`` is one loop over Python floats.  Everything a run does not change
-(the ZOH and prediction coefficients, each follower's ``TrackingLaw``) is
-unpacked before the loop.  Each follower's spacing errors and law come from
-``controllers.track``, the same function ``controllers.control`` calls.  The
-hold decides once per step whether each channel refreshes, for every
-follower at once.  ``open_loop_step_response`` is a one-vehicle ``run``, so
-``run`` and ``dynamics.step`` contain the only ZOH steps of the package.
-``tests/oracles.py`` keeps the scalar loop this replaced as
-``run_reference``, with its own copy of the three laws, of the leader law
-(in two branches) and of the hold (one per follower); it computes every
-value by the same operations in the same order, so the logs are identical.
+``run`` steps the platoon one vehicle at a time, in Python floats: the
+leader over every sample, then each follower over every sample.  That is
+exact because the control is decentralized: follower i at sample k reads
+its own state and input history and its predecessor's q, v, a and applied
+input at k, nothing of vehicle i+1 and nothing of vehicle i-1 later than k.
+So the predecessor's finished columns hold every value the follower needs.
+Everything a run does not change is bound before a vehicle's loop: the
+ZOH and prediction coefficients, and the law that ``controllers.tracking_law``
+returns, the function ``controllers.control`` calls too.  The hold decides
+once per run at which samples each channel refreshes, for every follower
+at once.  Each vehicle's columns go into the preallocated log as soon as
+its loop ends, so only the predecessor's trajectory stays in Python floats.
+``open_loop_step_response`` is a one-vehicle ``run``, so ``run`` and
+``dynamics.step`` contain the only ZOH steps of the package.
+``tests/oracles.py`` keeps the scalar loop over samples that this replaced
+as ``run_reference``, with its own copy of the three laws, of the leader
+law (in two branches) and of the hold (one per follower).  It computes
+every value by the same operations in the same order, so the logs are
+identical.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controllers import ControllerSpec, TrackingLaw, track
+from .controllers import ControllerSpec, tracking_law
 from .dynamics import (
     MAX_SAMPLES,
     InputHistory,
@@ -223,131 +231,130 @@ class TrajectoryLog:
         return self.e.shape[1]
 
 
+def _refreshes(hold: bool, rate_hz: float, ts: float, n: int) -> list[bool]:
+    """Per sample, whether a sensor channel refreshes: at t >= its next
+    instant, which then moves on by the hold period.  Without a hold the
+    period is 0 and every sample refreshes."""
+    period = 1.0 / rate_hz if hold else 0.0
+    due, flags = 0.0, []
+    for k in range(n):
+        fresh = k * ts >= due
+        if fresh:
+            due += period
+        flags.append(fresh)
+    return flags
+
+
 def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
     """Simulate the platoon over the horizon; deterministic in its inputs.
 
-    A step computes the leader input, then runs the followers front to
-    back: each predicts its state at t + phi from its buffered inputs and
-    calls ``track`` on the standstill-adjusted range; the standstill is
-    added back to the reference spacing it returns.  Then every vehicle
-    takes one exact ZOH step with its delayed input.
+    Vehicle by vehicle, front to back, each over every sample: the leader
+    applies its profile's law; a follower reads the finished columns of its
+    predecessor (q, v, a and the applied input) through the radar and V2V
+    holds, predicts its state at t + phi from its buffered inputs and calls
+    its bound ``tracking_law`` on the standstill-adjusted range.  Then the
+    vehicle takes one exact ZOH step with its delayed input.  Each vehicle's
+    columns go into the log as soon as its loop ends.  The order is exact: a
+    follower at sample k reads nothing of its successor and nothing of its
+    predecessor later than k, and every value comes from the same float
+    operations, in the same order, as in a loop over samples.
     """
     ts = config.ts
     n = int(round(config.horizon / ts)) + 1
     nv, nf = len(config.vehicles), len(config.vehicles) - 1
-    models = [discretize(setup.params, ts) for setup in config.vehicles]
-    depths = [delay_steps(setup.params, ts) for setup in config.vehicles]
-    # buffered inputs most recent first, the order of the prediction sum;
-    # a d = 0 vehicle applies its input of the same step
-    hists = [
-        deque(reversed(setup.history.samples) if setup.history else [0.0] * d, maxlen=d)
-        for setup, d in zip(config.vehicles, depths)
-    ]
-    steps = [
-        (model.Phi.ravel().tolist() + model.Gamma.tolist(), hist)
-        for model, hist in zip(models, hists)
-    ]
-    followers = []
-    for f, (policy, spec) in enumerate(zip(config.policies, config.controllers)):
-        phi_d, w = prediction_weights(models[f + 1], depths[f + 1])
-        # (q, v, a) weights, most recent input first, cut to the predicted
-        # components the law reads: DCH reads v and a, the extended policy a
-        weights = w[:, ::-1].T.tolist()
-        if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-            weights = [(wv, wa) for _, wv, wa in weights]
-        elif policy.kind is PolicyKind.DELAYED_EXTENDED_HEADWAY:
-            weights = [wa for _, _, wa in weights]
-        followers.append((
-            f + 1, TrackingLaw.of(spec), policy.standstill, phi_d.ravel().tolist(),
-            weights, hists[f + 1], hists[f],
-        ))
-    # sample-and-hold: each channel refreshes at t >= its next instant, the
-    # same instants for every follower; without a hold the period is 0 and
-    # every step refreshes.  radar holds (delta, delta_dot) per follower,
-    # v2v the predecessor's (a, delayed u).
+    # sample-and-hold: the same refresh instants for every follower; radar
+    # holds (delta, delta_dot), v2v the predecessor's (a, applied u)
     opts = config.measurement
-    radar_dt = 1.0 / opts.radar_rate_hz if opts.radar_hold else 0.0
-    v2v_dt = 1.0 / opts.v2v_rate_hz if opts.v2v_hold else 0.0
-    radar_next = v2v_next = 0.0
-    radar, v2v = [None] * nf, [None] * nf
-
-    q, v, a = map(list, zip(*(setup.state.as_array().tolist() for setup in config.vehicles)))
-    u = [0.0] * nv
-    e_row, delta_row, dref_row = [0.0] * nf, [0.0] * nf, [0.0] * nf
-    clamp = config.clamp_reverse
-    out = []  # per step: q, v, a, u of every vehicle, e, delta, delta_ref of every follower
-    for k in range(n):
-        t = k * ts
-        new_radar, new_v2v = t >= radar_next, t >= v2v_next
-        if new_radar:
-            radar_next += radar_dt
-        if new_v2v:
-            v2v_next += v2v_dt
-        u[0] = leader_input(leader, t, v[0])
-        for f, (i, law, standstill, pd, weights, hist, hist_pred) in enumerate(followers):
-            qi, vi, ai = q[i], v[i], a[i]
-            delta = q[f] - qi
-            if new_radar:
-                radar[f] = delta, v[f] - vi
-            if new_v2v:
-                v2v[f] = a[f], hist_pred[-1] if hist_pred.maxlen else u[f]
-            delta_m, delta_dot_m = radar[f]
-            pred_a, pred_u = v2v[f]
-            # exact d-step prediction of the ego state, the components the law reads
-            d00, d01, d02, d10, d11, d12, d20, d21, d22 = pd
-            ah = d20 * qi + d21 * vi + d22 * ai
-            qh = vh = 0.0
-            if law.kind is PolicyKind.DELAYED_CONSTANT:
-                qh = d00 * qi + d01 * vi + d02 * ai
-                vh = d10 * qi + d11 * vi + d12 * ai
-                for (wq, wv, wa), um in zip(weights, hist):
-                    qh += wq * um
-                    vh += wv * um
-                    ah += wa * um
-            elif law.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-                vh = d10 * qi + d11 * vi + d12 * ai
-                for (wv, wa), um in zip(weights, hist):
-                    vh += wv * um
-                    ah += wa * um
-            else:
-                for wa, um in zip(weights, hist):
-                    ah += wa * um
-            u[i], e_row[f], dref = track(
-                law, qi, vi, ai, qh, vh, ah, delta_m - standstill, delta_dot_m, pred_a, pred_u
-            )
-            dref_row[f] = dref + standstill
-            delta_row[f] = delta
-        out += q
-        out += v
-        out += a
-        out += u
-        out += e_row
-        out += delta_row
-        out += dref_row
-        if k == n - 1:
-            break
-        # advance every vehicle one exact ZOH step with its delayed input
-        for i, (c, hist) in enumerate(steps):
-            p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2 = c
-            ud = hist[-1] if hist.maxlen else u[i]
-            qi, vi, ai = q[i], v[i], a[i]
-            q[i] = p00 * qi + p01 * vi + p02 * ai + g0 * ud
-            vn = p10 * qi + p11 * vi + p12 * ai + g1 * ud
-            an = p20 * qi + p21 * vi + p22 * ai + g2 * ud
-            if clamp and vn < 0.0:
-                vn = 0.0
-                if an < 0.0:
-                    an = 0.0
-            v[i], a[i] = vn, an
-            hist.appendleft(u[i])  # a zero-length deque drops it
-
-    table = np.fromiter(out, float, len(out)).reshape(n, 4 * nv + 3 * nf)
-    ends = np.cumsum([0] + [nv] * 4 + [nf] * 3)
-    return TrajectoryLog(
-        np.arange(n) * ts,
-        *(table[:, lo:hi].copy() for lo, hi in zip(ends[:-1], ends[1:])),
-        ts,
+    radar = _refreshes(opts.radar_hold, opts.radar_rate_hz, ts, n)
+    v2v = _refreshes(opts.v2v_hold, opts.v2v_rate_hz, ts, n)
+    log = TrajectoryLog(
+        np.arange(n) * ts, *(np.empty((n, m)) for m in (nv,) * 4 + (nf,) * 3), ts
     )
+    clamp = config.clamp_reverse
+    for i, setup in enumerate(config.vehicles):
+        model = discretize(setup.params, ts)
+        d = delay_steps(setup.params, ts)
+        history = list(setup.history.samples) if setup.history else [0.0] * d
+        # buffered inputs most recent first, the order of the prediction sum
+        hist = deque(reversed(history))
+        p00, p01, p02, p10, p11, p12, p20, p21, p22 = model.Phi.ravel().tolist()
+        g0, g1, g2 = model.Gamma.tolist()
+        q, v, a = setup.state.as_array().tolist()
+        qs, vs, as_, us, es, drefs = [], [], [], [], [], []
+        if i:
+            f = i - 1
+            policy = config.policies[f]
+            kind, standstill = policy.kind, policy.standstill
+            law = tracking_law(config.controllers[f])
+            phi_d, w = prediction_weights(model, d)
+            d00, d01, d02, d10, d11, d12, d20, d21, d22 = phi_d.ravel().tolist()
+            # (q, v, a) weights, most recent input first, cut to the predicted
+            # components the law reads: DCH reads v and a, the extended policy a
+            weights = w[:, ::-1].T.tolist()
+            if kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+                weights = [(wv, wa) for _, wv, wa in weights]
+            elif kind is PolicyKind.DELAYED_EXTENDED_HEADWAY:
+                weights = [wa for _, _, wa in weights]
+        for k in range(n):
+            qs.append(q)
+            vs.append(v)
+            as_.append(a)
+            if i:
+                # sample 0 refreshes both channels
+                if radar[k]:
+                    delta = qp[k] - q - standstill
+                    delta_dot = vp[k] - v
+                if v2v[k]:
+                    pred_a, pred_u = ap[k], up[k]
+                # exact d-step prediction of the ego state, the components the law reads
+                ah = d20 * q + d21 * v + d22 * a
+                qh = vh = 0.0
+                if kind is PolicyKind.DELAYED_CONSTANT:
+                    qh = d00 * q + d01 * v + d02 * a
+                    vh = d10 * q + d11 * v + d12 * a
+                    for (wq, wv, wa), um in zip(weights, hist):
+                        qh += wq * um
+                        vh += wv * um
+                        ah += wa * um
+                elif kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
+                    vh = d10 * q + d11 * v + d12 * a
+                    for (wv, wa), um in zip(weights, hist):
+                        vh += wv * um
+                        ah += wa * um
+                else:
+                    for wa, um in zip(weights, hist):
+                        ah += wa * um
+                u, e, dref = law(q, v, a, qh, vh, ah, delta, delta_dot, pred_a, pred_u)
+                es.append(e)
+                drefs.append(dref)
+            else:
+                u = leader_input(leader, k * ts, v)
+            us.append(u)
+            # one exact ZOH step with the input of d samples ago (this one at
+            # d = 0); the state after the last sample is never logged
+            hist.appendleft(u)
+            ud = hist.pop()
+            q, v, a = (
+                p00 * q + p01 * v + p02 * a + g0 * ud,
+                p10 * q + p11 * v + p12 * a + g1 * ud,
+                p20 * q + p21 * v + p22 * a + g2 * ud,
+            )
+            if clamp and v < 0.0:
+                v = 0.0
+                if a < 0.0:
+                    a = 0.0
+        log.q[:, i], log.v[:, i], log.a[:, i], log.u[:, i] = qs, vs, as_, us
+        if i:
+            log.e[:, f] = es
+            # the float loop's delta and delta_ref, one array operation each;
+            # a diverged run overflows silently there as Python floats do
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(log.q[:, f], log.q[:, i], out=log.delta[:, f])
+                np.add(drefs, standstill, out=log.delta_ref[:, f])
+        # the successor reads these at samples 0..n-1; the applied input is
+        # the initial history, then u
+        qp, vp, ap, up = qs, vs, as_, history + us
+    return log
 
 
 class StepResponse(NamedTuple):

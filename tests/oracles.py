@@ -1,7 +1,8 @@
 """References that the tests compare the package against: closed forms, the
 convolution-integral predictor, the continuous-time (A, B) of the vehicle
 model, the generic controller indexed by the relative degrees of the policy
-rows, the float-loop simulator that `delayplatoon.run` replaced and a
+rows, the float-loop simulator over samples that `delayplatoon.run`
+replaced with its loop over vehicles, and a
 golden-section refinement that evaluates |T| through `transfer_magnitude`,
 which `refined_peak` and its float kernel must match bitwise, `np.polyval`
 evaluations of the quasi-polynomial, which its Horner rows must match
@@ -10,13 +11,16 @@ agree with, and the per-call build of the pseudospectral generator that
 `_generator_matrix` replaced with a cached Chebyshev block.
 
 The spacing errors, tracking laws, leader law and sensor hold here are
-written out independently of `delayplatoon.controllers.track`, of
+written out independently of `delayplatoon.controllers.tracking_law`, of
 `simulator.leader_input` and of `run`'s hold: nothing below imports them
 from the package, so a wrong law or hold there shows as a disagreement.  The
 float loop keeps the leader law in two branches (a cruise tracks v_ref, a
 pulse applies its amplitude) where the package has one affine law, and one
-hold per follower, where `run` decides each channel's refresh once per step
-for all followers."""
+hold per follower, where `run` decides each channel's refresh samples once
+per run for all followers.  It steps every vehicle at each sample, where
+`run` runs each vehicle over every sample in turn; both give the same logs
+because a follower reads nothing of its successor and nothing of its
+predecessor later than the current sample."""
 
 import math
 from collections import deque
@@ -216,7 +220,8 @@ def run_reference(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog
     front to back, each predicting its state and evaluating its policy's
     spacing errors and law, written out here, on the values of that sample
     instant; the leader law is written out here too.  Reference for
-    ``delayplatoon.run``, ``simulator.leader_input`` and ``controllers.track``:
+    ``delayplatoon.run``, ``simulator.leader_input`` and
+    ``controllers.tracking_law``:
     every value is computed by the same operations in the same order, the
     leader law's in its other form, so the logs are identical.
     """

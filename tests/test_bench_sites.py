@@ -64,3 +64,30 @@ def test_sweeps_call_refined_peak_through_the_module(monkeypatch, tmp_path, caps
     assert main(["sweep", out, "dch", "--hv", "0.4", "--points", "64"]) == 0
     assert main(["sweep", out, "ext", "--hv", "1.2", "--ha", "0.25", "--points", "64"]) == 0
     assert calls == [PolicyKind.DELAYED_CONSTANT_HEADWAY, PolicyKind.DELAYED_EXTENDED_HEADWAY] * 2
+
+
+def test_run_calls_the_traced_model_sites_through_the_module(monkeypatch):
+    """The traced dynamics.discretize and predictor.prediction_weights
+    metrics count one discretize per vehicle and one prediction_weights per
+    follower in each simulator.run."""
+    from delayplatoon import simulator
+
+    calls = []
+    discretize, weights = simulator.discretize, simulator.prediction_weights
+    monkeypatch.setattr(
+        simulator, "discretize", lambda *args: calls.append("discretize") or discretize(*args)
+    )
+    monkeypatch.setattr(
+        simulator, "prediction_weights", lambda *args: calls.append("weights") or weights(*args)
+    )
+    params = dp.VehicleParams(0.067, 0.15)
+    policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.2, h_a=0.25)
+    spec = dp.ControllerSpec(policy, dp.ControllerGains(k_p=0.2), ego=params)
+    for nv in (1, 2, 4):
+        calls.clear()
+        config = dp.PlatoonConfig(
+            (dp.VehicleSetup(params),) * nv, (policy,) * (nv - 1), (spec,) * (nv - 1), 0.01, 0.5
+        )
+        simulator.run(config, dp.LeaderProfile((dp.LeaderSegment.pulse(0.5, 0.1),)))
+        assert calls.count("discretize") == nv
+        assert calls.count("weights") == nv - 1

@@ -249,6 +249,20 @@ class TestSimulateCommand:
         _, rows = read_csv(out)
         assert rows.shape[0] == 101 and np.all(np.isfinite(rows))
 
+    def test_diverging_run_exits_3_without_csv(self, tmp_path, capsys):
+        """k_p = k_d = 1e300 drives the follower's input to inf within 0.2 s:
+        a crash (exit 3) naming the first non-finite sample, and no file."""
+        text = bundled("paper_constant.scn").read_text()
+        text = re.sub(r"(?m)^k_p = .*$", "k_p = 1e300", text)
+        text = re.sub(r"(?m)^k_d = .*$", "k_d = 1e300", text)
+        scn = tmp_path / "diverging.scn"
+        scn.write_text(text)
+        out = tmp_path / "out.csv"
+        assert main(["simulate", str(scn), str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: RuntimeError: the run diverged: u1 = inf at t = 0.19 s")
+        assert len(err.splitlines()) == 1 and not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.scn"), str(tmp_path / "o.csv")]) == 2
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import delayplatoon as dp
 from delayplatoon import analysis, simulator
+from delayplatoon.controllers import tracking_law
 from delayplatoon.errors import DelayGranularityError, HistoryDepthError
 from delayplatoon.simulator import MeasurementOptions
 from delayplatoon.spacing import PolicyKind
@@ -49,6 +51,15 @@ def pulse_profile(amplitude=0.1, coast=4.0):
             dp.LeaderSegment.pulse(coast, 0.0),
         )
     )
+
+
+def recording_law(record):
+    """A stand-in for controllers.tracking_law whose laws pass every call's
+    arguments to record before evaluating the real law."""
+    def bind(spec):
+        law = tracking_law(spec)
+        return lambda *args: record(args) or law(*args)
+    return bind
 
 
 class TestLeaderInput:
@@ -167,9 +178,10 @@ class TestRun:
         log = dp.run(clamped, profile)
         assert np.min(log.v) >= 0.0
 
-    def test_every_follower_step_goes_through_track(self, monkeypatch):
-        """run evaluates each follower's law by calling controllers.track,
-        once per follower and sample, and nothing else changes the logs."""
+    def test_every_follower_step_goes_through_tracking_law(self, monkeypatch):
+        """run evaluates each follower's law by calling the law that
+        controllers.tracking_law returns, once per follower and sample, and
+        nothing else changes the logs."""
         lead = dp.VehicleParams(tau=0.1, phi=0.1)
         specs = [
             dp.ControllerSpec(CONSTANT, CONSTANT_GAINS, ego=REF_VEHICLE, predecessor=lead),
@@ -185,8 +197,7 @@ class TestRun:
         )
         want = dp.run(cfg, pulse_profile())
         calls = []
-        track = simulator.track
-        monkeypatch.setattr(simulator, "track", lambda *args: calls.append(1) or track(*args))
+        monkeypatch.setattr(simulator, "tracking_law", recording_law(lambda args: calls.append(1)))
         got = dp.run(cfg, pulse_profile())
         assert len(calls) == got.n_followers * len(got.t) == 3 * 301
         for name in ("t", "q", "v", "a", "u", "e", "delta", "delta_ref"):
@@ -221,13 +232,12 @@ class TestRun:
 
 
 class TestMeasurementModel:
-    def test_run_passes_held_values_to_track(self, monkeypatch):
+    def test_run_passes_held_values_to_tracking_law(self, monkeypatch):
         """Over samples 0..99 at ts = 0.01, a 2 Hz radar hold refreshes only
         at samples 0 and 50 and a 2.5 Hz V2V hold only at 0, 40 and 80; the
         channel without a hold, and both without holds, pass exact values."""
         calls = []
-        track = simulator.track
-        monkeypatch.setattr(simulator, "track", lambda *args: calls.append(args[7:]) or track(*args))
+        monkeypatch.setattr(simulator, "tracking_law", recording_law(lambda args: calls.append(args[6:])))
         # the leader moves from the first sample and its cruise input changes
         # every step, so every exact channel value differs from the one before
         profile = dp.LeaderProfile((dp.LeaderSegment.cruise(2.0, 3.0, 0.5),))
@@ -235,7 +245,7 @@ class TestMeasurementModel:
         d = 15  # the leader's delay in samples
 
         def record(measurement):
-            """(delta, delta_dot, predecessor a, delayed u) passed to track and
+            """(delta, delta_dot, predecessor a, delayed u) passed to the law and
             their exact values, per sample."""
             calls.clear()
             cfg = two_vehicle_config(DCH, DCH_GAINS, horizon=0.99, lead_state=lead_state,
@@ -470,15 +480,19 @@ class TestZeroDelayVehicles:
 def platoon_runs(draw):
     """A heterogeneous platoon, its leader profile and its channel model.
 
-    Delays of 0..3 samples (so d = 0 predecessors, chains of them and
-    d = 0 leaders all occur), mixed policies, non-zero input histories,
-    radar and V2V holds at 5-150 Hz around the 100 Hz sample rate, the reverse
-    clamp, and profiles that end before or after the horizon.
+    A leader alone or up to 7 followers; delays of 0..5 samples (so d = 0
+    predecessors, chains of them and d = 0 leaders all occur), mixed
+    policies, non-zero input histories, radar and V2V holds at 5-150 Hz
+    around the 100 Hz sample rate, the reverse clamp, and profiles that end
+    before or after the horizon.  Runs of 1, 2 and 4 samples reach every
+    vehicle's last sample within its first steps, and their delay windows of
+    up to 5 samples outlast the run, so the applied inputs a successor reads
+    all come from the initial history.
     """
     ts = 0.01
     unit = st.floats(0.0, 1.0)
     nv = draw(st.integers(1, 8))
-    depths = [draw(st.integers(0, 3)) for _ in range(nv)]
+    depths = [draw(st.integers(0, 5)) for _ in range(nv)]
     params = [dp.VehicleParams(tau=0.05 + 0.3 * draw(unit), phi=d * ts) for d in depths]
     setups = []
     q = 0.0
@@ -522,7 +536,9 @@ def platoon_runs(draw):
     )
     config = dp.PlatoonConfig(
         tuple(setups), tuple(policies), tuple(specs), ts,
-        horizon=0.3 + 1.7 * draw(unit), measurement=measurement,
+        # 1, 2 and 4 samples at ts = 0.01, or 31 to 201
+        horizon=draw(st.one_of(st.sampled_from([0.004, 0.01, 0.03]), st.floats(0.3, 2.0))),
+        measurement=measurement,
         clamp_reverse=draw(st.booleans()),
     )
     return config, dp.LeaderProfile(tuple(segments))
@@ -531,12 +547,36 @@ def platoon_runs(draw):
 @settings(max_examples=150, deadline=None)
 @given(platoon_runs())
 def test_run_agrees_with_float_loop(case):
-    """run against the scalar loop it replaced: every logged array is
-    identical, since each value is computed by the same operations in the
-    same order."""
+    """run, vehicle by vehicle, against the scalar loop over samples that it
+    replaced: every logged array is identical, since each value is computed
+    by the same operations in the same order."""
     config, profile = case
     got, want = dp.run(config, profile), run_reference(config, profile)
     for name in ("t", "q", "v", "a", "u", "e", "delta", "delta_ref"):
         x, y = getattr(got, name), getattr(want, name)
         assert x.shape == y.shape, name
         assert np.array_equal(x, y), name
+
+
+def test_log_peaks_below_twice_its_size():
+    """A 10-vehicle run keeps only its predecessor's trajectory in Python
+    floats besides the log itself, so its traced allocations peak below
+    twice the log's bytes."""
+    spec = dp.ControllerSpec(EXT, EXT_GAINS, ego=REF_VEHICLE, predecessor=REF_VEHICLE)
+    cfg = dp.PlatoonConfig(
+        vehicles=(dp.VehicleSetup(REF_VEHICLE),) * 10,
+        policies=(EXT,) * 9,
+        controllers=(spec,) * 9,
+        ts=0.01,
+        horizon=19.99,
+    )
+    profile = pulse_profile(coast=16.0)
+    tracemalloc.start()
+    try:
+        log = dp.run(cfg, profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(getattr(log, name).nbytes for name in ("t", "q", "v", "a", "u", "e", "delta", "delta_ref"))
+    assert len(log.t) == 2000
+    assert peak < 2 * size, (peak, size)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import delayplatoon as dp
 from delayplatoon import analysis
-from delayplatoon.controllers import TrackingLaw, track
+from delayplatoon.controllers import tracking_law
 from delayplatoon.spacing import PolicyKind, PolicyRows
 
 from oracles import spacing_error_from_rows
@@ -103,26 +103,28 @@ class TestSolvability:
 
 
 def policy_law(policy):
-    """The policy's TrackingLaw with stabilizing gains and tau = 0.067 s."""
-    return TrackingLaw(policy.kind, policy.h_v, policy.h_a, 1.0, 3.0, 0.5, 0.067, 0.067)
+    """The policy's tracking law with stabilizing gains and tau = 0.067 s."""
+    vehicle = dp.VehicleParams(tau=0.067, phi=0.15)
+    gains = dp.ControllerGains(1.0, 3.0, 0.5)
+    return tracking_law(dp.ControllerSpec(policy, gains, ego=vehicle, predecessor=vehicle))
 
 
 def policy_formula_error(policy, delta, delta_dot, x, xp):
-    """e from controllers.track, the law the simulator runs."""
-    return track(policy_law(policy), *x, *xp, delta, delta_dot, 0.0, 0.0)[1]
+    """e from controllers.tracking_law, the law the simulator runs."""
+    return policy_law(policy)(*x, *xp, delta, delta_dot, 0.0, 0.0)[1]
 
 
 class TestSpacingError:
     def test_all_zero(self):
         for policy in (CONSTANT, DCH, EXT):
-            assert track(policy_law(policy), *[0.0] * 10) == (0.0, 0.0, 0.0)
+            assert policy_law(policy)(*[0.0] * 10) == (0.0, 0.0, 0.0)
             rows = dp.policy_rows(policy)
             assert spacing_error_from_rows(rows, 0.0, np.zeros(3), np.zeros(3)) == 0.0
 
     def test_dch_satisfied_exactly(self):
         x, xp = np.array([0.0, 5.0, 0.0]), np.array([3.0, 5.0, 0.0])
         # with every acceleration 0, u = 0 exactly when e and e_dot are
-        u, e, dref = track(policy_law(DCH), *x, *xp, 0.4 * 5.0, 0.0, 0.0, 0.0)
+        u, e, dref = policy_law(DCH)(*x, *xp, 0.4 * 5.0, 0.0, 0.0, 0.0)
         assert e == 0.0 and u == 0.0 and dref == 0.4 * 5.0
         assert spacing_error_from_rows(dp.policy_rows(DCH), 0.4 * 5.0, x, xp) == 0.0
 
