@@ -5,9 +5,13 @@ is an exact function of the current state and the d buffered inputs:
 
     x(k + d) = Phi^d x(k) + sum_{j=1..d} Phi^{j-1} Gamma u(k - j)
 
-so no approximation is involved.  ``run`` computes the weights once per
-follower and run; ``predict`` computes them on each call and multiplies
-them by ``InputHistory.samples``, oldest first, the order of W's columns.
+so no approximation is involved.  ``simulator.run`` computes the weights
+once per follower and run.  For a constant-policy follower it multiplies
+them by the buffered inputs at every step; for a headway follower only
+once, for the forced response of the initial history, which a one-step
+recursion then carries.  ``predict`` computes them on each call and
+multiplies them by ``InputHistory.samples``, oldest first, the order of W's
+columns.
 """
 
 from __future__ import annotations

@@ -22,11 +22,32 @@ at once.  Each vehicle's columns go into the preallocated log as soon as
 its loop ends, so only the predecessor's trajectory stays in Python floats.
 ``open_loop_step_response`` is a one-vehicle ``run``, so ``run`` and
 ``dynamics.step`` contain the only ZOH steps of the package.
+
+The prediction x(k + d) = Phi^d x(k) + s_k adds to the free response the
+forced one, s_k = sum_{j=1..d} Phi^{j-1} Gamma u(k - j), the inputs still
+in the delay window.  A constant-policy follower sums it over the window at
+every sample (O(d) per step).  A headway follower carries it instead:
+
+    s_{k+1} = Phi s_k + Gamma u_k - Phi^d Gamma u_{k-d}
+
+is exact, since the window gains u_k and loses u_{k-d}, and s holds
+inputs only, so the reverse clamp, which acts on the state, never enters
+it (Manitius & Olbrot, IEEE TAC 24, 1979).  Phi is upper triangular with
+exact zeros and its v row is (0, 1, Phi[1, 2]), so the v and a rows that the
+DCH and extended laws read update from each other alone, O(1) per step.
+s_0 is the window sum of the initial history.  The constant policy keeps
+the sum: its law also reads the q row, which the recursion would carry
+through Phi's double eigenvalue 1, so rounding could drift there
+quadratically in k; and its tracking error of matched vehicles is zero in
+exact arithmetic, so its logged e is the sum's rounding alone, which
+perfbench's cli_session check compares to 1e-9 of its own size.
+
 ``tests/oracles.py`` keeps the scalar loop over samples that this replaced
 as ``run_reference``, with its own copy of the three laws, of the leader
-law (in two branches) and of the hold (one per follower).  It computes
-every value by the same operations in the same order, so the logs are
-identical.
+law (in two branches) and of the hold (one per follower), and the window
+sum for every policy.  The leader and the constant-policy followers ahead
+of the first headway follower get identical logs from both; every other
+column agrees to 1e-12 of the run's largest |q|, |v|, |a|, |u|.
 """
 
 from __future__ import annotations
@@ -251,13 +272,17 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
     Vehicle by vehicle, front to back, each over every sample: the leader
     applies its profile's law; a follower reads the finished columns of its
     predecessor (q, v, a and the applied input) through the radar and V2V
-    holds, predicts its state at t + phi from its buffered inputs and calls
-    its bound ``tracking_law`` on the standstill-adjusted range.  Then the
-    vehicle takes one exact ZOH step with its delayed input.  Each vehicle's
-    columns go into the log as soon as its loop ends.  The order is exact: a
-    follower at sample k reads nothing of its successor and nothing of its
-    predecessor later than k, and every value comes from the same float
-    operations, in the same order, as in a loop over samples.
+    holds, predicts its state at t + phi and calls its bound
+    ``tracking_law`` on the standstill-adjusted range.  The prediction's
+    forced response is the sum over the buffered inputs for the constant
+    policy, and for the headway policies the v and a rows of the recursion
+    s <- Phi s + Gamma u - Phi^d Gamma u_d, updated after each step with
+    the input u just computed and the input u_d of d samples ago that the
+    step applies (see the module docstring).  Then the vehicle takes one
+    exact ZOH step with its delayed input.  Each vehicle's columns go into
+    the log as soon as its loop ends.  The order is exact: a follower at
+    sample k reads nothing of its successor and nothing of its predecessor
+    later than k.
     """
     ts = config.ts
     n = int(round(config.horizon / ts)) + 1
@@ -281,20 +306,25 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
         g0, g1, g2 = model.Gamma.tolist()
         q, v, a = setup.state.as_array().tolist()
         qs, vs, as_, us, es, drefs = [], [], [], [], [], []
+        fir = True  # the leader keeps no forced response
         if i:
             f = i - 1
             policy = config.policies[f]
-            kind, standstill = policy.kind, policy.standstill
+            standstill = policy.standstill
+            fir = policy.kind is PolicyKind.DELAYED_CONSTANT
             law = tracking_law(config.controllers[f])
             phi_d, w = prediction_weights(model, d)
             d00, d01, d02, d10, d11, d12, d20, d21, d22 = phi_d.ravel().tolist()
-            # (q, v, a) weights, most recent input first, cut to the predicted
-            # components the law reads: DCH reads v and a, the extended policy a
+            # (q, v, a) weights, most recent input first
             weights = w[:, ::-1].T.tolist()
-            if kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-                weights = [(wv, wa) for _, wv, wa in weights]
-            elif kind is PolicyKind.DELAYED_EXTENDED_HEADWAY:
-                weights = [wa for _, _, wa in weights]
+            if not fir:
+                # the v and a rows of the forced response W @ history, summed
+                # in the constant policy's order, and of c = Phi^d Gamma
+                sv = sa = 0.0
+                for (_, wv, wa), um in zip(weights, hist):
+                    sv += wv * um
+                    sa += wa * um
+                c1, c2 = (phi_d @ model.Gamma)[1:].tolist()
         for k in range(n):
             qs.append(q)
             vs.append(v)
@@ -306,24 +336,22 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
                     delta_dot = vp[k] - v
                 if v2v[k]:
                     pred_a, pred_u = ap[k], up[k]
-                # exact d-step prediction of the ego state, the components the law reads
+                # exact d-step prediction of the ego state: the free response
+                # plus the forced one, summed over the window (constant
+                # policy) or carried by the recursion (headway policies, whose
+                # laws read no qh; the extended law reads no vh either)
+                vh = d10 * q + d11 * v + d12 * a
                 ah = d20 * q + d21 * v + d22 * a
-                qh = vh = 0.0
-                if kind is PolicyKind.DELAYED_CONSTANT:
+                if fir:
                     qh = d00 * q + d01 * v + d02 * a
-                    vh = d10 * q + d11 * v + d12 * a
                     for (wq, wv, wa), um in zip(weights, hist):
                         qh += wq * um
                         vh += wv * um
                         ah += wa * um
-                elif kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-                    vh = d10 * q + d11 * v + d12 * a
-                    for (wv, wa), um in zip(weights, hist):
-                        vh += wv * um
-                        ah += wa * um
                 else:
-                    for wa, um in zip(weights, hist):
-                        ah += wa * um
+                    qh = 0.0
+                    vh += sv
+                    ah += sa
                 u, e, dref = law(q, v, a, qh, vh, ah, delta, delta_dot, pred_a, pred_u)
                 es.append(e)
                 drefs.append(dref)
@@ -334,6 +362,9 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
             # d = 0); the state after the last sample is never logged
             hist.appendleft(u)
             ud = hist.pop()
+            if not fir:
+                # s <- Phi s + Gamma u - Phi^d Gamma ud, the two rows read
+                sv, sa = sv + p12 * sa + g1 * u - c1 * ud, p22 * sa + g2 * u - c2 * ud
             q, v, a = (
                 p00 * q + p01 * v + p02 * a + g0 * ud,
                 p10 * q + p11 * v + p12 * a + g1 * ud,

@@ -1,13 +1,19 @@
+import contextlib
 import importlib.resources
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delayplatoon as dp
 from delayplatoon import analysis, cli
@@ -561,6 +567,88 @@ class TestExitCodeContract:
         assert "proper (closed form): no" in out
         assert "proper (root check): inconclusive [" in out
         assert out.splitlines()[-1] == verdict
+
+
+def magnitudes(signed: bool = True):
+    """Ordinary values, zero, and m * 10^e with |e| up to 300."""
+    sign = st.sampled_from([-1.0, 1.0] if signed else [1.0])
+    return st.one_of(
+        st.floats(-10.0 if signed else 0.0, 10.0),
+        st.builds(lambda s, m, e: s * m * 10.0 ** e, sign, st.floats(1.0, 9.99), st.integers(-300, 300)),
+    )
+
+
+@st.composite
+def scenario_texts(draw):
+    """Scenario text for 1-4 vehicles and every policy, with gains, lags,
+    headways, rates, states, histories and leader amplitudes from 1e-300 to
+    1e300, holds and clamp, and horizons of at most 2 s."""
+    positive = magnitudes(signed=False).filter(lambda x: x > 0.0)
+    ts = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    sections = {"sim": {
+        "ts": ts, "horizon": draw(st.floats(0.001, 2.0)), "radar_hold": draw(st.booleans()),
+        "v2v_hold": draw(st.booleans()), "clamp": draw(st.booleans()),
+        "radar_rate_hz": draw(positive), "v2v_rate_hz": draw(positive),
+    }}
+    nv = draw(st.integers(1, 4))
+    for i in range(nv):
+        sections[f"vehicle.{i}"] = {
+            "tau": draw(positive), "phi": draw(st.integers(0, 20)) * ts,
+            "q0": -20.0 * i + draw(magnitudes()), "v0": draw(magnitudes()),
+            "a0": draw(magnitudes()), "u_hist": draw(magnitudes()),
+        }
+    for i in range(1, nv):
+        kind = draw(st.sampled_from(["constant", "dch", "ext"]))
+        policy = {"kind": kind, "standstill": draw(magnitudes(signed=False))}
+        gains = {"k_p": draw(positive)}
+        if kind != "constant":
+            policy["h_v"] = draw(positive)
+        if kind == "ext":
+            policy["h_a"] = draw(positive)
+        else:
+            gains["k_d"] = draw(positive)
+        if kind == "constant":  # k_dd < k_p k_d is the stable range
+            gains["k_dd"] = draw(st.one_of(
+                positive, st.floats(0.05, 0.95).map(lambda r: r * gains["k_p"] * gains["k_d"])))
+        sections[f"policy.{i}"], sections[f"controller.{i}"] = policy, gains
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        duration = draw(st.floats(0.01, 2.0))
+        if draw(st.booleans()):
+            segments.append(f"cruise {duration} {draw(magnitudes())} {draw(positive)}")
+        else:
+            segments.append(f"pulse {duration} {draw(magnitudes())}")
+    lines = []
+    for name, keys in sections.items():
+        lines += [f"[{name}]"] + [f"{k} = {v}" for k, v in keys.items()] + [""]
+    lines += ["[leader]", "segments ="] + [f"    {s}" for s in segments]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_texts())
+def test_simulate_exit_code_contract(text):
+    """simulate on any scenario exits 0, 2 or 3, never 1, with no traceback
+    and no RuntimeWarning; on 0 it writes a CSV of finite numbers, on 2 or 3
+    no file and one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scn, out = Path(tmp) / "s.scn", Path(tmp) / "out.csv"
+        scn.write_text(text)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(["simulate", str(scn), str(out)])
+        err = stderr.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], err
+        assert code in (0, 2, 3), err
+        if code == 0:
+            assert err == ""
+            _, rows = read_csv(out)
+            assert np.all(np.isfinite(rows))
+        else:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+            assert "Traceback" not in err and not out.exists()
 
 
 def csv_text(header: str, rows, footer: str = "") -> str:

@@ -1,4 +1,7 @@
+import dataclasses
+import importlib.resources
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ import delayplatoon as dp
 from delayplatoon import analysis, simulator
 from delayplatoon.controllers import tracking_law
 from delayplatoon.errors import DelayGranularityError, HistoryDepthError
+from delayplatoon.scenario import parse_scenario
 from delayplatoon.simulator import MeasurementOptions
 from delayplatoon.spacing import PolicyKind
 
@@ -544,18 +548,70 @@ def platoon_runs(draw):
     return config, dp.LeaderProfile(tuple(segments))
 
 
+def assert_agrees_with_float_loop(got, want, config):
+    """got against run_reference's log: the leader and the leading run of
+    constant-policy followers are identical, since each of their values is
+    computed by the same operations in the same order; every other column
+    lies within 1e-12 of the run's largest |q|, |v|, |a|, |u|, since a
+    headway follower's forced response comes from a recursion where the
+    float loop sums the delay window."""
+    exact = 1  # the leader, then each constant-policy follower up to the first headway one
+    for policy in config.policies:
+        if policy.kind is not PolicyKind.DELAYED_CONSTANT:
+            break
+        exact += 1
+    states = ("q", "v", "a", "u")
+    scale = max(float(np.max(np.abs(getattr(want, name)), initial=0.0)) for name in states)
+    assert np.array_equal(got.t, want.t)
+    for name in states + ("e", "delta", "delta_ref"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.shape == y.shape, name
+        # follower f's columns belong to vehicle f + 1
+        cut = exact if name in states else exact - 1
+        assert np.array_equal(x[:, :cut], y[:, :cut]), name
+        assert np.all(np.abs(x[:, cut:] - y[:, cut:]) <= 1e-12 * scale), name
+
+
 @settings(max_examples=150, deadline=None)
 @given(platoon_runs())
 def test_run_agrees_with_float_loop(case):
     """run, vehicle by vehicle, against the scalar loop over samples that it
-    replaced: every logged array is identical, since each value is computed
-    by the same operations in the same order."""
+    replaced (assert_agrees_with_float_loop)."""
     config, profile = case
+    assert_agrees_with_float_loop(dp.run(config, profile), run_reference(config, profile), config)
+
+
+@pytest.mark.parametrize("name", ["paper_constant.scn", "paper_dch.scn", "paper_extended.scn"])
+def test_long_run_does_not_drift(name):
+    """The paper scenarios over 5 x 10^4 samples, the leader ramping to 50 m/s
+    after the scenario's own segments: the headway followers' recursion
+    stays within the float loop's tolerance, the constant policy identical."""
+    scenario = parse_scenario(importlib.resources.files("delayplatoon") / "scenarios" / name)
+    config = dataclasses.replace(scenario.config, horizon=5e4 * scenario.config.ts)
+    profile = dp.LeaderProfile(scenario.profile.segments + (dp.LeaderSegment.pulse(500.0, 0.1),))
     got, want = dp.run(config, profile), run_reference(config, profile)
-    for name in ("t", "q", "v", "a", "u", "e", "delta", "delta_ref"):
-        x, y = getattr(got, name), getattr(want, name)
-        assert x.shape == y.shape, name
-        assert np.array_equal(x, y), name
+    assert len(got.t) == 50_001 and np.max(np.abs(want.q)) > 1e4
+    assert_agrees_with_float_loop(got, want, config)  # all of paper_constant identical
+
+
+@pytest.mark.parametrize("policy,gains", [(DCH, DCH_GAINS), (EXT, EXT_GAINS)])
+def test_headway_step_cost_does_not_grow_with_the_delay(policy, gains):
+    """A two-vehicle run of 2,000 samples costs about as much at d = 2,000
+    as at d = 5: the headway followers carry their forced response from
+    sample to sample instead of summing the delay window, which would make
+    the longer window some 35 times slower."""
+    def cost(d):
+        params = dp.VehicleParams(tau=0.067, phi=d * 0.01)
+        cfg = two_vehicle_config(policy, gains, horizon=19.99, ego=params, lead=params)
+        times = []
+        for _ in range(3):
+            start = time.process_time()
+            dp.run(cfg, pulse_profile(coast=16.0))
+            times.append(time.process_time() - start)
+        return min(times)
+
+    short, long = cost(5), cost(2000)
+    assert long < 5.0 * short, (short, long)
 
 
 def test_log_peaks_below_twice_its_size():
