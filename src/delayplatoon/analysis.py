@@ -1,17 +1,16 @@
 """Frequency-domain and quasi-polynomial stability machinery.
 
 Covers the closed-loop velocity transfer magnitudes under perfect tracking
-(one kernel, on arrays for the sweep's grid and on floats for its
-golden-section refinement), the string-stability frequency sweep, the
-rightmost root of the one-delay internal dynamics p = a(lambda) + b(lambda)
-e^{-phi lambda}, deg b < deg a, with every evaluation of p running Horner
-over one cached row table (Newton seeded by the eigenvalues of a 12-node
-pseudospectral generator built from a cached Chebyshev block, certified by
-one adaptive argument-principle count over the upper half of a
-conjugate-symmetric box that the closed-form modulus bound R(s) sizes; a
-failed certificate is re-seeded once from 24 nodes, and a second failure
-raises RefinementError), the properness region boundary, and the
-time-domain L2 string-stability check.
+(one array kernel), the string-stability frequency sweep (its peak certified
+between grid points by a cell bound on |1/T|^2), the rightmost root of the
+one-delay internal dynamics p = a(lambda) + b(lambda) e^{-phi lambda}, deg b
+< deg a, with every evaluation of p running Horner over one cached row table
+(Newton seeded by the eigenvalues of a 12-node pseudospectral generator
+built from a cached Chebyshev block, certified by one adaptive
+argument-principle count over the upper half of a conjugate-symmetric box
+that the modulus bound R(s) sizes; a failed certificate is re-seeded once
+from 24 nodes, and a second failure raises RefinementError), the properness
+region boundary, and the time-domain L2 string-stability check.
 """
 
 from __future__ import annotations
@@ -142,130 +141,131 @@ class QuasiPolynomial:
         return p, dp, max(scale, 1e-300)
 
 
-def magnitude_kernel(policy: SpacingPolicy, params: VehicleParams, sin, cos):
-    """w -> |T(i w)| of the velocity transfer under perfect tracking.
+def magnitude_kernel(policy: SpacingPolicy, params: VehicleParams):
+    """(parts, curvature) of the velocity transfer T of a headway policy.
 
-    Evaluated as 1 / hypot of the real and imaginary parts of 1/T, which
-    cannot overflow where |T| is representable: for the constant headway
-    policy (w h_v - sin(w phi)) + i cos(w phi), whose squared modulus is
-    (w h_v)^2 - 2 w h_v sin(w phi) + 1; the extended denominator splits into
-    (1 - h_a w^2 cos(w phi)) + i (h_v w - h_a w^2 sin(w phi)).  The constant
-    policy has |T| = 1 at every frequency.  The same body serves arrays with
-    sin, cos = np.sin, np.cos and floats with math.sin, math.cos, which
-    return the same doubles with numpy 2.4 (TestRefinedPeak checks it);
-    np.hypot serves both, since math.hypot rounds differently.  On floats an
-    overflowing h_a w^2 gives |T| = 0 without a warning.
+    parts(w) is (Re, Im) of 1/T(i w) on arrays, (w h_v - sin(w phi), cos(w
+    phi)) or (1 - h_a w^2 cos(w phi), h_v w - h_a w^2 sin(w phi)), so |T| =
+    1 / hypot(*parts(w)) cannot overflow where |T| is representable (an
+    overflowing h_a w^2 gives 0).  curvature(w), nondecreasing, bounds |D''|
+    on [0, w] term by term (|sin|, |cos| <= 1) for D = |1/T|^2 = w^2 h_v^2 -
+    2 w h_v sin + 1, resp. 1 - 2 h_a w^2 cos + h_a^2 w^4 + h_v^2 w^2 - 2 h_v h_a w^3 sin.
     """
-    phi, hv, ha, hypot = params.phi, policy.h_v, policy.h_a, np.hypot
-    if policy.kind is PolicyKind.DELAYED_CONSTANT:
-        return lambda _w: 1.0
+    phi, hv, ha = params.phi, policy.h_v, policy.h_a
     if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
-        def magnitude(w):
+        def parts(w):
             wp = w * phi
-            return 1.0 / hypot(w * hv - sin(wp), cos(wp))
+            return w * hv - np.sin(wp), np.cos(wp)
+
+        def curvature(w):
+            return 2.0 * hv * (hv + 2.0 * phi + phi * phi * w)
     else:
-        def magnitude(w):
+        def parts(w):
             wp = w * phi
-            return 1.0 / hypot(1.0 - ha * w * w * cos(wp), hv * w - ha * w * w * sin(wp))
-    return magnitude
+            return 1.0 - ha * w * w * np.cos(wp), hv * w - ha * w * w * np.sin(wp)
+
+        def curvature(w):
+            wp = w * phi
+            return (2.0 * ha * (2.0 + 4.0 * wp + wp * wp) + 12.0 * ha * ha * w * w
+                    + 2.0 * hv * hv + 2.0 * hv * ha * w * (6.0 + 6.0 * wp + wp * wp))
+    return parts, curvature
+
+
+def _frequencies(params: VehicleParams, omega) -> np.ndarray:
+    """omega as an array; ValueError unless omega >= 0 and omega phi is finite."""
+    w = np.asarray(omega, dtype=float)
+    if w.size and not (0.0 <= w.min() and w.max() * max(params.phi, 1.0) < math.inf):
+        raise ValueError("omega must be >= 0, and omega and omega phi finite")  # nan fails
+    return w
 
 
 @np.errstate(over="ignore", invalid="ignore")  # h_a w^2 overflowing gives |T| = 0
 def transfer_magnitude(policy: SpacingPolicy, params: VehicleParams, omega):
-    """|T(i omega)| at every finite omega >= 0 (magnitude_kernel on arrays)."""
-    w = np.asarray(omega, dtype=float)
-    if w.size and not (0.0 <= w.min() and w.max() < math.inf):  # nan fails both
-        raise ValueError("omega must be finite and >= 0")
+    """|T(i omega)| at every omega >= 0 with a finite phase omega phi."""
+    w = _frequencies(params, omega)
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
         out = np.ones_like(w)
     else:
-        out = magnitude_kernel(policy, params, np.sin, np.cos)(w)
+        out = 1.0 / np.hypot(*magnitude_kernel(policy, params)[0](w))
     return float(out) if w.ndim == 0 else out
 
 
 def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int = SWEEP_POINTS):
     """n_grid log-spaced points on [1e-3, omega_max], omega_max = max(10/h_v,
-    20 pi/phi) capped at OMEGA_CAP, so that a bound that overflows to inf
-    (h_v or phi below about 5.6e-308) still gives a finite grid."""
+    20 pi/phi) capped at OMEGA_CAP / max(1, phi): finite where a bound
+    overflows (h_v or phi below about 5.6e-308), and so is omega phi."""
     bounds = []
     if policy.h_v > 0.0:
         bounds.append(10.0 / policy.h_v)
     if params.phi > 0.0:
         bounds.append(20.0 * math.pi / params.phi)
-    omega_max = min(max(bounds), OMEGA_CAP) if bounds else 1e3
+    omega_max = min(max(bounds), OMEGA_CAP / max(1.0, params.phi)) if bounds else 1e3
     return np.logspace(-3.0, math.log10(omega_max), n_grid)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+PEAK_TOL = 1e-12  # refined_peak certifies D = |1/T|^2 >= (1 - PEAK_TOL) of its best
+PEAK_EVAL_CAP = 20000  # points beyond the grid before refined_peak stops
+_SPLIT = np.arange(1, 16) / 16.0  # interior points of a cell split into 16
 
 
-def golden_section_max(f, lo: float, hi: float):
-    """Maximize f on [lo, hi] by golden section (Kiefer 1953); returns (x, f(x)).
-
-    f takes and returns a float and is assumed unimodal on the bracket.  The
-    bracket is shrunk until its width is below 1e-10 relative to the
-    magnitude of its abscissa (with an absolute floor for intervals at 0);
-    ties fc >= fd keep the left part.
-    """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > 1e-10 * max(abs(a), abs(b), 1e-30):
-        if fc >= fd:  # keep [a, d], probe a new c
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:  # keep [c, b], probe a new d
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
-
-
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # 1/T = 0 gives |T| = inf
 def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray):
-    """(peak_omega, peak_magnitude, grid magnitudes) of |T| on a grid.
+    """(peak_omega, peak_magnitude, grid magnitudes) of |T| on [grid[0], grid[-1]].
 
-    The grid magnitudes are one vectorized transfer_magnitude call.  Every
-    local maximum of them, endpoints included, is then golden-refined to
-    relative width 1e-10 on the bracket of its two grid neighbours by its
-    own scalar golden_section_max over magnitude_kernel on floats.  The largest
-    refined value above the grid maximum wins, the first of equal ones.
+    On a cell [a, b], D = |1/T|^2 >= min(D(a), D(b)) - curvature(b) (b -
+    a)^2 / 8 (Piyavskii 1972; Shubert, SIAM J. Numer. Anal. 9, 1972).  From
+    the grid's cells on, every cell whose bound lies below (1 - PEAK_TOL) of
+    the smallest D found so far is split into 16 at a + (b - a) t, one array
+    evaluation per level, until none is; the peak is the point of that
+    smallest D.  After PEAK_EVAL_CAP points beyond the grid, a peak above 1
+    + SWEEP_TOL is returned as an unstable witness, a lower bound of the
+    supremum, and a stable one raises RefinementError.
     """
-    mags = transfer_magnitude(policy, params, grid)
-    n = len(grid)
-    edged = np.concatenate(([-np.inf], mags, [-np.inf]))
-    peaks = np.flatnonzero((edged[1:-1] >= edged[:-2]) & (edged[1:-1] >= edged[2:]))
-    k = int(np.argmax(mags))
-    best_w, best_m = float(grid[k]), float(mags[k])
-    magnitude = magnitude_kernel(policy, params, math.sin, math.cos)
-    for k in peaks.tolist():
-        w, m = golden_section_max(magnitude, grid[max(k - 1, 0)], grid[min(k + 1, n - 1)])
-        if m > best_m:
-            best_w, best_m = w, m
-    return best_w, float(best_m), mags  # the float kernel gives numpy doubles
+    grid = _frequencies(params, grid)
+    parts, curvature = magnitude_kernel(policy, params)
+    inv = np.hypot(*parts(grid))  # |1/T|: hypot, unlike x^2 + y^2, is inf at (-inf, nan)
+    k = int(np.argmin(inv))
+    best_w, best = float(grid[k]), inv[k]
+    lo, hi, inv_lo, inv_hi = grid[:-1], grid[1:], inv[:-1], inv[1:]
+    evaluated = 0
+    while best > 0.0:  # else |T| = inf, the supremum
+        sag = curvature(np.maximum(lo, hi)) * (hi - lo) ** 2 / 8.0  # a grid may descend
+        floor = np.minimum(inv_lo, inv_hi) ** 2 - sag
+        split = floor < best * best * (1.0 - PEAK_TOL)
+        if not split.any():
+            break
+        lo, hi, inv_lo, inv_hi = lo[split], hi[split], inv_lo[split], inv_hi[split]
+        if evaluated + lo.size * _SPLIT.size > PEAK_EVAL_CAP:
+            if 1.0 / best > 1.0 + SWEEP_TOL:
+                break
+            raise RefinementError(f"peak not certified within {PEAK_EVAL_CAP} points")
+        points = lo[:, None] + (hi - lo)[:, None] * _SPLIT
+        inv_points = np.hypot(*parts(points))
+        evaluated += inv_points.size
+        k = int(np.argmin(inv_points))
+        if inv_points.flat[k] < best:
+            best_w, best = float(points.flat[k]), inv_points.flat[k]
+        edges = np.column_stack((lo, points, hi))
+        inv_edges = np.column_stack((inv_lo, inv_points, inv_hi))
+        lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        inv_lo, inv_hi = inv_edges[:, :-1].ravel(), inv_edges[:, 1:].ravel()
+    return best_w, float(1.0 / best), 1.0 / inv
 
 
 def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
-    """sup_omega |T(i omega)| over a refined log grid.
+    """sup_omega |T(i omega)| on the default grid's range, from refined_peak.
 
     Grid of SWEEP_POINTS log-spaced points on [1e-3, omega_max] with
-    omega_max = max(10 / h_v, 20 pi / phi), at most OMEGA_CAP
-    (default_sweep_grid); every local maximum is refined by
-    its own scalar golden-section search to relative width 1e-10
-    (refined_peak).  Stable iff sup <= 1 + 1e-9.
+    omega_max = max(10 / h_v, 20 pi / phi), at most OMEGA_CAP / max(1, phi)
+    (default_sweep_grid).  The peak is certified to PEAK_TOL between the
+    grid's ends, except for refined_peak's unstable witness where the grid
+    aliases |T|.  Stable iff sup <= 1 + 1e-9.
     """
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
         return StabilityVerdict(True, "sweep", peak_omega=0.0, peak_magnitude=1.0)  # |T| = 1
-    grid = default_sweep_grid(policy, params)
-    best_w, best_m, _ = refined_peak(policy, params, grid)
+    best_w, best_m, _ = refined_peak(policy, params, default_sweep_grid(policy, params))
     return StabilityVerdict(
-        bool(best_m <= 1.0 + SWEEP_TOL),
-        "sweep",
-        peak_omega=float(best_w),
-        peak_magnitude=float(best_m),
+        bool(best_m <= 1.0 + SWEEP_TOL), "sweep", peak_omega=best_w, peak_magnitude=best_m
     )
 
 

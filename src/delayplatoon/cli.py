@@ -201,8 +201,8 @@ def cmd_sweep(args) -> int:
         if args.omega_min is not None or args.omega_max is not None:
             lo = args.omega_min if args.omega_min is not None else 1e-3
             hi = args.omega_max if args.omega_max is not None else 1e3
-            if not (0.0 < lo < hi < math.inf):
-                raise ValueError("need 0 < omega-min < omega-max < inf")
+            if not (0.0 < lo < hi < math.inf and hi * params.phi < math.inf):
+                raise ValueError("need 0 < omega-min < omega-max < inf and omega-max phi < inf")
             grid = np.logspace(math.log10(lo), math.log10(hi), args.points)
         else:
             grid = analysis.default_sweep_grid(policy, params, args.points)

@@ -1,14 +1,14 @@
 """References that the tests compare the package against: closed forms, the
 convolution-integral predictor, the continuous-time (A, B) of the vehicle
 model, the generic controller indexed by the relative degrees of the policy
-rows, the float-loop simulator over samples that `delayplatoon.run`
-replaced with its loop over vehicles, and a
-golden-section refinement that evaluates |T| through `transfer_magnitude`,
-which `refined_peak` and its float kernel must match bitwise, `np.polyval`
-evaluations of the quasi-polynomial, which its Horner rows must match
-bitwise, the fixed-grid winding count that the adaptive `_root_count` must
-agree with, and the per-call build of the pseudospectral generator that
-`_generator_matrix` replaced with a cached Chebyshev block.
+rows, the float-loop simulator over samples that `delayplatoon.run` replaced
+with its loop over vehicles, a golden-section search of every grid maximum
+of |T|, which evaluates only true |T| values and so gives a lower bound that
+`refined_peak`'s certified peak must reach, `np.polyval` evaluations of the
+quasi-polynomial, which its Horner rows must match bitwise, the fixed-grid
+winding count that the adaptive `_root_count` must agree with, and the
+per-call build of the pseudospectral generator that `_generator_matrix`
+replaced with a cached Chebyshev block.
 
 The spacing errors, tracking laws, leader law and sensor hold here are
 written out independently of `delayplatoon.controllers.tracking_law`, of
@@ -379,8 +379,9 @@ def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-10):
 
 
 def refined_peak_reference(policy, params, grid: np.ndarray):
-    """Scalar refined_peak: one golden-section loop per local maximum of |T|
-    on the grid, |T| evaluated one abscissa per call."""
+    """A lower bound of the peak of |T| on the grid's range: one
+    golden-section loop per local maximum of |T| on the grid, |T| evaluated
+    one abscissa per call through `transfer_magnitude`."""
     mags = transfer_magnitude(policy, params, grid)
 
     def mag(w: float) -> float:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from delayplatoon.spacing import PolicyKind
 from oracles import (
     dch_rightmost_root,
     generator_matrix_reference,
-    golden_section_max,
     quasi_polynomial_reference,
     refined_peak_reference,
     winding_number_reference,
@@ -43,13 +43,10 @@ OMEGAS = np.random.default_rng(1234).uniform(1e-3, 200.0, size=200)
 
 
 def _assert_routes_agree(policy, params):
-    """The array pass and the float kernel against the complex denominator."""
+    """The array kernel against the complex denominator."""
     array = dp.transfer_magnitude(policy, params, OMEGAS)
-    kernel = analysis.magnitude_kernel(policy, params, math.sin, math.cos)
     for omega, left in zip(OMEGAS.tolist(), array.tolist()):
-        right = direct_magnitude(policy, params, omega)
-        assert left == pytest.approx(right, rel=1e-12)
-        assert kernel(omega) == pytest.approx(right, rel=1e-12)
+        assert left == pytest.approx(direct_magnitude(policy, params, omega), rel=1e-12)
 
 
 class TestTransferMagnitude:
@@ -104,6 +101,18 @@ class TestTransferMagnitude:
             with pytest.raises(ValueError, match="finite"):
                 dp.transfer_magnitude(policy, ref_params, omega)
 
+    def test_rejects_an_overflowing_phase(self):
+        """sin and cos of an overflowed omega phi are NaN: no |T| is read off
+        them, and the default grid stops at OMEGA_CAP / phi."""
+        params = dp.VehicleParams(0.067, 550.0)
+        for policy in (CONSTANT, DCH, EXT):
+            with pytest.raises(ValueError, match="omega phi"):
+                dp.transfer_magnitude(policy, params, [1.0, 1e308])
+        tiny = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=1e-310)
+        top = float(analysis.default_sweep_grid(tiny, params)[-1])
+        assert top == pytest.approx(analysis.OMEGA_CAP / 550.0, rel=1e-12)
+        assert math.isfinite(dp.transfer_magnitude(tiny, params, top))
+
 
 class TestStringStabilitySweep:
     def test_dch_stable_tuning(self, ref_params):
@@ -155,71 +164,96 @@ class TestStringStabilitySweep:
         )
 
 
-def _assert_refinement_matches_reference(policy, params):
+def _assert_peak_is_certified(policy, params):
+    """The certified peak is no lower than golden's lower bound, is |T| at
+    its abscissa, and no point of a 16x denser grid exceeds it."""
     grid = analysis.default_sweep_grid(policy, params)
     w, m, mags = analysis.refined_peak(policy, params, grid)
-    w_ref, m_ref, mags_ref = refined_peak_reference(policy, params, grid)
+    _, m_ref, mags_ref = refined_peak_reference(policy, params, grid)
     assert np.array_equal(mags, mags_ref)
-    assert (w, m) == (w_ref, m_ref)
-    magnitude = analysis.magnitude_kernel(policy, params, math.sin, math.cos)
-    assert [magnitude(x) for x in grid.tolist()] == mags.tolist()
+    assert m >= m_ref * (1.0 - 1e-12)
+    assert m == dp.transfer_magnitude(policy, params, w)
+    dense = np.logspace(math.log10(grid[0]), math.log10(grid[-1]), 16 * grid.size)
+    assert np.max(dp.transfer_magnitude(policy, params, dense)) <= m * (1.0 + 1e-10)
     verdict = dp.string_stability_sweep(policy, params)
-    assert verdict.stable == (m_ref <= 1.0 + analysis.SWEEP_TOL)
+    assert verdict.stable == (m <= 1.0 + analysis.SWEEP_TOL)
+
+
+def _second_derivative(policy, params, w):
+    """D'' for D = |1/T(i w)|^2, differentiated by hand from D's closed form."""
+    phi, hv, ha = params.phi, policy.h_v, policy.h_a
+    s, c = math.sin(w * phi), math.cos(w * phi)
+    if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:  # D = w^2 hv^2 - 2 w hv s + 1
+        return 2.0 * hv * hv - 4.0 * hv * phi * c + 2.0 * w * hv * phi * phi * s
+    # D = 1 - 2 ha w^2 c + ha^2 w^4 + hv^2 w^2 - 2 hv ha w^3 s
+    return (
+        -2.0 * ha * (2.0 * c - 4.0 * w * phi * s - w * w * phi * phi * c)
+        + 12.0 * ha * ha * w * w
+        + 2.0 * hv * hv
+        - 2.0 * hv * ha * (6.0 * w * s + 6.0 * w * w * phi * c - w**3 * phi * phi * s)
+    )
 
 
 class TestRefinedPeak:
-    """The scalar-kernel refinement against the one-loop-per-peak oracle that
-    evaluates |T| through transfer_magnitude."""
+    """The cell-bound refinement against the golden-section oracle, which
+    evaluates only true |T| values and so bounds the supremum from below."""
 
     @settings(max_examples=40, deadline=None)
     @given(phi=st.floats(0.05, 0.3), ratio=st.floats(0.05, 3.0))
     @example(phi=0.15, ratio=0.05 / 0.3)  # improper, 10 interior maxima
-    def test_dch_matches_scalar_reference(self, phi, ratio):
+    def test_dch_peak_is_certified(self, phi, ratio):
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=2.0 * phi * ratio)
-        _assert_refinement_matches_reference(policy, dp.VehicleParams(0.067, phi))
+        _assert_peak_is_certified(policy, dp.VehicleParams(0.067, phi))
 
     @settings(max_examples=40, deadline=None)
     @given(phi=st.floats(0.05, 0.3), h_v=st.floats(0.05, 3.0), log_h_a=st.floats(-4.0, 0.0))
-    def test_extended_matches_scalar_reference(self, phi, h_v, log_h_a):
+    def test_extended_peak_is_certified(self, phi, h_v, log_h_a):
         policy = dp.SpacingPolicy(
             PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=h_v, h_a=10.0**log_h_a
         )
-        _assert_refinement_matches_reference(policy, dp.VehicleParams(0.067, phi))
+        _assert_peak_is_certified(policy, dp.VehicleParams(0.067, phi))
 
-    def test_golden_section_matches_oracle(self):
-        """Brackets of different widths stop at different iterations, each
-        where the oracle's search on it stops, at the same point."""
-        def f(x):
-            return -(x - 1.3) ** 2
+    @settings(max_examples=200, deadline=None)
+    @given(
+        extended=st.booleans(), h_v=st.floats(1e-3, 10.0), log_h_a=st.floats(-5.0, 1.0),
+        phi=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), w_hi=st.floats(0.0, 1e3),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_curvature_bounds_the_second_derivative(self, extended, h_v, log_h_a, phi, w_hi, t):
+        if extended:
+            policy = dp.SpacingPolicy(EXT.kind, h_v=h_v, h_a=10.0**log_h_a)
+        else:
+            policy = dp.SpacingPolicy(DCH.kind, h_v=h_v)
+        params = dp.VehicleParams(0.067, phi)
+        _, curvature = analysis.magnitude_kernel(policy, params)
+        bound = curvature(w_hi)
+        second = _second_derivative(policy, params, t * w_hi)
+        assert abs(second) <= bound * (1.0 + 1e-12)  # both sides rounded
 
-        for lo, hi in ((0.0, 3.0), (1.0, 1.5), (1.29, 1.31), (-5.0, 5.0)):
-            assert analysis.golden_section_max(f, lo, hi) == golden_section_max(
-                f, lo, hi, rel_tol=1e-10
-            )
-
-    def test_grid_is_the_only_array_evaluation(self, monkeypatch):
-        """Ten maxima cost one transfer_magnitude call, for the grid; the
-        refinement evaluates the scalar kernel only."""
+    def test_points_beyond_the_grid_are_few(self, monkeypatch):
+        """Ten maxima cost one array call for the grid and a few levels of
+        16-way splits: at most 150 points beyond the grid, where one
+        golden-section search per maximum took about 380 evaluations."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.05)
         params = dp.VehicleParams(0.067, 0.15)
         grid = analysis.default_sweep_grid(policy, params)
         mags = dp.transfer_magnitude(policy, params, grid)
         assert np.count_nonzero((mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:])) >= 5
-        calls = []
-        magnitude = analysis.transfer_magnitude
+        sizes = []
+        kernel = analysis.magnitude_kernel
 
-        def counting(policy, params, omega):
-            calls.append(np.size(omega))
-            return magnitude(policy, params, omega)
+        def counting(policy, params):
+            parts, curvature = kernel(policy, params)
+            return (lambda w: sizes.append(np.size(w)) or parts(w)), curvature
 
-        monkeypatch.setattr(analysis, "transfer_magnitude", counting)
-        analysis.refined_peak(policy, params, grid)
-        assert calls == [grid.size]
+        monkeypatch.setattr(analysis, "magnitude_kernel", counting)
+        w, m, _ = analysis.refined_peak(policy, params, grid)
+        assert sizes[0] == grid.size and 0 < sum(sizes[1:]) <= 150
+        assert m > np.max(mags)
 
     def test_overflowing_extended_tuning(self):
         """h_a w^2 overflows at the top of the grid: |T| = 0 there, from the
-        grid pass, the scalar kernel and a direct call alike, and no
-        RuntimeWarning."""
+        grid pass and a direct call alike, and no RuntimeWarning."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=1e300)
         params = dp.VehicleParams(0.067, 0.001)  # omega_max = 20 pi / phi = 62,832
         grid = analysis.default_sweep_grid(policy, params)
@@ -228,13 +262,45 @@ class TestRefinedPeak:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, m, mags = analysis.refined_peak(policy, params, grid)
-            assert analysis.magnitude_kernel(policy, params, math.sin, math.cos)(top) == 0.0
             assert dp.transfer_magnitude(policy, params, top) == 0.0
             verdict = dp.string_stability_sweep(policy, params)
         assert mags[-1] == 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert (w, m) == refined_peak_reference(policy, params, grid)[:2]
         assert verdict.stable and verdict.peak_magnitude == m
+
+    def test_pole_on_the_axis_is_an_infinite_peak(self):
+        """1/T = 0 at an evaluated point: |T| = inf is the witness, with no
+        RuntimeWarning (golden's lower bound there was 3.9e10)."""
+        policy = dp.SpacingPolicy(
+            PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1e-9, h_a=834.263882323936
+        )
+        params = dp.VehicleParams(0.067, 1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = dp.string_stability_sweep(policy, params)
+        assert not verdict.stable and verdict.peak_magnitude == math.inf
+        assert verdict.peak_omega == pytest.approx(1.0 / math.sqrt(834.263882323936))
+
+    def test_cap_keeps_a_witness_and_refuses_an_uncertified_stable_peak(self, monkeypatch):
+        monkeypatch.setattr(analysis, "PEAK_EVAL_CAP", 0)
+        params = dp.VehicleParams(0.067, 0.15)
+        unstable = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.29)
+        grid = analysis.default_sweep_grid(unstable, params)
+        w, m, _ = analysis.refined_peak(unstable, params, grid)
+        assert m > 1.0 + analysis.SWEEP_TOL and m == dp.transfer_magnitude(unstable, params, w)
+        tangent = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.3)  # peak 1 - 2e-16
+        with pytest.raises(dp.RefinementError, match="not certified"):
+            analysis.refined_peak(tangent, params, analysis.default_sweep_grid(tangent, params))
+
+    def test_aliased_grid_stops_at_the_cap_with_a_witness(self):
+        """h_v = 1e-310: the grid stops 1,000 times short of 10 / h_v and
+        aliases |T|; the refinement stops at its cap with a grid witness."""
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=1e-310)
+        params = dp.VehicleParams(0.067, 0.15)
+        start = time.perf_counter()
+        verdict = dp.string_stability_sweep(policy, params)
+        assert time.perf_counter() - start < 0.05
+        assert not verdict.stable and verdict.peak_magnitude > 1.0 + analysis.SWEEP_TOL
+        assert verdict.peak_magnitude == dp.transfer_magnitude(policy, params, verdict.peak_omega)
 
 
 class TestQuasiPolynomialEvaluation:

@@ -449,6 +449,55 @@ class TestSweepCommand:
         _, rows = read_csv(out)
         assert np.all(np.isfinite(rows)) and rows[-1, 0] == 1e308
 
+    @pytest.mark.parametrize(
+        "argv,floor",
+        [
+            (["dch", "--hv", "0.011", "--phi", "0.165", "--points", "16"], 17.4),
+            (["dch", "--hv", "0.05", "--phi", "100"], 5315.0),
+        ],
+        ids=["16-points", "phi-100"],
+    )
+    def test_peak_between_grid_points_is_found(self, tmp_path, capsys, argv, floor):
+        """Peaks that the grid steps over: the golden-section search of each
+        grid maximum printed 1.136 and 45.1 here."""
+        assert main(["sweep", str(tmp_path / "sweep.csv")] + argv) == 0
+        assert float(capsys.readouterr().out.split("peak_magnitude = ")[1]) >= floor
+
+    def test_overflowing_magnitude_is_not_nan(self, tmp_path, capsys):
+        """At phi = 0, h_a w^2 = inf makes 1/T = (-inf, nan): |T| = 0 there,
+        and the peak stays at the grid's first point."""
+        argv = ["ext", "--hv", "1", "--ha", "1e305", "--phi", "0", "--omega-max", "1e200",
+                "--points", "64"]
+        assert main(["sweep", str(tmp_path / "sweep.csv")] + argv) == 0
+        assert capsys.readouterr().out == (
+            "peak_omega = 0.001, peak_magnitude = 1.0000000000000001e-299\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["sweep", "<out>", "dch", "--hv", "1e-310", "--phi", "2", "--points", "8"], 0),
+            (["analyze", "ext", "--hv", "1e-310", "--ha", "1", "--phi", "550"], 1),
+            (["sweep", "<out>", "dch", "--hv", "1", "--phi", "550", "--omega-max", "1e308",
+              "--points", "8"], 2),
+        ],
+        ids=["default-grid", "analyze", "custom-range"],
+    )
+    def test_overflowing_phase_never_reads_nan(self, tmp_path, capsys, argv, code):
+        """sin(w phi) is NaN once w phi overflows: the default grid stops at
+        1e308 / phi, and a custom range that reaches past it is rejected."""
+        out = tmp_path / "sweep.csv"
+        assert main([str(out) if a == "<out>" else a for a in argv]) == code
+        stdout, err = capsys.readouterr()
+        assert "nan" not in stdout
+        if code == 2:
+            assert "omega-max phi" in err and not out.exists()
+        elif argv[0] == "sweep":
+            _, rows = read_csv(out)
+            assert err == "" and np.all(np.isfinite(rows)) and math.isfinite(rows[-1, 0] * 2.0)
+        else:
+            assert "string stable: no [sweep, peak omega=" in stdout
+
     def test_custom_range(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
@@ -649,6 +698,62 @@ def test_simulate_exit_code_contract(text):
         else:
             assert err.startswith("error: ") and len(err.splitlines()) == 1, err
             assert "Traceback" not in err and not out.exists()
+
+
+def policy_values():
+    """0, negative values, 1e-320 to 1e308, inf and nan, as argv text; three
+    in four draws are positive, so that most argvs pass validation."""
+    positive = st.builds(
+        lambda m, e: repr(m * 10.0 ** e), st.floats(1.0, 9.99), st.integers(-320, 307)
+    )
+    special = st.sampled_from(["0", "-1", "-1e-300", "inf", "-inf", "nan", "1e308", "1e-320"])
+    return st.one_of(special, positive, positive, positive)
+
+
+@st.composite
+def analysis_argvs(draw):
+    """analyze or sweep argv: any policy kind, every headway, lag and delay
+    from policy_values, 2 to 64 points and optional sweep bounds."""
+    command = draw(st.sampled_from(["analyze", "sweep"]))
+    argv = [command] + (["<out>"] if command == "sweep" else [])
+    argv.append(draw(st.sampled_from(["constant", "dch", "ext"])))
+    for flag in ("--hv", "--ha", "--tau", "--phi"):
+        if flag in ("--hv", "--ha") or draw(st.booleans()):  # the headways default to 0
+            argv.append(f"{flag}={draw(policy_values())}")  # "=": argparse reads -1e-300 as a flag
+    if command == "sweep":
+        argv += ["--points", str(draw(st.integers(2, 64)))]
+        for flag in ("--omega-min", "--omega-max"):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(policy_values())}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(analysis_argvs())
+def test_analysis_exit_code_contract(argv):
+    """analyze and sweep exit 0, 1, 2 or 3, 1 only after a `verdict: not`
+    line, with no traceback and no RuntimeWarning (warnings are errors
+    here); a sweep that exits 0 writes finite rows and prints no nan, and
+    one that exits 2 or 3 writes no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main([str(out) if a == "<out>" else a for a in argv])
+        printed, err = stdout.getvalue(), stderr.getvalue()
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err and "Warning" not in err, err
+        if code == 1:
+            assert printed.splitlines()[-1].startswith("verdict: not"), printed
+        if argv[0] == "sweep" and code == 0:
+            assert "nan" not in printed
+            _, rows = read_csv(out)
+            assert np.all(np.isfinite(rows))
+        if code in (2, 3):
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+            assert not out.exists()
 
 
 def csv_text(header: str, rows, footer: str = "") -> str:
