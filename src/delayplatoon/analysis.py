@@ -191,16 +191,25 @@ def transfer_magnitude(policy: SpacingPolicy, params: VehicleParams, omega):
 
 
 def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int = SWEEP_POINTS):
-    """n_grid log-spaced points on [1e-3, omega_max], omega_max = max(10/h_v,
-    20 pi/phi) capped at OMEGA_CAP / max(1, phi): finite where a bound
-    overflows (h_v or phi below about 5.6e-308), and so is omega phi."""
+    """n_grid log-spaced points on [omega_min, omega_max], ascending.
+
+    omega_max = max(10/h_v, 20 pi/phi) capped at OMEGA_CAP / max(1, phi):
+    finite where a bound overflows (h_v or phi below about 5.6e-308), and so
+    is omega phi.  omega_min = min(1e-3, 1e-3 omega_max, 1e-3/sqrt(h_a)),
+    the last term for h_a > 0: the extended policy's band of |T| > 1 at low
+    frequency, where h_v^2 < 2 h_a, lies near 1/sqrt(h_a).  omega_min is
+    1e-3, and the grid the same, whenever h_a <= 1 and omega_max >= 1.
+    """
     bounds = []
     if policy.h_v > 0.0:
         bounds.append(10.0 / policy.h_v)
     if params.phi > 0.0:
         bounds.append(20.0 * math.pi / params.phi)
     omega_max = min(max(bounds), OMEGA_CAP / max(1.0, params.phi)) if bounds else 1e3
-    return np.logspace(-3.0, math.log10(omega_max), n_grid)
+    lows = [1e-3, 1e-3 * omega_max]
+    if policy.h_a > 0.0:
+        lows.append(1e-3 / math.sqrt(policy.h_a))
+    return np.logspace(math.log10(min(lows)), math.log10(omega_max), n_grid)
 
 
 PEAK_TOL = 1e-12  # refined_peak certifies D = |1/T|^2 >= (1 - PEAK_TOL) of its best
@@ -255,11 +264,11 @@ def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray)
 def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
     """sup_omega |T(i omega)| on the default grid's range, from refined_peak.
 
-    Grid of SWEEP_POINTS log-spaced points on [1e-3, omega_max] with
-    omega_max = max(10 / h_v, 20 pi / phi), at most OMEGA_CAP / max(1, phi)
-    (default_sweep_grid).  The peak is certified to PEAK_TOL between the
-    grid's ends, except for refined_peak's unstable witness where the grid
-    aliases |T|.  Stable iff sup <= 1 + 1e-9.
+    Grid of SWEEP_POINTS log-spaced points on [omega_min, omega_max] with
+    omega_max = max(10 / h_v, 20 pi / phi), at most OMEGA_CAP / max(1, phi),
+    and omega_min at most 1e-3 (default_sweep_grid).  The peak is certified
+    to PEAK_TOL between the grid's ends, except for refined_peak's unstable
+    witness where the grid aliases |T|.  Stable iff sup <= 1 + 1e-9.
     """
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
         return StabilityVerdict(True, "sweep", peak_omega=0.0, peak_magnitude=1.0)  # |T| = 1

@@ -10,6 +10,13 @@ parse error, 3 runtime error.  Each command builds its inputs (arguments,
 scenario, input file) inside one _input_checked block, whose ValueError or
 OSError exits 2; writing the output stays outside it, so a failed write
 exits 3.
+
+Start-up loads only what the command runs: this module imports spacing,
+dynamics and errors; analyze, sweep and region import analysis, simulate
+imports the scenario and simulator stack, and predict-demo the predictor.
+Each package function a command calls is reached through a name of this
+module (parse_scenario and predict are thin functions that import their
+module on first call), so replacing that name redirects the command's call.
 """
 
 from __future__ import annotations
@@ -19,21 +26,35 @@ import contextlib
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import analysis, simulator
 from .dynamics import InputHistory, VehicleParams, VehicleState, delay_steps, discretize, step
 from .errors import HistoryDepthError, RefinementError
-from .predictor import predict
-from .scenario import parse_scenario
-from .simulator import TrajectoryLog
 from .spacing import PolicyKind, SpacingPolicy, is_proper, is_string_stable, policy_rows, relative_degrees, solvability_check
+
+if TYPE_CHECKING:
+    from .simulator import TrajectoryLog
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+
+
+def parse_scenario(path):
+    """scenario.parse_scenario, its module imported on first call."""
+    from .scenario import parse_scenario
+
+    return parse_scenario(path)
+
+
+def predict(model, x0, history):
+    """predictor.predict, its module imported on first call."""
+    from .predictor import predict
+
+    return predict(model, x0, history)
 
 
 def _fmt(x: float) -> str:
@@ -116,6 +137,8 @@ def _policy_from_args(args) -> tuple[SpacingPolicy, VehicleParams]:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulator
+
     with _input_checked():
         scenario = parse_scenario(args.scenario)
     log = simulator.run(scenario.config, scenario.profile)
@@ -130,13 +153,18 @@ def _yesno(flag: bool) -> str:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+
     with _input_checked():
         policy, params = _policy_from_args(args)
     rows = policy_rows(policy)
     rho, rho_bar = relative_degrees(rows)
     solvable = solvability_check(rows)
     proper = is_proper(policy, params)
-    stable = is_string_stable(policy, params)
+    try:
+        stable = is_string_stable(policy, params)
+    except RefinementError as exc:  # an uncertified sweep peak
+        stable = exc
 
     print(f"policy: {policy.kind.value} (h_v={policy.h_v}, h_a={policy.h_a})")
     print(f"vehicle: tau={params.tau} s, phi={params.phi} s")
@@ -161,6 +189,12 @@ def cmd_analyze(args) -> int:
                 f"proper (root check): {_yesno(root_verdict.stable)} "
                 f"[rightmost root {root_verdict.rightmost_root:.6g}]"
             )
+    if isinstance(stable, RefinementError):
+        print(f"string stable: inconclusive [{type(stable).__name__}: {stable}]")
+        if proper.stable:  # no verdict to give: a runtime error
+            raise stable
+        print("verdict: not proper")
+        return EXIT_NEGATIVE
     if stable.method == "closed-form":
         print(f"string stable: {_yesno(stable.stable)} [closed form, margins={stable.margins}]")
     else:
@@ -180,6 +214,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from . import analysis
+
     phis = args.phi
     with _input_checked():
         curves = [analysis.stability_region_boundary(phi, args.points) for phi in phis]
@@ -194,6 +230,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import analysis
+
     with _input_checked():
         policy, params = _policy_from_args(args)
         if args.points < 2:

@@ -164,6 +164,48 @@ class TestStringStabilitySweep:
         )
 
 
+    @pytest.mark.parametrize(
+        "policy,phi",
+        [
+            (dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.4), 0.15),
+            (dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.2, h_a=0.25), 0.15),
+            (dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=0.1, h_a=1.0), 3.0),
+        ],
+        ids=["dch", "ext", "ext-ha-1"],
+    )
+    def test_grid_starts_at_1e_3_where_ha_le_1_and_omega_max_ge_1(self, policy, phi):
+        grid = analysis.default_sweep_grid(policy, dp.VehicleParams(0.067, phi))
+        assert grid[0] == 1e-3 and grid[-1] >= 1.0
+        assert np.array_equal(grid, np.logspace(-3.0, math.log10(grid[-1]), grid.size))
+
+    def test_grid_never_descends(self):
+        """max(10/h_v, 20 pi/phi) = 6.3e-4 lies below 1e-3: the grid starts
+        three decades below it instead of running down from 1e-3."""
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=1e5)
+        grid = analysis.default_sweep_grid(policy, dp.VehicleParams(0.067, 1e5), 4)
+        assert np.all(np.diff(grid) > 0.0)
+        assert grid[-1] == pytest.approx(20.0 * math.pi / 1e5, rel=1e-15)
+        assert grid[0] == pytest.approx(1e-3 * grid[-1], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "h_v,h_a,phi,omega",
+        [(1.0, 1e8, 0.15, 1e-4), (2e5, 1e12, 1e5, 1.0051e-6)],
+        ids=["ha-1e8", "ha-1e12"],
+    )
+    def test_low_band_of_a_large_acceleration_headway(self, h_v, h_a, phi, omega):
+        """h_v^2 < 2 h_a puts a band of |T| > 1 near 1/sqrt(h_a), below 1e-3
+        for h_a above about 2e6; the grid reaches it, so both proper tunings
+        are not string stable."""
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=h_v, h_a=h_a)
+        params = dp.VehicleParams(0.067, phi)
+        assert dp.is_proper(policy, params).stable
+        assert dp.transfer_magnitude(policy, params, omega) > 10.0
+        grid = analysis.default_sweep_grid(policy, params)
+        assert grid[0] <= 1e-3 / math.sqrt(h_a)
+        verdict = dp.string_stability_sweep(policy, params)
+        assert not verdict.stable and verdict.peak_magnitude > 10.0
+
+
 def _assert_peak_is_certified(policy, params):
     """The certified peak is no lower than golden's lower bound, is |T| at
     its abscissa, and no point of a 16x denser grid exceeds it."""
@@ -253,7 +295,9 @@ class TestRefinedPeak:
 
     def test_overflowing_extended_tuning(self):
         """h_a w^2 overflows at the top of the grid: |T| = 0 there, from the
-        grid pass and a direct call alike, and no RuntimeWarning."""
+        grid pass and a direct call alike, and no RuntimeWarning.  The grid
+        reaches down to the band of |T| > 1 near 1/sqrt(h_a) = 1e-150, so
+        the tuning is not string stable."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=1e300)
         params = dp.VehicleParams(0.067, 0.001)  # omega_max = 20 pi / phi = 62,832
         grid = analysis.default_sweep_grid(policy, params)
@@ -265,7 +309,8 @@ class TestRefinedPeak:
             assert dp.transfer_magnitude(policy, params, top) == 0.0
             verdict = dp.string_stability_sweep(policy, params)
         assert mags[-1] == 0.0
-        assert verdict.stable and verdict.peak_magnitude == m
+        assert not verdict.stable and verdict.peak_magnitude == m > 30.0
+        assert 1e-151 < verdict.peak_omega < 1e-149
 
     def test_pole_on_the_axis_is_an_infinite_peak(self):
         """1/T = 0 at an evaluated point: |T| = inf is the witness, with no

@@ -8,17 +8,24 @@ break that run with an AttributeError.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import delayplatoon as dp
-from delayplatoon import analysis
+from delayplatoon import analysis, cli
 from delayplatoon.spacing import PolicyKind
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_traced_site_is_callable():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_site_is_callable():
+    tracer = load_tracer()
     assert tracer.SITES
     for module, attr, name, _ in tracer.SITES:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
@@ -91,3 +98,35 @@ def test_run_calls_the_traced_model_sites_through_the_module(monkeypatch):
         simulator.run(config, dp.LeaderProfile((dp.LeaderSegment.pulse(0.5, 0.1),)))
         assert calls.count("discretize") == nv
         assert calls.count("weights") == nv - 1
+
+
+SCENARIO = Path(dp.__file__).resolve().parent / "scenarios" / "paper_extended.scn"
+# the subcommand that calls each traced cli site
+CLI_SITE_ARGV = {
+    "discretize": ["predict-demo", "<inputs>"],
+    "predict": ["predict-demo", "<inputs>"],
+    "is_proper": ["analyze", "ext", "--hv", "1.2", "--ha", "0.25"],
+    "is_string_stable": ["analyze", "ext", "--hv", "1.2", "--ha", "0.25"],
+    "parse_scenario": ["simulate", str(SCENARIO), "<out>"],
+    "write_csv": ["simulate", str(SCENARIO), "<out>"],
+    "cmd_simulate": ["simulate", str(SCENARIO), "<out>"],
+    "cmd_analyze": ["analyze", "dch", "--hv", "0.4"],
+    "cmd_sweep": ["sweep", "<out>", "dch", "--hv", "0.4", "--points", "64"],
+    "cmd_region": ["region", "<out>", "--phi", "0.15", "--points", "16"],
+    "cmd_predict_demo": ["predict-demo", "<inputs>"],
+}
+
+
+@pytest.mark.parametrize(
+    "attr", [attr for module, attr, _, _ in load_tracer().SITES if module.__name__ == "delayplatoon.cli"]
+)
+def test_cli_sites_see_the_commands_calls(monkeypatch, tmp_path, capsys, attr):
+    """Each traced cli site, patched as the tracer patches it, sees the call
+    of the subcommand that uses it when that runs through cli.main."""
+    calls = []
+    original = getattr(cli, attr)
+    monkeypatch.setattr(cli, attr, lambda *args: calls.append(attr) or original(*args))
+    (tmp_path / "u.txt").write_text("0.5\n" * 15)
+    paths = {"<inputs>": str(tmp_path / "u.txt"), "<out>": str(tmp_path / "out.csv")}
+    assert cli.main([paths.get(a, a) for a in CLI_SITE_ARGV[attr]]) == 0
+    assert calls == [attr]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import delayplatoon as dp
 from delayplatoon import analysis, cli
 from delayplatoon.cli import main, write_csv
-from delayplatoon.errors import DelayGranularityError, ScenarioError
+from delayplatoon.errors import DelayGranularityError, RefinementError, ScenarioError
 from delayplatoon.scenario import load_scenario_text
 from delayplatoon.spacing import PolicyKind
 
@@ -343,6 +343,52 @@ class TestAnalyzeCommand:
         assert main(["analyze", "dch", "--hv", "1", "--tau", tau]) == 0
         assert "relative degrees: rho=inf, rho_bar=2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--hv", "1", "--ha", "1e8", "--phi", "0.15"], ["--hv", "2e5", "--ha", "1e12", "--phi", "1e5"]],
+        ids=["ha-1e8", "ha-1e12"],
+    )
+    def test_low_band_of_a_large_acceleration_headway(self, capsys, argv):
+        """|T| > 1 near 1/sqrt(h_a), below 1e-3 rad/s: proper, but not
+        string stable."""
+        assert main(["analyze", "ext", *argv]) == 1
+        out = capsys.readouterr().out
+        assert "proper (closed form): yes" in out
+        assert "string stable: no [sweep, " in out
+        assert out.splitlines()[-1] == "verdict: not string stable"
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["--hv", "2.00001e11", "--ha", "2.00001e11", "--phi", "2.00001e11"], "string stable: yes"),
+            (["--hv", "40", "--ha", "35", "--phi", "2e6"],
+             "string stable: inconclusive [RefinementError: peak not certified"),
+        ],
+        ids=["2.00001e11", "phi-2e6"],
+    )
+    def test_uncertified_sweep_follows_closed_form(self, capsys, argv, line):
+        """A sweep that cannot certify its peak is reported as inconclusive,
+        and the closed form's "not proper" still gives the verdict, exit 1."""
+        assert main(["analyze", "ext", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "proper (closed form): no" in out
+        assert any(ln.startswith(line) for ln in out.splitlines()), out
+        assert out.splitlines()[-1] == "verdict: not proper"
+
+    def test_uncertified_sweep_on_a_proper_tuning_exits_3(self, capsys, monkeypatch):
+        """No verdict without the sweep where the closed form says proper."""
+        def uncertified(*args):
+            raise RefinementError("peak not certified within 20000 points")
+
+        monkeypatch.setattr(analysis, "refined_peak", uncertified)
+        assert main(["analyze", "ext", "--hv", "1.2", "--ha", "0.25"]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == (
+            "string stable: inconclusive [RefinementError: peak not certified within 20000 points]"
+        )
+        assert err == "error: RefinementError: peak not certified within 20000 points\n"
+
     def test_overflowing_top_frequency_gives_a_finite_peak(self, capsys):
         """10 / h_v overflows at h_v = 1e-320; the sweep still finds the
         peak of 1 / |1 - w^2 e^{i w phi}|."""
@@ -353,18 +399,21 @@ class TestAnalyzeCommand:
     def test_huge_acceleration_headway_is_never_a_root_check_no(self):
         """At h_a = 1e305 the internal roots sit near 1e-153, too small for
         the generator's eigenvalues; seeded at the delay-free roots, the root
-        check certifies them and agrees with the closed form."""
+        check certifies them and agrees with the closed form.  |T| exceeds 1
+        near 1/sqrt(h_a), which the sweep grid reaches: not string stable."""
         result = subprocess.run(
             [sys.executable, "-W", "error", "-m", "delayplatoon",
              "analyze", "ext", "--hv", "1", "--ha", "1e305"],
             capture_output=True, text=True, env=child_env(),
         )
-        assert result.returncode == 0, result.stderr
+        assert result.returncode == 1, result.stderr
         assert result.stderr == ""
         assert "proper (closed form): yes" in result.stdout
         root_line = [ln for ln in result.stdout.splitlines() if ln.startswith("proper (root check)")]
         assert len(root_line) == 1
         assert root_line[0].startswith("proper (root check): yes ")
+        assert "string stable: no [sweep, " in result.stdout
+        assert result.stdout.splitlines()[-1] == "verdict: not string stable"
 
 
 class TestRegionCommand:
@@ -427,13 +476,23 @@ class TestSweepCommand:
         assert rows[0, 1] == pytest.approx(1.0, abs=1e-6)
 
     def test_overflowing_extended_magnitude_is_zero_without_warning(self, tmp_path, capsys):
-        """h_a w^2 overflows at h_a = 1e305: |T| is 0 there, with no warning."""
+        """h_a w^2 overflows at h_a = 1e305: |T| is 0 there, with no warning;
+        the peak lies near 1/sqrt(h_a), and analyze says not string stable."""
         out = tmp_path / "sweep.csv"
         assert main(["sweep", str(out), "ext", "--hv", "1", "--ha", "1e305"]) == 0
-        assert main(["analyze", "ext", "--hv", "1", "--ha", "1e305"]) == 0
-        assert capsys.readouterr().err == ""
+        assert main(["analyze", "ext", "--hv", "1", "--ha", "1e305"]) == 1
+        stdout, err = capsys.readouterr()
+        assert err == ""
+        assert stdout.splitlines()[-1] == "verdict: not string stable"
         _, rows = read_csv(out)
-        assert rows[-1, 1] == 0.0
+        assert rows[-1, 1] == 0.0 and rows[:, 1].max() > 1.0
+
+    def test_default_grid_ascends_below_1e_3(self, tmp_path, capsys):
+        """max(10/h_v, 20 pi/phi) < 1e-3: the omega column still ascends."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(out), "dch", "--hv", "1e5", "--phi", "1e5", "--points", "4"]) == 0
+        _, rows = read_csv(out)
+        assert np.all(np.diff(rows[:, 0]) > 0.0) and rows[-1, 0] < 1e-3
 
     @pytest.mark.parametrize(
         "argv", [["dch", "--hv", "1e-310"], ["ext", "--hv", "1e-310", "--ha", "0.5"]],
