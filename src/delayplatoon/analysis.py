@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 SWEEP_TOL = 1e-9  # sup |T| <= 1 + SWEEP_TOL counts as string stable
-SWEEP_POINTS = 4096  # points of the default sweep grid
+SWEEP_POINTS = 256  # points of the default sweep grid: refined_peak's first cells
 OMEGA_CAP = 1e308  # largest top frequency of the default sweep grid
 ROOT_STABLE_TOL = 1e-9  # Re(rightmost) < -ROOT_STABLE_TOL |rightmost| counts as stable
 
@@ -199,6 +199,10 @@ def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int
     the last term for h_a > 0: the extended policy's band of |T| > 1 at low
     frequency, where h_v^2 < 2 h_a, lies near 1/sqrt(h_a).  omega_min is
     1e-3, and the grid the same, whenever h_a <= 1 and omega_max >= 1.
+
+    The default SWEEP_POINTS only seeds refined_peak's cells, which split
+    where their bound needs it; ``sweep`` passes its --points (4,096 by
+    default) for the plotted grid.
     """
     bounds = []
     if policy.h_v > 0.0:
@@ -213,7 +217,7 @@ def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int
 
 
 PEAK_TOL = 1e-12  # refined_peak certifies D = |1/T|^2 >= (1 - PEAK_TOL) of its best
-PEAK_EVAL_CAP = 20000  # points beyond the grid before refined_peak stops
+PEAK_EVAL_CAP = 50000  # points beyond the grid before refined_peak stops; flat tops take up to half
 _SPLIT = np.arange(1, 16) / 16.0  # interior points of a cell split into 16
 
 
@@ -226,9 +230,13 @@ def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray)
     the grid's cells on, every cell whose bound lies below (1 - PEAK_TOL) of
     the smallest D found so far is split into 16 at a + (b - a) t, one array
     evaluation per level, until none is; the peak is the point of that
-    smallest D.  After PEAK_EVAL_CAP points beyond the grid, a peak above 1
-    + SWEEP_TOL is returned as an unstable witness, a lower bound of the
-    supremum, and a stable one raises RefinementError.
+    smallest D.  So the grid only seeds the cells: 256 points certify the
+    same peak as 4,096, to PEAK_TOL.  After PEAK_EVAL_CAP points beyond the
+    grid, a peak above 1 + SWEEP_TOL is returned as an unstable witness, a
+    lower bound of the supremum, and a stable one raises RefinementError.
+    Flat tops, where D - 1 ~ omega^4 at the grid's start (h_v = 2 phi for
+    DCH, h_v^2 = 2 h_a for the extended policy), take the most points: up
+    to about 25,000 of the 50,000.
     """
     grid = _frequencies(params, grid)
     parts, curvature = magnitude_kernel(policy, params)
@@ -264,11 +272,13 @@ def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray)
 def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
     """sup_omega |T(i omega)| on the default grid's range, from refined_peak.
 
-    Grid of SWEEP_POINTS log-spaced points on [omega_min, omega_max] with
-    omega_max = max(10 / h_v, 20 pi / phi), at most OMEGA_CAP / max(1, phi),
-    and omega_min at most 1e-3 (default_sweep_grid).  The peak is certified
-    to PEAK_TOL between the grid's ends, except for refined_peak's unstable
-    witness where the grid aliases |T|.  Stable iff sup <= 1 + 1e-9.
+    refined_peak's cells start from the SWEEP_POINTS = 256 log-spaced points
+    of default_sweep_grid on [omega_min, omega_max], omega_max = max(10 /
+    h_v, 20 pi / phi), at most OMEGA_CAP / max(1, phi), and omega_min at most
+    1e-3, and split only where the cell bound needs it.  The peak is
+    certified to PEAK_TOL between the grid's ends, except for refined_peak's
+    unstable witness where the grid aliases |T| and the PEAK_EVAL_CAP
+    budget runs out.  Stable iff sup <= 1 + 1e-9.
     """
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
         return StabilityVerdict(True, "sweep", peak_omega=0.0, peak_magnitude=1.0)  # |T| = 1

@@ -264,10 +264,16 @@ def cmd_predict_demo(args) -> int:
             raise HistoryDepthError(f"{args.inputs} holds {len(values)} inputs, phi/Ts = {d}")
         history = InputHistory(tuple(values), args.ts)
         x0 = VehicleState(args.q0, args.v0, args.a0)
-    predicted = predict(model, x0, history)
-    x = x0
-    for u in history.samples:
-        x = step(model, x, u)
+    # a huge Ts or state can overflow Phi^d or a step: VehicleState rejects
+    # the non-finite result, reported as a runtime error with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            predicted = predict(model, x0, history)
+            x = x0
+            for u in history.samples:
+                x = step(model, x, u)
+        except ValueError as exc:
+            raise RuntimeError(f"the state overflowed float64 ({exc})") from exc
     pairs = ((predicted.q, x.q), (predicted.v, x.v), (predicted.a, x.a))
     discrepancy = max(abs(p - s) for p, s in pairs)
     # exact up to rounding: each component within 1e-12 of its magnitude (at

@@ -16,10 +16,16 @@ input at k, nothing of vehicle i+1 and nothing of vehicle i-1 later than k.
 So the predecessor's finished columns hold every value the follower needs.
 Everything a run does not change is bound before a vehicle's loop: the
 ZOH and prediction coefficients, and the law that ``controllers.tracking_law``
-returns, the function ``controllers.control`` calls too.  The hold decides
-once per run at which samples each channel refreshes, for every follower
-at once.  Each vehicle's columns go into the preallocated log as soon as
-its loop ends, so only the predecessor's trajectory stays in Python floats.
+returns, the function ``controllers.control`` calls too.  Phi and Phi^d are
+upper triangular with exact ones at [0, 0] and [1, 1], so the step is q +
+p01 v + p02 a + g0 ud, v + p12 a + g1 ud, p22 a + g2 ud and the free
+response q + d01 v + d02 a, v + d12 a, d22 a: the products by an exact 0
+or 1 are left out and the rest keep their order, so every finite value is
+that of the full products, bit for bit, and a diverged inf is not turned
+into nan by 0 inf.  The hold decides once per run at which samples each
+channel refreshes, for every follower at once.  Each vehicle's columns go
+into the preallocated log as soon as its loop ends, so only the
+predecessor's trajectory stays in Python floats.
 ``open_loop_step_response`` is a one-vehicle ``run``, so ``run`` and
 ``dynamics.step`` contain the only ZOH steps of the package.
 
@@ -279,10 +285,11 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
     s <- Phi s + Gamma u - Phi^d Gamma u_d, updated after each step with
     the input u just computed and the input u_d of d samples ago that the
     step applies (see the module docstring).  Then the vehicle takes one
-    exact ZOH step with its delayed input.  Each vehicle's columns go into
-    the log as soon as its loop ends.  The order is exact: a follower at
-    sample k reads nothing of its successor and nothing of its predecessor
-    later than k.
+    exact ZOH step with its delayed input; neither the step nor the free
+    response multiplies by the exact zeros and ones of Phi and Phi^d.  Each
+    vehicle's columns go into the log as soon as its loop ends.  The order
+    is exact: a follower at sample k reads nothing of its successor and
+    nothing of its predecessor later than k.
     """
     ts = config.ts
     n = int(round(config.horizon / ts)) + 1
@@ -302,7 +309,9 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
         history = list(setup.history.samples) if setup.history else [0.0] * d
         # buffered inputs most recent first, the order of the prediction sum
         hist = deque(reversed(history))
-        p00, p01, p02, p10, p11, p12, p20, p21, p22 = model.Phi.ravel().tolist()
+        # Phi and Phi^d are upper triangular with exact ones at [0, 0] and
+        # [1, 1]: only their other entries are multiplied
+        _, p01, p02, _, _, p12, _, _, p22 = model.Phi.ravel().tolist()
         g0, g1, g2 = model.Gamma.tolist()
         q, v, a = setup.state.as_array().tolist()
         qs, vs, as_, us, es, drefs = [], [], [], [], [], []
@@ -314,7 +323,7 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
             fir = policy.kind is PolicyKind.DELAYED_CONSTANT
             law = tracking_law(config.controllers[f])
             phi_d, w = prediction_weights(model, d)
-            d00, d01, d02, d10, d11, d12, d20, d21, d22 = phi_d.ravel().tolist()
+            _, d01, d02, _, _, d12, _, _, d22 = phi_d.ravel().tolist()
             # (q, v, a) weights, most recent input first
             weights = w[:, ::-1].T.tolist()
             if not fir:
@@ -340,10 +349,10 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
                 # plus the forced one, summed over the window (constant
                 # policy) or carried by the recursion (headway policies, whose
                 # laws read no qh; the extended law reads no vh either)
-                vh = d10 * q + d11 * v + d12 * a
-                ah = d20 * q + d21 * v + d22 * a
+                vh = v + d12 * a
+                ah = d22 * a
                 if fir:
-                    qh = d00 * q + d01 * v + d02 * a
+                    qh = q + d01 * v + d02 * a
                     for (wq, wv, wa), um in zip(weights, hist):
                         qh += wq * um
                         vh += wv * um
@@ -365,11 +374,7 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
             if not fir:
                 # s <- Phi s + Gamma u - Phi^d Gamma ud, the two rows read
                 sv, sa = sv + p12 * sa + g1 * u - c1 * ud, p22 * sa + g2 * u - c2 * ud
-            q, v, a = (
-                p00 * q + p01 * v + p02 * a + g0 * ud,
-                p10 * q + p11 * v + p12 * a + g1 * ud,
-                p20 * q + p21 * v + p22 * a + g2 * ud,
-            )
+            q, v, a = q + p01 * v + p02 * a + g0 * ud, v + p12 * a + g1 * ud, p22 * a + g2 * ud
             if clamp and v < 0.0:
                 v = 0.0
                 if a < 0.0:

@@ -206,16 +206,53 @@ class TestStringStabilitySweep:
         assert not verdict.stable and verdict.peak_magnitude > 10.0
 
 
+def _within_budget(policy, params, grid, peak, monkeypatch) -> bool:
+    """Whether refined_peak gave peak short of PEAK_EVAL_CAP: a run that
+    stops at its budget finds more with four times the budget."""
+    with monkeypatch.context() as patched:
+        patched.setattr(analysis, "PEAK_EVAL_CAP", 4 * analysis.PEAK_EVAL_CAP)
+        return analysis.refined_peak(policy, params, grid)[1] == peak
+
+
+def test_coarse_start_agrees_with_a_4096_point_grid(monkeypatch):
+    """200 seeded DCH and extended tunings over the paper's ranges: the sweep
+    verdict from SWEEP_POINTS cells is refined_peak's on the 4,096-point grid
+    of the same range, and where neither run stops at its budget the two
+    certified peaks agree to 1e-11."""
+    rng = np.random.default_rng(24)
+    unstable = 0
+    for k in range(200):
+        phi = float(rng.uniform(0.05, 0.3))
+        if k % 2:
+            policy = dp.SpacingPolicy(DCH.kind, h_v=2.0 * phi * float(rng.uniform(0.05, 3.0)))
+        else:
+            policy = dp.SpacingPolicy(
+                EXT.kind, h_v=float(rng.uniform(0.05, 3.0)), h_a=10.0 ** float(rng.uniform(-4.0, 0.0))
+            )
+        params = dp.VehicleParams(0.067, phi)
+        verdict = dp.string_stability_sweep(policy, params)
+        dense = analysis.default_sweep_grid(policy, params, 4096)
+        peak = analysis.refined_peak(policy, params, dense)[1]
+        assert verdict.stable == (peak <= 1.0 + analysis.SWEEP_TOL), (policy, phi)
+        unstable += not verdict.stable
+        coarse = analysis.default_sweep_grid(policy, params)
+        if (_within_budget(policy, params, coarse, verdict.peak_magnitude, monkeypatch)
+                and _within_budget(policy, params, dense, peak, monkeypatch)):
+            assert verdict.peak_magnitude == pytest.approx(peak, rel=1e-11, abs=0.0), (policy, phi)
+    assert 0 < unstable < 200
+
+
 def _assert_peak_is_certified(policy, params):
     """The certified peak is no lower than golden's lower bound, is |T| at
-    its abscissa, and no point of a 16x denser grid exceeds it."""
+    its abscissa, and no point of a 65,536-point grid on the same range
+    exceeds it."""
     grid = analysis.default_sweep_grid(policy, params)
     w, m, mags = analysis.refined_peak(policy, params, grid)
     _, m_ref, mags_ref = refined_peak_reference(policy, params, grid)
     assert np.array_equal(mags, mags_ref)
     assert m >= m_ref * (1.0 - 1e-12)
     assert m == dp.transfer_magnitude(policy, params, w)
-    dense = np.logspace(math.log10(grid[0]), math.log10(grid[-1]), 16 * grid.size)
+    dense = np.logspace(math.log10(grid[0]), math.log10(grid[-1]), 65536)
     assert np.max(dp.transfer_magnitude(policy, params, dense)) <= m * (1.0 + 1e-10)
     verdict = dp.string_stability_sweep(policy, params)
     assert verdict.stable == (m <= 1.0 + analysis.SWEEP_TOL)
@@ -234,6 +271,20 @@ def _second_derivative(policy, params, w):
         + 2.0 * hv * hv
         - 2.0 * hv * ha * (6.0 * w * s + 6.0 * w * w * phi * c - w**3 * phi * phi * s)
     )
+
+
+def _count_evaluations(monkeypatch) -> list[int]:
+    """Sizes of the arrays refined_peak evaluates, one entry per call: the
+    grid's, then one per level of splits."""
+    sizes = []
+    kernel = analysis.magnitude_kernel
+
+    def counting(policy, params):
+        parts, curvature = kernel(policy, params)
+        return (lambda w: sizes.append(np.size(w)) or parts(w)), curvature
+
+    monkeypatch.setattr(analysis, "magnitude_kernel", counting)
+    return sizes
 
 
 class TestRefinedPeak:
@@ -281,17 +332,37 @@ class TestRefinedPeak:
         grid = analysis.default_sweep_grid(policy, params)
         mags = dp.transfer_magnitude(policy, params, grid)
         assert np.count_nonzero((mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:])) >= 5
-        sizes = []
-        kernel = analysis.magnitude_kernel
-
-        def counting(policy, params):
-            parts, curvature = kernel(policy, params)
-            return (lambda w: sizes.append(np.size(w)) or parts(w)), curvature
-
-        monkeypatch.setattr(analysis, "magnitude_kernel", counting)
+        sizes = _count_evaluations(monkeypatch)
         w, m, _ = analysis.refined_peak(policy, params, grid)
         assert sizes[0] == grid.size and 0 < sum(sizes[1:]) <= 150
         assert m > np.max(mags)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            [(dp.SpacingPolicy(DCH.kind, h_v=2.0 * phi * r), phi)
+             for phi in np.linspace(0.01, 3.0, 150).tolist() for r in (1.0, 1.0 + 1e-9, 1.0 + 1e-6)],
+            [(dp.SpacingPolicy(EXT.kind, h_v=h_v, h_a=h_v * h_v / 2.0), phi)
+             for phi in np.linspace(0.01, 3.0, 40).tolist() for h_v in np.logspace(-2.0, 1.0, 12).tolist()],
+        ],
+        ids=["dch-hv-2phi", "ext-hv2-2ha"],
+    )
+    def test_flat_tops_are_certified_within_the_budget(self, monkeypatch, family):
+        """D - 1 ~ w^4 near w = 0 on h_v = 2 phi (DCH) and h_v^2 = 2 h_a
+        (extended), so a stable peak of 1 is approached at the grid's start:
+        refined_peak raises no RefinementError on any tuning and spends at
+        most 30,000 points beyond the grid (a 4,096-point start with a
+        20,000-point budget raised it on 2 of the 480 extended tunings)."""
+        sizes = _count_evaluations(monkeypatch)
+        worst = 0
+        for policy, phi in family:
+            params = dp.VehicleParams(0.067, phi)
+            grid = analysis.default_sweep_grid(policy, params)
+            sizes.clear()
+            analysis.refined_peak(policy, params, grid)
+            assert sizes[0] == grid.size
+            worst = max(worst, sum(sizes[1:]))
+        assert worst <= 30000
 
     def test_overflowing_extended_tuning(self):
         """h_a w^2 overflows at the top of the grid: |T| = 0 there, from the

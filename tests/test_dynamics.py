@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import delayplatoon as dp
 from delayplatoon.errors import DelayGranularityError
+from delayplatoon.predictor import prediction_weights
 
 from oracles import system_matrices
 
@@ -140,6 +141,20 @@ class TestDiscretize:
         assert m.Phi[0, 0] == 1.0 and m.Phi[1, 1] == 1.0
         assert m.Phi[1, 0] == 0.0 and m.Phi[2, 0] == 0.0 and m.Phi[2, 1] == 0.0
         assert m.Phi[2, 2] == pytest.approx(math.exp(-ts / ref_params.tau), rel=1e-16)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_tau=st.floats(-3.0, 3.0), ts=st.floats(1e-3, 0.05), d=st.integers(0, 300))
+    @example(log_tau=math.log10(0.067), ts=0.01, d=300)  # Ts / tau >= 0.01: closed form
+    @example(log_tau=1.0, ts=0.01, d=300)  # Ts / tau < 0.01: series
+    def test_unit_upper_triangular_pattern_is_exact(self, log_tau, ts, d):
+        """simulator.run leaves out the products by these entries, which is
+        bit-identical only if they are exact: Phi and prediction_weights'
+        Phi^d hold 0.0 below the diagonal and 1.0 at [0, 0] and [1, 1]."""
+        model = dp.discretize(dp.VehicleParams(tau=10.0**log_tau, phi=0.0), ts)
+        phi_d, _ = prediction_weights(model, d)
+        for m in (model.Phi, phi_d):
+            assert m[1, 0] == 0.0 and m[2, 0] == 0.0 and m[2, 1] == 0.0
+            assert m[0, 0] == 1.0 and m[1, 1] == 1.0
 
     def test_delay_granularity(self):
         p = dp.VehicleParams(tau=0.067, phi=0.15)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import delayplatoon as dp
@@ -376,6 +376,26 @@ class TestAnalyzeCommand:
         assert any(ln.startswith(line) for ln in out.splitlines()), out
         assert out.splitlines()[-1] == "verdict: not proper"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--hv", "0.23101297000831597", "--ha", "0.026683496156031546",
+             "--phi", "0.06664844128899693"],
+            ["--hv", "1.8738174228603839", "--ha", "1.7555958671075653",
+             "--phi", "0.5477974412378556"],
+        ],
+        ids=["phi-0.067", "phi-0.55"],
+    )
+    def test_flat_top_near_zero_is_certified(self, capsys, argv):
+        """h_v^2 = 2 h_a (to rounding) with h_a < 2 h_v phi: proper, and
+        max |T| = 1 approached as omega -> 0, where D - 1 ~ omega^4 is flat.
+        A 4,096-point start with a 20,000-point budget did not certify it."""
+        assert main(["analyze", "ext", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "string stable: yes [sweep, " in out
+        assert out.splitlines()[-1] == "verdict: proper and string stable"
+
     def test_uncertified_sweep_on_a_proper_tuning_exits_3(self, capsys, monkeypatch):
         """No verdict without the sweep where the closed form says proper."""
         def uncertified(*args):
@@ -610,6 +630,19 @@ class TestPredictDemoCommand:
         assert main(["predict-demo", str(f), *self.LARGE_POSITION]) == 1
         assert main(["predict-demo", str(f)]) == 1
 
+    def test_overflowing_state_exits_3_without_warning(self, tmp_path, capsys):
+        """Ts = 1e139 over 14 samples overflows Phi^d: a runtime error with
+        one line and no RuntimeWarning (warnings are errors here)."""
+        f = tmp_path / "u.txt"
+        f.write_text("0.0\n" * 13 + "-1e+31\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["predict-demo", str(f), "--ts=1e+139", "--phi=1.4000000000000001e+140"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: RuntimeError: the state overflowed float64 (q must be finite)\n"
+        )
+
     def test_non_integer_delay_rejected(self, tmp_path):
         f = tmp_path / "u.txt"
         f.write_text("0.0\n" * 15)
@@ -813,6 +846,71 @@ def test_analysis_exit_code_contract(argv):
         if code in (2, 3):
             assert err.startswith("error: ") and len(err.splitlines()) == 1, err
             assert not out.exists()
+
+
+@st.composite
+def region_argvs(draw):
+    """region argv and no input file: one to three --phi from
+    policy_values and an optional --points up to 10,000."""
+    argv = ["region", "<out>"]
+    argv += [f"--phi={draw(policy_values())}" for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        argv.append(f"--points={draw(st.integers(-2, 10_000))}")
+    return argv, None
+
+
+@st.composite
+def predict_demo_argvs(draw):
+    """predict-demo argv and its input file: Ts, tau and phi from
+    policy_values or, mostly, a valid Ts with phi = k Ts (k <= 30); an
+    initial state from magnitudes; k inputs, or one fewer or one more, each
+    from magnitudes or, one in ten, non-finite or not a number."""
+    ts = draw(st.one_of(st.sampled_from([0.005, 0.01, 0.02]).map(repr), policy_values()))
+    k = draw(st.integers(0, 30))
+    multiple = repr(k * float(ts))
+    argv = ["predict-demo", "<inputs>", f"--ts={ts}",
+            f"--phi={draw(st.one_of(st.just(multiple), st.just(multiple), policy_values()))}"]
+    for flag in ("--tau", "--q0", "--v0", "--a0"):
+        if draw(st.booleans()):
+            value = draw(policy_values() if flag == "--tau" else magnitudes().map(repr))
+            argv.append(f"{flag}={value}")
+    bad = st.sampled_from(["nan", "inf", "-inf", "x"])
+    token = st.integers(0, 9).flatmap(lambda r: bad if r == 0 else magnitudes().map(repr))
+    n = max(0, k + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    return argv, "".join(f"{draw(token)}\n" for _ in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(region_argvs(), predict_demo_argvs()))
+@example((["predict-demo", "<inputs>", "--ts=1e+139", "--phi=1.4000000000000001e+140"],
+          "0.0\n" * 13 + "-1e+31\n"))
+def test_region_and_predict_demo_exit_code_contract(case):
+    """region and predict-demo exit 0, 1, 2 or 3, with no traceback and no
+    RuntimeWarning (warnings are errors here); 1 only from predict-demo
+    after its printed discrepancy; a region that exits 0 writes finite
+    rows; on 2 or 3 one error line and no file written."""
+    argv, inputs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out, path = Path(tmp) / "out.csv", Path(tmp) / "u.txt"
+        if inputs is not None:
+            path.write_text(inputs)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main([{"<out>": str(out), "<inputs>": str(path)}.get(a, a) for a in argv])
+        printed, err = stdout.getvalue(), stderr.getvalue()
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err and "Warning" not in err, err
+        if code == 1:
+            assert argv[0] == "predict-demo", printed
+            assert printed.splitlines()[-1].startswith("max discrepancy: "), printed
+        if argv[0] == "region" and code == 0:
+            _, rows = read_csv(out)
+            assert np.all(np.isfinite(rows))
+        if code in (2, 3):
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ([] if inputs is None else ["u.txt"])
 
 
 def csv_text(header: str, rows, footer: str = "") -> str:
