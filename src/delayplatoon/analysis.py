@@ -8,9 +8,11 @@ one-delay internal dynamics p = a(lambda) + b(lambda) e^{-phi lambda}, deg b
 (Newton seeded by the eigenvalues of a 12-node pseudospectral generator
 built from a cached Chebyshev block, certified by one adaptive
 argument-principle count over the upper half of a conjugate-symmetric box
-that the modulus bound R(s) sizes; a failed certificate is re-seeded once
-from 24 nodes, and a second failure raises RefinementError), the properness
-region boundary, and the time-domain L2 string-stability check.
+that the modulus bound R(s) sizes, its segments accepted by a two-disc
+test, against the roots found with the multiplicity a scalar Rouché test
+proves for each; a failed certificate is re-seeded once from 24 nodes, and
+a second failure raises RefinementError), the properness region boundary,
+and the time-domain L2 string-stability check.
 """
 
 from __future__ import annotations
@@ -288,11 +290,15 @@ def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> Stab
     )
 
 
-BOX_MARGIN = 0.01  # the box reaches _box_margin(s*) left of the rightmost root s*
+BOX_MARGIN = 0.01  # the box reaches _box_margin(s*, phi) left of the rightmost root s*
 
 
-def _box_margin(s: float) -> float:
-    return BOX_MARGIN * (1.0 + abs(s))
+def _box_margin(s: float, phi: float) -> float:
+    """BOX_MARGIN (1 + |s|) / max(1, phi).  The roots of p scale as 1 /
+    phi (p is a function of lambda phi), so a long delay packs its chain
+    roots 2 pi / phi apart; the division keeps the box from taking in
+    thousands of them.  Nothing changes for phi <= 1."""
+    return BOX_MARGIN * (1.0 + abs(s)) / max(1.0, phi)
 
 
 @np.errstate(divide="ignore", over="ignore")  # log 0 = -inf; an overflowing bound is inf
@@ -311,22 +317,6 @@ def _root_bound(qp: QuasiPolynomial, s):
     return 2.0 * np.exp(np.max(log_c / np.arange(len(a), 0, -1), axis=-1))
 
 
-def _contour_values(qp: QuasiPolynomial, z: np.ndarray, contour: str) -> np.ndarray:
-    """p on contour points; RefinementError where it is not finite or 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = qp(z)
-    if not np.all(np.isfinite(f)):
-        raise RefinementError(f"quasi-polynomial is not finite on the {contour}")
-    if np.any(f == 0.0):
-        raise RefinementError(f"root on the {contour}")
-    return f
-
-
-def _turns(f: np.ndarray) -> float:
-    """Winding of the closed polygon f around 0, in turns."""
-    return float(np.sum(np.angle(np.roll(f, -1) / f)) / (2.0 * math.pi))
-
-
 ROOT_COUNT_CAP = 20000  # evaluations of p before _root_count gives up
 _COUNT_ROUNDING = 8.0 * 2.0**-52  # rounding error of p, relative to the newton_terms scale
 _TWO_PI = 2.0 * math.pi
@@ -343,12 +333,16 @@ def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
     (half, half) -> (lo, half) -> (lo, 0).  Its change is therefore pi
     times the count (a single real root gives pi, not a whole turn).  A
     segment [z0, z1] is accepted once L |z1 - z0| plus the rounding of p at
-    both ends lies below max(|p(z0)|, |p(z1)|), where L bounds |p'| on the
+    both ends lies below |p(z0)| + |p(z1)|, where L bounds |p'| on the
     segment by the monomial magnitudes at the larger |z| and e^{-phi Re} at
-    the smaller Re.  p then stays in a disc around the larger end value
-    that excludes 0, so the change of arg p along the segment is the
-    principal argument of p(z1) / p(z0); a segment that fails the test is
-    bisected.  Real roots sit strictly inside the box, off the path.
+    the smaller Re.  Two discs then carry the segment: every point of it
+    lies within |p(z0)| / L of z0 or within |p(z1)| / L of z1, and the two
+    pieces overlap, so p stays in the disc of radius |p(z0)| around p(z0)
+    or in that of radius |p(z1)| around p(z1), neither of which holds 0.
+    At a point of the overlap arg p is within pi/2 of both end values, so
+    the change of arg p along the segment is the principal argument of
+    p(z1) / p(z0); a segment that fails the test is bisected.  Real roots
+    sit strictly inside the box, off the path.
     RefinementError where p is not finite or 0 on the path, or after
     ROOT_COUNT_CAP evaluations.
     """
@@ -390,7 +384,7 @@ def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
         while pending:
             z1, arg1, mod1, err1, sa1, sb1, e1 = pending[-1]
             slope = max(sa0, sa1) + max(sb0, sb1) * max(e0, e1)
-            if slope * abs(z1 - z0) + err0 + err1 < max(mod0, mod1):
+            if slope * abs(z1 - z0) + err0 + err1 < mod0 + mod1:
                 step = arg1 - arg0  # wrapped below: the principal arg of p(z1) / p(z0)
                 swept += step - _TWO_PI * round(step / _TWO_PI)
                 z0, arg0, mod0, err0, sa0, sb0, e0 = pending.pop()
@@ -515,7 +509,8 @@ def _polish_eigenvalues(
     right = 0.0  # largest real part among roots, once there is one
     drift = 0.0  # largest relative Newton displacement so far
     for eig in eigs[np.argsort(-eigs.real, kind="stable")]:
-        if roots and eig.real < right - 2.0 * _box_margin(right) - 4.0 * (1.0 + abs(eig)) * drift:
+        if roots and (eig.real < right - 2.0 * _box_margin(right, qp.phi)
+                      - 4.0 * (1.0 + abs(eig)) * drift):
             break
         seeds = [complex(eig)]
         if 0.0 < eig.imag <= 0.5e-6 * (1.0 + abs(eig)):
@@ -536,20 +531,72 @@ def _polish_eigenvalues(
     return roots
 
 
+def _scaled_taylor(coeffs: tuple[float, ...], center: complex, radius: float) -> list[complex]:
+    """Ascending coefficients of u -> c(center + radius u) for the ascending
+    coefficients of c, by repeated synthetic division (Horner)."""
+    rest, out = list(reversed(coeffs)), []
+    while rest:
+        for j in range(1, len(rest)):
+            rest[j] += center * rest[j - 1]
+        out.append(rest.pop() * radius ** len(out))
+    return out
+
+
 def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]) -> int:
-    """Multiplicity of a root from the winding of p on a 256-point circle
-    that keeps every other root of roots, and every conjugate, outside."""
-    radius = 1e-5 * (1.0 + abs(root))
+    """Multiplicity of a root, by Rouché's theorem on the disk |h| <= rho
+    around it, rho = 1e-5 (1 + |root|) / max(1, phi) and at most a third
+    of the distance to every other root of roots and every conjugate.
+
+    On the disk p(root + rho u) = sum_k c_k u^k, the c_k the Taylor
+    coefficients scaled by rho^k: a's (A_k) and b's (B_i) by synthetic
+    division, b's multiplied by the series of e^{-phi (root + rho u)}.
+    Beyond order m the remainder on |u| = 1 is at most sum_{k>m} |A_k|
+    plus e^{-phi Re root} e^{phi rho} sum_i |B_i| (phi rho)^{m-i+1} /
+    (m-i+1)!, with the whole e^{phi rho} |B_i| where i > m.  The
+    multiplicity is the least m with |c_m| > sum_{k<m} |c_k| + remainder +
+    rounding: then p - c_m u^m is smaller than c_m u^m on the circle, and p
+    has m roots in the disk, as c_m u^m does.  m runs up to 2n >= deg a +
+    deg b + 1, the most a root of a + b e^{-phi lambda} can have.  The
+    rounding is _COUNT_ROUNDING times the monomial scale on the disk, as
+    _root_count bounds its own; it exceeds rho^3 at a triple root of
+    modulus above about 0.65, which is refused.  RefinementError where no m
+    passes.
+    """
+    phi = qp.phi
+    radius = 1e-5 * (1.0 + abs(root)) / max(1.0, phi)
     for other in roots:
         for image in (other, other.conjugate()):
             dist = abs(root - image)
             if dist > 0.0:
                 radius = min(radius, dist / 3.0)
-    z = root + radius * np.exp(2j * math.pi * np.arange(256) / 256)
-    winding = _turns(_contour_values(qp, z, f"circle around root {root}"))
-    rounded = round(winding)
-    if abs(winding - rounded) < 1e-3 and rounded >= 1:
-        return rounded
+    top = 2 * len(qp.b)
+    a = _scaled_taylor(qp.a, root, radius) + [0.0] * (top - len(qp.a) + 1)
+    b = _scaled_taylor(qp.b, root, radius)
+    t = phi * radius
+    series = [1.0]  # e^{-t u} = sum_j series[j] u^j; |series[j]| = t^j / j!
+    for j in range(1, top + 2):
+        series.append(-series[-1] * t / j)
+    try:
+        delayed = cmath.exp(-phi * root)
+        decay = math.exp(t - phi * root.real)  # max of |e^{-phi lambda}| on the disk
+    except OverflowError:
+        raise RefinementError(f"quasi-polynomial is not finite around root {root}") from None
+    c = [a[k] + delayed * sum(b[i] * series[k - i] for i in range(min(k + 1, len(b))))
+         for k in range(top + 1)]
+    reach = abs(root) + radius
+    ma, mb = 1.0, 0.0
+    for _, _, maj, mbj, _, _ in qp.rows:
+        ma = ma * reach + maj
+        mb = mb * reach + mbj
+    rounding = _COUNT_ROUNDING * (ma + mb * decay * (1.0 + phi * reach))
+    below = 0.0  # sum_{k<m} |c_k|
+    for m in range(1, top + 1):
+        below += abs(c[m - 1])
+        tail = sum(map(abs, a[m + 1:])) + decay * sum(
+            abs(bi * series[m - i + 1]) if i <= m else abs(bi) for i, bi in enumerate(b)
+        )
+        if abs(c[m]) > below + tail + rounding:
+            return m
     raise RefinementError(f"could not certify the multiplicity of root {root}")
 
 
@@ -557,7 +604,7 @@ def _certified_top(qp: QuasiPolynomial, roots: list[complex], seeding: str) -> c
     """The rightmost of roots, once the box count certifies that no root of
     p lies right of it (rightmost_root); RefinementError otherwise."""
     top = max(roots, key=lambda r: r.real)
-    delta = _box_margin(top.real)
+    delta = _box_margin(top.real, qp.phi)
     lo = top.real - delta
     half = max(float(_root_bound(qp, lo)), delta)
     if not math.isfinite(half):
@@ -583,12 +630,13 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
     Chebyshev pseudospectral discretization of the delay equation's
     generator (those within the bound R of _root_bound), deduplicates, and
     takes the rightmost polished root s*.  Every root with Re >= lo = s* -
-    BOX_MARGIN (1 + |s*|) has modulus below R(lo), so the box [lo, R] x
+    _box_margin(s*, phi) has modulus below R(lo), so the box [lo, R] x
     [-R, R] holds all of them: the adaptive argument-principle count over
     the upper half of its boundary (_root_count; the box is symmetric about
     the real axis, so half the walk counts every root) must equal the
     polished roots right of lo, conjugates included, with the multiplicity
-    of each certified on a small circle.  Then no root lies right of s*.
+    of each proved by Rouché's theorem on a small disk
+    (_local_multiplicity).  Then no root lies right of s*.
     When no 12-node seed converges or the certificate fails, the search is
     seeded once more from a 24-node generator, and when none of its seeds
     converges either, from the roots of the delay-free polynomial a + b.

@@ -153,8 +153,8 @@ def load_scenario_text(text: str) -> Scenario:
     index = _LineIndex(text)
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ScenarioError(f"scenario parse error: {exc}") from None
+    except configparser.Error as exc:  # its messages span lines: one line here
+        raise ScenarioError(f"scenario parse error: {' '.join(str(exc).split())}") from None
 
     numbered = {}
     for name in parser.sections():

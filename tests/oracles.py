@@ -6,7 +6,8 @@ with its loop over vehicles, a golden-section search of every grid maximum
 of |T|, which evaluates only true |T| values and so gives a lower bound that
 `refined_peak`'s certified peak must reach, `np.polyval` evaluations of the
 quasi-polynomial, which its Horner rows must match bitwise, the fixed-grid
-winding count that the adaptive `_root_count` must agree with, and the
+winding count that the adaptive `_root_count` must agree with, the
+256-point circle whose winding the Rouché multiplicity must equal, and the
 per-call build of the pseudospectral generator that `_generator_matrix`
 replaced with a cached Chebyshev block.
 
@@ -437,6 +438,30 @@ def winding_number_reference(qp, lo: float, half: float) -> int:
     if abs(winding - rounded) < 1e-3 and round(turns(f[0::2])) == rounded:
         return rounded
     raise RefinementError("winding number did not stabilize")
+
+
+def local_multiplicity_reference(qp, root: complex, roots) -> int:
+    """Multiplicity of a root from the winding of p on a 256-point circle of
+    `_local_multiplicity`'s radius, 1e-5 (1 + |root|) / max(1, phi) and at
+    most a third of the distance to every other root of roots and every
+    conjugate: the count must lie within 1e-3 of an integer >= 1.  The
+    numerical check that the Rouché test replaced; RefinementError
+    otherwise."""
+    radius = 1e-5 * (1.0 + abs(root)) / max(1.0, qp.phi)
+    for other in roots:
+        for image in (other, other.conjugate()):
+            dist = abs(root - image)
+            if dist > 0.0:
+                radius = min(radius, dist / 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = qp(root + radius * np.exp(2j * math.pi * np.arange(256) / 256))
+    if not np.all(np.isfinite(f)) or np.any(f == 0.0):
+        raise RefinementError(f"quasi-polynomial is not finite or 0 around root {root}")
+    winding = float(np.sum(np.angle(np.roll(f, -1) / f)) / (2.0 * math.pi))
+    rounded = round(winding)
+    if abs(winding - rounded) < 1e-3 and rounded >= 1:
+        return rounded
+    raise RefinementError(f"could not certify the multiplicity of root {root}")
 
 
 def generator_matrix_reference(qp, n_nodes: int) -> np.ndarray:

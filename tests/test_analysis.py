@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import delayplatoon as dp
@@ -17,6 +17,7 @@ from delayplatoon.spacing import PolicyKind
 from oracles import (
     dch_rightmost_root,
     generator_matrix_reference,
+    local_multiplicity_reference,
     quasi_polynomial_reference,
     refined_peak_reference,
     winding_number_reference,
@@ -695,6 +696,21 @@ class TestGeneratorMatrix:
             block[0, 0] = 1.0
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The points that each _root_count call evaluates."""
+    counts = []
+    count = analysis._root_count
+
+    def recording(*args):
+        winding, n = count(*args)
+        counts.append(n)
+        return winding, n
+
+    monkeypatch.setattr(analysis, "_root_count", recording)
+    return counts
+
+
 class TestAgreementGrids:
     """Closed-form properness matches the rightmost-root verdict, and the
     adaptive root count stays cheap over the grid: the median and maximum
@@ -702,19 +718,6 @@ class TestAgreementGrids:
     at 1.5 times those of the half-contour count (DCH 28 and 560, extended
     42 and 889), below those of the full contour (DCH 54 and 1,118,
     extended 82 and 1,776)."""
-
-    @pytest.fixture
-    def evaluations(self, monkeypatch):
-        counts = []
-        count = analysis._root_count
-
-        def recording(*args):
-            winding, n = count(*args)
-            counts.append(n)
-            return winding, n
-
-        monkeypatch.setattr(analysis, "_root_count", recording)
-        return counts
 
     def test_dch_50x50(self, evaluations):
         mismatches = 0
@@ -925,17 +928,22 @@ def internal(h_a, h_v, phi):
     return QuasiPolynomial.extended_internal(h_v, h_a, phi)
 
 
+PAPER_TUNINGS = st.one_of(  # (h_a or None for DCH, h_v, phi)
+    st.tuples(st.just(None), log_uniform(0.01, 10.0), st.floats(0.05, 0.3)),
+    st.tuples(log_uniform(1e-4, 1e3), log_uniform(0.03, 3.0), st.floats(0.05, 0.3)),
+)
+SEEDING_TUNINGS = st.one_of(
+    PAPER_TUNINGS,
+    st.tuples(log_uniform(1e-9, 1e-4), log_uniform(1.0, 1e3), st.floats(0.05, 0.3)),
+)
+
+
 class TestRootCountAgreesWithFixedGrid:
     """The adaptive count equals the 4096 + 8192-point scan it replaced on
-    the boxes that rightmost_root builds."""
+    the boxes that rightmost_root builds, and on random boxes near a root."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        data=st.one_of(
-            st.tuples(st.just(None), log_uniform(0.01, 10.0), st.floats(0.05, 0.3)),
-            st.tuples(log_uniform(1e-4, 1e3), log_uniform(0.03, 3.0), st.floats(0.05, 0.3)),
-        )
-    )
+    @given(data=PAPER_TUNINGS)
     def test_random_tunings(self, data):
         qp = internal(*data)
         boxes = []
@@ -946,19 +954,115 @@ class TestRootCountAgreesWithFixedGrid:
         (box,) = boxes
         assert count(*box)[0] == winding_number_reference(*box)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=PAPER_TUNINGS,
+        side=st.sampled_from([-1.0, 1.0]),
+        log_left=st.floats(-2.0, math.log10(0.5)),
+        log_height=st.floats(-2.0, 0.5),
+    )
+    def test_random_boxes_near_a_root(self, data, side, log_left, log_height):
+        """The left edge 0.01 to 0.5 (1 + |r|) to either side of the
+        rightmost root r, the top 0.01 to 3 (1 + |r|) above it: the
+        two-disc segment test counts what the fixed grids count."""
+        qp = internal(*data)
+        root = dp.rightmost_root(qp)
+        lo = root.real + side * 10.0**log_left * (1.0 + abs(root))
+        half = abs(root.imag) + 10.0**log_height * (1.0 + abs(root))
+        if half <= lo:
+            reject()
+        try:
+            want = winding_number_reference(qp, lo, half)
+        except dp.RefinementError:
+            reject()  # a root on or next to the contour: the grids disagree
+        assert analysis._root_count(qp, lo, half)[0] == want
+
+    def test_paper_range_boxes_take_few_evaluations(self, evaluations):
+        """A deterministic count, not a time: over 100 seeded paper-range
+        tunings, the two-disc test (|p(z0)| + |p(z1)| on the right) takes
+        25.3 evaluations per rightmost_root box on average, the one-disc
+        test (max(|p(z0)|, |p(z1)|)) took 41.6."""
+        rng = np.random.default_rng(0)
+        for k in range(100):
+            phi = rng.uniform(0.05, 0.3)
+            if k % 2:
+                qp = QuasiPolynomial.extended_internal(
+                    rng.uniform(0.2, 2.0), rng.uniform(0.05, 1.0), phi
+                )
+            else:
+                qp = QuasiPolynomial.dch_internal(rng.uniform(0.05, 0.5), phi)
+            dp.rightmost_root(qp)
+        assert len(evaluations) == 100
+        assert np.mean(evaluations) < 33.0
+
+
+class TestLocalMultiplicity:
+    """The Rouché test on the disk around each root."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=SEEDING_TUNINGS)
+    def test_agrees_with_the_256_point_circle(self, data):
+        """On every root that rightmost_root certifies, the multiplicity is
+        the winding of p on the 256-point circle it replaced."""
+        qp = internal(*data)
+        calls = []
+        multiplicity = analysis._local_multiplicity
+
+        def recording(qp, root, roots):
+            got = multiplicity(qp, root, roots)
+            calls.append((root, roots, got))
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_local_multiplicity", recording)
+            dp.rightmost_root(qp)
+        assert calls
+        for root, roots, got in calls:
+            assert got == local_multiplicity_reference(qp, root, roots)
+
+    def test_simple_root(self):
+        qp = QuasiPolynomial((1.0, 1.0), (), 0.0)  # lambda + 1
+        assert analysis._local_multiplicity(qp, -1.0 + 0.0j, [-1.0 + 0.0j]) == 1
+
+    def test_dch_double_root(self):
+        """h_v = e phi puts a double real root at -1 / phi."""
+        phi = 0.1
+        qp = QuasiPolynomial.dch_internal(math.e * phi, phi)
+        root = dp.rightmost_root(qp)
+        assert analysis._local_multiplicity(qp, root, [root]) == 2
+
+    def test_triple_root(self):
+        """(lambda + 1/2)^3: rho = 1.5e-5, and rho^3 = 3.4e-15 lies above
+        the rounding bound, _COUNT_ROUNDING times the monomial scale 1.0,
+        1.8e-15."""
+        qp = QuasiPolynomial((0.125, 0.75, 1.5, 1.0), (), 0.0)
+        assert analysis._local_multiplicity(qp, -0.5 + 0.0j, [-0.5 + 0.0j]) == 3
+
+    def test_triple_root_below_the_rounding_bound_is_refused(self):
+        """(lambda + 1)^3: on the disk of radius 2e-5 the leading term
+        rho^3 = 8e-15 lies below the rounding bound, _COUNT_ROUNDING times
+        the monomial scale 8, 1.4e-14, so no m is proved and the root is
+        refused, where the 256-point circle reads 3 within its tolerance."""
+        qp = QuasiPolynomial((1.0, 3.0, 3.0, 1.0), (), 0.0)
+        assert local_multiplicity_reference(qp, -1.0 + 0.0j, [-1.0 + 0.0j]) == 3
+        with pytest.raises(dp.RefinementError, match="could not certify the multiplicity"):
+            analysis._local_multiplicity(qp, -1.0 + 0.0j, [-1.0 + 0.0j])
+
+    def test_cluster_counts_both_roots_in_the_disk(self):
+        """(lambda + 1)(lambda + 1 + 1e-7) called with -1 alone: the disk of
+        radius 2e-5 holds both roots, so the multiplicity is 2.  The
+        remainder beyond order 1, rho^2 = 4e-10, is what rules out m = 1,
+        where |c_1| rho is only 2e-12."""
+        qp = QuasiPolynomial((1.0 + 1e-7, 2.0 + 1e-7, 1.0), (), 0.0)
+        assert analysis._local_multiplicity(qp, -1.0 + 0.0j, [-1.0 + 0.0j]) == 2
+
 
 class TestSeeding:
     """rightmost_root seeds from a 12-node generator and re-seeds once from
     24 nodes when that seeding fails its certificate."""
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        data=st.one_of(
-            st.tuples(st.just(None), log_uniform(0.01, 10.0), st.floats(0.05, 0.3)),
-            st.tuples(log_uniform(1e-4, 1e3), log_uniform(0.03, 3.0), st.floats(0.05, 0.3)),
-            st.tuples(log_uniform(1e-9, 1e-4), log_uniform(1.0, 1e3), st.floats(0.05, 0.3)),
-        )
-    )
+    @given(data=SEEDING_TUNINGS)
     def test_agrees_with_24_node_seeding(self, data):
         qp = internal(*data)
         root = dp.rightmost_root(qp)
@@ -967,13 +1071,13 @@ class TestSeeding:
             reference = dp.rightmost_root(qp)
         assert abs(root - reference) <= 1e-9 * abs(reference)
 
-    def test_dch_long_delay_needs_the_reseed(self, builds):
-        """At phi / h_v = 1e5 the 12-node seeds miss a pair inside the box;
-        the 24-node seeds give the principal Lambert-W root W_0(-phi / h_v)
-        / phi."""
+    def test_dch_long_delay_needs_no_reseed(self, builds):
+        """At phi / h_v = 1e5 the box margin, divided by phi, keeps out the
+        pairs that the 12-node seeds miss: the first seeding certifies the
+        principal Lambert-W root W_0(-phi / h_v) / phi."""
         h_v, phi = 1e-3, 100.0
         root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
-        assert builds == [12, 24]
+        assert builds == [12]
         want = complex(scipy.special.lambertw(-phi / h_v, 0)) / phi
         assert abs(root - complex(want.real, abs(want.imag))) <= 1e-9 * abs(want)
 
@@ -984,9 +1088,9 @@ class TestSeeding:
             (1e3, 1.0, 0.09252795119784595 + 0.02840713316930663j),
         ],
     )
-    def test_extended_long_delay_needs_the_reseed(self, builds, h_v, h_a, want):
+    def test_extended_long_delay_needs_no_reseed(self, builds, h_v, h_a, want):
         root = dp.rightmost_root(QuasiPolynomial.extended_internal(h_v, h_a, 100.0))
-        assert builds == [12, 24]
+        assert builds == [12]
         assert abs(root - want) <= 1e-9 * abs(want)
 
     def test_small_acceleration_headway_needs_no_reseed(self, builds):

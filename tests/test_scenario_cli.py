@@ -269,6 +269,25 @@ class TestSimulateCommand:
         assert err.startswith("error: RuntimeError: the run diverged: u1 = inf at t = 0.19 s")
         assert len(err.splitlines()) == 1 and not out.exists()
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("bogus_key = 1\n" + MINIMAL, "File contains no section headers. file: '<string>',"
+             " line: 1 'bogus_key = 1\\n'"),
+            (MINIMAL.replace("[sim]\n", "[sim]\nno equals sign\n"),
+             "Source contains parsing errors: '<string>' [line 3]: 'no equals sign\\n'"),
+        ],
+        ids=["key-before-any-section", "line-without-a-value"],
+    )
+    def test_parser_error_is_one_line(self, tmp_path, capsys, text, message):
+        """configparser words these errors over three lines; simulate prints
+        them on the one error line (found by fuzzing the bundled files)."""
+        scn, out = tmp_path / "bad.scn", tmp_path / "out.csv"
+        scn.write_text(text)
+        assert main(["simulate", str(scn), str(out)]) == 2
+        assert capsys.readouterr().err == f"error: ScenarioError: scenario parse error: {message}\n"
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.scn"), str(tmp_path / "o.csv")]) == 2
 
@@ -317,6 +336,24 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "proper (closed form): yes" in out
         assert "string stable: yes" in out
+
+    @pytest.mark.parametrize(
+        "h_v,phi,root",
+        [
+            ("3000", "1000", "-0.000619061+0j"),
+            ("30000", "10000", "-6.19061e-05+0j"),
+            ("150000", "50000", "-1.23812e-05+0j"),
+            ("300000", "100000", "-6.19061e-06+0j"),
+        ],
+    )
+    def test_long_delay_root_check_is_certified(self, capsys, h_v, phi, root):
+        """h_v = 3 phi: proper, with the rightmost root -0.619 / phi.  The
+        box margin, divided by phi, keeps the chain roots 2 pi / phi apart
+        out of the box, which took in thousands of them and stopped at
+        the evaluation cap."""
+        assert main(["analyze", "dch", "--hv", h_v, "--phi", phi]) == 0
+        out = capsys.readouterr().out
+        assert f"proper (root check): yes [rightmost root {root}]" in out
 
     def test_string_unstable(self, capsys):
         assert main(["analyze", "dch", "--hv", "0.25", "--phi", "0.15"]) == 1
@@ -772,6 +809,59 @@ def test_simulate_exit_code_contract(text):
     """simulate on any scenario exits 0, 2 or 3, never 1, with no traceback
     and no RuntimeWarning; on 0 it writes a CSV of finite numbers, on 2 or 3
     no file and one error line."""
+    assert_simulate_contract(text)
+
+
+BUNDLED = ["paper_constant.scn", "paper_dch.scn", "paper_extended.scn"]
+CORRUPT_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e400", "1e-300", "1e300", "x", "", "1.2.3"]
+
+
+@st.composite
+def malformed_scenarios(draw):
+    """A bundled scenario after one to three edits: a line deleted,
+    duplicated or swapped with another, a number corrupted (to a value of
+    CORRUPT_NUMBERS or by one changed digit), an unknown key inserted, or a
+    whole section removed."""
+    lines = bundled(draw(st.sampled_from(BUNDLED))).read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap", "number", "key", "section"]))
+        if edit == "delete" and len(lines) > 1:
+            del lines[k]
+        elif edit == "duplicate":
+            lines.insert(k, lines[k])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif edit == "number":
+            numbers = list(re.finditer(r"-?\d+(\.\d*)?(e-?\d+)?", lines[k]))
+            if numbers:
+                hit = draw(st.sampled_from(numbers))
+                digit = draw(st.sampled_from("0123456789"))
+                at = draw(st.integers(hit.start(), hit.end() - 1))
+                changed = (hit.group()[: at - hit.start()] + digit
+                           + hit.group()[at - hit.start() + 1:])
+                value = draw(st.sampled_from(CORRUPT_NUMBERS + [changed]))
+                lines[k] = lines[k][: hit.start()] + value + lines[k][hit.end():]
+        elif edit == "key":
+            lines.insert(k, "bogus_key = 1")
+        elif edit == "section":
+            heads = [i for i, line in enumerate(lines) if line.startswith("[")] + [len(lines)]
+            h = draw(st.integers(0, len(heads) - 2))
+            del lines[heads[h]:heads[h + 1]]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_scenarios())
+def test_malformed_bundled_scenarios_keep_the_exit_code_contract(text):
+    """simulate on a damaged bundled scenario exits 0, 2 or 3, never 1, with
+    no traceback and no RuntimeWarning, and on 2 or 3 with one error line
+    and no CSV."""
+    assert_simulate_contract(text)
+
+
+def assert_simulate_contract(text: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         scn, out = Path(tmp) / "s.scn", Path(tmp) / "out.csv"
         scn.write_text(text)
