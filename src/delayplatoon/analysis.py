@@ -2,7 +2,10 @@
 
 Covers the closed-loop velocity transfer magnitudes under perfect tracking
 (one array kernel), the string-stability frequency sweep (its peak certified
-between grid points by a cell bound on |1/T|^2), the rightmost root of the
+between grid points by a cell bound on |1/T|^2, on the grid's range), the
+extended policy's string-stability verdict on all of [0, inf) (one
+certified cell search on the factored margin (|T|^-2 - 1) / omega^2 up to
+the frequency past which |T| <= 1), the rightmost root of the
 one-delay internal dynamics p = a(lambda) + b(lambda) e^{-phi lambda}, deg b
 < deg a, with every evaluation of p running Horner over one cached row table
 (Newton seeded by the eigenvalues of a 12-node pseudospectral generator
@@ -32,6 +35,7 @@ __all__ = [
     "QuasiPolynomial",
     "transfer_magnitude",
     "string_stability_sweep",
+    "extended_string_stability",
     "rightmost_root",
     "properness_root_check",
     "stability_region_boundary",
@@ -280,7 +284,11 @@ def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> Stab
     1e-3, and split only where the cell bound needs it.  The peak is
     certified to PEAK_TOL between the grid's ends, except for refined_peak's
     unstable witness where the grid aliases |T| and the PEAK_EVAL_CAP
-    budget runs out.  Stable iff sup <= 1 + 1e-9.
+    budget runs out.  ``stable`` is that peak <= 1 + 1e-9, so it compares
+    the peak on the grid's range only: |T| may exceed 1 beyond omega_max
+    (extended tunings with h_v^2 > 10 h_a peak near h_v / h_a).
+    spacing.is_string_stable decides on all of [0, inf) instead, through
+    extended_string_stability.
     """
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
         return StabilityVerdict(True, "sweep", peak_omega=0.0, peak_magnitude=1.0)  # |T| = 1
@@ -288,6 +296,82 @@ def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> Stab
     return StabilityVerdict(
         bool(best_m <= 1.0 + SWEEP_TOL), "sweep", peak_omega=best_w, peak_magnitude=best_m
     )
+
+
+def extended_string_stability(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
+    """String stability of the extended policy on all of [0, inf), certified.
+
+    |T(i w)|^-2 - 1 = w^2 g(w), with the factored margin g = h_v^2 - 2 h_a
+    cos(w phi) + h_a^2 w^2 - 2 h_v h_a w sin(w phi).  For w >= w_t = (h_v +
+    sqrt(2 h_a)) / h_a, g >= (h_a w - h_v)^2 - 2 h_a >= 0, so |T| <= 1
+    there, and the tuning is stable iff w^2 g >= C = (1 + SWEEP_TOL)^-2 - 1
+    on [0, w_t], string_stability_sweep's threshold.  With s = h_v +
+    sqrt(2 h_a), g is evaluated as G = g / s^2 = v^2 - beta^2 cos(kappa u) +
+    u^2 - 2 v u sin(kappa u) at u = h_a w / s in [0, 1], where v = h_v / s,
+    beta = sqrt(2 h_a) / s and kappa = w_t phi: every term is at most 1, so
+    no h_a from 1e-300 to 1e305 overflows, and the rule reads u^2 G >= C /
+    lam^2, lam = s^2 / h_a.  |G''| <= M(u) = 2 + 4 v kappa + kappa^2 (beta^2
+    + 2 v u), nondecreasing (M(w) = 2 h_a phi^2 + 2 h_a^2 + 2 h_v h_a (2 phi
+    + w phi^2) on g).  From 16 uniform cells, a cell [a, b] is certified
+    when min(G(a), G(b)) - M(b) (b - a)^2 / 8 - rounding >= C / (lam b)^2
+    (Piyavskii 1972; Shubert, SIAM J. Numer. Anal. 9, 1972), the rounding
+    _COUNT_ROUNDING times G's term magnitudes at u = 1, widened by the phase
+    kappa as _root_count widens its own; every other cell is split into 16.
+    Once all are certified, the answer is stable with |T(0)| = 1 at omega 0,
+    a proof.  A point with u^2 G < C / lam^2 at which transfer_magnitude
+    confirms |T| > 1 + SWEEP_TOL is the unstable answer: witness_omega, with
+    |T| there as peak_magnitude, a lower bound of the peak, not refined.
+    The method is "sweep", as string_stability_sweep's.  RefinementError
+    after PEAK_EVAL_CAP points beyond the first 17, which long tails reach
+    (kappa above about 1e4; a proper tuning has kappa < 2.62), or where
+    kappa is not finite.  The scalars are Python floats, which overflow to
+    inf without a warning; an infinite curvature leaves every cell open.
+    """
+    if policy.kind is not PolicyKind.DELAYED_EXTENDED_HEADWAY:
+        raise ValueError("the factored margin applies to the extended policy only")
+    h_v, root_a, phi = policy.h_v, math.sqrt(policy.h_a), params.phi
+    s = h_v + math.sqrt(2.0) * root_a
+    v, beta2 = h_v / s, 2.0 * (root_a / s) ** 2
+    t = s / root_a  # sqrt(lam) >= sqrt(2); inf where h_v / sqrt(h_a) overflows
+    kappa, w_t = phi / root_a * t, t / root_a
+    if not math.isfinite(kappa):
+        raise RefinementError(f"peak not certified within {PEAK_EVAL_CAP} points")
+    floor = ((1.0 + SWEEP_TOL) ** -2 - 1.0) / (t * t) / (t * t)  # C / lam^2, -0.0 past overflow
+    rounding = _COUNT_ROUNDING * (1.0 + kappa) * ((v + 1.0) ** 2 + beta2)
+    sag0 = (2.0 + 4.0 * v * kappa + kappa * kappa * beta2) / 8.0  # M(b) / 8 = sag0 + sag1 b
+    sag1 = v * kappa * kappa / 4.0
+
+    def margin(u):
+        theta = kappa * u
+        return v * v - beta2 * np.cos(theta) + u * (u - 2.0 * v * np.sin(theta))
+
+    points = np.arange(17.0) / 16.0
+    values = margin(points)
+    lo, hi, g_lo, g_hi = points[:-1], points[1:], values[:-1], values[1:]
+    evaluated = 0
+    while True:
+        excess = points * points * values
+        k = excess.argmin()
+        if excess.flat[k] < floor:
+            omega = float(points.flat[k]) * w_t
+            if omega * max(phi, 1.0) < math.inf and (
+                    magnitude := transfer_magnitude(policy, params, omega)) > 1.0 + SWEEP_TOL:
+                return StabilityVerdict(False, "sweep", peak_magnitude=magnitude, witness_omega=omega)
+        width = hi - lo
+        bound = np.minimum(g_lo, g_hi) - (sag0 + sag1 * hi) * width * width - rounding
+        open_cells = np.flatnonzero(bound < floor / (hi * hi))
+        if not open_cells.size:
+            return StabilityVerdict(True, "sweep", peak_omega=0.0, peak_magnitude=1.0)
+        lo, hi, g_lo, g_hi = lo[open_cells], hi[open_cells], g_lo[open_cells], g_hi[open_cells]
+        if evaluated + lo.size * _SPLIT.size > PEAK_EVAL_CAP:
+            raise RefinementError(f"peak not certified within {PEAK_EVAL_CAP} points")
+        points = lo[:, None] + (hi - lo)[:, None] * _SPLIT
+        values = margin(points)
+        evaluated += values.size
+        edges = np.column_stack((lo, points, hi))
+        g_edges = np.column_stack((g_lo, values, g_hi))
+        lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        g_lo, g_hi = g_edges[:, :-1].ravel(), g_edges[:, 1:].ravel()
 
 
 BOX_MARGIN = 0.01  # the box reaches _box_margin(s*, phi) left of the rightmost root s*

@@ -163,7 +163,7 @@ def cmd_analyze(args) -> int:
     proper = is_proper(policy, params)
     try:
         stable = is_string_stable(policy, params)
-    except RefinementError as exc:  # an uncertified sweep peak
+    except RefinementError as exc:  # an undecided cell search
         stable = exc
 
     print(f"policy: {policy.kind.value} (h_v={policy.h_v}, h_a={policy.h_a})")
@@ -198,10 +198,11 @@ def cmd_analyze(args) -> int:
     if stable.method == "closed-form":
         print(f"string stable: {_yesno(stable.stable)} [closed form, margins={stable.margins}]")
     else:
-        print(
-            f"string stable: {_yesno(stable.stable)} [sweep, peak omega="
-            f"{stable.peak_omega:.6g}, |T|={stable.peak_magnitude:.9g}]"
-        )
+        if stable.witness_omega is None:
+            where = f"peak omega={stable.peak_omega:.6g}"
+        else:
+            where = f"witness omega={stable.witness_omega:.6g}"
+        print(f"string stable: {_yesno(stable.stable)} [sweep, {where}, |T|={stable.peak_magnitude:.9g}]")
     if proper.stable and stable.stable:
         print("verdict: proper and string stable")
         return EXIT_OK

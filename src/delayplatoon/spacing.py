@@ -10,8 +10,9 @@ states, Delta_ref = H x(t) + H_bar x(t + phi):
 
 Properness (bounded spacing, matched steady-state velocities under perfect
 tracking) and string stability are decided by the closed-form
-characterizations; the extended string-stability predicate falls back to the
-frequency sweep when its sufficient condition is inconclusive.
+characterizations; where the extended policy's sufficient pair fails, its
+string stability is decided by a certified cell search on all of [0, inf)
+(analysis.extended_string_stability).
 """
 
 from __future__ import annotations
@@ -113,7 +114,9 @@ class StabilityVerdict:
 
     method is one of "closed-form", "sweep", "root-search".  Depending on the
     method, the certificate is a rightmost root, a peak (omega, |T|) pair, a
-    witnessing frequency, or inequality margins (positive = satisfied).
+    witnessing frequency (for an unstable "sweep" verdict of
+    is_string_stable, with |T| there as peak_magnitude), or inequality
+    margins (positive = satisfied).
     """
 
     stable: bool
@@ -234,9 +237,13 @@ def is_string_stable(policy: SpacingPolicy, params: VehicleParams) -> StabilityV
 
     Constant: unconditionally stable.  Constant headway: stable iff
     h_v >= 2 phi (boundary included).  Extended: the closed-form sufficient
-    pair (h_a >= 2 h_v phi, h_v^2 >= 2 h_a) decides when it holds; otherwise
-    the frequency sweep decides, so an inconclusive closed form is never
-    reported as a failure.
+    pair (h_a >= 2 h_v phi, h_v^2 >= 2 h_a) decides when it holds, so an
+    inconclusive closed form is never reported as a failure; otherwise
+    analysis.extended_string_stability decides, method "sweep": a proof that
+    |T(i omega)| <= 1 + 1e-9 on all of [0, inf), or a witness frequency
+    above it.  It raises RefinementError where it cannot decide.
+    (analysis.string_stability_sweep compares the peak on its grid's range
+    only.)
     """
     phi = params.phi
     if policy.kind is PolicyKind.DELAYED_CONSTANT:
@@ -251,4 +258,4 @@ def is_string_stable(policy: SpacingPolicy, params: VehicleParams) -> StabilityV
         return StabilityVerdict(True, "closed-form", margins=(m1, m2))
     from . import analysis  # deferred: analysis imports this module's types
 
-    return replace(analysis.string_stability_sweep(policy, params), margins=(m1, m2))
+    return replace(analysis.extended_string_stability(policy, params), margins=(m1, m2))

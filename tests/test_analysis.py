@@ -420,6 +420,112 @@ class TestRefinedPeak:
         assert verdict.peak_magnitude == dp.transfer_magnitude(policy, params, verdict.peak_omega)
 
 
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+def _factored_margin(h_v, h_a, phi, w):
+    """g(w) = (|T(i w)|^-2 - 1) / w^2 of the extended policy, as written."""
+    return (h_v * h_v - 2.0 * h_a * np.cos(w * phi) + h_a * h_a * w * w
+            - 2.0 * h_v * h_a * w * np.sin(w * phi))
+
+
+class TestExtendedStringStability:
+    """The certified cell search on the factored margin g over [0, w_t],
+    w_t = (h_v + sqrt(2 h_a)) / h_a, past which |T| <= 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(h_v=st.floats(0.03, 3.2), h_a=log_uniform(1e-5, 1.0), phi=st.floats(0.05, 0.3),
+           t=st.floats(0.0, 1.0))
+    def test_curvature_bounds_a_central_difference(self, h_v, h_a, phi, t):
+        """M(w) = 2 h_a phi^2 + 2 h_a^2 + 2 h_v h_a (2 phi + w phi^2) bounds
+        |g''| on [0, w].  The central difference with step d is g''(xi)
+        for some |xi| <= w + d (g is even), up to its own rounding."""
+        w_t = (h_v + math.sqrt(2.0 * h_a)) / h_a
+        w, d = t * w_t, 1e-3 * w_t
+        second = (_factored_margin(h_v, h_a, phi, w + d) - 2.0 * _factored_margin(h_v, h_a, phi, w)
+                  + _factored_margin(h_v, h_a, phi, w - d)) / (d * d)
+        top = w + d
+        bound = 2.0 * h_a * phi * phi + 2.0 * h_a * h_a + 2.0 * h_v * h_a * (2.0 * phi + top * phi * phi)
+        terms = h_v * h_v + 2.0 * h_a + h_a * h_a * top * top + 2.0 * h_v * h_a * top
+        assert abs(second) <= bound + 16.0 * 2.0**-52 * terms / (d * d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(h_v=log_uniform(0.03, 3.2), h_a=log_uniform(1e-5, 1.0), phi=st.floats(0.05, 0.3))
+    @example(h_v=0.20183505447551872, h_a=3.0445314849422877e-05, phi=0.29195701276220537)
+    @example(h_v=0.24, h_a=1.6e-4, phi=0.088)
+    def test_agrees_with_a_dense_scan(self, h_v, h_a, phi):
+        """Proper and improper tunings alike, against 40,001 uniform points
+        of [0, 2 w_t]: a scanned |T| above 1 + SWEEP_TOL forces "no", a
+        "yes" has no such point, and a "no" carries a witness that
+        transfer_magnitude confirms.  Only a long tail, w_t phi above 1e4,
+        may be left undecided at the point budget."""
+        policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=h_v, h_a=h_a)
+        params = dp.VehicleParams(0.067, phi)
+        w_t = (h_v + math.sqrt(2.0 * h_a)) / h_a
+        try:
+            verdict = analysis.extended_string_stability(policy, params)
+        except dp.RefinementError as exc:
+            assert "peak not certified within" in str(exc)
+            assert w_t * phi > 1e4
+            return
+        assert verdict.method == "sweep"
+        if verdict.stable:
+            assert (verdict.peak_omega, verdict.peak_magnitude) == (0.0, 1.0)
+            scan = dp.transfer_magnitude(policy, params, np.linspace(0.0, 2.0 * w_t, 40001))
+            assert np.max(scan) <= 1.0 + analysis.SWEEP_TOL
+        else:
+            assert 0.0 < verdict.witness_omega < w_t
+            magnitude = dp.transfer_magnitude(policy, params, verdict.witness_omega)
+            assert verdict.peak_magnitude == magnitude > 1.0 + analysis.SWEEP_TOL
+
+    def test_flat_tops_are_certified_within_the_budget(self, monkeypatch):
+        """h_a = h_v^2 / 2, where D - 1 ~ w^4 at w = 0 (40 phi in [0.01, 3]
+        x 12 h_v in [0.01, 10]): every tuning is decided within 3,000 points
+        beyond the first 17, where refined_peak takes up to 24,390 beyond
+        its grid.  The stable ones take at most 330; the most, 2,520, goes
+        to an unstable tuning (h_v = 0.01, phi = 1.0067) whose first 257
+        points step pi/2 in phase and miss its lobes."""
+        monkeypatch.setattr(analysis, "PEAK_EVAL_CAP", 3000)
+        verdicts = [
+            analysis.extended_string_stability(
+                dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=h_v, h_a=h_v * h_v / 2.0),
+                dp.VehicleParams(0.067, phi),
+            ).stable
+            for phi in np.linspace(0.01, 3.0, 40).tolist()
+            for h_v in np.logspace(-2.0, 1.0, 12).tolist()
+        ]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize(
+        "r,psi,stable",
+        [(2.4, 0.3, True), (3.0, 0.2, True), (2.0, 0.6, False), (1e-4, 1.5e-5, False)],
+        ids=["stable", "stable-2", "unstable", "low-band"],
+    )
+    def test_scale_free_from_1e_minus_300_to_1e305(self, r, psi, stable):
+        """The verdict depends on h_v / sqrt(h_a) and phi / sqrt(h_a) only:
+        the same proper tuning, scaled from h_a = 1e-300 to 1e305, gets the
+        same verdict and witness u = h_a w / s, with no RuntimeWarning."""
+        witnesses = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h_a in 10.0 ** np.arange(-300, 306, 5.0):
+                root = math.sqrt(h_a)
+                policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=r * root, h_a=h_a)
+                params = dp.VehicleParams(0.067, psi * root)
+                assert dp.is_proper(policy, params).stable
+                verdict = analysis.extended_string_stability(policy, params)
+                assert verdict.stable is stable
+                if not stable:
+                    witnesses.append(verdict.witness_omega * root / (r + math.sqrt(2.0)))
+                    assert verdict.peak_magnitude > 1.0 + analysis.SWEEP_TOL
+        assert np.ptp(witnesses or [0.0]) <= 1e-12
+
+    def test_rejects_the_other_policies(self, ref_params):
+        with pytest.raises(ValueError, match="extended policy only"):
+            analysis.extended_string_stability(DCH, ref_params)
+
+
 class TestQuasiPolynomialEvaluation:
     """Every evaluation of p runs Horner over the one row table."""
 
@@ -916,10 +1022,6 @@ class TestWindingCertificate:
         with pytest.raises(dp.RefinementError, match="did not converge within 20000 evaluations"):
             analysis._root_count(qp, -1.0, 2.0)
         assert analysis._root_count(qp, -1.5, 2.0)[0] == 2
-
-
-def log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
 
 
 def internal(h_a, h_v, phi):

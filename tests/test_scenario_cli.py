@@ -395,23 +395,30 @@ class TestAnalyzeCommand:
         assert out.splitlines()[-1] == "verdict: not string stable"
 
     @pytest.mark.parametrize(
-        "argv,line",
+        "argv,line,verdict",
         [
-            (["--hv", "2.00001e11", "--ha", "2.00001e11", "--phi", "2.00001e11"], "string stable: yes"),
+            (["--hv", "2.00001e11", "--ha", "2.00001e11", "--phi", "2.00001e11"],
+             "string stable: inconclusive [RefinementError: peak not certified",
+             "verdict: not proper"),
             (["--hv", "40", "--ha", "35", "--phi", "2e6"],
-             "string stable: inconclusive [RefinementError: peak not certified"),
+             "string stable: no [sweep, witness omega=1.13933, |T|=1.812956",
+             "verdict: not proper, not string stable"),
         ],
         ids=["2.00001e11", "phi-2e6"],
     )
-    def test_uncertified_sweep_follows_closed_form(self, capsys, argv, line):
-        """A sweep that cannot certify its peak is reported as inconclusive,
-        and the closed form's "not proper" still gives the verdict, exit 1."""
+    def test_uncertified_sweep_follows_closed_form(self, capsys, argv, line, verdict):
+        """Long tails: the cell search on [0, w_t] spans w_t phi = 2e11 and
+        2.8e6 radians of phase.  The first cannot be decided within the
+        point budget and is reported as inconclusive (the old log grid
+        stopped at 3e-10 rad/s and read "yes"); the second has a witness
+        among the first 273 points (the old sweep was inconclusive).  Either
+        way the closed form's "not proper" gives the verdict, exit 1."""
         assert main(["analyze", "ext", *argv]) == 1
         out, err = capsys.readouterr()
         assert err == ""
         assert "proper (closed form): no" in out
         assert any(ln.startswith(line) for ln in out.splitlines()), out
-        assert out.splitlines()[-1] == "verdict: not proper"
+        assert out.splitlines()[-1] == verdict
 
     @pytest.mark.parametrize(
         "argv",
@@ -434,11 +441,12 @@ class TestAnalyzeCommand:
         assert out.splitlines()[-1] == "verdict: proper and string stable"
 
     def test_uncertified_sweep_on_a_proper_tuning_exits_3(self, capsys, monkeypatch):
-        """No verdict without the sweep where the closed form says proper."""
+        """No verdict without the cell search where the closed form says
+        proper and its sufficient pair fails."""
         def uncertified(*args):
             raise RefinementError("peak not certified within 20000 points")
 
-        monkeypatch.setattr(analysis, "refined_peak", uncertified)
+        monkeypatch.setattr(analysis, "extended_string_stability", uncertified)
         assert main(["analyze", "ext", "--hv", "1.2", "--ha", "0.25"]) == 3
         out, err = capsys.readouterr()
         assert out.splitlines()[-1] == (
@@ -447,11 +455,59 @@ class TestAnalyzeCommand:
         assert err == "error: RefinementError: peak not certified within 20000 points\n"
 
     def test_overflowing_top_frequency_gives_a_finite_peak(self, capsys):
-        """10 / h_v overflows at h_v = 1e-320; the sweep still finds the
-        peak of 1 / |1 - w^2 e^{i w phi}|."""
+        """10 / h_v overflows at h_v = 1e-320, which the cell search never
+        needs: it spans [0, w_t], w_t = sqrt(2), and stops at its first
+        witness of 1 / |1 - w^2 e^{i w phi}| > 1 instead of refining the
+        peak (6.74729856 at 0.988966)."""
         assert main(["analyze", "ext", "--hv", "1e-320", "--ha", "1"]) == 1
         out = capsys.readouterr().out
-        assert "string stable: no [sweep, peak omega=0.988966, |T|=6.74729856]" in out
+        assert "string stable: no [sweep, witness omega=0.972272, |T|=6.58501" in out
+        policy = dp.SpacingPolicy(dp.PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1e-320, h_a=1.0)
+        params = dp.VehicleParams(0.067, 0.15)
+        verdict = dp.is_string_stable(policy, params)
+        magnitude = dp.transfer_magnitude(policy, params, verdict.witness_omega)
+        assert verdict.peak_magnitude == magnitude > 1.0 + analysis.SWEEP_TOL
+
+    @pytest.mark.parametrize(
+        "argv,omega",
+        [
+            (["--hv", "0.20183505447551872", "--ha", "3.0445314849422877e-05",
+              "--phi", "0.29195701276220537"], 6633.82),
+            (["--hv", "0.2", "--ha", "5e-4", "--phi", "0.3"], 403.127),
+        ],
+        ids=["w-6634", "w-403"],
+    )
+    def test_peak_beyond_the_sweep_grid_is_a_witness(self, capsys, argv, omega):
+        """|T| exceeds 1 near h_v / h_a, past the sweep grid's top of max(10
+        / h_v, 20 pi / phi), about 216 rad/s here, so the grid-limited
+        verdict read "yes".  The cell search spans [0, w_t] and prints a
+        witness that transfer_magnitude confirms."""
+        assert main(["analyze", "ext", *argv]) == 1
+        out = capsys.readouterr().out
+        assert f"string stable: no [sweep, witness omega={omega:.6g}, |T|=" in out
+        assert out.splitlines()[-1] == "verdict: not proper, not string stable"
+        values = dict(zip(argv[::2], map(float, argv[1::2])))
+        policy = dp.SpacingPolicy(
+            dp.PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=values["--hv"], h_a=values["--ha"]
+        )
+        params = dp.VehicleParams(0.067, values["--phi"])
+        verdict = dp.is_string_stable(policy, params)
+        assert verdict.witness_omega > analysis.default_sweep_grid(policy, params)[-1]
+        magnitude = dp.transfer_magnitude(policy, params, verdict.witness_omega)
+        assert verdict.peak_magnitude == magnitude > 1.0 + analysis.SWEEP_TOL
+        assert analysis.string_stability_sweep(policy, params).stable  # the grid's range only
+
+    def test_improper_tuning_below_one_on_all_frequencies_reads_yes(self, capsys):
+        """Not proper, yet |T(i w)| <= 1 + 1e-9 on all of [0, inf), which the
+        cell search proves: it reads "string stable: yes" next to "verdict:
+        not proper".  Its poles lie in the right half-plane, so it has no
+        finite L2 gain; this stays "yes" until a "not proper => not string
+        stable" gate decides such tunings before the frequency response."""
+        assert main(["analyze", "ext", "--hv", "0.24", "--ha", "1.6e-4", "--phi", "0.088"]) == 1
+        out = capsys.readouterr().out
+        assert "proper (closed form): no" in out
+        assert "string stable: yes [sweep, peak omega=0, |T|=1]" in out
+        assert out.splitlines()[-1] == "verdict: not proper"
 
     def test_huge_acceleration_headway_is_never_a_root_check_no(self):
         """At h_a = 1e305 the internal roots sit near 1e-153, too small for
@@ -612,7 +668,7 @@ class TestSweepCommand:
             _, rows = read_csv(out)
             assert err == "" and np.all(np.isfinite(rows)) and math.isfinite(rows[-1, 0] * 2.0)
         else:
-            assert "string stable: no [sweep, peak omega=" in stdout
+            assert "string stable: no [sweep, witness omega=" in stdout
 
     def test_custom_range(self, tmp_path):
         out = tmp_path / "sweep.csv"
