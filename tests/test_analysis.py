@@ -276,13 +276,14 @@ def _second_derivative(policy, params, w):
 
 def _count_evaluations(monkeypatch) -> list[int]:
     """Sizes of the arrays refined_peak evaluates, one entry per call: the
-    grid's, then one per level of splits."""
+    grid's, then the graded cells' and one per level of splits.  The scalar
+    Newton steps run on slopes, which is not counted."""
     sizes = []
     kernel = analysis.magnitude_kernel
 
     def counting(policy, params):
-        parts, curvature = kernel(policy, params)
-        return (lambda w: sizes.append(np.size(w)) or parts(w)), curvature
+        parts, curvature, slopes = kernel(policy, params)
+        return (lambda w: sizes.append(np.size(w)) or parts(w)), curvature, slopes
 
     monkeypatch.setattr(analysis, "magnitude_kernel", counting)
     return sizes
@@ -319,13 +320,39 @@ class TestRefinedPeak:
         else:
             policy = dp.SpacingPolicy(DCH.kind, h_v=h_v)
         params = dp.VehicleParams(0.067, phi)
-        _, curvature = analysis.magnitude_kernel(policy, params)
+        _, curvature, _ = analysis.magnitude_kernel(policy, params)
         bound = curvature(w_hi)
         second = _second_derivative(policy, params, t * w_hi)
         assert abs(second) <= bound * (1.0 + 1e-12)  # both sides rounded
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        extended=st.booleans(), h_v=st.floats(0.05, 3.0), log_h_a=st.floats(-4.0, 0.0),
+        phi=st.floats(0.05, 0.3), log_w=st.floats(-3.0, 2.5),
+    )
+    def test_slopes_match_central_differences(self, extended, h_v, log_h_a, phi, log_w):
+        """slopes' D, D' and D'' against D = |1/T|^2 from parts and its
+        central differences, with a step of 1e-4 of the frequency and of the
+        phase's period (truncation about 1e-8 curvature(w)), and D''
+        against the closed form differentiated by hand."""
+        if extended:
+            policy = dp.SpacingPolicy(EXT.kind, h_v=h_v, h_a=10.0**log_h_a)
+        else:
+            policy = dp.SpacingPolicy(DCH.kind, h_v=h_v)
+        params = dp.VehicleParams(0.067, phi)
+        parts, curvature, slopes = analysis.magnitude_kernel(policy, params)
+        w = 10.0**log_w
+        h = 1e-4 * w / (1.0 + w * phi)
+        below, at, above = np.hypot(*parts(np.array([w - h, w, w + h]))) ** 2
+        d, d1, d2 = slopes(w)
+        m = curvature(w)
+        assert d == pytest.approx(at, rel=1e-14)
+        assert abs(d1 - (above - below) / (2.0 * h)) <= 2e-6 * m * w + 4e-14 * d / h
+        assert abs(d2 - (above - 2.0 * at + below) / (h * h)) <= 2e-6 * m + 4e-14 * d / (h * h)
+        assert abs(d2 - _second_derivative(policy, params, w)) <= 1e-13 * m * (1.0 + w * phi) ** 2
+
     def test_points_beyond_the_grid_are_few(self, monkeypatch):
-        """Ten maxima cost one array call for the grid and a few levels of
+        """Ten maxima cost one array call for the grid, then graded cells and
         16-way splits: at most 150 points beyond the grid, where one
         golden-section search per maximum took about 380 evaluations."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.05)
@@ -337,6 +364,82 @@ class TestRefinedPeak:
         w, m, _ = analysis.refined_peak(policy, params, grid)
         assert sizes[0] == grid.size and 0 < sum(sizes[1:]) <= 150
         assert m > np.max(mags)
+
+    @pytest.mark.parametrize("family", ["dch-unstable", "dch-near", "ext-unstable", "ext-near"])
+    def test_interior_peaks_take_two_array_calls(self, monkeypatch, family):
+        """Where the grid's best point is interior, the graded cells and at
+        most one level of splits certify the peak: at most two array calls
+        beyond the grid (16-way splits alone took up to 8), on 40 seeded
+        tunings each of DCH and the extended policy, unstable and within
+        1e-2 of the properness boundary."""
+        rng = np.random.default_rng(27)
+        sizes = _count_evaluations(monkeypatch)
+        interior = 0
+        for _ in range(40):
+            phi = float(rng.uniform(0.05, 0.3))
+            if family == "dch-unstable":
+                policy = dp.SpacingPolicy(DCH.kind, h_v=2.0 * phi * float(rng.uniform(1.2 / math.pi, 0.9)))
+            elif family == "dch-near":
+                margin = float(rng.choice((-1.0, 1.0)) * rng.uniform(2e-4, 5e-3))
+                policy = dp.SpacingPolicy(DCH.kind, h_v=(2.0 * phi + margin) / math.pi)
+            elif family == "ext-unstable":
+                policy = dp.SpacingPolicy(
+                    EXT.kind, h_v=float(rng.uniform(0.2, 2.0)), h_a=float(rng.uniform(0.05, 1.0))
+                )
+            else:  # (h_v / h_a, 1 / h_a) scaled off the boundary (w sin w, w^2 cos w) / phi
+                w, scale = float(rng.uniform(0.1, 1.5)), 1.0 + float(rng.uniform(-1e-2, 1e-2))
+                h_a = phi * phi / (w * w * math.cos(w)) * scale
+                policy = dp.SpacingPolicy(EXT.kind, h_v=h_a * w * math.sin(w) / phi, h_a=h_a)
+            params = dp.VehicleParams(0.067, phi)
+            grid = analysis.default_sweep_grid(policy, params)
+            sizes.clear()
+            _, m, mags = analysis.refined_peak(policy, params, grid)
+            if 0 < np.argmax(mags) < grid.size - 1:
+                interior += 1
+                assert m > 1.0 + analysis.SWEEP_TOL
+                assert len(sizes) - 1 <= 2, (policy, phi, sizes)
+        assert interior >= 15
+
+    def test_graded_points_count_toward_the_cap(self, monkeypatch):
+        """Under any cap the points beyond the grid, the graded ones
+        included, stay within it: below the graded cells' count they are
+        left out, and the unstable tuning still returns its witness, while
+        the tangent one, whose peak lies at the grid's start, still raises."""
+        params = dp.VehicleParams(0.067, 0.15)
+        unstable = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.29)
+        tangent = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.3)
+        grid = analysis.default_sweep_grid(unstable, params)
+        sizes = _count_evaluations(monkeypatch)
+        analysis.refined_peak(unstable, params, grid)
+        graded = sizes[1]
+        assert len(sizes) == 3 and graded > 16
+        for cap in (0, 1, graded - 1, graded, graded + 1, sum(sizes[1:]) - 1):
+            monkeypatch.setattr(analysis, "PEAK_EVAL_CAP", cap)
+            sizes.clear()
+            w, m, _ = analysis.refined_peak(unstable, params, grid)
+            assert sum(sizes[1:]) <= cap and (sizes[1:2] == [graded]) == (cap >= graded)
+            assert m > 1.0 + analysis.SWEEP_TOL and m == dp.transfer_magnitude(unstable, params, w)
+            with pytest.raises(dp.RefinementError, match="not certified"):
+                analysis.refined_peak(tangent, params, analysis.default_sweep_grid(tangent, params))
+
+    def test_tiny_coefficients_keep_the_curvature_bound(self):
+        """h_a^2 and h_v h_a underflow to 0 at h_v = 1.3e-120, h_a = 8.3e-242,
+        but (h_a w)^2 and h_v (h_a w) do not where w ~ 1e121: the bound
+        keeps those terms, and the sweep finds the peak of its scaled twin,
+        1.032 at w = 1.6e121, where products formed first read "stable,
+        peak 1.0 at 0.001"."""
+        h_v, h_a, phi = 1.3049464513307894e-120, 8.267695913403755e-242, 9.144831196986179e-122
+        policy = dp.SpacingPolicy(EXT.kind, h_v=h_v, h_a=h_a)
+        params = dp.VehicleParams(0.067, phi)
+        verdict = dp.string_stability_sweep(policy, params)
+        assert not verdict.stable and 1e121 < verdict.peak_omega < 1e122
+        assert verdict.peak_magnitude == dp.transfer_magnitude(policy, params, verdict.peak_omega)
+        root = math.sqrt(h_a)
+        twin = dp.string_stability_sweep(
+            dp.SpacingPolicy(EXT.kind, h_v=h_v / root, h_a=1.0), dp.VehicleParams(0.067, phi / root)
+        )
+        assert twin.peak_magnitude > 1.03
+        assert verdict.peak_magnitude == pytest.approx(twin.peak_magnitude, rel=1e-12)
 
     @pytest.mark.parametrize(
         "family",
