@@ -807,9 +807,10 @@ class TestPropernessRootCheck:
     def test_extended_small_acceleration_headway(self, ref_params, h_a):
         """The root near -1/h_v cancels h_v lambda + 1, and the unstable roots
         near W_0(-phi h_v / h_a) / phi lie beyond 5 / phi.  At h_a = 2e-9 the
-        rightmost pair, 102.6+19.7j, has |lambda| phi of about 16, where a
-        12-node generator's seed for it (98.7+15.9j) falls left of the seed
-        stop."""
+        rightmost pair, 102.6+19.7j, has |lambda| phi of about 16, where the
+        6-node generator's top seed, 57.1+16.1j, lies 45 left of it, and the
+        seed of the next pair in the box, 101.8+59.3j, is 44.1+47.8j: only
+        the seed stop widened by Newton's drift keeps it."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=h_a)
         verdict = dp.properness_root_check(policy, ref_params)
         assert verdict.stable == dp.is_proper(policy, ref_params).stable
@@ -836,8 +837,8 @@ class TestPropernessRootCheck:
         assert verdict.stable == dp.is_proper(policy, ref_params).stable
 
     def test_spurious_right_eigenvalues_are_filtered(self):
-        """The 12-node generator's top eigenvalue here, 38.2+106j, is
-        spurious: |e| > R(Re e).  Newton from it lands on 20.01+49.39j, a
+        """The 6-node generator's top eigenvalue here, 92.7+85.0j, is
+        spurious: |e| > R(Re e).  Newton from it lands on 21.36+28.86j, a
         root left of the rightmost one."""
         policy = dp.SpacingPolicy(
             PolicyKind.DELAYED_EXTENDED_HEADWAY,
@@ -873,7 +874,7 @@ class TestGeneratorMatrix:
     directly from the scaled nodes, at the seeding and the re-seeding
     node counts."""
 
-    @pytest.mark.parametrize("nodes", [12, 24])
+    @pytest.mark.parametrize("nodes", [6, 24])
     @pytest.mark.parametrize("phi", [0.0, 1e-3, 0.05, 0.15, 0.3, 2.0])
     @pytest.mark.parametrize(
         "make",
@@ -892,11 +893,11 @@ class TestGeneratorMatrix:
         assert matrix.shape == reference.shape
         assert np.max(np.abs(matrix - reference)) <= 1e-13 * np.max(np.abs(reference))
 
-    def test_default_seeding_uses_12_nodes(self):
+    def test_default_seeding_uses_6_nodes(self):
         qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
-        assert analysis._generator_matrix(qp).shape == (26, 26)
+        assert analysis._generator_matrix(qp).shape == (14, 14)
         qp = QuasiPolynomial.dch_internal(0.4, 0.15)
-        assert analysis._generator_matrix(qp).shape == (13, 13)
+        assert analysis._generator_matrix(qp).shape == (7, 7)
 
     def test_cached_block_is_read_only(self):
         block = analysis._chebyshev_block(2, 12)
@@ -1081,7 +1082,7 @@ class TestWindingCertificate:
 
     def test_missing_roots_fail_the_certificate_without_retry(self, monkeypatch, builds):
         """A root the eigenvalue seeds miss is a RefinementError after two
-        generator builds, the 12-node seeding and its one 24-node re-seed,
+        generator builds, the 6-node seeding and its one 24-node re-seed,
         not a search repeated on ever finer generators: without the
         rightmost pair, the box around the next one still holds it."""
         second = complex(scipy.special.lambertw(-0.15 / 0.4, 1)) / 0.15
@@ -1089,10 +1090,10 @@ class TestWindingCertificate:
             analysis, "_polish_eigenvalues", lambda qp, gen: [complex(second.real, abs(second.imag))]
         )
         qp = QuasiPolynomial.dch_internal(0.4, 0.15)
-        message = r"^winding count \d+ != \d+ roots found .*; seeded from 12, then 24 Chebyshev"
+        message = r"^winding count \d+ != \d+ roots found .*; seeded from 6, then 24 Chebyshev"
         with pytest.raises(dp.RefinementError, match=message):
             dp.rightmost_root(qp)
-        assert builds == [12, 24]
+        assert builds == [6, 24]
 
     def test_box_count(self):
         """The principal pair of lambda + e^{-0.15 lambda} / 0.4, -6.58 +-
@@ -1141,6 +1142,7 @@ SEEDING_TUNINGS = st.one_of(
     PAPER_TUNINGS,
     st.tuples(log_uniform(1e-9, 1e-4), log_uniform(1.0, 1e3), st.floats(0.05, 0.3)),
 )
+CENSUS_FAMILIES = ("paper", "wide", "dch-double", "dch-boundary")
 
 
 class TestRootCountAgreesWithFixedGrid:
@@ -1263,7 +1265,7 @@ class TestLocalMultiplicity:
 
 
 class TestSeeding:
-    """rightmost_root seeds from a 12-node generator and re-seeds once from
+    """rightmost_root seeds from a 6-node generator and re-seeds once from
     24 nodes when that seeding fails its certificate."""
 
     @settings(max_examples=80, deadline=None)
@@ -1276,13 +1278,59 @@ class TestSeeding:
             reference = dp.rightmost_root(qp)
         assert abs(root - reference) <= 1e-9 * abs(reference)
 
+    @pytest.mark.parametrize("family", CENSUS_FAMILIES)
+    def test_census_certifies_from_one_6_node_build(self, builds, family):
+        """A seeding census, 75 seeded draws a family: the paper's ranges;
+        phi log-uniform on [1e-3, 1e3] with h_v / phi on [1e-2, 1e2] and h_a /
+        (h_v phi) on [1e-3, 1e3], a third DCH; DCH near the double real root,
+        h_v in e phi [1.01, 1.5]; and DCH within 1e-3 of the boundary h_v = 2
+        phi / pi.  Each certifies from the 6-node seeds alone, and its root is
+        the 12-node seeding's to 1e-11."""
+        rng = np.random.default_rng(CENSUS_FAMILIES.index(family))
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        for k in range(75):
+            if family == "paper":
+                phi = rng.uniform(0.05, 0.3)
+                if k % 2:
+                    qp = QuasiPolynomial.extended_internal(
+                        log_uniform(0.03, 3.0), log_uniform(1e-4, 1e3), phi
+                    )
+                else:
+                    qp = QuasiPolynomial.dch_internal(log_uniform(0.01, 10.0), phi)
+            elif family == "wide":
+                phi = log_uniform(1e-3, 1e3)
+                h_v = phi * log_uniform(1e-2, 1e2)
+                if k % 3:
+                    qp = QuasiPolynomial.extended_internal(
+                        h_v, h_v * phi * log_uniform(1e-3, 1e3), phi
+                    )
+                else:
+                    qp = QuasiPolynomial.dch_internal(h_v, phi)
+            else:
+                phi = log_uniform(1e-2, 1e2)
+                if family == "dch-double":
+                    h_v = math.e * phi * rng.uniform(1.01, 1.5)
+                else:
+                    h_v = 2.0 * phi / math.pi * (1.0 + rng.uniform(-1e-3, 1e-3))
+                qp = QuasiPolynomial.dch_internal(h_v, phi)
+            builds.clear()
+            root = dp.rightmost_root(qp)
+            assert builds == [6], qp
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analysis, "_SEED_NODES", 12)
+                reference = dp.rightmost_root(qp)
+            assert abs(root - reference) <= 1e-11 * abs(reference), qp
+
     def test_dch_long_delay_needs_no_reseed(self, builds):
         """At phi / h_v = 1e5 the box margin, divided by phi, keeps out the
-        pairs that the 12-node seeds miss: the first seeding certifies the
+        pairs that the 6-node seeds miss: the first seeding certifies the
         principal Lambert-W root W_0(-phi / h_v) / phi."""
         h_v, phi = 1e-3, 100.0
         root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
-        assert builds == [12]
+        assert builds == [6]
         want = complex(scipy.special.lambertw(-phi / h_v, 0)) / phi
         assert abs(root - complex(want.real, abs(want.imag))) <= 1e-9 * abs(want)
 
@@ -1295,18 +1343,18 @@ class TestSeeding:
     )
     def test_extended_long_delay_needs_no_reseed(self, builds, h_v, h_a, want):
         root = dp.rightmost_root(QuasiPolynomial.extended_internal(h_v, h_a, 100.0))
-        assert builds == [12]
+        assert builds == [6]
         assert abs(root - want) <= 1e-9 * abs(want)
 
     def test_small_acceleration_headway_needs_no_reseed(self, builds):
-        """The widened seed stop keeps the 12-node seeds of the pairs inside
+        """The widened seed stop keeps the 6-node seeds of the pairs inside
         the box (see test_extended_small_acceleration_headway)."""
         dp.rightmost_root(QuasiPolynomial.extended_internal(1.0, 2e-9, 0.15))
-        assert builds == [12]
+        assert builds == [6]
 
     @pytest.mark.parametrize("h_v", [0.01, 0.1, 1.0])
     def test_huge_acceleration_headway_pair_from_the_generator(self, h_v):
-        """At h_a = 1e26 the 12-node generator seeds the pair near +-i
+        """At h_a = 1e26 the 6-node generator seeds the pair near +-i
         h_a^{-1/2}, which the 24-node one loses in its rounding at these
         h_v: the root is the closed-form pair of h_a lambda^2 + (h_v - phi)
         lambda + 1, not the delay-free fallback's real artifact.  Its real
