@@ -14,9 +14,11 @@ built from a cached Chebyshev block, certified by one adaptive
 argument-principle count over the upper half of a conjugate-symmetric box
 that the modulus bound R(s) sizes, its segments accepted by a two-disc
 test, against the roots found with the multiplicity a scalar Rouché test
-proves for each; a failed certificate is re-seeded once from 24 nodes, and
-a second failure raises RefinementError), the properness region boundary,
-and the time-domain L2 string-stability check.
+proves for each; a failed certificate, or a seeding none of whose seeds
+converges, is re-seeded once from 24 nodes, and a second failure raises
+RefinementError), the properness root check (inconclusive where the root
+lies within rounding of the axis), the properness region boundary, and the
+time-domain L2 string-stability check.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ __all__ = [
 SWEEP_TOL = 1e-9  # sup |T| <= 1 + SWEEP_TOL counts as string stable
 SWEEP_POINTS = 256  # points of the default sweep grid: refined_peak's first cells
 OMEGA_CAP = 1e308  # largest top frequency of the default sweep grid
-ROOT_STABLE_TOL = 1e-9  # Re(rightmost) < -ROOT_STABLE_TOL |rightmost| counts as stable
+ROOT_STABLE_TOL = 1e-9  # |Re(rightmost)| <= ROOT_STABLE_TOL |rightmost| is inconclusive
 
 
 @dataclass(frozen=True)
@@ -644,9 +646,7 @@ def _generator_matrix(qp: QuasiPolynomial, nodes: int = _SEED_NODES) -> np.ndarr
     return matrix
 
 
-def _polish_eigenvalues(
-    qp: QuasiPolynomial, generator: np.ndarray, axis_floor: float = 0.0
-) -> list[complex]:
+def _polish_eigenvalues(qp: QuasiPolynomial, generator: np.ndarray) -> list[complex]:
     """Distinct roots, Newton-polished from the generator's eigenvalues.
 
     Eigenvalues e with Im >= 0 and |e| <= R(Re e) seed damped Newton from
@@ -659,10 +659,9 @@ def _polish_eigenvalues(
     much as it misplaces its neighbours.  A conjugate pair closer than the
     dedupe distance (as a double real root discretizes) seeds its real part
     first.  Roots are folded into the upper half plane, snapped onto the
-    real axis where |Im| <= 1e-9 (axis_floor + |root|), and deduplicated.
-    With axis_floor = 0 the snap is relative, so a small complex pair (h_a
-    lambda^2 + (h_v - phi) lambda + 1 at h_a = 1e20: -4.25e-21 +- 1e-10 i)
-    keeps its imaginary part.
+    real axis where |Im| <= 1e-9 |root|, and deduplicated.  The snap is
+    relative, so a small complex pair (h_a lambda^2 + (h_v - phi) lambda +
+    1 at h_a = 1e20: -4.25e-21 +- 1e-10 i) keeps its imaginary part.
     """
     eigs = np.linalg.eigvals(generator)
     eigs = eigs[(eigs.imag >= 0.0) & (np.abs(eigs) <= _root_bound(qp, eigs.real))]
@@ -683,7 +682,7 @@ def _polish_eigenvalues(
             if lam.imag < 0.0:  # conjugate symmetry: fold into the upper half plane
                 lam = lam.conjugate()
             drift = max(drift, abs(lam - seed) / (1.0 + abs(seed)))
-            if abs(lam.imag) <= 1e-9 * (axis_floor + abs(lam)):
+            if abs(lam.imag) <= 1e-9 * abs(lam):
                 lam = complex(lam.real, 0.0)
             if any(abs(lam - r) <= 1e-6 * (1.0 + abs(r)) for r in roots):
                 continue
@@ -796,40 +795,35 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
     eigenvalues converge spectrally in the node count (Breda, Maset &
     Vermiglio 2005): over 20,000 seeded tunings with phi from 1e-3 to 1e3,
     none needed the re-seed, and each root was the 12-node seeding's to
-    2e-12 relative.  Every root with Re >= lo = s* -
-    _box_margin(s*, phi) has modulus below R(lo), so the box [lo, R] x
-    [-R, R] holds all of them: the adaptive argument-principle count over
-    the upper half of its boundary (_root_count; the box is symmetric about
-    the real axis, so half the walk counts every root) must equal the
-    polished roots right of lo, conjugates included, with the multiplicity
-    of each proved by Rouché's theorem on a small disk
-    (_local_multiplicity).  Then no root lies right of s*.
+    2e-12 relative; tunings with h_a / (h_v phi) near 4e-11 do need it.
+    Every root with Re >= lo = s* - _box_margin(s*, phi) has modulus below
+    R(lo), so the box [lo, R] x [-R, R] holds all of them: the adaptive
+    argument-principle count over the upper half of its boundary
+    (_root_count; the box is symmetric about the real axis, so half the
+    walk counts every root) must equal the polished roots right of lo,
+    conjugates included, with the multiplicity of each proved by Rouché's
+    theorem on a small disk (_local_multiplicity).  Then no root lies right
+    of s*.
     When no 6-node seed converges or the certificate fails, the search is
-    seeded once more from a 24-node generator, and when none of its seeds
-    converges either, from the roots of the delay-free polynomial a + b.
-    Raises RefinementError when no seed converges, when the bound or p is
-    not finite on the box, when the count reaches its cap, or when it does
-    not match the roots of the last seeding.
+    seeded once more from a 24-node generator.  Where tiny coefficients
+    (h_a >~ 1e27) drown the generator's eigenvalues in its rounding, no
+    seed converges and the search is inconclusive.
+    Raises RefinementError when no seed of the last seeding converges,
+    when the bound or p is not finite on the box, when the count reaches
+    its cap, or when it does not match the roots of the last seeding.
     """
-    roots = _polish_eigenvalues(qp, _generator_matrix(qp, _SEED_NODES))
-    if roots:
+    tried = []
+    for nodes in (_SEED_NODES, _RESEED_NODES):
+        tried.append(str(nodes))
+        roots = _polish_eigenvalues(qp, _generator_matrix(qp, nodes))
+        if not roots:
+            error = RefinementError("no eigenvalue seed converged to a root")
+            continue
         try:
-            return _certified_top(qp, roots, f"{_SEED_NODES} Chebyshev nodes")
-        except RefinementError:
-            pass  # re-seeded below from the finer generator
-    seeding = f"{_SEED_NODES}, then {_RESEED_NODES} Chebyshev nodes"
-    roots = _polish_eigenvalues(qp, _generator_matrix(qp, _RESEED_NODES))
-    if not roots:  # tiny coefficients (h_a >~ 1e27) drown the generator's
-        # eigenvalues in its rounding: seed at the roots of a + b (phi = 0).
-        # Their real parts are Newton's stopping error (-5e-29 where the pair
-        # has -4.25e-29 at h_a = 1e28), so the axis snap keeps its absolute
-        # 1e-9 floor on this path
-        delay_free = _generator_matrix(QuasiPolynomial(qp.a, qp.b, 0.0))
-        roots = _polish_eigenvalues(qp, delay_free, axis_floor=1.0)
-        seeding += " and the delay-free roots"
-    if not roots:
-        raise RefinementError("no eigenvalue seed converged to a root")
-    return _certified_top(qp, roots, seeding)
+            return _certified_top(qp, roots, f"{', then '.join(tried)} Chebyshev nodes")
+        except RefinementError as exc:
+            error = exc  # re-seeded from the finer generator, or raised
+    raise error
 
 
 def properness_root_check(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
@@ -838,8 +832,10 @@ def properness_root_check(policy: SpacingPolicy, params: VehicleParams) -> Stabi
     Builds the policy's one-delay quasi-polynomial and reports stable iff
     its rightmost root (rightmost_root: certified over a box that the bound
     R sizes, not over a heuristic rectangle) lies left of the imaginary
-    axis by more than 1e-9 of its modulus (a relative test: the DCH root
-    near -1/h_v is stable for every h_v > 2 phi / pi, however large).
+    axis.  The sign is read only outside the rounding band |Re| <= 1e-9
+    |root| (a relative band: the DCH root near -1/h_v is stable for every
+    h_v > 2 phi / pi, however large); a root inside it raises
+    RefinementError, since Newton's stop does not resolve its real part.
     """
     phi = params.phi
     if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
@@ -849,11 +845,9 @@ def properness_root_check(policy: SpacingPolicy, params: VehicleParams) -> Stabi
     else:
         raise ValueError("root check applies to the headway policies only")
     root = rightmost_root(qp)
-    return StabilityVerdict(
-        bool(root.real < -ROOT_STABLE_TOL * abs(root)),
-        "root-search",
-        rightmost_root=root,
-    )
+    if abs(root.real) <= ROOT_STABLE_TOL * abs(root):
+        raise RefinementError(f"rightmost root {root:.6g} is within rounding of the imaginary axis")
+    return StabilityVerdict(bool(root.real < 0.0), "root-search", rightmost_root=root)
 
 
 def stability_region_boundary(phi: float, n_points: int) -> np.ndarray:

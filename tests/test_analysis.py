@@ -800,8 +800,10 @@ class TestPropernessRootCheck:
         policy = dp.SpacingPolicy(
             PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=x * h_a, h_a=h_a
         )
-        verdict = dp.properness_root_check(policy, ref_params)
-        assert abs(verdict.rightmost_root.real) <= 1e-5
+        qp = QuasiPolynomial.extended_internal(policy.h_v, policy.h_a, ref_params.phi)
+        assert abs(dp.rightmost_root(qp).real) <= 1e-5
+        with pytest.raises(dp.RefinementError, match="within rounding of the imaginary axis"):
+            dp.properness_root_check(policy, ref_params)
 
     @pytest.mark.parametrize("h_a", [1e-4, 1e-5, 3e-6, 1e-6, 2e-9])
     def test_extended_small_acceleration_headway(self, ref_params, h_a):
@@ -831,10 +833,32 @@ class TestPropernessRootCheck:
     @pytest.mark.parametrize("h_a", [1e30, 1e100, 1e305])
     def test_extended_huge_acceleration_headway(self, ref_params, h_a):
         """The internal roots sit near +-i h_a^{-1/2}, lost in the generator's
-        rounding; the delay-free roots of a + b seed them instead."""
+        rounding: no seed converges, and the check is inconclusive."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=h_a)
-        verdict = dp.properness_root_check(policy, ref_params)
-        assert verdict.stable == dp.is_proper(policy, ref_params).stable
+        with pytest.raises(dp.RefinementError):
+            dp.properness_root_check(policy, ref_params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        h_v=log_uniform(1e-3, 1e3),
+        exponent=st.floats(16.0, 305.0),
+        phi=st.floats(0.05, 0.3),
+    )
+    @example(h_v=0.1, exponent=28.0, phi=0.15)  # not proper; no seed converges
+    @example(h_v=1.0, exponent=20.0, phi=0.15)  # proper; Re within rounding of the axis
+    def test_huge_acceleration_headway_never_contradicts_closed_form(self, h_v, exponent, phi):
+        """Where the internal pair of h_a lambda^2 + (h_v - phi) lambda + 1
+        is small, its real part is rounding: the check is inconclusive
+        there, or it agrees with the closed form."""
+        policy = dp.SpacingPolicy(
+            PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=h_v, h_a=10.0 ** exponent
+        )
+        params = dp.VehicleParams(0.067, phi)
+        try:
+            verdict = dp.properness_root_check(policy, params)
+        except dp.RefinementError:
+            return
+        assert verdict.stable == dp.is_proper(policy, params).stable
 
     def test_spurious_right_eigenvalues_are_filtered(self):
         """The 6-node generator's top eigenvalue here, 92.7+85.0j, is
@@ -1324,6 +1348,15 @@ class TestSeeding:
                 reference = dp.rightmost_root(qp)
             assert abs(root - reference) <= 1e-11 * abs(reference), qp
 
+    def test_short_acceleration_headway_needs_the_reseed(self, builds):
+        """At h_a / (h_v phi) = 4e-11 the 6-node seeds miss a pair inside the
+        box (winding count 6 != 4 roots found); the 24-node re-seed finds
+        it and certifies the rightmost root."""
+        root = dp.rightmost_root(QuasiPolynomial.extended_internal(100.0, 1e-9, 0.25))
+        assert builds == [6, 24]
+        want = 83.57065271489532 + 11.9960247871189j
+        assert abs(root - want) <= 1e-12 * abs(want)
+
     def test_dch_long_delay_needs_no_reseed(self, builds):
         """At phi / h_v = 1e5 the box margin, divided by phi, keeps out the
         pairs that the 6-node seeds miss: the first seeding certifies the
@@ -1357,9 +1390,8 @@ class TestSeeding:
         """At h_a = 1e26 the 6-node generator seeds the pair near +-i
         h_a^{-1/2}, which the 24-node one loses in its rounding at these
         h_v: the root is the closed-form pair of h_a lambda^2 + (h_v - phi)
-        lambda + 1, not the delay-free fallback's real artifact.  Its real
-        part, about 1e-15 of |root|, lies within Newton's stop and is not
-        pinned."""
+        lambda + 1.  Its real part, about 1e-15 of |root|, lies within
+        Newton's stop and is not pinned."""
         h_a, phi = 1e26, 0.15
         root = dp.rightmost_root(QuasiPolynomial.extended_internal(h_v, h_a, phi))
         c = h_v - phi

@@ -509,14 +509,16 @@ class TestAnalyzeCommand:
         assert "string stable: yes [sweep, peak omega=0, |T|=1]" in out
         assert out.splitlines()[-1] == "verdict: not proper"
 
-    def test_huge_acceleration_headway_is_never_a_root_check_no(self):
-        """At h_a = 1e305 the internal roots sit near 1e-153, too small for
-        the generator's eigenvalues; seeded at the delay-free roots, the root
-        check certifies them and agrees with the closed form.  |T| exceeds 1
-        near 1/sqrt(h_a), which the sweep grid reaches: not string stable."""
+    @pytest.mark.parametrize("h_a", ["1e20", "1e28", "1e305"])
+    def test_huge_acceleration_headway_is_never_a_root_check_no(self, h_a):
+        """At h_a >= 1e20 the internal roots sit near +-i h_a^{-1/2}: within
+        rounding of the axis (1e20), or too small for the generator's
+        eigenvalues to seed them (1e28, 1e305).  The root check says it
+        cannot answer, and the closed form decides.  |T| exceeds 1 near
+        1/sqrt(h_a), which the sweep grid reaches: not string stable."""
         result = subprocess.run(
             [sys.executable, "-W", "error", "-m", "delayplatoon",
-             "analyze", "ext", "--hv", "1", "--ha", "1e305"],
+             "analyze", "ext", "--hv", "1", "--ha", h_a],
             capture_output=True, text=True, env=child_env(),
         )
         assert result.returncode == 1, result.stderr
@@ -524,7 +526,7 @@ class TestAnalyzeCommand:
         assert "proper (closed form): yes" in result.stdout
         root_line = [ln for ln in result.stdout.splitlines() if ln.startswith("proper (root check)")]
         assert len(root_line) == 1
-        assert root_line[0].startswith("proper (root check): yes ")
+        assert root_line[0].startswith("proper (root check): inconclusive [")
         assert "string stable: no [sweep, " in result.stdout
         assert result.stdout.splitlines()[-1] == "verdict: not string stable"
 
@@ -789,6 +791,10 @@ class TestExitCodeContract:
             pytest.param(  # 1 / h_v overflows to inf in the constructor
                 ["analyze", "dch", "--hv", "1e-320", "--phi", "0.15"],
                 "verdict: not proper, not string stable", id="argv3",
+            ),
+            pytest.param(  # no seed converges to the unstable pair near +-1e-14 i
+                ["analyze", "ext", "--hv", "0.1", "--ha", "1e28", "--phi", "0.15"],
+                "verdict: not proper, not string stable", id="argv4",
             ),
         ],
     )
