@@ -12,10 +12,11 @@ one-delay internal dynamics p = a(lambda) + b(lambda) e^{-phi lambda}, deg b
 (Newton seeded by the eigenvalues of a 6-node pseudospectral generator
 built from a cached Chebyshev block, certified by one adaptive
 argument-principle count over the upper half of a conjugate-symmetric box
-that the modulus bound R(s) sizes, its segments accepted by a two-disc
-test, against the roots found with the multiplicity a scalar Rouché test
-proves for each; a failed certificate, or a seeding none of whose seeds
-converges, is re-seeded once from 24 nodes, and a second failure raises
+that the scalar modulus bound R(s) sizes, its segments accepted by a
+Taylor-model two-disc test on p, p' and a bound on |p''|, against the
+roots found with the multiplicity a scalar Rouché test proves for each; a
+failed certificate, or a seeding none of whose seeds converges, is
+re-seeded once from 24 nodes, and a second failure raises
 RefinementError), the properness root check (inconclusive where the root
 lies within rounding of the axis), the properness region boundary, and the
 time-domain L2 string-stability check.
@@ -105,17 +106,22 @@ class QuasiPolynomial:
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[float, ...], ...]:
-        """Horner rows from degree n - 1 down: a_j, b_j, |a_j|, |b_j| and the
+        """Horner rows from degree n - 1 down: a_j, b_j, |a_j|, |b_j|, the
         coefficients (j + 1) |a_{j+1}| and (j + 1) |b_{j+1}| + phi |b_j| of
         the bound |p'| <= sum_j (j + 1) |a_{j+1}| r^j + e^{-phi Re} sum_j
-        ((j + 1) |b_{j+1}| + phi |b_j|) r^j at |lambda| <= r.  Every
-        evaluation of p runs Horner over these rows from a_n = 1 and b_n = 0.
+        ((j + 1) |b_{j+1}| + phi |b_j|) r^j at |lambda| <= r, and the
+        coefficients (j + 2) (j + 1) |a_{j+2}| and (j + 2) (j + 1) |b_{j+2}|
+        + 2 phi (j + 1) |b_{j+1}| + phi^2 |b_j| of the same bound on |p''| =
+        |a'' + (b'' - 2 phi b' + phi^2 b) e^{-phi lambda}|.  Every evaluation
+        of p runs Horner over these rows from a_n = 1 and b_n = 0.
         """
-        a, b, phi = self.a, self.b + (0.0,), self.phi
+        a, b, phi = self.a + (0.0,), self.b + (0.0, 0.0), self.phi
         return tuple(
             (a[j], b[j], abs(a[j]), abs(b[j]), (j + 1) * abs(a[j + 1]),
-             (j + 1) * abs(b[j + 1]) + phi * abs(b[j]))
-            for j in reversed(range(len(a) - 1))
+             (j + 1) * abs(b[j + 1]) + phi * abs(b[j]), (j + 2) * (j + 1) * abs(a[j + 2]),
+             (j + 2) * (j + 1) * abs(b[j + 2]) + 2.0 * phi * (j + 1) * abs(b[j + 1])
+             + phi * phi * abs(b[j]))
+            for j in reversed(range(len(a) - 2))
         )
 
     def __call__(self, lam):
@@ -136,7 +142,7 @@ class QuasiPolynomial:
         """
         r = abs(lam)
         fa, dfa, fb, dfb, ma, mb = 1.0 + 0.0j, 0.0j, 0.0j, 0.0j, 1.0, 0.0
-        for aj, bj, maj, mbj, _, _ in self.rows:
+        for aj, bj, maj, mbj, _, _, _, _ in self.rows:
             dfa = dfa * lam + fa
             fa = fa * lam + aj
             dfb = dfb * lam + fb
@@ -464,25 +470,41 @@ def _box_margin(s: float, phi: float) -> float:
     return BOX_MARGIN * (1.0 + abs(s)) / max(1.0, phi)
 
 
-@np.errstate(divide="ignore", over="ignore")  # log 0 = -inf; an overflowing bound is inf
-def _root_bound(qp: QuasiPolynomial, s):
+def _root_bound(qp: QuasiPolynomial, s: float) -> float:
     """R(s) = 2 max_j c_j^{1/(n-j)}, c_j = |a_j| + e^{-phi s} |b_j|.
 
     A root with Re(lambda) >= s has |a(lambda)| <= |b(lambda)| e^{-phi s}
     (Michiels & Niculescu 2007, ch. 1), so |lambda|^n <= sum_j c_j
-    |lambda|^j, and Fujiwara's bound gives |lambda| < R(s).  Elementwise
-    over s, in logarithms so that e^{-phi s} cannot overflow; inf where R
-    itself does.
+    |lambda|^j, and Fujiwara's bound gives |lambda| < R(s).  One float s,
+    in logarithms (log c_j = logaddexp(log |a_j|, log |b_j| - phi s), with
+    log 0 = -inf) so that e^{-phi s} cannot overflow; inf where R itself
+    does, without a warning.
     """
-    a, b = np.abs(qp.a[:-1]), np.abs(qp.b)
-    s = np.asarray(s, dtype=float)[..., None]
-    log_c = np.logaddexp(np.log(a), np.log(b) - qp.phi * s)
-    return 2.0 * np.exp(np.max(log_c / np.arange(len(a), 0, -1), axis=-1))
+    n, top = len(qp.b), -math.inf
+    for j, (aj, bj) in enumerate(zip(qp.a, qp.b)):
+        x = math.log(abs(aj)) if aj else -math.inf
+        y = math.log(abs(bj)) - qp.phi * s if bj else -math.inf
+        big = max(x, y)
+        if big > -math.inf:  # c_j = 0 bounds nothing
+            top = max(top, (big + math.log1p(math.exp(min(x, y) - big))) / (n - j))
+    try:
+        return 2.0 * math.exp(top)
+    except OverflowError:
+        return math.inf
 
 
 ROOT_COUNT_CAP = 20000  # evaluations of p before _root_count gives up
 _COUNT_ROUNDING = 8.0 * 2.0**-52  # rounding error of p, relative to the newton_terms scale
 _TWO_PI = 2.0 * math.pi
+
+
+def _reach(c: float, d: float, m: float) -> float:
+    """The root t of d t + m t^2 / 2 = c, in the cancellation-free form 2 c
+    / (d + sqrt(d^2 + 2 m c)); 0 where c <= 0 or the root is not finite."""
+    if not c > 0.0:
+        return 0.0
+    den = d + math.sqrt(d * d + 2.0 * m * c)
+    return 2.0 * c / den if den > 0.0 else 0.0  # nan or 0 reaches nothing
 
 
 def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
@@ -494,18 +516,25 @@ def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
     so p(conj z) = conj p(z), and the lower half of the box's boundary
     changes arg p by as much as the upper half, the path (half, 0) ->
     (half, half) -> (lo, half) -> (lo, 0).  Its change is therefore pi
-    times the count (a single real root gives pi, not a whole turn).  A
-    segment [z0, z1] is accepted once L |z1 - z0| plus the rounding of p at
-    both ends lies below |p(z0)| + |p(z1)|, where L bounds |p'| on the
-    segment by the monomial magnitudes at the larger |z| and e^{-phi Re} at
-    the smaller Re.  Two discs then carry the segment: every point of it
-    lies within |p(z0)| / L of z0 or within |p(z1)| / L of z1, and the two
-    pieces overlap, so p stays in the disc of radius |p(z0)| around p(z0)
-    or in that of radius |p(z1)| around p(z1), neither of which holds 0.
-    At a point of the overlap arg p is within pi/2 of both end values, so
-    the change of arg p along the segment is the principal argument of
-    p(z1) / p(z0); a segment that fails the test is bisected.  Real roots
-    sit strictly inside the box, off the path.
+    times the count (a single real root gives pi, not a whole turn).  Each
+    point runs Horner for p and p' and for the monomial bounds of the rows
+    table.  A segment [z0, z1] is accepted by a Taylor model at each end
+    (Kravanja & Van Barel, Computing the Zeros of Analytic Functions, LNM
+    1727, 2000): with M2 the bound on |p''| over the segment, the monomial
+    magnitudes at the larger |z| and e^{-phi Re} at the smaller Re,
+    |p(z) - p(z_i)| <= |p'(z_i)| t + M2 t^2 / 2 at distance t from z_i.
+    With c_i = |p(z_i)| less its rounding and d_i = |p'(z_i)| plus its
+    own, that stays below |p(z_i)| for t < t_i = 2 c_i / (d_i + sqrt(d_i^2
+    + 2 M2 c_i)), and the segment is accepted once t_0 + t_1 > |z1 - z0|.
+    Two discs then carry it: every point of it lies within t_0 of z0 or
+    within t_1 of z1, and the two pieces overlap, so p stays in the disc of
+    radius |p(z0)| around p(z0) or in that of radius |p(z1)| around p(z1),
+    neither of which holds 0.  At a point of the overlap arg p is within
+    pi/2 of both end values, so the change of arg p along the segment is
+    the principal argument of p(z1) / p(z0); a segment that fails the test
+    is bisected.  Near a root of multiplicity m, |p'| shrinks with |p|, so
+    the segments shrink like the distance to the root, not like its m-th
+    power.  Real roots sit strictly inside the box, off the path.
     RefinementError where p is not finite or 0 on the path, or after
     ROOT_COUNT_CAP evaluations.
     """
@@ -513,27 +542,36 @@ def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
 
     def point(z: complex):
         r = abs(z)
-        fa, fb, ma, mb, sa, sb = 1.0 + 0.0j, 0.0j, 1.0, 0.0, 0.0, 0.0
-        for aj, bj, maj, mbj, saj, sbj in rows:
+        fa, dfa, fb, dfb = 1.0 + 0.0j, 0.0j, 0.0j, 0.0j
+        ma, mb, sa, sb, ca, cb = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
+        for aj, bj, maj, mbj, saj, sbj, caj, cbj in rows:
+            dfa = dfa * z + fa
             fa = fa * z + aj
+            dfb = dfb * z + fb
             fb = fb * z + bj
             ma = ma * r + maj
             mb = mb * r + mbj
             sa = sa * r + saj
             sb = sb * r + sbj
+            ca = ca * r + caj
+            cb = cb * r + cbj
         try:
             decay = math.exp(-phi * z.real)
-            f = fa + fb * cmath.exp(-phi * z)
+            e = cmath.exp(-phi * z)
         except OverflowError:
-            f = decay = math.inf
-        # newton_terms' monomial scale, its delayed part widened by phi r: the
-        # rounded exponent -phi z perturbs e^{-phi z} by about phi |z| ulps
-        scale = ma + mb * decay * (1.0 + phi * r)
+            raise RefinementError("quasi-polynomial is not finite on the winding contour") from None
+        f = fa + fb * e
+        # newton_terms' monomial scales of p and p', their delayed parts widened
+        # by phi r: the rounded exponent -phi z perturbs e^{-phi z} by about
+        # phi |z| ulps
+        widen = decay * (1.0 + phi * r)
+        scale = ma + mb * widen
         if not (cmath.isfinite(f) and math.isfinite(scale)):
             raise RefinementError("quasi-polynomial is not finite on the winding contour")
         if f == 0.0:
             raise RefinementError("root on the winding contour")
-        return z, cmath.phase(f), abs(f), _COUNT_ROUNDING * scale, sa, sb, decay
+        slope = abs(dfa + (dfb - phi * fb) * e) + _COUNT_ROUNDING * (sa + sb * widen)
+        return z, cmath.phase(f), abs(f) - _COUNT_ROUNDING * scale, slope, ca, cb, decay
 
     corners = [
         point(complex(half, 0.0)), point(complex(half, half)),
@@ -542,15 +580,15 @@ def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
     evaluations = 4
     swept = 0.0  # change of arg p along the path so far
     for k in range(3):
-        z0, arg0, mod0, err0, sa0, sb0, e0 = corners[k]
+        z0, arg0, c0, d0, ca0, cb0, e0 = corners[k]
         pending = [corners[k + 1]]
         while pending:
-            z1, arg1, mod1, err1, sa1, sb1, e1 = pending[-1]
-            slope = max(sa0, sa1) + max(sb0, sb1) * max(e0, e1)
-            if slope * abs(z1 - z0) + err0 + err1 < mod0 + mod1:
+            z1, arg1, c1, d1, ca1, cb1, e1 = pending[-1]
+            curve = max(ca0, ca1) + max(cb0, cb1) * max(e0, e1)
+            if _reach(c0, d0, curve) + _reach(c1, d1, curve) > abs(z1 - z0):
                 step = arg1 - arg0  # wrapped below: the principal arg of p(z1) / p(z0)
                 swept += step - _TWO_PI * round(step / _TWO_PI)
-                z0, arg0, mod0, err0, sa0, sb0, e0 = pending.pop()
+                z0, arg0, c0, d0, ca0, cb0, e0 = pending.pop()
             elif evaluations >= ROOT_COUNT_CAP:
                 raise RefinementError(
                     f"root count did not converge within {ROOT_COUNT_CAP} evaluations"
@@ -664,11 +702,13 @@ def _polish_eigenvalues(qp: QuasiPolynomial, generator: np.ndarray) -> list[comp
     1 at h_a = 1e20: -4.25e-21 +- 1e-10 i) keeps its imaginary part.
     """
     eigs = np.linalg.eigvals(generator)
-    eigs = eigs[(eigs.imag >= 0.0) & (np.abs(eigs) <= _root_bound(qp, eigs.real))]
+    eigs = eigs[eigs.imag >= 0.0]
+    kept = [e for e in eigs[np.argsort(-eigs.real, kind="stable")].tolist()
+            if abs(e) <= _root_bound(qp, e.real)]
     roots: list[complex] = []
     right = 0.0  # largest real part among roots, once there is one
     drift = 0.0  # largest relative Newton displacement so far
-    for eig in eigs[np.argsort(-eigs.real, kind="stable")]:
+    for eig in kept:
         if roots and (eig.real < right - 2.0 * _box_margin(right, qp.phi)
                       - 4.0 * (1.0 + abs(eig)) * drift):
             break
@@ -745,7 +785,7 @@ def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]
          for k in range(top + 1)]
     reach = abs(root) + radius
     ma, mb = 1.0, 0.0
-    for _, _, maj, mbj, _, _ in qp.rows:
+    for _, _, maj, mbj, _, _, _, _ in qp.rows:
         ma = ma * reach + maj
         mb = mb * reach + mbj
     rounding = _COUNT_ROUNDING * (ma + mb * decay * (1.0 + phi * reach))
@@ -766,7 +806,7 @@ def _certified_top(qp: QuasiPolynomial, roots: list[complex], seeding: str) -> c
     top = max(roots, key=lambda r: r.real)
     delta = _box_margin(top.real, qp.phi)
     lo = top.real - delta
-    half = max(float(_root_bound(qp, lo)), delta)
+    half = max(_root_bound(qp, lo), delta)
     if not math.isfinite(half):
         raise RefinementError(f"root bound is not finite at Re = {lo:g}")
     winding, _ = _root_count(qp, lo, half)

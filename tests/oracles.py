@@ -6,7 +6,8 @@ with its loop over vehicles, a golden-section search of every grid maximum
 of |T|, which evaluates only true |T| values and so gives a lower bound that
 `refined_peak`'s certified peak must reach, `np.polyval` evaluations of the
 quasi-polynomial, which its Horner rows must match bitwise, the fixed-grid
-winding count that the adaptive `_root_count` must agree with, the
+winding count that the adaptive `_root_count` must agree with, the numpy
+root bound, elementwise over s, that the scalar `_root_bound` replaced, the
 256-point circle whose winding the Rouché multiplicity must equal, and the
 per-call build of the pseudospectral generator that `_generator_matrix`
 replaced with a cached Chebyshev block.
@@ -438,6 +439,18 @@ def winding_number_reference(qp, lo: float, half: float) -> int:
     if abs(winding - rounded) < 1e-3 and round(turns(f[0::2])) == rounded:
         return rounded
     raise RefinementError("winding number did not stabilize")
+
+
+@np.errstate(divide="ignore", over="ignore")  # log 0 = -inf; an overflowing bound is inf
+def root_bound_reference(qp, s):
+    """R(s) = 2 max_j c_j^{1/(n-j)}, c_j = |a_j| + e^{-phi s} |b_j|,
+    elementwise over s with numpy, in logarithms (np.logaddexp) so that
+    e^{-phi s} cannot overflow; inf where R itself does.  The array bound
+    that the scalar `_root_bound` replaced."""
+    a, b = np.abs(qp.a[:-1]), np.abs(qp.b)
+    s = np.asarray(s, dtype=float)[..., None]
+    log_c = np.logaddexp(np.log(a), np.log(b) - qp.phi * s)
+    return 2.0 * np.exp(np.max(log_c / np.arange(len(a), 0, -1), axis=-1))
 
 
 def local_multiplicity_reference(qp, root: complex, roots) -> int:

@@ -20,6 +20,7 @@ from oracles import (
     local_multiplicity_reference,
     quasi_polynomial_reference,
     refined_peak_reference,
+    root_bound_reference,
     winding_number_reference,
 )
 
@@ -949,9 +950,11 @@ class TestAgreementGrids:
     """Closed-form properness matches the rightmost-root verdict, and the
     adaptive root count stays cheap over the grid: the median and maximum
     of its evaluations, deterministic counts rather than times, are bounded
-    at 1.5 times those of the half-contour count (DCH 28 and 560, extended
-    42 and 889), below those of the full contour (DCH 54 and 1,118,
-    extended 82 and 1,776)."""
+    at 1.5 times those of the Taylor-model test (DCH 12 and 17, extended 12
+    and 25), below those of the two-disc test (DCH 20 and 286, extended 26
+    and 451), of the first half-contour count (DCH 28 and 560, extended 42
+    and 889) and of the full contour (DCH 54 and 1,118, extended 82 and
+    1,776)."""
 
     def test_dch_50x50(self, evaluations):
         mismatches = 0
@@ -966,7 +969,7 @@ class TestAgreementGrids:
                 mismatches += closed != root
         assert mismatches == 0
         assert len(evaluations) == 2499
-        assert np.median(evaluations) <= 42 and max(evaluations) <= 840
+        assert np.median(evaluations) <= 18 and max(evaluations) <= 25
 
     def test_extended_50x50(self, ref_params, evaluations):
         mismatches = 0
@@ -982,7 +985,7 @@ class TestAgreementGrids:
                 mismatches += closed.stable != root
         assert mismatches == 0
         assert len(evaluations) == 2500
-        assert np.median(evaluations) <= 63 and max(evaluations) <= 1340
+        assert np.median(evaluations) <= 18 and max(evaluations) <= 37
 
 
 class TestStabilityRegionBoundary:
@@ -1151,6 +1154,78 @@ class TestWindingCertificate:
             analysis._root_count(qp, -1.0, 2.0)
         assert analysis._root_count(qp, -1.5, 2.0)[0] == 2
 
+    @pytest.mark.parametrize("phi", [0.05, 0.1, 0.15, 0.3])
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-6], ids=["double", "split"])
+    def test_dch_double_root_takes_few_evaluations(self, evaluations, phi, factor):
+        """h_v = e phi puts a double real root at -1 / phi, and 1 + 1e-6
+        times that splits it into two real roots 0.3% apart.  The box's left
+        edge passes 0.01 (1 + 1 / phi) from them, where |p'| shrinks with |p|:
+        the Taylor-model test accepts segments about as long as the distance
+        to the roots, where the two-disc test, whose slope bound does not
+        shrink there, took 356-507 evaluations."""
+        root = dp.rightmost_root(QuasiPolynomial.dch_internal(math.e * phi * factor, phi))
+        assert root.imag == 0.0 and root.real == pytest.approx(-1.0 / phi, rel=3e-3)
+        assert evaluations and max(evaluations) <= 20
+
+    def test_triple_root_box_takes_few_evaluations(self):
+        """(lambda + 1)^3 on lo = -1.02: the left edge passes 0.02 from the
+        triple root, where |p| ~ 8e-6 against a slope bound ~ 12.  The
+        two-disc test reached its cap of 20,000 there; the Taylor model takes
+        42.  rightmost_root then fails where the Rouché test refuses the
+        multiplicity (see TestLocalMultiplicity), not at the cap."""
+        qp = QuasiPolynomial((1.0, 3.0, 3.0, 1.0), (), 0.0)
+        count, evaluations = analysis._root_count(qp, -1.02, 2.0)
+        assert count == 3 == winding_number_reference(qp, -1.02, 2.0)
+        assert evaluations <= 60
+        with pytest.raises(dp.RefinementError, match="could not certify the multiplicity"):
+            dp.rightmost_root(qp)
+
+    def test_half_triple_root_box_takes_few_evaluations(self):
+        """(lambda + 1/2)^3 on lo = -0.52: 35 evaluations, where the
+        two-disc test took 5,711."""
+        qp = QuasiPolynomial((0.125, 0.75, 1.5, 1.0), (), 0.0)
+        count, evaluations = analysis._root_count(qp, -0.52, 2.0)
+        assert count == 3 == winding_number_reference(qp, -0.52, 2.0)
+        assert evaluations <= 60
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ratio=log_uniform(6.0, 100.0), phi=st.floats(0.05, 0.3), side=st.sampled_from([-1.0, 1.0])
+    )
+    def test_extended_double_root_curve(self, ratio, phi, side):
+        """h_a lambda^2 + (h_v lambda + 1) e^{-phi lambda} has a double real
+        root where p = p' = 0: eliminating h_a gives phi h_v lambda^2 + (h_v
+        + phi) lambda + 2 = 0, and then h_a = -(h_v lambda + 1) e^{-phi
+        lambda} / lambda^2, positive for both roots once h_v / phi > 3 + 2
+        sqrt(2).  Every box that rightmost_root builds counts what the fixed
+        grids count, in at most 100 evaluations; the two-disc test took up to
+        2,628 on 300 such draws.  Newton stops a few 1e-6 from some of these
+        double roots, where the Rouché test refuses the multiplicity."""
+        h_v = ratio * phi
+        disc = (h_v + phi) ** 2 - 8.0 * phi * h_v
+        lam = (-(h_v + phi) + side * math.sqrt(disc)) / (2.0 * phi * h_v)
+        h_a = -(h_v * lam + 1.0) * math.exp(-phi * lam) / (lam * lam)
+        assert h_a > 0.0
+        qp = QuasiPolynomial.extended_internal(h_v, h_a, phi)
+        boxes = []
+        count = analysis._root_count
+
+        def recording(*box):
+            winding, evaluations = count(*box)
+            boxes.append((box, winding, evaluations))
+            return winding, evaluations
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_root_count", recording)
+            try:
+                dp.rightmost_root(qp)
+            except dp.RefinementError as exc:
+                assert "could not certify the multiplicity" in str(exc)
+        assert boxes
+        for box, winding, evaluations in boxes:
+            assert winding == winding_number_reference(*box)
+            assert evaluations <= 100
+
 
 def internal(h_a, h_v, phi):
     if h_a is None:
@@ -1195,7 +1270,7 @@ class TestRootCountAgreesWithFixedGrid:
     def test_random_boxes_near_a_root(self, data, side, log_left, log_height):
         """The left edge 0.01 to 0.5 (1 + |r|) to either side of the
         rightmost root r, the top 0.01 to 3 (1 + |r|) above it: the
-        two-disc segment test counts what the fixed grids count."""
+        Taylor-model segment test counts what the fixed grids count."""
         qp = internal(*data)
         root = dp.rightmost_root(qp)
         lo = root.real + side * 10.0**log_left * (1.0 + abs(root))
@@ -1210,9 +1285,10 @@ class TestRootCountAgreesWithFixedGrid:
 
     def test_paper_range_boxes_take_few_evaluations(self, evaluations):
         """A deterministic count, not a time: over 100 seeded paper-range
-        tunings, the two-disc test (|p(z0)| + |p(z1)| on the right) takes
-        25.3 evaluations per rightmost_root box on average, the one-disc
-        test (max(|p(z0)|, |p(z1)|)) took 41.6."""
+        tunings, the Taylor-model test takes 12.51 evaluations per
+        rightmost_root box on average (bounded at 1.5 times that), the
+        two-disc test with the segment's slope bound took 25.3 and the
+        one-disc test (max(|p(z0)|, |p(z1)|) on the right) 41.6."""
         rng = np.random.default_rng(0)
         for k in range(100):
             phi = rng.uniform(0.05, 0.3)
@@ -1224,7 +1300,76 @@ class TestRootCountAgreesWithFixedGrid:
                 qp = QuasiPolynomial.dch_internal(rng.uniform(0.05, 0.5), phi)
             dp.rightmost_root(qp)
         assert len(evaluations) == 100
-        assert np.mean(evaluations) < 33.0
+        assert np.mean(evaluations) < 18.8
+
+
+def _coefficient():
+    magnitude = log_uniform(1e-300, 1e300)
+    return st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x))
+
+
+BOUND_QUASI_POLYNOMIALS = st.one_of(
+    st.builds(lambda data: internal(*data), PAPER_TUNINGS),
+    st.builds(  # h_a from 1e-300 to 1e305: a = (0, 0, 1), b up to 1e303
+        QuasiPolynomial.extended_internal,
+        log_uniform(1e-3, 1e3), log_uniform(1e-300, 1e305), st.floats(0.05, 0.3),
+    ),
+    st.builds(QuasiPolynomial.dch_internal, log_uniform(1e-300, 1e300), st.floats(0.05, 0.3)),
+    st.builds(  # a_j and b_j both nonzero, zero or of either sign
+        lambda a, b, phi: QuasiPolynomial(a + (1.0,), b, phi),
+        st.tuples(_coefficient(), _coefficient()), st.tuples(_coefficient(), _coefficient()),
+        st.floats(0.0, 3.0),
+    ),
+)
+
+
+class TestRootBound:
+    """The scalar bound R(s) that runs, against the numpy bound it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(qp=BOUND_QUASI_POLYNOMIALS, s=st.floats(-1e3, 1e3))
+    @example(qp=QuasiPolynomial.extended_internal(1e3, 1e-300, 0.3), s=-1e3)  # R overflows
+    @example(qp=QuasiPolynomial((-1e300, 2.0, 1.0), (1e300, -3.0), 0.5), s=0.0)  # a_j, b_j != 0
+    def test_agrees_with_the_array_reference(self, qp, s):
+        """To 1e-15 relative, and inf where the reference overflows, with no
+        warning and no OverflowError."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = analysis._root_bound(qp, s)
+        want = float(root_bound_reference(qp, s))
+        assert got == want or abs(got - want) <= 1e-15 * want
+
+    def test_filter_keeps_the_array_bounds_seeds(self, workloads):
+        """On stability_map's 128 benchmark tunings, _polish_eigenvalues asks
+        the bound once per upper-half-plane eigenvalue, from the right in
+        stable order, and keeps exactly the eigenvalues that the numpy bound
+        kept."""
+        workload = workloads.StabilityMap()
+        refs = workloads.load_refs()["stability_map"]
+        bound = analysis._root_bound
+        assert len(refs) == 128
+        for case_id in refs:
+            stratum, variant = case_id.rsplit("/", 1)
+            policy, params = workload.build_inputs(workload.case_params(stratum, int(variant)))
+            extended = policy.kind is PolicyKind.DELAYED_EXTENDED_HEADWAY
+            qp = internal(policy.h_a if extended else None, policy.h_v, params.phi)
+            generator = analysis._generator_matrix(qp)
+            asked = []
+
+            def recording(qp, s):
+                asked.append((s, bound(qp, s)))
+                return asked[-1][1]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analysis, "_root_bound", recording)
+                analysis._polish_eigenvalues(qp, generator)
+            eigs = np.linalg.eigvals(generator)
+            upper = eigs[eigs.imag >= 0.0]
+            upper = upper[np.argsort(-upper.real, kind="stable")]
+            assert [s for s, _ in asked] == upper.real.tolist(), case_id
+            kept = eigs[(eigs.imag >= 0.0) & (np.abs(eigs) <= root_bound_reference(qp, eigs.real))]
+            kept = kept[np.argsort(-kept.real, kind="stable")]
+            assert [e for e, (_, r) in zip(upper.tolist(), asked) if abs(e) <= r] == kept.tolist()
 
 
 class TestLocalMultiplicity:

@@ -11,23 +11,7 @@ change that would fail the benchmark fails here first.  It only reads
 perfbench/; the CLI ops write into the test's temporary directory.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    spec.loader.exec_module(module)
-    yield module
-    del sys.modules[spec.name]
 
 
 @pytest.mark.parametrize(
