@@ -9,17 +9,18 @@ certified cell search on the factored margin (|T|^-2 - 1) / omega^2 up to
 the frequency past which |T| <= 1), the rightmost root of the
 one-delay internal dynamics p = a(lambda) + b(lambda) e^{-phi lambda}, deg b
 < deg a, with every evaluation of p running Horner over one cached row table
-(Newton seeded by the eigenvalues of a 6-node pseudospectral generator
-built from a cached Chebyshev block, certified by one adaptive
-argument-principle count over the upper half of a conjugate-symmetric box
-that the scalar modulus bound R(s) sizes, its segments accepted by a
-Taylor-model two-disc test on p, p' and a bound on |p''|, against the
-roots found with the multiplicity a scalar Rouché test proves for each; a
-failed certificate, or a seeding none of whose seeds converges, is
-re-seeded once from 24 nodes, and a second failure raises
-RefinementError), the properness root check (inconclusive where the root
-lies within rounding of the axis), the properness region boundary, and the
-time-domain L2 string-stability check.
+(for deg a = 1, the DCH factor, the roots in closed form on the branches of
+the Lambert W function; for deg a >= 2, Newton seeded by the eigenvalues of
+a 6-node pseudospectral generator built from a cached Chebyshev block;
+either way certified by one adaptive argument-principle count over the
+upper half of a conjugate-symmetric box that the scalar modulus bound R(s)
+sizes, its segments accepted by a Taylor-model two-disc test on p, p' and
+a bound on |p''|, against the roots found with the multiplicity a scalar
+Rouché test proves for each; for deg a >= 2 a failed certificate, or a
+seeding none of whose seeds converges, is re-seeded once from 24 nodes,
+and a second failure raises RefinementError), the properness root check
+(inconclusive where the root lies within rounding of the axis), the
+properness region boundary, and the time-domain L2 string-stability check.
 """
 
 from __future__ import annotations
@@ -684,8 +685,19 @@ def _generator_matrix(qp: QuasiPolynomial, nodes: int = _SEED_NODES) -> np.ndarr
     return matrix
 
 
+def _fold(lam: complex) -> complex:
+    """lam folded into the upper half plane (p has real coefficients, so
+    its roots come in conjugate pairs) and snapped onto the real axis where
+    |Im| <= 1e-9 |lam|.  The snap is relative, so a small complex pair (h_a
+    lambda^2 + (h_v - phi) lambda + 1 at h_a = 1e20: -4.25e-21 +- 1e-10 i)
+    keeps its imaginary part."""
+    lam = complex(lam.real, abs(lam.imag))
+    return complex(lam.real, 0.0) if lam.imag <= 1e-9 * abs(lam) else lam
+
+
 def _polish_eigenvalues(qp: QuasiPolynomial, generator: np.ndarray) -> list[complex]:
-    """Distinct roots, Newton-polished from the generator's eigenvalues.
+    """Distinct roots, Newton-polished from the generator's eigenvalues (the
+    seeding of rightmost_root for deg a >= 2).
 
     Eigenvalues e with Im >= 0 and |e| <= R(Re e) seed damped Newton from
     the right: the bound drops the spurious high-frequency eigenvalues of
@@ -696,10 +708,8 @@ def _polish_eigenvalues(qp: QuasiPolynomial, generator: np.ndarray) -> list[comp
     roots right of one: a coarse generator misplaces a seed by about as
     much as it misplaces its neighbours.  A conjugate pair closer than the
     dedupe distance (as a double real root discretizes) seeds its real part
-    first.  Roots are folded into the upper half plane, snapped onto the
-    real axis where |Im| <= 1e-9 |root|, and deduplicated.  The snap is
-    relative, so a small complex pair (h_a lambda^2 + (h_v - phi) lambda +
-    1 at h_a = 1e20: -4.25e-21 +- 1e-10 i) keeps its imaginary part.
+    first.  Roots are folded and snapped (_fold), and deduplicated: a root
+    within 1e-6 (1 + |r|) of a root r found before is dropped.
     """
     eigs = np.linalg.eigvals(generator)
     eigs = eigs[eigs.imag >= 0.0]
@@ -719,16 +729,107 @@ def _polish_eigenvalues(qp: QuasiPolynomial, generator: np.ndarray) -> list[comp
             lam = _newton_polish(qp, seed)
             if lam is None:
                 continue
-            if lam.imag < 0.0:  # conjugate symmetry: fold into the upper half plane
-                lam = lam.conjugate()
+            lam = _fold(lam)
             drift = max(drift, abs(lam - seed) / (1.0 + abs(seed)))
-            if abs(lam.imag) <= 1e-9 * abs(lam):
-                lam = complex(lam.real, 0.0)
             if any(abs(lam - r) <= 1e-6 * (1.0 + abs(r)) for r in roots):
                 continue
             roots.append(lam)
             right = max(r.real for r in roots)
     return roots
+
+
+def _lambert_w(x: float, k: int) -> complex:
+    """W_k(x), the branch k of the Lambert function (w e^w = x), at a real x;
+    x != 0 unless k = 0.
+
+    Halley's iteration on f(w) = w e^w - x (Corless, Gonnet, Hare, Jeffrey
+    & Knuth, Adv. Comput. Math. 5, 1996), from the branch-point series -1 +
+    p - p^2/3 + 11 p^3/72, p = +-sqrt(2 (e x + 1)), near -1/e on k = 0 and
+    -1; from log(1 + x) on k = 0 for small or moderate x; elsewhere from L -
+    log L, L = log x + 2 pi i k.  f is divided by e^w on k = 0 (the terms
+    stay near w, and exactly w - x where x underflows) and by x on the
+    other branches (the terms stay near 1, however far left W_k lies), so
+    no term overflows for any finite x.  The iteration stops at the first
+    step that does not halve the last: Halley's steps shrink cubically
+    until rounding.  Where |e x + 1| <= 1e-13, -1 solves w e^w = x to
+    1e-13 relative (f(-1) = -(e x + 1) / e), the residual at which
+    _newton_polish accepts a root, and W_0 = W_-1 = -1, the double root:
+    the pair -1 +- sqrt(2 (e x + 1)) would lie closer than the Rouché test
+    of _local_multiplicity resolves a pair at its rounding.
+    """
+    t = math.e * x + 1.0
+    if k in (0, -1) and abs(t) < 0.25:
+        if abs(t) <= 1e-13:
+            return complex(-1.0)
+        p = cmath.sqrt(2.0 * t) if k == 0 else -cmath.sqrt(2.0 * t)
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+    elif k == 0 and -0.3 < x < math.e:
+        w = complex(math.log1p(x))
+    else:
+        big = cmath.log(x) + complex(0.0, _TWO_PI * k)
+        w = big - cmath.log(big)
+    log_x = cmath.log(x) if k else 0.0
+    last = math.inf
+    while True:
+        if k:
+            s = cmath.exp(w - log_x)  # e^w / x
+            r, d = w * s - 1.0, s * (w + 1.0)  # f / x, f' / x
+        else:
+            r, d = w - x * cmath.exp(-w), w + 1.0  # f / e^w, f' / e^w
+        step = r / (d - (w + 2.0) * r / (2.0 * w + 2.0))  # f'' / f' = (w + 2) / (w + 1)
+        w -= step
+        if not abs(step) < 0.5 * last:
+            return w
+        last = abs(step)
+
+
+def _lambert_roots(qp: QuasiPolynomial) -> list[complex]:
+    """Distinct roots of lambda + a_0 + b_0 e^{-phi lambda} (deg a = 1) in
+    closed form, the rightmost first, down to the left edge of the box that
+    _certified_top counts over.
+
+    With mu = lambda + a_0, phi mu e^{phi mu} = x = -phi b_0 e^{phi a_0}, so
+    the roots are W_k(x) / phi - a_0 on the branches k of the Lambert
+    function, and the principal one W_0 is the rightmost (Shinozaki & Mori,
+    Automatica 42, 2006); the DCH factor has x = -phi / h_v.  Since W e^W
+    = x, W_0 / phi = y e^{-W_0} with y = -b_0 e^{phi a_0}, the form used:
+    it keeps y's precision where x = phi y underflows.  W_-1 joins it where
+    x lies in (-1/e, 0) and it is real, unless it is W_0 (the double root
+    at the branch point); then W_1, W_2, ..., whose real parts decrease,
+    until one lies left of lo = s* - _box_margin(s*, phi) (the other
+    branches are their conjugates).  Each root is folded and snapped
+    (_fold).  Distinct branches are distinct roots, so none is merged into
+    a close neighbour: the Rouché disk around one would have to hold both,
+    and at phi = 100 it is 1e-7 wide.  With phi = 0 the constructor
+    has folded b into a, and the one root is -a_0.  RefinementError where
+    x overflows, and where more than _RESEED_NODES branches past W_0 reach
+    the box, more than the 24-node generator ever seeded: h_v / phi below
+    about 1.4e-36 where phi <= 1, and some 1e5 branches at h_v = 1e-308,
+    phi = 0.15.
+    """
+    a0, b0, phi = qp.a[0], qp.b[0], qp.phi
+    if phi == 0.0:
+        return [complex(-a0)]
+    try:
+        y = -b0 * math.exp(phi * a0)
+    except OverflowError:
+        y = math.inf
+    x = phi * y
+    if not math.isfinite(x):
+        raise RefinementError("Lambert-W argument -phi b_0 e^{phi a_0} is not finite")
+    w0 = _lambert_w(x, 0)
+    roots = [_fold(y * cmath.exp(-w0) - a0)]
+    if -1.0 / math.e < x < 0.0 and (lower := _lambert_w(x, -1)) != w0:
+        roots.append(_fold(lower / phi - a0))
+    if x == 0.0:  # W_k(0) = -inf off the principal branch
+        return roots
+    lo = roots[0].real - _box_margin(roots[0].real, phi)
+    for k in range(1, _RESEED_NODES + 1):
+        lam = _lambert_w(x, k) / phi - a0
+        if not lam.real >= lo:  # also nan
+            return roots
+        roots.append(_fold(lam))
+    raise RefinementError(f"more than {_RESEED_NODES} Lambert-W branches reach the box")
 
 
 def _scaled_taylor(coeffs: tuple[float, ...], center: complex, radius: float) -> list[complex]:
@@ -826,16 +927,19 @@ def _certified_top(qp: QuasiPolynomial, roots: list[complex], seeding: str) -> c
 def rightmost_root(qp: QuasiPolynomial) -> complex:
     """The root of p with the largest real part, certified.
 
-    Seeds damped Newton iterations at the eigenvalues of a 6-node
-    Chebyshev pseudospectral discretization of the delay equation's
-    generator (those within the bound R of _root_bound), deduplicates, and
-    takes the rightmost polished root s*.  The generator is 7 x 7 for the
-    DCH factor and 14 x 14 for the extended one; its seeds only start
-    Newton, which the certificate below checks, and its rightmost
-    eigenvalues converge spectrally in the node count (Breda, Maset &
-    Vermiglio 2005): over 20,000 seeded tunings with phi from 1e-3 to 1e3,
-    none needed the re-seed, and each root was the 12-node seeding's to
-    2e-12 relative; tunings with h_a / (h_v phi) near 4e-11 do need it.
+    For deg a = 1 (the DCH factor) the roots are listed in closed form on
+    the branches of the Lambert W function (_lambert_roots): no generator
+    is built.  For deg a >= 2 (the extended factor) the search seeds
+    damped Newton iterations at the eigenvalues of a 6-node Chebyshev
+    pseudospectral discretization of the delay equation's generator (those
+    within the bound R of _root_bound), 14 x 14 for the extended factor,
+    and deduplicates.  Either way s* is the rightmost root found.  The
+    generator's seeds only start Newton, which the certificate below
+    checks, and its rightmost eigenvalues converge spectrally in the node
+    count (Breda, Maset & Vermiglio 2005): over 20,000 seeded tunings with
+    phi from 1e-3 to 1e3, none needed the re-seed, and each root was the
+    12-node seeding's to 2e-12 relative; tunings with h_a / (h_v phi) near
+    4e-11 do need it.
     Every root with Re >= lo = s* - _box_margin(s*, phi) has modulus below
     R(lo), so the box [lo, R] x [-R, R] holds all of them: the adaptive
     argument-principle count over the upper half of its boundary
@@ -847,11 +951,15 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
     When no 6-node seed converges or the certificate fails, the search is
     seeded once more from a 24-node generator.  Where tiny coefficients
     (h_a >~ 1e27) drown the generator's eigenvalues in its rounding, no
-    seed converges and the search is inconclusive.
-    Raises RefinementError when no seed of the last seeding converges,
-    when the bound or p is not finite on the box, when the count reaches
-    its cap, or when it does not match the roots of the last seeding.
+    seed converges and the search is inconclusive.  The closed-form roots
+    are not re-seeded.
+    Raises RefinementError when the Lambert-W listing fails, when no seed
+    of the last seeding converges, when the bound or p is not finite on the
+    box, when the count reaches its cap, or when it does not match the
+    roots found.
     """
+    if len(qp.b) == 1:
+        return _certified_top(qp, _lambert_roots(qp), "the Lambert-W branches")
     tried = []
     for nodes in (_SEED_NODES, _RESEED_NODES):
         tried.append(str(nodes))

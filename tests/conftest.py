@@ -4,8 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import delayplatoon as dp
+
+# CI selects this profile (--hypothesis-profile=ci) so that a failing draw
+# prints its @reproduce_failure blob in the log; it changes nothing else
+settings.register_profile("ci", print_blob=True)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 

@@ -8,9 +8,11 @@ of |T|, which evaluates only true |T| values and so gives a lower bound that
 quasi-polynomial, which its Horner rows must match bitwise, the fixed-grid
 winding count that the adaptive `_root_count` must agree with, the numpy
 root bound, elementwise over s, that the scalar `_root_bound` replaced, the
-256-point circle whose winding the Rouché multiplicity must equal, and the
+256-point circle whose winding the Rouché multiplicity must equal, the
 per-call build of the pseudospectral generator that `_generator_matrix`
-replaced with a cached Chebyshev block.
+replaced with a cached Chebyshev block, and the Lambert function at its
+branch point -1/e from its series in the exact e x + 1, where scipy's
+`lambertw` loses W_-1.
 
 The spacing errors, tracking laws, leader law and sensor hold here are
 written out independently of `delayplatoon.controllers.tracking_law`, of
@@ -28,6 +30,8 @@ by a one-step recursion: the leader and the constant-policy followers ahead
 of the first headway follower get identical logs, every other column agrees
 to 1e-12 of the run's largest |q|, |v|, |a|, |u|."""
 
+import cmath
+import decimal
 import math
 from collections import deque
 
@@ -58,6 +62,29 @@ def dch_rightmost_root(h_v: float, phi: float) -> complex:
     if not np.isfinite(w) and abs(x + math.exp(-1.0)) <= 1e-15:
         w = -1.0
     return complex(w.real, abs(w.imag)) / phi
+
+
+BRANCH_POINT_SERIES = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0, 769.0 / 17280.0)
+
+
+def lambert_w_near_branch_point(x: float, k: int) -> complex:
+    """W_k(x) for k in {0, -1} and x within 1e-12 of -1/e.
+
+    The series sum_j mu_j p^j in p = +-sqrt(2 (e x + 1)), + on W_0 and -
+    on W_-1 (Corless, Gonnet, Hare, Jeffrey & Knuth, Adv. Comput. Math. 5,
+    1996, eq. 4.22), with e x + 1 from the exact x in 50-digit decimal
+    arithmetic: p is real above -1/e and imaginary below it.  With |p| <=
+    2.4e-6 the terms past p^5 are below 1e-33.  Within 1e-8 above -1/e,
+    scipy's `lambertw(x, -1)` is off by up to 4.5e7 times the rounding that
+    its condition number 1 / |1 + W| allows.
+    """
+    with decimal.localcontext(decimal.Context(prec=50)):
+        t = float(2 * (decimal.Decimal(1).exp() * decimal.Decimal(x) + 1))
+    p = cmath.sqrt(t) if k == 0 else -cmath.sqrt(t)
+    w = 0j
+    for mu in reversed(BRANCH_POINT_SERIES):
+        w = w * p + mu
+    return w
 
 
 def predict_acceleration_continuous(params, a_now: float, history: InputHistory) -> float:

@@ -17,6 +17,7 @@ from delayplatoon.spacing import PolicyKind
 from oracles import (
     dch_rightmost_root,
     generator_matrix_reference,
+    lambert_w_near_branch_point,
     local_multiplicity_reference,
     quasi_polynomial_reference,
     refined_peak_reference,
@@ -528,6 +529,76 @@ def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
 
 
+def within_w_rounding(got, want, w):
+    """|got - want| <= 1e-13 (1 + 4 / |1 + w|) |want| for a value that
+    scales with W = w: 1e-13 relative, plus twice what a relative residual
+    of 1e-13 in w e^w = x moves W by, 1e-13 times the condition number 1 /
+    |1 + W| (dW / dx = W / (x (1 + W))), or 2e-13 / |1 + W| at the branch
+    point, where |1 + W|^2 is twice the residual.  _lambert_w returns the
+    branch point -1 where it solves w e^w = x to 1e-13, and no double
+    computation of W meets 1e-13 alone next to -1/e, where the rounding of
+    e x + 1 moves W by 2.2e-16 / |1 + W|."""
+    slack = abs(1.0 + w)
+    return abs(got - want) * slack <= 1e-13 * (slack + 4.0) * abs(want)
+
+
+def folded(values):
+    """values folded into the upper half plane, sorted."""
+    return sorted((complex(v.real, abs(v.imag)) for v in values), key=lambda v: (v.real, v.imag))
+
+
+W_BRANCHES = range(-2, 3)
+INV_E = math.exp(-1.0)
+
+
+class TestLambertW:
+    """_lambert_w, which lists the DCH roots, against scipy's lambertw and,
+    next to the branch point -1/e, against its series in the exact e x + 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=log_uniform(1e-3, 1e3), sign=st.sampled_from([-1.0, 1.0]))
+    @example(x=1e-3, sign=-1.0)
+    @example(x=1e3, sign=-1.0)
+    @example(x=INV_E + 1e-6, sign=-1.0)
+    @example(x=INV_E - 1e-6, sign=-1.0)
+    @example(x=1.0, sign=1.0)
+    def test_matches_scipy_as_conjugate_folded_sets(self, x, sign):
+        """Branches -2..2 as sets folded into the upper half plane, to 1e-13
+        relative plus the rounding near -1/e.  Within 1e-8 above -1/e
+        scipy's W_-1 is off (see oracles.lambert_w_near_branch_point); the
+        branch-point test covers that band."""
+        x *= sign
+        if -INV_E < x < -INV_E + 1e-8:
+            reject()
+        got = folded(analysis._lambert_w(x, k) for k in W_BRANCHES)
+        want = folded(complex(scipy.special.lambertw(x, k)) for k in W_BRANCHES)
+        for g, w in zip(got, want):
+            assert within_w_rounding(g, w, w), (x, got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset=st.floats(-1e-12, 1e-12))
+    @example(offset=0.0)  # e x + 1 rounds to 0: W_0 = W_-1 = -1
+    @example(offset=-5e-17)  # one ulp down, e x + 1 = -2.2e-16
+    @example(offset=3.6e-14)  # e x + 1 = 9.8e-14, just inside the snap
+    @example(offset=-3.8e-14)  # e x + 1 = -1.03e-13, just outside it
+    @example(offset=-3.675e-14)  # e x + 1 = -9.99e-14, inside it: W = -1 + 4.47e-7 i
+    def test_branch_point(self, offset):
+        """Within 1e-12 of -1/e, W_0 and W_-1 against the branch-point
+        series in the exact e x + 1, and the other branches against scipy,
+        as folded sets to 1e-13 relative plus the rounding amplified by 1 /
+        |1 + W|."""
+        x = -INV_E + offset
+        got = folded(analysis._lambert_w(x, k) for k in W_BRANCHES)
+        want = folded(
+            lambert_w_near_branch_point(x, k) if k in (0, -1) else complex(scipy.special.lambertw(x, k))
+            for k in W_BRANCHES
+        )
+        for g, w in zip(got, want):
+            assert within_w_rounding(g, w, w), (x, got, want)
+        if abs(math.e * x + 1.0) <= 1e-13:
+            assert analysis._lambert_w(x, 0) == analysis._lambert_w(x, -1) == -1.0
+
+
 def _factored_margin(h_v, h_a, phi, w):
     """g(w) = (|T(i w)|^-2 - 1) / w^2 of the extended policy, as written."""
     return (h_v * h_v - 2.0 * h_a * np.cos(w * phi) + h_a * h_a * w * w
@@ -724,12 +795,15 @@ class TestRightmostRoot:
             dp.rightmost_root(QuasiPolynomial((1e308, 1.0), (), 0.0))
         assert dp.rightmost_root(QuasiPolynomial((1e307, 1.0), (), 0.0)) == -1e307
 
-    def test_double_root_multiplicity_certified(self):
-        # h_v = e*phi puts a double real root at -1/phi
-        phi = 0.1
+    @pytest.mark.parametrize("phi", [0.05, 0.07, 0.1, 0.15, 0.3, 10.0, 1e3])
+    def test_double_root_multiplicity_certified(self, phi):
+        """h_v = e phi puts a double real root at -1/phi: x = -phi / h_v is
+        the branch point -1/e, where W_0 = W_-1 = -1 (at phi = 0.07, e x + 1
+        rounds to -2.2e-16).  The root is -1/phi to 1e-15; Newton from the
+        generator's seeds stopped 3.2e-7 relative away."""
         root = dp.rightmost_root(QuasiPolynomial.dch_internal(math.e * phi, phi))
-        assert root == pytest.approx(-1.0 / phi, rel=1e-6)
-        assert root == pytest.approx(dch_rightmost_root(math.e * phi, phi), rel=1e-6)
+        assert root.imag == 0.0
+        assert root == pytest.approx(-1.0 / phi, rel=1e-15)
 
     def test_dch_root_right_of_the_old_rectangle(self):
         """h_v = 1e-3, phi = 1.375: the W_0 root near 3.94+1.95j lies right
@@ -745,13 +819,75 @@ class TestRightmostRoot:
                 assert abs(root - dch_rightmost_root(h_v, phi)) <= 1e-10
 
     def test_dch_matches_principal_lambert_w_to_1e_12(self):
-        """The rightmost DCH root is W_0(-phi / h_v) / phi; Newton from the
-        generator's seeds lands on it to 1e-12 relative."""
+        """The rightmost DCH root is W_0(-phi / h_v) / phi, to 1e-12
+        relative."""
         for h_v in np.geomspace(0.01, 10.0, 30):
             for phi in np.linspace(0.05, 0.3, 11):
                 want = complex(scipy.special.lambertw(-phi / h_v, 0)) / phi
                 root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
                 assert abs(root - want) <= 1e-12 * abs(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratio=log_uniform(1e-2, 1e2), phi=log_uniform(1e-3, 1e3))
+    @example(ratio=math.e, phi=0.1)  # the double root
+    @example(ratio=2.0 / math.pi, phi=0.15)  # on the imaginary axis
+    def test_dch_matches_the_lambert_w_oracle_to_1e_13(self, ratio, phi):
+        """h_v / phi and phi log-uniform over four and six decades: the
+        certified root is scipy's W_0(-phi / h_v) / phi to 1e-13 relative,
+        plus the rounding that W's condition number amplifies next to the
+        double root h_v = e phi (within_w_rounding)."""
+        h_v = ratio * phi
+        root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
+        want = dch_rightmost_root(h_v, phi)
+        assert within_w_rounding(root, want, phi * want)
+
+    @pytest.mark.parametrize("phi", [0.1, 100.0, 1e3])
+    @pytest.mark.parametrize("offset", [-1e-12, -3e-15, 1e-10, 1e-9])
+    def test_near_double_root_pairs_are_certified(self, phi, offset):
+        """h_v = e phi (1 + offset) splits the double root into a real pair
+        (offset > 0) or a complex one; within 1e-13 of the branch point it
+        stays the double root.  Each branch is its own root, so each Rouché
+        disk holds one: at phi >= 100 the generator's search merged the real
+        pair into one root whose 1e-7 wide disk missed the other (winding
+        count 2 != 1 roots found)."""
+        h_v = math.e * phi * (1.0 + offset)
+        root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
+        want = dch_rightmost_root(h_v, phi)
+        assert within_w_rounding(root, want, phi * want)
+
+    @pytest.mark.parametrize("ratio", [1e-8, 1e-15, 1e-20, 1e-30])
+    def test_tiny_headway_certifies_the_principal_branch(self, evaluations, ratio):
+        """Below h_v / phi ~ 1e-8 the chain roots W_1, W_2, ... share the box
+        with W_0 (at 1e-30, 17 branches in the upper half plane).  The
+        generator's seeds missed them, so the count did not match; listed
+        from the branches, the root is W_0(-phi / h_v) / phi to 1e-12."""
+        phi = 0.15
+        h_v = ratio * phi
+        root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
+        want = complex(scipy.special.lambertw(-phi / h_v, 0)) / phi
+        assert abs(root - want) <= 1e-12 * abs(want)
+        assert len(evaluations) == 1
+
+    @pytest.mark.parametrize(
+        "a0,b0,phi", [(2.0, -3.0, 0.5), (-1.0, 0.5, 2.0), (0.3, 4.0, 0.1), (5.0, 1e-3, 1.0)]
+    )
+    def test_degree_one_roots_shift_by_a0(self, a0, b0, phi):
+        """lambda + a_0 + b_0 e^{-phi lambda} has the roots W_k(x) / phi -
+        a_0, x = -phi b_0 e^{phi a_0}, positive where b_0 < 0: the rightmost
+        of scipy's branches -3..3."""
+        root = dp.rightmost_root(QuasiPolynomial((a0, 1.0), (b0,), phi))
+        x = -phi * b0 * math.exp(phi * a0)
+        want = max((complex(scipy.special.lambertw(x, k)) / phi - a0 for k in range(-3, 4)),
+                   key=lambda r: (r.real, abs(r.imag)))
+        assert root == pytest.approx(complex(want.real, abs(want.imag)), rel=1e-13)
+
+    @pytest.mark.parametrize("phi", [1e-10, 1e-30])
+    def test_underflowing_lambert_argument_keeps_the_root(self, phi):
+        """At h_v = 1e300, x = -phi / h_v is subnormal (phi = 1e-10) or 0
+        (1e-30); the principal root, written y e^{-W_0(x)} with y = -1/h_v,
+        is -1e-300 all the same."""
+        root = dp.rightmost_root(QuasiPolynomial.dch_internal(1e300, phi))
+        assert root == pytest.approx(-1e-300, rel=1e-15)
 
     def test_neutral_rejected(self):
         # lambda + lambda e^{-0.1 lambda}: the delayed term has the full degree
@@ -904,10 +1040,10 @@ class TestGeneratorMatrix:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda phi: QuasiPolynomial.dch_internal(0.4, phi),
             lambda phi: QuasiPolynomial.extended_internal(1.2, 0.25, phi),
+            lambda phi: QuasiPolynomial.extended_internal(100.0, 1e-9, phi),
         ],
-        ids=["dch", "ext"],
+        ids=["ext", "ext-short"],
     )
     def test_matches_per_call_construction(self, make, phi, nodes):
         # the whole matrix, not entry by entry: the near-zero diagonal of the
@@ -921,8 +1057,8 @@ class TestGeneratorMatrix:
     def test_default_seeding_uses_6_nodes(self):
         qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
         assert analysis._generator_matrix(qp).shape == (14, 14)
-        qp = QuasiPolynomial.dch_internal(0.4, 0.15)
-        assert analysis._generator_matrix(qp).shape == (7, 7)
+        qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.0)  # the companion matrix of a
+        assert analysis._generator_matrix(qp).shape == (2, 2)
 
     def test_cached_block_is_read_only(self):
         block = analysis._chebyshev_block(2, 12)
@@ -1102,22 +1238,33 @@ class TestWindingCertificate:
         with pytest.raises(dp.RefinementError, match="not finite"):
             analysis._root_count(qp, -10.0 / 0.15, 4.0 * math.pi / 0.15)
 
-    def test_no_converged_seed_is_a_refinement_error(self):
-        # the eigenvalue seeds miss the roots near 4672 +- 21i (1 + 2k)
-        with pytest.raises(dp.RefinementError, match="no eigenvalue seed converged"):
-            dp.rightmost_root(QuasiPolynomial.dch_internal(1e-308, 0.15))
+    def test_no_converged_seed_is_a_refinement_error(self, evaluations):
+        """At h_v = 1e-308 the roots W_k(-1.5e307) / phi, near 4672 +- 21i
+        (1 + 2k), crowd the box in more branches than the listing takes,
+        where no eigenvalue seed converged: RefinementError at once, before
+        any box count, and in well under the 6 ms that the generator's
+        search took."""
+        qp = QuasiPolynomial.dch_internal(1e-308, 0.15)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(dp.RefinementError, match="^more than 24 Lambert-W branches reach the box$"):
+                dp.rightmost_root(qp)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 6e-3
+        assert evaluations == []
 
     def test_missing_roots_fail_the_certificate_without_retry(self, monkeypatch, builds):
         """A root the eigenvalue seeds miss is a RefinementError after two
         generator builds, the 6-node seeding and its one 24-node re-seed,
         not a search repeated on ever finer generators: without the
-        rightmost pair, the box around the next one still holds it."""
-        second = complex(scipy.special.lambertw(-0.15 / 0.4, 1)) / 0.15
-        monkeypatch.setattr(
-            analysis, "_polish_eigenvalues", lambda qp, gen: [complex(second.real, abs(second.imag))]
-        )
-        qp = QuasiPolynomial.dch_internal(0.4, 0.15)
-        message = r"^winding count \d+ != \d+ roots found .*; seeded from 6, then 24 Chebyshev"
+        rightmost root, -1.019, the box around the next pair, -3.285 +-
+        6.761i, still holds it."""
+        qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
+        second = analysis._newton_polish(qp, -3.3 + 6.8j)
+        assert second == pytest.approx(-3.2846065548748555 + 6.760921056279089j, rel=1e-12)
+        monkeypatch.setattr(analysis, "_polish_eigenvalues", lambda qp, gen: [second])
+        message = r"^winding count 3 != 2 roots found .*; seeded from 6, then 24 Chebyshev"
         with pytest.raises(dp.RefinementError, match=message):
             dp.rightmost_root(qp)
         assert builds == [6, 24]
@@ -1340,19 +1487,22 @@ class TestRootBound:
         assert got == want or abs(got - want) <= 1e-15 * want
 
     def test_filter_keeps_the_array_bounds_seeds(self, workloads):
-        """On stability_map's 128 benchmark tunings, _polish_eigenvalues asks
-        the bound once per upper-half-plane eigenvalue, from the right in
-        stable order, and keeps exactly the eigenvalues that the numpy bound
-        kept."""
+        """On stability_map's 64 extended benchmark tunings (its DCH ones
+        build no generator), _polish_eigenvalues asks the bound once per
+        upper-half-plane eigenvalue, from the right in stable order, and
+        keeps exactly the eigenvalues that the numpy bound kept."""
         workload = workloads.StabilityMap()
         refs = workloads.load_refs()["stability_map"]
         bound = analysis._root_bound
         assert len(refs) == 128
+        tested = 0
         for case_id in refs:
             stratum, variant = case_id.rsplit("/", 1)
             policy, params = workload.build_inputs(workload.case_params(stratum, int(variant)))
-            extended = policy.kind is PolicyKind.DELAYED_EXTENDED_HEADWAY
-            qp = internal(policy.h_a if extended else None, policy.h_v, params.phi)
+            if policy.kind is not PolicyKind.DELAYED_EXTENDED_HEADWAY:
+                continue
+            tested += 1
+            qp = internal(policy.h_a, policy.h_v, params.phi)
             generator = analysis._generator_matrix(qp)
             asked = []
 
@@ -1370,6 +1520,7 @@ class TestRootBound:
             kept = eigs[(eigs.imag >= 0.0) & (np.abs(eigs) <= root_bound_reference(qp, eigs.real))]
             kept = kept[np.argsort(-kept.real, kind="stable")]
             assert [e for e, (_, r) in zip(upper.tolist(), asked) if abs(e) <= r] == kept.tolist()
+        assert tested == 64
 
 
 class TestLocalMultiplicity:
@@ -1434,11 +1585,12 @@ class TestLocalMultiplicity:
 
 
 class TestSeeding:
-    """rightmost_root seeds from a 6-node generator and re-seeds once from
-    24 nodes when that seeding fails its certificate."""
+    """rightmost_root seeds the extended factor from a 6-node generator and
+    re-seeds once from 24 nodes when that seeding fails its certificate;
+    the DCH factor builds no generator."""
 
     @settings(max_examples=80, deadline=None)
-    @given(data=SEEDING_TUNINGS)
+    @given(data=SEEDING_TUNINGS.filter(lambda data: data[0] is not None))
     def test_agrees_with_24_node_seeding(self, data):
         qp = internal(*data)
         root = dp.rightmost_root(qp)
@@ -1453,40 +1605,42 @@ class TestSeeding:
         phi log-uniform on [1e-3, 1e3] with h_v / phi on [1e-2, 1e2] and h_a /
         (h_v phi) on [1e-3, 1e3], a third DCH; DCH near the double real root,
         h_v in e phi [1.01, 1.5]; and DCH within 1e-3 of the boundary h_v = 2
-        phi / pi.  Each certifies from the 6-node seeds alone, and its root is
-        the 12-node seeding's to 1e-11."""
+        phi / pi.  Each extended draw certifies from the 6-node seeds alone,
+        and its root is the 12-node seeding's to 1e-11; each DCH draw builds
+        no generator, and its root is scipy's W_0(-phi / h_v) / phi to 1e-13
+        (within_w_rounding)."""
         rng = np.random.default_rng(CENSUS_FAMILIES.index(family))
 
         def log_uniform(lo, hi):
             return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
         for k in range(75):
+            h_a = None
             if family == "paper":
                 phi = rng.uniform(0.05, 0.3)
                 if k % 2:
-                    qp = QuasiPolynomial.extended_internal(
-                        log_uniform(0.03, 3.0), log_uniform(1e-4, 1e3), phi
-                    )
+                    h_v, h_a = log_uniform(0.03, 3.0), log_uniform(1e-4, 1e3)
                 else:
-                    qp = QuasiPolynomial.dch_internal(log_uniform(0.01, 10.0), phi)
+                    h_v = log_uniform(0.01, 10.0)
             elif family == "wide":
                 phi = log_uniform(1e-3, 1e3)
                 h_v = phi * log_uniform(1e-2, 1e2)
                 if k % 3:
-                    qp = QuasiPolynomial.extended_internal(
-                        h_v, h_v * phi * log_uniform(1e-3, 1e3), phi
-                    )
-                else:
-                    qp = QuasiPolynomial.dch_internal(h_v, phi)
+                    h_a = h_v * phi * log_uniform(1e-3, 1e3)
             else:
                 phi = log_uniform(1e-2, 1e2)
                 if family == "dch-double":
                     h_v = math.e * phi * rng.uniform(1.01, 1.5)
                 else:
                     h_v = 2.0 * phi / math.pi * (1.0 + rng.uniform(-1e-3, 1e-3))
-                qp = QuasiPolynomial.dch_internal(h_v, phi)
+            qp = internal(h_a, h_v, phi)
             builds.clear()
             root = dp.rightmost_root(qp)
+            if h_a is None:
+                assert builds == [], qp
+                want = dch_rightmost_root(h_v, phi)
+                assert within_w_rounding(root, want, phi * want), qp
+                continue
             assert builds == [6], qp
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(analysis, "_SEED_NODES", 12)
@@ -1503,12 +1657,13 @@ class TestSeeding:
         assert abs(root - want) <= 1e-12 * abs(want)
 
     def test_dch_long_delay_needs_no_reseed(self, builds):
-        """At phi / h_v = 1e5 the box margin, divided by phi, keeps out the
-        pairs that the 6-node seeds miss: the first seeding certifies the
-        principal Lambert-W root W_0(-phi / h_v) / phi."""
+        """At phi / h_v = 1e5 the box margin, divided by phi, keeps the chain
+        roots out of the box: the branch listing stops at W_1, and certifies
+        the principal Lambert-W root W_0(-phi / h_v) / phi without a
+        generator."""
         h_v, phi = 1e-3, 100.0
         root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
-        assert builds == [6]
+        assert builds == []
         want = complex(scipy.special.lambertw(-phi / h_v, 0)) / phi
         assert abs(root - complex(want.real, abs(want.imag))) <= 1e-9 * abs(want)
 
@@ -1529,6 +1684,24 @@ class TestSeeding:
         the box (see test_extended_small_acceleration_headway)."""
         dp.rightmost_root(QuasiPolynomial.extended_internal(1.0, 2e-9, 0.15))
         assert builds == [6]
+
+    def test_dch_builds_no_generator_and_calls_no_eigvals(self, monkeypatch, builds):
+        """Every DCH properness_root_check, proper or not, near the double
+        root or the axis, with a long delay or many branches in the box,
+        lists its roots in closed form."""
+
+        def refuse(*args):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for h_v, phi in ((0.4, 0.15), (0.25, 0.15), (math.e * 0.15, 0.15), (0.3 / math.pi, 0.15),
+                         (1e-3, 100.0), (1.5e-21, 0.15), (1e12, 0.15), (0.4, 0.0)):
+            policy = dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=h_v)
+            try:
+                dp.properness_root_check(policy, dp.VehicleParams(0.067, phi))
+            except dp.RefinementError as exc:
+                assert "within rounding of the imaginary axis" in str(exc)
+        assert builds == []
 
     @pytest.mark.parametrize("h_v", [0.01, 0.1, 1.0])
     def test_huge_acceleration_headway_pair_from_the_generator(self, h_v):

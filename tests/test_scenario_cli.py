@@ -355,6 +355,19 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert f"proper (root check): yes [rightmost root {root}]" in out
 
+    def test_tiny_headway_root_check_is_certified(self, capsys):
+        """h_v / phi = 1e-20: the chain roots W_1, W_2, ... of the Lambert
+        function share the box with the rightmost root W_0(-phi / h_v) /
+        phi.  Listed from the branches, the root check agrees with the
+        closed form; the generator's seeds missed them, and the check read
+        "inconclusive [RefinementError: winding count 28 != 2 roots found".
+        """
+        assert main(["analyze", "dch", "--hv", "1.5e-21", "--phi", "0.15"]) == 1
+        out = capsys.readouterr().out
+        assert "proper (closed form): no [margins=(-0.3,)]" in out
+        assert "proper (root check): no [rightmost root 282.028+20.4611j]" in out
+        assert out.splitlines()[-1] == "verdict: not proper, not string stable"
+
     def test_string_unstable(self, capsys):
         assert main(["analyze", "dch", "--hv", "0.25", "--phi", "0.15"]) == 1
         out = capsys.readouterr().out
@@ -776,11 +789,11 @@ class TestExitCodeContract:
     @pytest.mark.parametrize(
         "argv,verdict",
         [
-            pytest.param(  # no eigenvalue seed converges
+            pytest.param(  # more Lambert-W branches reach the box than are listed
                 ["analyze", "dch", "--hv", "1e-300", "--phi", "0.15"],
                 "verdict: not proper, not string stable", id="argv0",
             ),
-            pytest.param(  # p overflows on the contour
+            pytest.param(  # the same, 1 / h_v near the largest float
                 ["analyze", "dch", "--hv", "1e-308", "--phi", "0.15"],
                 "verdict: not proper, not string stable", id="argv1",
             ),
@@ -788,7 +801,7 @@ class TestExitCodeContract:
                 ["analyze", "ext", "--hv", "1e300", "--ha", "1e-300"],
                 "verdict: not proper", id="argv2",
             ),
-            pytest.param(  # 1 / h_v overflows to inf in the constructor
+            pytest.param(  # 1 / h_v overflows to inf, and so does -phi / h_v
                 ["analyze", "dch", "--hv", "1e-320", "--phi", "0.15"],
                 "verdict: not proper, not string stable", id="argv3",
             ),
