@@ -21,6 +21,13 @@ seeding none of whose seeds converges, is re-seeded once from 24 nodes,
 and a second failure raises RefinementError), the properness root check
 (inconclusive where the root lies within rounding of the axis), the
 properness region boundary, and the time-domain L2 string-stability check.
+
+numpy is imported by the functions that build or read an array (the
+kernel, the sweeps and their cells, the generator and its eigenvalues, the
+region boundary, the L2 check, and QuasiPolynomial's call on arrays), not
+at module level.  The DCH roots, the box count, the multiplicity test and
+properness_root_check's verdict run on math and cmath alone, so a DCH
+root check loads no numpy; an extended one loads it for the generator.
 """
 
 from __future__ import annotations
@@ -29,12 +36,14 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dynamics import VehicleParams
 from .errors import RefinementError
 from .spacing import PolicyKind, SpacingPolicy, StabilityVerdict
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuasiPolynomial",
@@ -126,6 +135,8 @@ class QuasiPolynomial:
         )
 
     def __call__(self, lam):
+        import numpy as np
+
         lam = np.asarray(lam, dtype=complex)
         fa, fb = 1.0 + 0.0j, 0.0j
         for aj, bj, *_ in self.rows:
@@ -174,6 +185,8 @@ def magnitude_kernel(policy: SpacingPolicy, params: VehicleParams):
     no product of two tiny coefficients underflows to 0 where the whole
     term is representable.
     """
+    import numpy as np
+
     phi, hv, ha = params.phi, policy.h_v, policy.h_a
     if policy.kind is PolicyKind.DELAYED_CONSTANT_HEADWAY:
         def parts(w):
@@ -213,21 +226,25 @@ def magnitude_kernel(policy: SpacingPolicy, params: VehicleParams):
 
 def _frequencies(params: VehicleParams, omega) -> np.ndarray:
     """omega as an array; ValueError unless omega >= 0 and omega phi is finite."""
+    import numpy as np
+
     w = np.asarray(omega, dtype=float)
     if w.size and not (0.0 <= w.min() and w.max() * max(params.phi, 1.0) < math.inf):
         raise ValueError("omega must be >= 0, and omega and omega phi finite")  # nan fails
     return w
 
 
-@np.errstate(over="ignore", invalid="ignore")  # h_a w^2 overflowing gives |T| = 0
 def transfer_magnitude(policy: SpacingPolicy, params: VehicleParams, omega):
     """|T(i omega)| at every omega >= 0 with a finite phase omega phi."""
-    w = _frequencies(params, omega)
-    if policy.kind is PolicyKind.DELAYED_CONSTANT:
-        out = np.ones_like(w)
-    else:
-        out = 1.0 / np.hypot(*magnitude_kernel(policy, params)[0](w))
-    return float(out) if w.ndim == 0 else out
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):  # h_a w^2 overflowing gives |T| = 0
+        w = _frequencies(params, omega)
+        if policy.kind is PolicyKind.DELAYED_CONSTANT:
+            out = np.ones_like(w)
+        else:
+            out = 1.0 / np.hypot(*magnitude_kernel(policy, params)[0](w))
+        return float(out) if w.ndim == 0 else out
 
 
 def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int = SWEEP_POINTS):
@@ -244,6 +261,8 @@ def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int
     where their bound needs it; ``sweep`` passes its --points (4,096 by
     default) for the plotted grid.
     """
+    import numpy as np
+
     bounds = []
     if policy.h_v > 0.0:
         bounds.append(10.0 / policy.h_v)
@@ -258,7 +277,7 @@ def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int
 
 PEAK_TOL = 1e-12  # refined_peak certifies D = |1/T|^2 >= (1 - PEAK_TOL) of its best
 PEAK_EVAL_CAP = 50000  # points beyond the grid before refined_peak stops; flat tops take up to half
-_SPLIT = np.arange(1, 16) / 16.0  # interior points of a cell split into 16
+_SPLIT = tuple(k / 16.0 for k in range(1, 16))  # interior points of a cell split into 16
 
 
 def _graded_mesh(slopes, curvature, left, w, right):
@@ -273,6 +292,8 @@ def _graded_mesh(slopes, curvature, left, w, right):
     the cell bound at once.  The points only place the first cells; the
     bound alone certifies them.
     """
+    import numpy as np
+
     m = curvature(right)
     if not 0.0 < m < math.inf:
         return None
@@ -296,7 +317,6 @@ def _graded_mesh(slopes, curvature, left, w, right):
     return points[(left < points) & (points < right)]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # 1/T = 0 gives |T| = inf
 def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray):
     """(peak_omega, peak_magnitude, grid magnitudes) of |T| on [grid[0], grid[-1]].
 
@@ -320,45 +340,49 @@ def refined_peak(policy: SpacingPolicy, params: VehicleParams, grid: np.ndarray)
     DCH, h_v^2 = 2 h_a for the extended policy), get no graded cells and
     take the most points: up to about 25,000 of the 50,000.
     """
-    grid = _frequencies(params, grid)
-    parts, curvature, slopes = magnitude_kernel(policy, params)
-    inv = np.hypot(*parts(grid))  # |1/T|: hypot, unlike x^2 + y^2, is inf at (-inf, nan)
-    k = int(np.argmin(inv))
-    best_w, best = float(grid[k]), inv[k]
-    edges, inv_edges, evaluated = grid, inv, 0
-    if 0 < k < grid.size - 1 and best > 0.0:
-        mesh = _graded_mesh(slopes, curvature, *grid[k - 1 : k + 2].tolist())
-        if mesh is not None and mesh.size <= PEAK_EVAL_CAP:
-            inv_mesh = np.hypot(*parts(mesh))
-            evaluated = mesh.size
-            j = int(np.argmin(inv_mesh))
-            if inv_mesh[j] < best:
-                best_w, best = float(mesh[j]), inv_mesh[j]
-            edges = np.concatenate((grid[:k], mesh, grid[k + 1:]))
-            inv_edges = np.concatenate((inv[:k], inv_mesh, inv[k + 1:]))
-    lo, hi, inv_lo, inv_hi = edges[:-1], edges[1:], inv_edges[:-1], inv_edges[1:]
-    while best > 0.0:  # else |T| = inf, the supremum
-        sag = curvature(np.maximum(lo, hi)) * (hi - lo) ** 2 / 8.0  # a grid may descend
-        floor = np.minimum(inv_lo, inv_hi) ** 2 - sag
-        split = floor < best * best * (1.0 - PEAK_TOL)
-        if not split.any():
-            break
-        lo, hi, inv_lo, inv_hi = lo[split], hi[split], inv_lo[split], inv_hi[split]
-        if evaluated + lo.size * _SPLIT.size > PEAK_EVAL_CAP:
-            if 1.0 / best > 1.0 + SWEEP_TOL:
+    import numpy as np
+
+    fractions = np.array(_SPLIT)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # 1/T = 0 gives |T| = inf
+        grid = _frequencies(params, grid)
+        parts, curvature, slopes = magnitude_kernel(policy, params)
+        inv = np.hypot(*parts(grid))  # |1/T|: hypot, unlike x^2 + y^2, is inf at (-inf, nan)
+        k = int(np.argmin(inv))
+        best_w, best = float(grid[k]), inv[k]
+        edges, inv_edges, evaluated = grid, inv, 0
+        if 0 < k < grid.size - 1 and best > 0.0:
+            mesh = _graded_mesh(slopes, curvature, *grid[k - 1 : k + 2].tolist())
+            if mesh is not None and mesh.size <= PEAK_EVAL_CAP:
+                inv_mesh = np.hypot(*parts(mesh))
+                evaluated = mesh.size
+                j = int(np.argmin(inv_mesh))
+                if inv_mesh[j] < best:
+                    best_w, best = float(mesh[j]), inv_mesh[j]
+                edges = np.concatenate((grid[:k], mesh, grid[k + 1:]))
+                inv_edges = np.concatenate((inv[:k], inv_mesh, inv[k + 1:]))
+        lo, hi, inv_lo, inv_hi = edges[:-1], edges[1:], inv_edges[:-1], inv_edges[1:]
+        while best > 0.0:  # else |T| = inf, the supremum
+            sag = curvature(np.maximum(lo, hi)) * (hi - lo) ** 2 / 8.0  # a grid may descend
+            floor = np.minimum(inv_lo, inv_hi) ** 2 - sag
+            split = floor < best * best * (1.0 - PEAK_TOL)
+            if not split.any():
                 break
-            raise RefinementError(f"peak not certified within {PEAK_EVAL_CAP} points")
-        points = lo[:, None] + (hi - lo)[:, None] * _SPLIT
-        inv_points = np.hypot(*parts(points))
-        evaluated += inv_points.size
-        k = int(np.argmin(inv_points))
-        if inv_points.flat[k] < best:
-            best_w, best = float(points.flat[k]), inv_points.flat[k]
-        edges = np.column_stack((lo, points, hi))
-        inv_edges = np.column_stack((inv_lo, inv_points, inv_hi))
-        lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-        inv_lo, inv_hi = inv_edges[:, :-1].ravel(), inv_edges[:, 1:].ravel()
-    return best_w, float(1.0 / best), 1.0 / inv
+            lo, hi, inv_lo, inv_hi = lo[split], hi[split], inv_lo[split], inv_hi[split]
+            if evaluated + lo.size * fractions.size > PEAK_EVAL_CAP:
+                if 1.0 / best > 1.0 + SWEEP_TOL:
+                    break
+                raise RefinementError(f"peak not certified within {PEAK_EVAL_CAP} points")
+            points = lo[:, None] + (hi - lo)[:, None] * fractions
+            inv_points = np.hypot(*parts(points))
+            evaluated += inv_points.size
+            k = int(np.argmin(inv_points))
+            if inv_points.flat[k] < best:
+                best_w, best = float(points.flat[k]), inv_points.flat[k]
+            edges = np.column_stack((lo, points, hi))
+            inv_edges = np.column_stack((inv_lo, inv_points, inv_hi))
+            lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+            inv_lo, inv_hi = inv_edges[:, :-1].ravel(), inv_edges[:, 1:].ravel()
+        return best_w, float(1.0 / best), 1.0 / inv
 
 
 def string_stability_sweep(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
@@ -415,6 +439,8 @@ def extended_string_stability(policy: SpacingPolicy, params: VehicleParams) -> S
     """
     if policy.kind is not PolicyKind.DELAYED_EXTENDED_HEADWAY:
         raise ValueError("the factored margin applies to the extended policy only")
+    import numpy as np
+
     h_v, root_a, phi = policy.h_v, math.sqrt(policy.h_a), params.phi
     s = h_v + math.sqrt(2.0) * root_a
     v, beta2 = h_v / s, 2.0 * (root_a / s) ** 2
@@ -431,6 +457,7 @@ def extended_string_stability(policy: SpacingPolicy, params: VehicleParams) -> S
         theta = kappa * u
         return v * v - beta2 * np.cos(theta) + u * (u - 2.0 * v * np.sin(theta))
 
+    fractions = np.array(_SPLIT)
     points = np.arange(17.0) / 16.0
     values = margin(points)
     lo, hi, g_lo, g_hi = points[:-1], points[1:], values[:-1], values[1:]
@@ -449,9 +476,9 @@ def extended_string_stability(policy: SpacingPolicy, params: VehicleParams) -> S
         if not open_cells.size:
             return StabilityVerdict(True, "sweep", peak_omega=0.0, peak_magnitude=1.0)
         lo, hi, g_lo, g_hi = lo[open_cells], hi[open_cells], g_lo[open_cells], g_hi[open_cells]
-        if evaluated + lo.size * _SPLIT.size > PEAK_EVAL_CAP:
+        if evaluated + lo.size * fractions.size > PEAK_EVAL_CAP:
             raise RefinementError(f"peak not certified within {PEAK_EVAL_CAP} points")
-        points = lo[:, None] + (hi - lo)[:, None] * _SPLIT
+        points = lo[:, None] + (hi - lo)[:, None] * fractions
         values = margin(points)
         evaluated += values.size
         edges = np.column_stack((lo, points, hi))
@@ -645,6 +672,8 @@ def _chebyshev_block(n: int, nodes: int) -> np.ndarray:
     D / phi, so one block per state dimension n and node count serves every
     delay.
     """
+    import numpy as np
+
     t = 0.5 * (np.cos(math.pi * np.arange(nodes + 1) / nodes) - 1.0)
     w = np.ones(nodes + 1)  # interpolation weights (-1)^j, halved at both ends
     w[[0, -1]] = 0.5
@@ -656,7 +685,6 @@ def _chebyshev_block(n: int, nodes: int) -> np.ndarray:
     return block
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as RefinementError
 def _generator_matrix(qp: QuasiPolynomial, nodes: int = _SEED_NODES) -> np.ndarray:
     """Chebyshev pseudospectral generator of the delay equation behind p.
 
@@ -670,18 +698,21 @@ def _generator_matrix(qp: QuasiPolynomial, nodes: int = _SEED_NODES) -> np.ndarr
     companion matrix of a.  Raises RefinementError when an entry overflows,
     since no eigenvalue can seed the search then.
     """
+    import numpy as np
+
     n = len(qp.b)
-    companion = np.eye(n, k=1)
-    companion[-1] = np.negative(qp.a[:n])
-    matrix = companion
-    if qp.phi > 0.0:
-        block = _chebyshev_block(n, nodes)
-        matrix = np.zeros((block.shape[1], block.shape[1]))
-        np.divide(block, qp.phi, out=matrix[n:])
-        matrix[:n, :n] = companion
-        matrix[n - 1, -n:] = np.negative(qp.b)
-    if not np.all(np.isfinite(matrix)):
-        raise RefinementError("pseudospectral generator overflows: coefficient ratios too large")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as RefinementError
+        companion = np.eye(n, k=1)
+        companion[-1] = np.negative(qp.a[:n])
+        matrix = companion
+        if qp.phi > 0.0:
+            block = _chebyshev_block(n, nodes)
+            matrix = np.zeros((block.shape[1], block.shape[1]))
+            np.divide(block, qp.phi, out=matrix[n:])
+            matrix[:n, :n] = companion
+            matrix[n - 1, -n:] = np.negative(qp.b)
+        if not np.all(np.isfinite(matrix)):
+            raise RefinementError("pseudospectral generator overflows: coefficient ratios too large")
     return matrix
 
 
@@ -711,6 +742,8 @@ def _polish_eigenvalues(qp: QuasiPolynomial, generator: np.ndarray) -> list[comp
     first.  Roots are folded and snapped (_fold), and deduplicated: a root
     within 1e-6 (1 + |r|) of a root r found before is dropped.
     """
+    import numpy as np
+
     eigs = np.linalg.eigvals(generator)
     eigs = eigs[eigs.imag >= 0.0]
     kept = [e for e in eigs[np.argsort(-eigs.real, kind="stable")].tolist()
@@ -1010,6 +1043,8 @@ def stability_region_boundary(phi: float, n_points: int) -> np.ndarray:
     w_max = 0.5 * math.pi / phi
     if not math.isfinite(w_max * w_max):
         raise ValueError(f"phi = {phi:g} is too small: the boundary overflows")
+    import numpy as np
+
     w = np.linspace(0.0, w_max, n_points)
     return np.column_stack((w * np.sin(w * phi), w * w * np.cos(w * phi)))
 
@@ -1032,6 +1067,8 @@ def l2_string_stability_check(velocity_logs, Ts: float) -> list[L2PairVerdict]:
     exceeds 1e-9 of the pair's final cumulative energy.  Raises ValueError
     naming the first non-finite sample.
     """
+    import numpy as np
+
     v = np.asarray(velocity_logs, dtype=float)
     if v.ndim != 2 or v.shape[1] < 2:
         raise ValueError("need a (n_samples, n_vehicles >= 2) velocity array")

@@ -17,6 +17,11 @@ imports the scenario and simulator stack, and predict-demo the predictor.
 Each package function a command calls is reached through a name of this
 module (parse_scenario and predict are thin functions that import their
 module on first call), so replacing that name redirects the command's call.
+numpy too is imported by the functions that build an array (the trajectory
+table, sweep, region and predict-demo), not at module level: ``analyze``
+on the DCH or constant policy never loads it, and on the extended policy
+loads it through analysis, for the generator that seeds the root search
+and for the string-stability cells.
 """
 
 from __future__ import annotations
@@ -28,13 +33,13 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .dynamics import InputHistory, VehicleParams, VehicleState, delay_steps, discretize, step
 from .errors import HistoryDepthError, RefinementError
 from .spacing import PolicyKind, SpacingPolicy, is_proper, is_string_stable, policy_rows, relative_degrees, solvability_check
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .simulator import TrajectoryLog
 
 EXIT_OK = 0
@@ -95,6 +100,8 @@ def _write_table(path, table, header: str, footer: str = "") -> None:
 def _trajectory_table(log: TrajectoryLog) -> tuple[list[str], np.ndarray]:
     """Column names and rows of the trajectory CSV: t, per-vehicle q,v,a,u,
     per-follower e,delta,deltaref."""
+    import numpy as np
+
     n, nv, nf = len(log.t), log.n_vehicles, log.n_followers
     header = ["t"]
     header += [f"{c}{i}" for i in range(nv) for c in ("q", "v", "a", "u")]
@@ -116,6 +123,8 @@ def write_csv(log: TrajectoryLog, path) -> None:
 def _require_finite(log: TrajectoryLog) -> None:
     """RuntimeError naming the first non-finite sample, earliest in time and
     then first in CSV column order, so a diverging run writes no CSV."""
+    import numpy as np
+
     header, table = _trajectory_table(log)
     bad = np.argwhere(~np.isfinite(table))
     if len(bad):
@@ -215,6 +224,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_region(args) -> int:
+    import numpy as np
+
     from . import analysis
 
     phis = args.phi
@@ -231,6 +242,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     from . import analysis
 
     with _input_checked():
@@ -257,6 +270,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_predict_demo(args) -> int:
+    import numpy as np
+
     with _input_checked():
         params = VehicleParams(tau=args.tau, phi=args.phi)
         model = discretize(params, args.ts)

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DelayGranularityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "VehicleParams",
@@ -63,6 +65,8 @@ class VehicleState:
                 raise ValueError(f"{name} must be finite")
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.q, self.v, self.a])
 
     @classmethod
@@ -109,6 +113,8 @@ class DiscreteModel:
     Ts: float
 
     def __post_init__(self):
+        import numpy as np
+
         if np.shape(self.Phi) != (3, 3) or np.shape(self.Gamma) != (3,):
             raise ValueError("Phi must be 3x3 and Gamma of length 3")
         if not (np.all(np.isfinite(self.Phi)) and np.all(np.isfinite(self.Gamma))):
@@ -142,6 +148,8 @@ def matrix_exponential_closed_form(params: VehicleParams, t: float) -> np.ndarra
         raise ValueError(f"t must be finite, got {t}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
+    import numpy as np
+
     tau = params.tau
     em, p02, _, _ = _zoh_terms(tau, t)
     return np.array(
@@ -176,6 +184,8 @@ def discretize(params: VehicleParams, Ts: float) -> DiscreteModel:
     integrals follow from the triangular structure of A.
     """
     delay_steps(params, Ts)  # validates Ts and the phi/Ts ratio
+    import numpy as np
+
     em, _, g0, g1 = _zoh_terms(params.tau, Ts)
     return DiscreteModel(matrix_exponential_closed_form(params, Ts), np.array([g0, g1, em]), Ts)
 

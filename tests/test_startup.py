@@ -1,11 +1,14 @@
 """The package namespace is lazy, and each subcommand imports only what it runs.
 
 `import delayplatoon` loads no submodule; a name is imported on its first
-access.  Each test lists the modules a fresh interpreter
-has loaded when it is done, so none measures time.
+access.  `analyze` on the DCH or constant policy loads no numpy, and runs
+the same where numpy cannot be imported.  Each test lists the modules a
+fresh interpreter has loaded when it is done, or compares what it prints,
+so none measures time.
 """
 
 import importlib
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -52,21 +55,46 @@ LIST_AT_EXIT = (
 )
 
 
-def loaded_modules(code: str, argv, cwd) -> set[str]:
-    """Modules a fresh interpreter has loaded when `python -c code argv...` exits."""
+RUN_MAIN = "import runpy; runpy.run_module('delayplatoon', run_name='__main__', alter_sys=True)"
+
+# a meta-path finder that refuses numpy, so the child runs as if it were not installed
+WITHOUT_NUMPY = (
+    "import sys\n"
+    "class NoNumpy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] == 'numpy':\n"
+    "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+    "sys.meta_path.insert(0, NoNumpy())\n"
+)
+
+
+def loaded_modules(code: str, argv, cwd, exit_code: int = 0) -> set[str]:
+    """Modules a fresh interpreter has loaded when `python -c code argv...`
+    exits, with exit_code."""
     result = subprocess.run(
         [sys.executable, "-c", LIST_AT_EXIT + code, *argv],
         capture_output=True, text=True, env=child_env(), cwd=cwd,
     )
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == exit_code, result.stderr
     return set(result.stderr.splitlines()[-1].split())
 
 
-def command_modules(argv, cwd) -> set[str]:
+def command_modules(argv, cwd, exit_code: int = 0) -> set[str]:
     """Modules loaded by `python -m delayplatoon argv...`, run as runpy runs it."""
-    return loaded_modules(
-        "import runpy; runpy.run_module('delayplatoon', run_name='__main__', alter_sys=True)",
-        argv, cwd,
+    return loaded_modules(RUN_MAIN, argv, cwd, exit_code)
+
+
+def numpy_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m.partition(".")[0] == "numpy"}
+
+
+def run_command(argv, cwd, without_numpy: bool = False) -> subprocess.CompletedProcess:
+    """`python -m delayplatoon argv...` in a fresh interpreter, run as runpy
+    runs it, with numpy importable or not."""
+    code = (WITHOUT_NUMPY if without_numpy else "") + RUN_MAIN
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=child_env(), cwd=cwd,
     )
 
 
@@ -118,6 +146,29 @@ class TestImportFootprint:
         assert not loaded & {f"delayplatoon.{m}" for m in ("simulator", "scenario", "controllers", "predictor")}
         assert "configparser" not in loaded
 
+    @pytest.mark.parametrize(
+        ("argv", "exit_code"),
+        [
+            (["analyze", "dch", "--hv", "0.4", "--phi", "0.15"], 0),
+            (["analyze", "dch", "--hv", "0.2", "--phi", "0.15"], 1),
+            (["analyze", "constant"], 0),
+            (["analyze", "dch"], 2),
+            (["analyze", "dch", "--hv", "nan"], 2),
+        ],
+        ids=["dch-stable", "dch-unstable", "constant", "dch-no-hv", "dch-nan"],
+    )
+    def test_dch_and_constant_analyze_load_no_numpy(self, tmp_path, argv, exit_code):
+        loaded = command_modules(argv, tmp_path, exit_code)
+        assert "delayplatoon.analysis" in loaded
+        assert not numpy_modules(loaded)
+
+    def test_analysis_modules_load_no_numpy(self, tmp_path):
+        loaded = loaded_modules(
+            "import delayplatoon.cli, delayplatoon.analysis, delayplatoon.dynamics, "
+            "delayplatoon.spacing", [], tmp_path,
+        )
+        assert not numpy_modules(loaded)
+
     def test_simulate_loads_no_analysis(self, tmp_path):
         loaded = command_modules(["simulate", str(SCENARIO), "out.csv"], tmp_path)
         assert {f"delayplatoon.{m}" for m in ("scenario", "simulator", "controllers", "predictor")} <= loaded
@@ -130,3 +181,50 @@ class TestImportFootprint:
         assert not loaded & {
             f"delayplatoon.{m}" for m in ("analysis", "simulator", "scenario", "controllers")
         }
+
+
+class TestWithoutNumpy:
+    """A child in which numpy cannot be imported: `analyze` on the DCH and
+    constant policies prints the same bytes with the same exit code, and a
+    command that needs numpy fails as a runtime error (exit 3)."""
+
+    @pytest.mark.parametrize(
+        ("argv", "exit_code"),
+        [
+            (["analyze", "dch", "--hv", "0.4", "--phi", "0.15"], 0),
+            (["analyze", "dch", "--hv", "0.2", "--phi", "0.15"], 1),  # not string stable
+            (["analyze", "dch", "--hv", "0.05", "--phi", "0.15", "--tau", "0.2"], 1),  # not proper
+            (["analyze", "dch", "--hv", repr(math.e * 0.15), "--phi", "0.15"], 0),  # double root
+            (["analyze", "dch", "--hv", "1e-300"], 1),  # root check inconclusive
+            (["analyze", "dch", "--hv", "1e300", "--phi", "3"], 0),
+            (["analyze", "dch", "--hv", "0.5", "--phi", "0"], 0),
+            (["analyze", "constant", "--tau", "0.3"], 0),
+            (["analyze", "dch", "--hv", "nan"], 2),
+        ],
+        ids=["stable", "unstable", "improper", "double-root", "inconclusive", "huge-hv",
+             "no-delay", "constant", "nan"],
+    )
+    def test_analyze_prints_the_same(self, tmp_path, argv, exit_code):
+        bare = run_command(argv, tmp_path, without_numpy=True)
+        normal = run_command(argv, tmp_path)
+        assert normal.returncode == exit_code, normal.stderr
+        assert (bare.returncode, bare.stdout, bare.stderr) == (
+            normal.returncode, normal.stdout, normal.stderr)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", str(SCENARIO), "out.csv"],
+            ["sweep", "sweep.csv", "dch", "--hv", "0.4", "--points", "64"],
+            ["region", "region.csv", "--phi", "0.15", "--points", "16"],
+            ["predict-demo", "u.txt"],
+            ["analyze", "ext", "--hv", "1.2", "--ha", "0.25"],
+        ],
+        ids=["simulate", "sweep", "region", "predict-demo", "analyze-ext"],
+    )
+    def test_commands_that_need_numpy_exit_3(self, tmp_path, argv):
+        (tmp_path / "u.txt").write_text("0.5\n" * 15)
+        result = run_command(argv, tmp_path, without_numpy=True)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("error: ModuleNotFoundError: No module named 'numpy'")
+        assert not any(tmp_path.glob("*.csv"))
