@@ -35,9 +35,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .dynamics import VehicleParams
 from .errors import RefinementError
 from .spacing import PolicyKind, SpacingPolicy, StabilityVerdict
@@ -63,8 +63,7 @@ OMEGA_CAP = 1e308  # largest top frequency of the default sweep grid
 ROOT_STABLE_TOL = 1e-9  # |Re(rightmost)| <= ROOT_STABLE_TOL |rightmost| is inconclusive
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(Record):
     """p(lambda) = a(lambda) + b(lambda) e^{-phi lambda}, deg b < deg a.
 
     a and b hold ascending coefficients.  The constructor divides both by
@@ -1049,8 +1048,7 @@ def stability_region_boundary(phi: float, n_points: int) -> np.ndarray:
     return np.column_stack((w * np.sin(w * phi), w * w * np.cos(w * phi)))
 
 
-@dataclass(frozen=True)
-class L2PairVerdict:
+class L2PairVerdict(Record):
     """Cumulative-energy comparison of follower i against predecessor i-1."""
 
     follower: int

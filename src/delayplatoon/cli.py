@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .dynamics import InputHistory, VehicleParams, VehicleState, delay_steps, discretize, step
+from .dynamics import MAX_SAMPLES, InputHistory, VehicleParams, VehicleState, delay_steps, discretize, step
 from .errors import HistoryDepthError, RefinementError
 from .spacing import PolicyKind, SpacingPolicy, is_proper, is_string_stable, policy_rows, relative_degrees, solvability_check
 
@@ -223,6 +223,13 @@ def cmd_analyze(args) -> int:
     return EXIT_NEGATIVE
 
 
+def _check_points(points: int) -> None:
+    """Rejects a --points outside [2, MAX_SAMPLES], the simulator's cap on a
+    run's samples, before any array is allocated."""
+    if not 2 <= points <= MAX_SAMPLES:
+        raise ValueError(f"--points must be between 2 and MAX_SAMPLES = {MAX_SAMPLES}, got {points}")
+
+
 def cmd_region(args) -> int:
     import numpy as np
 
@@ -230,6 +237,7 @@ def cmd_region(args) -> int:
 
     phis = args.phi
     with _input_checked():
+        _check_points(args.points)
         curves = [analysis.stability_region_boundary(phi, args.points) for phi in phis]
     if len(phis) == 1:
         _write_table(args.out, curves[0], "hv_over_ha,one_over_ha")
@@ -248,8 +256,7 @@ def cmd_sweep(args) -> int:
 
     with _input_checked():
         policy, params = _policy_from_args(args)
-        if args.points < 2:
-            raise ValueError("--points must be >= 2")
+        _check_points(args.points)
         if args.omega_min is not None or args.omega_max is not None:
             lo = args.omega_min if args.omega_min is not None else 1e-3
             hi = args.omega_max if args.omega_max is not None else 1e3

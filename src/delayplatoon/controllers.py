@@ -13,8 +13,8 @@ indexed by the relative degrees of the (H, H_bar) rows lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .dynamics import VehicleParams, VehicleState
 from .errors import ChannelError, DegreeError
 from .spacing import PolicyKind, SpacingPolicy, policy_rows, relative_degrees
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ControllerGains:
+class ControllerGains(Record):
     """Feedback gains on e, e_dot, e_ddot (the latter two where used)."""
 
     k_p: float
@@ -42,8 +41,7 @@ class ControllerGains:
             raise ValueError("gains must be finite")
 
 
-@dataclass(frozen=True)
-class ControlInputs:
+class ControlInputs(Record):
     """Measurements a follower consumes at one control instant.
 
     delta is the radar range already adjusted for the standstill offset;
@@ -84,8 +82,7 @@ def validate_gains(rho_bar: int, gains: ControllerGains) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class ControllerSpec:
+class ControllerSpec(Record):
     """Policy-matched control law; gains are validated at construction.
 
     predecessor params are required only by the delayed-constant law, which

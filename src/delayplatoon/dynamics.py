@@ -14,9 +14,9 @@ first, and their sample period; its depth is their number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import DelayGranularityError
 
 if TYPE_CHECKING:
@@ -37,8 +37,7 @@ __all__ = [
 MAX_SAMPLES = 10**6  # samples of a run (which keeps its whole log) and of a delay window
 
 
-@dataclass(frozen=True)
-class VehicleParams:
+class VehicleParams(Record):
     """Engine time constant tau [s] and actuation delay phi [s]."""
 
     tau: float
@@ -51,8 +50,7 @@ class VehicleParams:
             raise ValueError(f"phi must be finite and >= 0, got {self.phi}")
 
 
-@dataclass(frozen=True)
-class VehicleState:
+class VehicleState(Record):
     """Longitudinal position [m], velocity [m/s] and acceleration [m/s^2]."""
 
     q: float = 0.0
@@ -74,8 +72,7 @@ class VehicleState:
         return cls(float(x[0]), float(x[1]), float(x[2]))
 
 
-@dataclass(frozen=True)
-class InputHistory:
+class InputHistory(Record):
     """Buffered past inputs covering the delay window [t - phi, t).
 
     ``samples`` is chronological: ``samples[0]`` is the oldest value
@@ -104,8 +101,7 @@ class InputHistory:
         return cls((float(value),) * depth, sample_period)
 
 
-@dataclass(frozen=True)
-class DiscreteModel:
+class DiscreteModel(Record):
     """Exact ZOH discretization: x(k+1) = Phi x(k) + Gamma u(k - d)."""
 
     Phi: np.ndarray

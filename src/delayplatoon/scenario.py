@@ -23,9 +23,9 @@ from __future__ import annotations
 import configparser
 import contextlib
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._record import Record
 from .controllers import ControllerGains, ControllerSpec
 from .dynamics import InputHistory, VehicleParams, VehicleState, delay_steps
 from .errors import DelayGranularityError, ScenarioError
@@ -59,8 +59,7 @@ _SEGMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     config: PlatoonConfig
     profile: LeaderProfile
 

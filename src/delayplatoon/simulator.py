@@ -60,11 +60,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .controllers import ControllerSpec, tracking_law
 from .dynamics import (
     MAX_SAMPLES,
@@ -95,8 +95,7 @@ __all__ = [
 MAX_LOG_VALUES = 11 * MAX_SAMPLES  # logged values of a run: MAX_SAMPLES two-vehicle samples
 
 
-@dataclass(frozen=True)
-class LeaderSegment:
+class LeaderSegment(Record):
     """One leader-profile segment with the input u = amplitude + gain (v_ref - v):
     a closed-loop cruise has amplitude 0, an open-loop pulse gain 0."""
 
@@ -122,8 +121,7 @@ class LeaderSegment:
         return cls(duration, amplitude=amplitude)
 
 
-@dataclass(frozen=True)
-class LeaderProfile:
+class LeaderProfile(Record):
     """Contiguous leader segments; the input is 0 past the last segment."""
 
     segments: tuple[LeaderSegment, ...]
@@ -148,8 +146,7 @@ def leader_input(profile: LeaderProfile, t: float, v_leader: float) -> float:
     return 0.0
 
 
-@dataclass(frozen=True)
-class MeasurementOptions:
+class MeasurementOptions(Record):
     """Sample-and-hold emulation of the real sensor rates (both off by default
     so the theory-level tests see exact values)."""
 
@@ -164,17 +161,15 @@ class MeasurementOptions:
                 raise ValueError("hold rates must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class VehicleSetup:
+class VehicleSetup(Record):
     """Initial condition of one vehicle; history defaults to all zeros."""
 
     params: VehicleParams
-    state: VehicleState = field(default_factory=VehicleState)
+    state: VehicleState = VehicleState()  # shared: records are immutable
     history: InputHistory | None = None
 
 
-@dataclass(frozen=True)
-class PlatoonConfig:
+class PlatoonConfig(Record):
     """Vehicles (index 0 the leader), per-follower policies and controllers,
     sample period and horizon.  Every phi must be an integer multiple of Ts."""
 
@@ -183,7 +178,7 @@ class PlatoonConfig:
     controllers: tuple[ControllerSpec, ...]
     ts: float
     horizon: float
-    measurement: MeasurementOptions = field(default_factory=MeasurementOptions)
+    measurement: MeasurementOptions = MeasurementOptions()
     clamp_reverse: bool = False
 
     def __post_init__(self):
@@ -234,8 +229,7 @@ class PlatoonConfig:
                 raise ValueError(f"controller {f + 1} predecessor params mismatch")
 
 
-@dataclass(frozen=True)
-class TrajectoryLog:
+class TrajectoryLog(Record):
     """Uniformly sampled trajectories: per-vehicle q, v, a, u as
     (n_samples, n_vehicles) columns and per-follower e, delta, delta_ref."""
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field, replace
 
+from ._record import Record
 from .dynamics import VehicleParams
 
 __all__ = [
@@ -54,8 +54,7 @@ class PolicyKind(enum.Enum):
             ) from None
 
 
-@dataclass(frozen=True)
-class SpacingPolicy:
+class SpacingPolicy(Record):
     """Policy kind with velocity headway h_v [s], acceleration headway
     h_a [s^2] and a standstill offset [m] (display only, removed before
     error math)."""
@@ -85,8 +84,7 @@ class SpacingPolicy:
                 raise ValueError("h_v and h_a must be > 0 for the extended policy")
 
 
-@dataclass(frozen=True)
-class PolicyRows:
+class PolicyRows(Record):
     """Row vectors of Delta_ref = H x(t) + H_bar x(t + phi)."""
 
     H: tuple[float, float, float]
@@ -99,8 +97,7 @@ class PolicyRows:
                 raise ValueError(f"H and H_bar must be 3-tuples of finite numbers, got {row!r}")
 
 
-@dataclass(frozen=True)
-class SolvabilityResult:
+class SolvabilityResult(Record):
     ok: bool
     reason: str
 
@@ -108,8 +105,7 @@ class SolvabilityResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(Record):
     """Outcome of a properness / string-stability check with its certificate.
 
     method is one of "closed-form", "sweep", "root-search".  Depending on the
@@ -125,7 +121,7 @@ class StabilityVerdict:
     peak_omega: float | None = None
     peak_magnitude: float | None = None
     witness_omega: float | None = None
-    margins: tuple[float, ...] = field(default=())
+    margins: tuple[float, ...] = ()
 
 
 def policy_rows(policy: SpacingPolicy) -> PolicyRows:
@@ -258,4 +254,4 @@ def is_string_stable(policy: SpacingPolicy, params: VehicleParams) -> StabilityV
         return StabilityVerdict(True, "closed-form", margins=(m1, m2))
     from . import analysis  # deferred: analysis imports this module's types
 
-    return replace(analysis.extended_string_stability(policy, params), margins=(m1, m2))
+    return analysis.extended_string_stability(policy, params).replace(margins=(m1, m2))

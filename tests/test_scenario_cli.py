@@ -787,6 +787,25 @@ class TestExitCodeContract:
         assert code == 3 or not paths["<out>"].exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "<out>", "--phi", "0.15", "--points", str(10**12)],
+            ["sweep", "<out>", "dch", "--hv", "0.4", "--points", str(10**12)],
+        ],
+        ids=["region", "sweep"],
+    )
+    def test_points_above_the_sample_cap_exit_2(self, tmp_path, capsys, argv):
+        """A grid larger than MAX_SAMPLES is rejected before any array is
+        allocated, by a message that names the cap."""
+        out = tmp_path / "o.csv"
+        assert main([str(out) if a == "<out>" else a for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValueError: --points must be between 2 and MAX_SAMPLES = "
+            f"{dp.dynamics.MAX_SAMPLES}, got {10**12}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv,verdict",
         [
             pytest.param(  # more Lambert-W branches reach the box than are listed

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.resources
 import math
 import time
@@ -587,7 +586,7 @@ def test_long_run_does_not_drift(name):
     after the scenario's own segments: the headway followers' recursion
     stays within the float loop's tolerance, the constant policy identical."""
     scenario = parse_scenario(importlib.resources.files("delayplatoon") / "scenarios" / name)
-    config = dataclasses.replace(scenario.config, horizon=5e4 * scenario.config.ts)
+    config = scenario.config.replace(horizon=5e4 * scenario.config.ts)
     profile = dp.LeaderProfile(scenario.profile.segments + (dp.LeaderSegment.pulse(500.0, 0.1),))
     got, want = dp.run(config, profile), run_reference(config, profile)
     assert len(got.t) == 50_001 and np.max(np.abs(want.q)) > 1e4

@@ -174,6 +174,23 @@ class TestImportFootprint:
         assert {f"delayplatoon.{m}" for m in ("scenario", "simulator", "controllers", "predictor")} <= loaded
         assert "delayplatoon.analysis" not in loaded
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", str(SCENARIO), "out.csv"],
+            ["analyze", "ext", "--hv", "1.2", "--ha", "0.25"],
+            ["sweep", "sweep.csv", "dch", "--hv", "0.4", "--points", "64"],
+            ["region", "region.csv", "--phi", "0.15", "--points", "16"],
+            ["predict-demo", "u.txt"],
+        ],
+        ids=["simulate", "analyze", "sweep", "region", "predict-demo"],
+    )
+    def test_no_command_loads_dataclasses(self, tmp_path, argv):
+        """Records are plain classes on _record.Record: no command pays for
+        generating and compiling data-class methods at import."""
+        (tmp_path / "u.txt").write_text("0.5\n" * 15)
+        assert "dataclasses" not in command_modules(argv, tmp_path)
+
     def test_predict_demo_loads_neither_analysis_nor_simulator_stack(self, tmp_path):
         (tmp_path / "u.txt").write_text("0.5\n" * 15)
         loaded = command_modules(["predict-demo", "u.txt"], tmp_path)
