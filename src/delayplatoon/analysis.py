@@ -10,35 +10,38 @@ the frequency past which |T| <= 1), the rightmost root of the
 one-delay internal dynamics p = a(lambda) + b(lambda) e^{-phi lambda}, deg b
 < deg a, with every evaluation of p running Horner over one cached row table
 (for deg a = 1, the DCH factor, the roots in closed form on the branches of
-the Lambert W function; for deg a >= 2, Newton seeded by the eigenvalues of
-a 6-node pseudospectral generator built from a cached Chebyshev block;
-either way certified by one adaptive argument-principle count over the
-upper half of a conjugate-symmetric box that the scalar modulus bound R(s)
-sizes, its segments accepted by a Taylor-model two-disc test on p, p' and
-a bound on |p''|, against the roots found with the multiplicity a scalar
-Rouché test proves for each; for deg a >= 2 a failed certificate, or a
-seeding none of whose seeds converges, is re-seeded once from 24 nodes,
-and a second failure raises RefinementError), the properness root check
-(inconclusive where the root lies within rounding of the axis), the
-properness region boundary, and the time-domain L2 string-stability check.
+the Lambert W function; for deg a = 2, the extended factor, Newton seeded
+in closed form by a truncated quadratic and the Lambert-W chain; either way
+certified by one adaptive argument-principle count over the upper half of
+a conjugate-symmetric box that the scalar modulus bound R(s) sizes, its
+segments accepted by a Taylor-model two-disc test on p, p' and a bound on
+|p''|, against the roots found with the multiplicity a scalar Rouché test
+proves for each; for deg a >= 2 a failed closed-form seeding, and every
+search it does not cover, is seeded from the eigenvalues of a 24-node
+pseudospectral generator built from a cached Chebyshev block, whose
+failure raises RefinementError), the properness root check (inconclusive
+where the root lies within rounding of the axis), the properness region
+boundary, and the time-domain L2 string-stability check.
 
 numpy is imported by the functions that build or read an array (the
 kernel, the sweeps and their cells, the generator and its eigenvalues, the
 region boundary, the L2 check, and QuasiPolynomial's call on arrays), not
-at module level.  The DCH roots, the box count, the multiplicity test and
-properness_root_check's verdict run on math and cmath alone, so a DCH
-root check loads no numpy; an extended one loads it for the generator.
+at module level.  The closed-form roots and seeds, the box count, the
+multiplicity test and properness_root_check's verdict run on math and
+cmath alone, so a DCH or extended root check loads no numpy unless the
+extended one falls back to the generator.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from typing import TYPE_CHECKING
 
 from ._record import Record
-from .dynamics import VehicleParams
+from .dynamics import VehicleParams, check_sample_count
 from .errors import RefinementError
 from .spacing import PolicyKind, SpacingPolicy, StabilityVerdict
 
@@ -258,8 +261,10 @@ def default_sweep_grid(policy: SpacingPolicy, params: VehicleParams, n_grid: int
 
     The default SWEEP_POINTS only seeds refined_peak's cells, which split
     where their bound needs it; ``sweep`` passes its --points (4,096 by
-    default) for the plotted grid.
+    default) for the plotted grid.  ValueError, before any allocation,
+    unless 2 <= n_grid <= MAX_SAMPLES.
     """
+    check_sample_count("n_grid", n_grid)
     import numpy as np
 
     bounds = []
@@ -658,8 +663,7 @@ def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
     return None
 
 
-_SEED_NODES = 6  # Chebyshev intervals of the generator that seeds the search
-_RESEED_NODES = 24  # ... of the one re-seed when the _SEED_NODES certificate fails
+_RESEED_NODES = 24  # Chebyshev intervals of the generator that re-seeds the search
 
 
 @functools.cache
@@ -684,7 +688,7 @@ def _chebyshev_block(n: int, nodes: int) -> np.ndarray:
     return block
 
 
-def _generator_matrix(qp: QuasiPolynomial, nodes: int = _SEED_NODES) -> np.ndarray:
+def _generator_matrix(qp: QuasiPolynomial, nodes: int = _RESEED_NODES) -> np.ndarray:
     """Chebyshev pseudospectral generator of the delay equation behind p.
 
     p is the characteristic function of x^(n)(t) = -sum_j (a_j x^(j)(t) +
@@ -727,7 +731,8 @@ def _fold(lam: complex) -> complex:
 
 def _polish_eigenvalues(qp: QuasiPolynomial, generator: np.ndarray) -> list[complex]:
     """Distinct roots, Newton-polished from the generator's eigenvalues (the
-    seeding of rightmost_root for deg a >= 2).
+    seeding of rightmost_root where the closed-form one fails or does not
+    apply).
 
     Eigenvalues e with Im >= 0 and |e| <= R(Re e) seed damped Newton from
     the right: the bound drops the spurious high-frequency eigenvalues of
@@ -864,6 +869,112 @@ def _lambert_roots(qp: QuasiPolynomial) -> list[complex]:
     raise RefinementError(f"more than {_RESEED_NODES} Lambert-W branches reach the box")
 
 
+def _quadratic_roots(c2: float, c1: float, c0: float) -> list[complex]:
+    """The finite roots of c2 x^2 + c1 x + c0, with the coefficients scaled
+    to at most 1 (no product overflows) and in the cancellation-free form
+    q / c2, c0 / q, q = -(c1 + sign(c1) sqrt(c1^2 - 4 c2 c0)) / 2."""
+    scale = max(abs(c2), abs(c1), abs(c0))
+    if not 0.0 < scale < math.inf:  # also nan
+        return []
+    c2, c1, c0 = c2 / scale, c1 / scale, c0 / scale
+    q = -0.5 * (c1 + math.copysign(1.0, c1) * cmath.sqrt(c1 * c1 - 4.0 * c2 * c0))
+    if q == 0.0:  # c1 = c0 = 0
+        return [0j]
+    return [r for r in ([q / c2] if c2 else []) + [c0 / q] if cmath.isfinite(r)]
+
+
+def _closed_form_roots(qp: QuasiPolynomial) -> list[complex]:
+    """Distinct roots of a degree-2 p = lambda^2 + a_1 lambda + a_0 + (b_1
+    lambda + b_0) e^{-phi lambda}, Newton-polished from seeds in closed
+    form, down to the left edge of the box that _certified_top counts over
+    (the seeding of rightmost_root for the extended factor).
+
+    The small roots are seeded by those of the quadratic that truncating
+    e^{-phi lambda} after phi^2 lambda^2 / 2 gives, (1 - b_1 phi + b_0
+    phi^2 / 2) lambda^2 + (a_1 + b_1 - b_0 phi) lambda + a_0 + b_0, exact at
+    phi = 0 (_quadratic_roots).  Where lambda^2 outweighs a and b_1 lambda
+    outweighs b_0, lambda e^{phi lambda} ~ -b_1: the chain of roots near
+    W_k(-phi b_1) / phi on the branches of the Lambert function (Corless et
+    al. 1996), as for the DCH factor (_lambert_roots).  Its seeds are W_0,
+    where that asymptotic form holds ((|a_1| + |b_0 / b_1| + |a_0| / |s|) /
+    |s| < 1 at the seed s; elsewhere Newton from it wanders, along the real
+    axis for a real seed), and W_-1 where it is real, the form holds and
+    one Newton step from it lies right of lo = s* - _box_margin(s*, phi), s* the rightmost
+    root so far; then W_1, W_2, ..., whose real parts decrease, until one
+    Newton step from one lies left of lo (the other branches are their
+    conjugates).  The step matters: the asymptotic seed misplaces a chain
+    root by about |b_0 / (b_1 lambda)| / phi, more than the box margin at
+    h_a / (h_v phi) ~ 1e-7.  Each seed is polished (_newton_polish) and
+    folded and snapped (_fold).  A root within 1e-6 |root| of the real axis
+    is polished again from its real part, kept first: near a double real
+    root Newton stops on a complex point, and the real one is what the
+    Rouché test of _local_multiplicity proves.  A root within 1e-6 (u +
+    |r|) of a root r found before is dropped, u the largest modulus of the
+    quadratic's roots (1 without any): the distance scales with p's own, so
+    the real pair of h_a lambda^2 + (h_v - phi) lambda + 1 at h_a = 1e30,
+    2e-15 apart, stays two roots.  RefinementError where no seed
+    converges, where -phi b_1 is not finite, and where more than
+    _RESEED_NODES branches past W_0 reach the box, the cap of
+    _lambert_roots.
+    """
+    (a0, a1, _), (b0, b1), phi = qp.a, qp.b, qp.phi
+    small = _quadratic_roots(1.0 - b1 * phi + b0 * phi * phi / 2.0, a1 + b1 - b0 * phi, a0 + b0)
+    unit = max(map(abs, small), default=1.0)
+    roots: list[complex] = []
+
+    def keep(lam: complex) -> None:
+        if not any(abs(lam - r) <= 1e-6 * (unit + abs(r)) for r in roots):
+            roots.append(lam)
+
+    def polish(seed: complex) -> None:
+        if (lam := _newton_polish(qp, seed)) is None:
+            return
+        lam = _fold(lam)
+        if 0.0 < lam.imag <= 1e-6 * abs(lam) and (
+                real := _newton_polish(qp, complex(lam.real))) is not None:
+            keep(_fold(real))
+        keep(lam)
+
+    def in_box(seed: complex) -> bool:
+        """Whether one Newton step from seed lies right of lo."""
+        if not roots:
+            return True
+        with contextlib.suppress(OverflowError, ZeroDivisionError):
+            fval, dval, _ = qp.newton_terms(seed)
+            seed -= fval / dval
+        right = max(r.real for r in roots)
+        return seed.real >= right - _box_margin(right, phi)  # nan is not
+
+    def asymptotic(seed: complex) -> bool:
+        """Whether b_1 lambda outweighs b_0, and lambda^2 outweighs a, at seed."""
+        r = abs(seed)
+        return r > 0.0 and (abs(a1) + abs(b0 / b1) + abs(a0) / r) / r < 1.0
+
+    for seed in small:
+        if seed.imag >= 0.0:  # a complex pair seeds once
+            polish(seed)
+    if phi and b1:
+        x = -phi * b1
+        if not math.isfinite(x):
+            raise RefinementError("Lambert-W argument -phi b_1 is not finite")
+        w0 = _lambert_w(x, 0)
+        seed = -b1 * cmath.exp(-w0)  # W_0 / phi, kept where x underflows
+        if asymptotic(seed):
+            polish(seed)
+        if (-1.0 / math.e < x < 0.0 and (lower := _lambert_w(x, -1)) != w0
+                and asymptotic(seed := lower / phi) and in_box(seed)):
+            polish(seed)
+        for k in range(1, _RESEED_NODES + 1):
+            if not x or not in_box(seed := _lambert_w(x, k) / phi):  # W_k(0) = -inf off W_0
+                break
+            polish(seed)
+        else:
+            raise RefinementError(f"more than {_RESEED_NODES} Lambert-W branches reach the box")
+    if not roots:
+        raise RefinementError("no closed-form seed converged to a root")
+    return roots
+
+
 def _scaled_taylor(coeffs: tuple[float, ...], center: complex, radius: float) -> list[complex]:
     """Ascending coefficients of u -> c(center + radius u) for the ascending
     coefficients of c, by repeated synthetic division (Horner)."""
@@ -960,18 +1071,18 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
     """The root of p with the largest real part, certified.
 
     For deg a = 1 (the DCH factor) the roots are listed in closed form on
-    the branches of the Lambert W function (_lambert_roots): no generator
-    is built.  For deg a >= 2 (the extended factor) the search seeds
-    damped Newton iterations at the eigenvalues of a 6-node Chebyshev
-    pseudospectral discretization of the delay equation's generator (those
-    within the bound R of _root_bound), 14 x 14 for the extended factor,
-    and deduplicates.  Either way s* is the rightmost root found.  The
-    generator's seeds only start Newton, which the certificate below
-    checks, and its rightmost eigenvalues converge spectrally in the node
-    count (Breda, Maset & Vermiglio 2005): over 20,000 seeded tunings with
-    phi from 1e-3 to 1e3, none needed the re-seed, and each root was the
-    12-node seeding's to 2e-12 relative; tunings with h_a / (h_v phi) near
-    4e-11 do need it.
+    the branches of the Lambert W function (_lambert_roots).  For deg a = 2
+    (the extended factor) with b_1 != 0 or phi = 0, damped Newton
+    iterations start from closed-form seeds (_closed_form_roots): the roots
+    of the quadratic that truncating e^{-phi lambda} at second order gives,
+    and the chain W_k(-phi b_1) / phi.  Neither builds a generator or
+    imports numpy.  Either way s* is the rightmost root found.  The seeds
+    only start Newton, which the certificate below checks: over 9,000
+    extended tunings (the paper's ranges, phi from 1e-3 to 1e3, h_a from
+    1e-9 to 1e305, the properness boundary and the double-root curve) the
+    closed-form seeds certified all but one without the re-seed, each root
+    the generator's to 1.2e-12 relative where both certify, except at
+    double roots, which Newton resolves to about 1e-6.
     Every root with Re >= lo = s* - _box_margin(s*, phi) has modulus below
     R(lo), so the box [lo, R] x [-R, R] holds all of them: the adaptive
     argument-principle count over the upper half of its boundary
@@ -980,11 +1091,13 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
     conjugates included, with the multiplicity of each proved by Rouché's
     theorem on a small disk (_local_multiplicity).  Then no root lies right
     of s*.
-    When no 6-node seed converges or the certificate fails, the search is
-    seeded once more from a 24-node generator.  Where tiny coefficients
-    (h_a >~ 1e27) drown the generator's eigenvalues in its rounding, no
-    seed converges and the search is inconclusive.  The closed-form roots
-    are not re-seeded.
+    When the closed-form seeding fails (no seed converges, or the
+    certificate does not match), and for deg a = 2 with b_1 = 0 < phi or
+    for deg a >= 3, the search is seeded from the eigenvalues of a 24-node
+    Chebyshev pseudospectral discretization of the delay equation's
+    generator (_polish_eigenvalues; Breda, Maset & Vermiglio 2005), which
+    imports numpy; a failure there raises.  The Lambert-W roots are not
+    re-seeded.
     Raises RefinementError when the Lambert-W listing fails, when no seed
     of the last seeding converges, when the bound or p is not finite on the
     box, when the count reaches its cap, or when it does not match the
@@ -992,18 +1105,16 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
     """
     if len(qp.b) == 1:
         return _certified_top(qp, _lambert_roots(qp), "the Lambert-W branches")
-    tried = []
-    for nodes in (_SEED_NODES, _RESEED_NODES):
-        tried.append(str(nodes))
-        roots = _polish_eigenvalues(qp, _generator_matrix(qp, nodes))
-        if not roots:
-            error = RefinementError("no eigenvalue seed converged to a root")
-            continue
+    seeding = f"{_RESEED_NODES} Chebyshev nodes"
+    if len(qp.b) == 2 and (qp.b[1] or not qp.phi):
         try:
-            return _certified_top(qp, roots, f"{', then '.join(tried)} Chebyshev nodes")
-        except RefinementError as exc:
-            error = exc  # re-seeded from the finer generator, or raised
-    raise error
+            return _certified_top(qp, _closed_form_roots(qp), "the closed-form seeds")
+        except RefinementError:
+            seeding = f"the closed-form seeds, then {seeding}"
+    roots = _polish_eigenvalues(qp, _generator_matrix(qp, _RESEED_NODES))
+    if not roots:
+        raise RefinementError("no eigenvalue seed converged to a root")
+    return _certified_top(qp, roots, seeding)
 
 
 def properness_root_check(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:
@@ -1034,11 +1145,11 @@ def stability_region_boundary(phi: float, n_points: int) -> np.ndarray:
     """Boundary of the extended-policy properness region in the
     (h_v/h_a, 1/h_a) plane: (w sin(w phi), w^2 cos(w phi)) for w in
     [0, pi/(2 phi)], sampled uniformly including the endpoint limits.
-    Raises ValueError for a phi so small that (pi/(2 phi))^2 overflows."""
+    Raises ValueError, before any allocation, unless 2 <= n_points <=
+    MAX_SAMPLES, and for a phi so small that (pi/(2 phi))^2 overflows."""
     if not (math.isfinite(phi) and phi > 0.0):
         raise ValueError("phi must be finite and > 0")
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    check_sample_count("n_points", n_points)
     w_max = 0.5 * math.pi / phi
     if not math.isfinite(w_max * w_max):
         raise ValueError(f"phi = {phi:g} is too small: the boundary overflows")

@@ -19,9 +19,11 @@ module (parse_scenario and predict are thin functions that import their
 module on first call), so replacing that name redirects the command's call.
 numpy too is imported by the functions that build an array (the trajectory
 table, sweep, region and predict-demo), not at module level: ``analyze``
-on the DCH or constant policy never loads it, and on the extended policy
-loads it through analysis, for the generator that seeds the root search
-and for the string-stability cells.
+on the DCH or constant policy never loads it, nor on an extended tuning
+inside the closed-form sufficient pair, whose root search starts from
+closed-form seeds.  Other extended tunings load it through analysis for
+the string-stability cells, and any extended search for the generator
+that re-seeds it when the closed-form seeds fail.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .dynamics import MAX_SAMPLES, InputHistory, VehicleParams, VehicleState, delay_steps, discretize, step
+from .dynamics import InputHistory, VehicleParams, VehicleState, check_sample_count, delay_steps, discretize, step
 from .errors import HistoryDepthError, RefinementError
 from .spacing import PolicyKind, SpacingPolicy, is_proper, is_string_stable, policy_rows, relative_degrees, solvability_check
 
@@ -223,13 +225,6 @@ def cmd_analyze(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _check_points(points: int) -> None:
-    """Rejects a --points outside [2, MAX_SAMPLES], the simulator's cap on a
-    run's samples, before any array is allocated."""
-    if not 2 <= points <= MAX_SAMPLES:
-        raise ValueError(f"--points must be between 2 and MAX_SAMPLES = {MAX_SAMPLES}, got {points}")
-
-
 def cmd_region(args) -> int:
     import numpy as np
 
@@ -237,7 +232,7 @@ def cmd_region(args) -> int:
 
     phis = args.phi
     with _input_checked():
-        _check_points(args.points)
+        check_sample_count("--points", args.points)
         curves = [analysis.stability_region_boundary(phi, args.points) for phi in phis]
     if len(phis) == 1:
         _write_table(args.out, curves[0], "hv_over_ha,one_over_ha")
@@ -256,7 +251,7 @@ def cmd_sweep(args) -> int:
 
     with _input_checked():
         policy, params = _policy_from_args(args)
-        _check_points(args.points)
+        check_sample_count("--points", args.points)
         if args.omega_min is not None or args.omega_max is not None:
             lo = args.omega_min if args.omega_min is not None else 1e-3
             hi = args.omega_max if args.omega_max is not None else 1e3

@@ -32,9 +32,18 @@ __all__ = [
     "delay_steps",
     "step",
     "MAX_SAMPLES",
+    "check_sample_count",
 ]
 
 MAX_SAMPLES = 10**6  # samples of a run (which keeps its whole log) and of a delay window
+
+
+def check_sample_count(name: str, count: int) -> None:
+    """ValueError unless 2 <= count <= MAX_SAMPLES: the length of a
+    requested array (the CLI's --points, the region boundary's and sweep
+    grid's point counts), checked before it is allocated."""
+    if not 2 <= count <= MAX_SAMPLES:
+        raise ValueError(f"{name} must be between 2 and MAX_SAMPLES = {MAX_SAMPLES}, got {count}")
 
 
 class VehicleParams(Record):

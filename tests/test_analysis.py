@@ -190,6 +190,15 @@ class TestStringStabilitySweep:
         assert grid[-1] == pytest.approx(20.0 * math.pi / 1e5, rel=1e-15)
         assert grid[0] == pytest.approx(1e-3 * grid[-1], rel=1e-12)
 
+    @pytest.mark.parametrize("n_grid", [1, 10**6 + 1, 10**12])
+    def test_count_outside_the_sample_cap_rejected(self, ref_params, n_grid):
+        """Rejected before any array is allocated (10**12 points would take
+        8 TB), in the wording of the CLI's --points check."""
+        message = f"^n_grid must be between 2 and MAX_SAMPLES = 1000000, got {n_grid}$"
+        with pytest.raises(ValueError, match=message):
+            analysis.default_sweep_grid(DCH, ref_params, n_grid)
+        assert analysis.default_sweep_grid(DCH, ref_params, 2).shape == (2,)
+
     @pytest.mark.parametrize(
         "h_v,h_a,phi,omega",
         [(1.0, 1e8, 0.15, 1e-4), (2e5, 1e12, 1e5, 1.0051e-6)],
@@ -946,10 +955,9 @@ class TestPropernessRootCheck:
     def test_extended_small_acceleration_headway(self, ref_params, h_a):
         """The root near -1/h_v cancels h_v lambda + 1, and the unstable roots
         near W_0(-phi h_v / h_a) / phi lie beyond 5 / phi.  At h_a = 2e-9 the
-        rightmost pair, 102.6+19.7j, has |lambda| phi of about 16, where the
-        6-node generator's top seed, 57.1+16.1j, lies 45 left of it, and the
-        seed of the next pair in the box, 101.8+59.3j, is 44.1+47.8j: only
-        the seed stop widened by Newton's drift keeps it."""
+        rightmost pair, 102.6+19.7j, has |lambda| phi of about 16, where a
+        6-node generator's top seed, 57.1+16.1j, lay 45 left of it; the
+        Lambert-W chain seeds it and the next pair in the box, 101.8+59.3j."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=h_a)
         verdict = dp.properness_root_check(policy, ref_params)
         assert verdict.stable == dp.is_proper(policy, ref_params).stable
@@ -969,10 +977,11 @@ class TestPropernessRootCheck:
 
     @pytest.mark.parametrize("h_a", [1e30, 1e100, 1e305])
     def test_extended_huge_acceleration_headway(self, ref_params, h_a):
-        """The internal roots sit near +-i h_a^{-1/2}, lost in the generator's
-        rounding: no seed converges, and the check is inconclusive."""
+        """The internal roots, certified near +-i h_a^{-1/2}, have real part
+        -(h_v - phi) / (2 h_a), below 1e-15 of |root|: within rounding of
+        the axis, so the check is inconclusive."""
         policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.0, h_a=h_a)
-        with pytest.raises(dp.RefinementError):
+        with pytest.raises(dp.RefinementError, match="within rounding of the imaginary axis"):
             dp.properness_root_check(policy, ref_params)
 
     @settings(max_examples=150, deadline=None)
@@ -981,7 +990,7 @@ class TestPropernessRootCheck:
         exponent=st.floats(16.0, 305.0),
         phi=st.floats(0.05, 0.3),
     )
-    @example(h_v=0.1, exponent=28.0, phi=0.15)  # not proper; no seed converges
+    @example(h_v=0.1, exponent=28.0, phi=0.15)  # not proper; Re within rounding of the axis
     @example(h_v=1.0, exponent=20.0, phi=0.15)  # proper; Re within rounding of the axis
     def test_huge_acceleration_headway_never_contradicts_closed_form(self, h_v, exponent, phi):
         """Where the internal pair of h_a lambda^2 + (h_v - phi) lambda + 1
@@ -998,23 +1007,25 @@ class TestPropernessRootCheck:
         assert verdict.stable == dp.is_proper(policy, params).stable
 
     def test_spurious_right_eigenvalues_are_filtered(self):
-        """The 6-node generator's top eigenvalue here, 92.7+85.0j, is
-        spurious: |e| > R(Re e).  Newton from it lands on 21.36+28.86j, a
-        root left of the rightmost one."""
+        """The re-seed's 24-node generator has its top eigenvalue here at
+        33.6+260.5j, spurious: |e| > R(Re e) = 1.97.  Newton from it lands
+        on 15.5+198.0j, a root left of the rightmost one.  The bound drops
+        it, so the re-seed certifies the root that the closed-form seeds
+        find."""
         policy = dp.SpacingPolicy(
             PolicyKind.DELAYED_EXTENDED_HEADWAY,
             h_v=2.368866384477878, h_a=1.2461492890856137e-4,
         )
         params = dp.VehicleParams(0.067, 0.29387934096174734)
         qp = QuasiPolynomial.extended_internal(policy.h_v, policy.h_a, params.phi)
-        eigs = np.linalg.eigvals(analysis._generator_matrix(qp))
+        eigs = np.linalg.eigvals(analysis._generator_matrix(qp, 24))
         top = eigs[np.argmax(eigs.real)]
         assert abs(top) > analysis._root_bound(qp, top.real)
         verdict = dp.properness_root_check(policy, params)
         assert not verdict.stable
-        assert verdict.rightmost_root == pytest.approx(
-            22.69059071151686 + 9.339478251608025j, rel=1e-12
-        )
+        want = 22.69059071151686 + 9.339478251608025j
+        assert verdict.rightmost_root == pytest.approx(want, rel=1e-12)
+        assert generator_root(qp) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("policy,root", [(DCH, -2.5), (EXT, -2.4 + math.sqrt(1.76))])
     def test_zero_delay(self, policy, root):
@@ -1054,9 +1065,9 @@ class TestGeneratorMatrix:
         assert matrix.shape == reference.shape
         assert np.max(np.abs(matrix - reference)) <= 1e-13 * np.max(np.abs(reference))
 
-    def test_default_seeding_uses_6_nodes(self):
+    def test_reseed_uses_24_nodes(self):
         qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
-        assert analysis._generator_matrix(qp).shape == (14, 14)
+        assert analysis._generator_matrix(qp).shape == (50, 50)
         qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.0)  # the companion matrix of a
         assert analysis._generator_matrix(qp).shape == (2, 2)
 
@@ -1161,6 +1172,14 @@ class TestStabilityRegionBoundary:
         with pytest.raises(ValueError):
             analysis.stability_region_boundary(0.15, 1)
 
+    @pytest.mark.parametrize("n_points", [1, 10**6 + 1, 10**12])
+    def test_count_outside_the_sample_cap_rejected(self, n_points):
+        """Rejected before any array is allocated, in the wording of the
+        CLI's --points check."""
+        message = f"^n_points must be between 2 and MAX_SAMPLES = 1000000, got {n_points}$"
+        with pytest.raises(ValueError, match=message):
+            analysis.stability_region_boundary(0.15, n_points)
+
     @pytest.mark.parametrize("phi", [1e-300, 1e-154])
     def test_overflowing_boundary_rejected(self, phi):
         with pytest.raises(ValueError, match="overflows"):
@@ -1255,19 +1274,21 @@ class TestWindingCertificate:
         assert evaluations == []
 
     def test_missing_roots_fail_the_certificate_without_retry(self, monkeypatch, builds):
-        """A root the eigenvalue seeds miss is a RefinementError after two
-        generator builds, the 6-node seeding and its one 24-node re-seed,
-        not a search repeated on ever finer generators: without the
-        rightmost root, -1.019, the box around the next pair, -3.285 +-
-        6.761i, still holds it."""
+        """A root that both seedings miss is a RefinementError after the
+        closed-form seeds and one 24-node generator build, not a search
+        repeated on ever finer generators: without the rightmost root,
+        -1.019, the box around the next pair, -3.285 +- 6.761i, still holds
+        it."""
         qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
         second = analysis._newton_polish(qp, -3.3 + 6.8j)
         assert second == pytest.approx(-3.2846065548748555 + 6.760921056279089j, rel=1e-12)
+        monkeypatch.setattr(analysis, "_closed_form_roots", lambda qp: [second])
         monkeypatch.setattr(analysis, "_polish_eigenvalues", lambda qp, gen: [second])
-        message = r"^winding count 3 != 2 roots found .*; seeded from 6, then 24 Chebyshev"
+        message = (r"^winding count 3 != 2 roots found .*; seeded from the closed-form seeds,"
+                   r" then 24 Chebyshev nodes\)$")
         with pytest.raises(dp.RefinementError, match=message):
             dp.rightmost_root(qp)
-        assert builds == [6, 24]
+        assert builds == [24]
 
     def test_box_count(self):
         """The principal pair of lambda + e^{-0.15 lambda} / 0.4, -6.58 +-
@@ -1388,7 +1409,7 @@ SEEDING_TUNINGS = st.one_of(
     PAPER_TUNINGS,
     st.tuples(log_uniform(1e-9, 1e-4), log_uniform(1.0, 1e3), st.floats(0.05, 0.3)),
 )
-CENSUS_FAMILIES = ("paper", "wide", "dch-double", "dch-boundary")
+CENSUS_FAMILIES = ("paper", "wide", "dch-double", "dch-boundary", "ext-short", "ext-boundary")
 
 
 class TestRootCountAgreesWithFixedGrid:
@@ -1584,31 +1605,44 @@ class TestLocalMultiplicity:
         assert analysis._local_multiplicity(qp, -1.0 + 0.0j, [-1.0 + 0.0j]) == 2
 
 
+def generator_root(qp, nodes=24):
+    """The rightmost root certified from a generator's eigenvalue seeds
+    alone: the oracle of the closed-form seeding."""
+    roots = analysis._polish_eigenvalues(qp, analysis._generator_matrix(qp, nodes))
+    return analysis._certified_top(qp, roots, f"{nodes} Chebyshev nodes")
+
+
 class TestSeeding:
-    """rightmost_root seeds the extended factor from a 6-node generator and
-    re-seeds once from 24 nodes when that seeding fails its certificate;
-    the DCH factor builds no generator."""
+    """rightmost_root seeds the extended factor in closed form, from a
+    truncated quadratic and the Lambert-W chain, and re-seeds once from a
+    24-node generator when that seeding fails its certificate; the DCH
+    factor builds no generator."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=SEEDING_TUNINGS.filter(lambda data: data[0] is not None))
     def test_agrees_with_24_node_seeding(self, data):
         qp = internal(*data)
-        root = dp.rightmost_root(qp)
+        built = []
+        generator = analysis._generator_matrix
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "_SEED_NODES", 24)
-            reference = dp.rightmost_root(qp)
-        assert abs(root - reference) <= 1e-9 * abs(reference)
+            mp.setattr(analysis, "_generator_matrix", lambda qp, n: built.append(n) or generator(qp, n))
+            root = dp.rightmost_root(qp)
+        assert built == []
+        reference = generator_root(qp)
+        assert abs(root - reference) <= 1e-11 * abs(reference)
 
     @pytest.mark.parametrize("family", CENSUS_FAMILIES)
-    def test_census_certifies_from_one_6_node_build(self, builds, family):
+    def test_census_certifies_without_a_generator(self, builds, family):
         """A seeding census, 75 seeded draws a family: the paper's ranges;
         phi log-uniform on [1e-3, 1e3] with h_v / phi on [1e-2, 1e2] and h_a /
         (h_v phi) on [1e-3, 1e3], a third DCH; DCH near the double real root,
         h_v in e phi [1.01, 1.5]; and DCH within 1e-3 of the boundary h_v = 2
-        phi / pi.  Each extended draw certifies from the 6-node seeds alone,
-        and its root is the 12-node seeding's to 1e-11; each DCH draw builds
-        no generator, and its root is scipy's W_0(-phi / h_v) / phi to 1e-13
-        (within_w_rounding)."""
+        phi / pi; extended with h_a / (h_v phi) log-uniform on [1e-9, 1e-4],
+        where the chain roots reach the box; and extended within 1e-3 of the
+        properness boundary (h_v / h_a, 1 / h_a) = (w sin(w phi), w^2 cos(w
+        phi)).  No draw builds a generator.  Each extended root is the
+        24-node generator's to 1e-11 relative, and each DCH root is scipy's
+        W_0(-phi / h_v) / phi to 1e-13 (within_w_rounding)."""
         rng = np.random.default_rng(CENSUS_FAMILIES.index(family))
 
         def log_uniform(lo, hi):
@@ -1627,6 +1661,15 @@ class TestSeeding:
                 h_v = phi * log_uniform(1e-2, 1e2)
                 if k % 3:
                     h_a = h_v * phi * log_uniform(1e-3, 1e3)
+            elif family == "ext-short":
+                phi = rng.uniform(0.05, 0.3)
+                h_v = log_uniform(1.0, 1e3)
+                h_a = h_v * phi * log_uniform(1e-9, 1e-4)
+            elif family == "ext-boundary":
+                phi = rng.uniform(0.05, 0.3)
+                w = rng.uniform(0.01, 0.999) * math.pi / (2.0 * phi)
+                h_a = (1.0 + rng.uniform(-1e-3, 1e-3)) / (w * w * math.cos(w * phi))
+                h_v = w * math.sin(w * phi) * h_a
             else:
                 phi = log_uniform(1e-2, 1e2)
                 if family == "dch-double":
@@ -1636,25 +1679,71 @@ class TestSeeding:
             qp = internal(h_a, h_v, phi)
             builds.clear()
             root = dp.rightmost_root(qp)
+            assert builds == [], qp
             if h_a is None:
-                assert builds == [], qp
                 want = dch_rightmost_root(h_v, phi)
                 assert within_w_rounding(root, want, phi * want), qp
                 continue
-            assert builds == [6], qp
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(analysis, "_SEED_NODES", 12)
-                reference = dp.rightmost_root(qp)
+            reference = generator_root(qp)
             assert abs(root - reference) <= 1e-11 * abs(reference), qp
 
-    def test_short_acceleration_headway_needs_the_reseed(self, builds):
-        """At h_a / (h_v phi) = 4e-11 the 6-node seeds miss a pair inside the
-        box (winding count 6 != 4 roots found); the 24-node re-seed finds
-        it and certifies the rightmost root."""
+    @pytest.mark.parametrize(
+        "h_v,h_a,phi",
+        [
+            (0.5577533173287358, 0.1130950532241342, 0.09149300592198804),
+            (1.2644554100210965, 0.5837293538456868, 0.2092473676312333),
+        ],
+    )
+    def test_double_root_needs_the_reseed(self, builds, h_v, h_a, phi):
+        """On the double-root curve (test_extended_double_root_curve), two
+        Newton runs can stop on either side of the double root, farther
+        apart than the dedupe distance, and each Rouché disk then holds
+        one root where two lie: the closed-form certificate fails, and the
+        24-node re-seed certifies a double real root."""
+        qp = QuasiPolynomial.extended_internal(h_v, h_a, phi)
+        root = dp.rightmost_root(qp)
+        assert builds == [24]
+        assert root.imag == 0.0
+        assert analysis._local_multiplicity(qp, root, [root]) == 2
+
+    def test_short_acceleration_headway_needs_no_reseed(self, builds):
+        """At h_a / (h_v phi) = 4e-11 the 6-node generator's seeds missed a
+        pair inside the box (winding count 6 != 4 roots found), which the
+        Lambert-W chain seeds, one Newton step deciding its stop."""
         root = dp.rightmost_root(QuasiPolynomial.extended_internal(100.0, 1e-9, 0.25))
-        assert builds == [6, 24]
+        assert builds == []
         want = 83.57065271489532 + 11.9960247871189j
         assert abs(root - want) <= 1e-12 * abs(want)
+
+    def test_chain_stop_takes_one_newton_step(self, builds):
+        """h_a / (h_v phi) = 6e-8: the W_1 seed, 92.779+59.397j, lies 0.014
+        left of the box edge 92.794, and its root, 92.797+59.387j, 0.003
+        right of it; one Newton step from the seed places it in the box."""
+        qp = QuasiPolynomial.extended_internal(
+            2.897592545220377, 2.5865637790391416e-08, 0.14908770559596624
+        )
+        dp.rightmost_root(qp)
+        assert builds == []
+        roots = analysis._closed_form_roots(qp)
+        assert any(abs(r - (92.79652295645552 + 59.38655554206992j)) <= 1e-9 for r in roots)
+
+    @pytest.mark.parametrize(
+        "qp",
+        [
+            QuasiPolynomial((1e4, 0.0, 1.0), (50.0,), 0.15),  # b_1 = 0
+            QuasiPolynomial((1.0, 3.0, 3.0, 1.0), (0.5,), 0.1),  # deg a = 3
+        ],
+        ids=["no-chain", "degree-3"],
+    )
+    def test_no_closed_form_seeds_builds_one_24_node_generator(self, builds, qp):
+        dp.rightmost_root(qp)
+        assert builds == [24]
+
+    def test_zero_delay_extended_factor_needs_no_generator(self, builds):
+        """At phi = 0 the truncated quadratic is p itself."""
+        root = dp.rightmost_root(QuasiPolynomial.extended_internal(1.0, 0.4, 0.0))
+        assert builds == []
+        assert root == pytest.approx(-1.25 + 0.25 * math.sqrt(15.0) * 1j, rel=1e-13)
 
     def test_dch_long_delay_needs_no_reseed(self, builds):
         """At phi / h_v = 1e5 the box margin, divided by phi, keeps the chain
@@ -1676,14 +1765,14 @@ class TestSeeding:
     )
     def test_extended_long_delay_needs_no_reseed(self, builds, h_v, h_a, want):
         root = dp.rightmost_root(QuasiPolynomial.extended_internal(h_v, h_a, 100.0))
-        assert builds == [6]
+        assert builds == []
         assert abs(root - want) <= 1e-9 * abs(want)
 
     def test_small_acceleration_headway_needs_no_reseed(self, builds):
-        """The widened seed stop keeps the 6-node seeds of the pairs inside
-        the box (see test_extended_small_acceleration_headway)."""
+        """The Lambert-W chain seeds the pairs inside the box (see
+        test_extended_small_acceleration_headway)."""
         dp.rightmost_root(QuasiPolynomial.extended_internal(1.0, 2e-9, 0.15))
-        assert builds == [6]
+        assert builds == []
 
     def test_dch_builds_no_generator_and_calls_no_eigvals(self, monkeypatch, builds):
         """Every DCH properness_root_check, proper or not, near the double
@@ -1703,16 +1792,18 @@ class TestSeeding:
                 assert "within rounding of the imaginary axis" in str(exc)
         assert builds == []
 
-    @pytest.mark.parametrize("h_v", [0.01, 0.1, 1.0])
-    def test_huge_acceleration_headway_pair_from_the_generator(self, h_v):
-        """At h_a = 1e26 the 6-node generator seeds the pair near +-i
-        h_a^{-1/2}, which the 24-node one loses in its rounding at these
-        h_v: the root is the closed-form pair of h_a lambda^2 + (h_v - phi)
-        lambda + 1.  Its real part, about 1e-15 of |root|, lies within
-        Newton's stop and is not pinned."""
-        h_a, phi = 1e26, 0.15
+    @pytest.mark.parametrize(
+        "h_v,h_a", [(0.01, 1e26), (0.1, 1e26), (1.0, 1e26), (1.0, 1e30), (1.0, 1e100), (3e15, 1e30)]
+    )
+    def test_huge_acceleration_headway_certifies_the_small_pair(self, builds, h_v, h_a):
+        """The internal roots are the pair of h_a lambda^2 + (h_v - phi)
+        lambda + 1 to rounding, the truncated quadratic's seeds: at (1,
+        1e30), -4.25e-31 + 1e-15i, where no generator seed converged; at
+        (3e15, 1e30), the real pair -3.8e-16 and -2.6e-15, which a dedupe
+        distance of 1e-6 (1 + |r|) merged into one.  No generator is built."""
+        phi = 0.15
         root = dp.rightmost_root(QuasiPolynomial.extended_internal(h_v, h_a, phi))
         c = h_v - phi
         want = (-c + cmath.sqrt(c * c - 4.0 * h_a)) / (2.0 * h_a)
-        assert root.imag > 0.0
         assert abs(root - want) <= 1e-13 * abs(want)
+        assert builds == []

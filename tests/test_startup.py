@@ -1,8 +1,9 @@
 """The package namespace is lazy, and each subcommand imports only what it runs.
 
 `import delayplatoon` loads no submodule; a name is imported on its first
-access.  `analyze` on the DCH or constant policy loads no numpy, and runs
-the same where numpy cannot be imported.  Each test lists the modules a
+access.  `analyze` on the DCH or constant policy, and on an extended tuning
+that the closed-form sufficient pair proves string stable, loads no numpy,
+and runs the same where numpy cannot be imported.  Each test lists the modules a
 fresh interpreter has loaded when it is done, or compares what it prints,
 so none measures time.
 """
@@ -154,8 +155,9 @@ class TestImportFootprint:
             (["analyze", "constant"], 0),
             (["analyze", "dch"], 2),
             (["analyze", "dch", "--hv", "nan"], 2),
+            (["analyze", "ext", "--hv", "1", "--ha", "0.4", "--phi", "0.15"], 0),
         ],
-        ids=["dch-stable", "dch-unstable", "constant", "dch-no-hv", "dch-nan"],
+        ids=["dch-stable", "dch-unstable", "constant", "dch-no-hv", "dch-nan", "ext-sufficient"],
     )
     def test_dch_and_constant_analyze_load_no_numpy(self, tmp_path, argv, exit_code):
         loaded = command_modules(argv, tmp_path, exit_code)
@@ -202,8 +204,11 @@ class TestImportFootprint:
 
 class TestWithoutNumpy:
     """A child in which numpy cannot be imported: `analyze` on the DCH and
-    constant policies prints the same bytes with the same exit code, and a
-    command that needs numpy fails as a runtime error (exit 3)."""
+    constant policies, and on extended tunings inside the closed-form
+    sufficient pair (h_a >= 2 h_v phi, h_v^2 >= 2 h_a), prints the same
+    bytes with the same exit code, and a command that needs numpy fails as
+    a runtime error (exit 3), among them an extended tuning whose
+    string-stability verdict needs the cell search."""
 
     @pytest.mark.parametrize(
         ("argv", "exit_code"),
@@ -217,9 +222,16 @@ class TestWithoutNumpy:
             (["analyze", "dch", "--hv", "0.5", "--phi", "0"], 0),
             (["analyze", "constant", "--tau", "0.3"], 0),
             (["analyze", "dch", "--hv", "nan"], 2),
+            (["analyze", "ext", "--hv", "1", "--ha", "0.4", "--phi", "0.15"], 0),
+            (["analyze", "ext", "--hv", "1", "--ha", "0.4", "--phi", "0"], 0),
+            (["analyze", "ext", "--hv", "3e15", "--ha", "1e30"], 0),  # real pair near -4e-16
+            (["analyze", "ext", "--hv", "2e15", "--ha", "1e30"], 0),  # near-double pair at -1e-15
+            (["analyze", "ext", "--hv", "0.7986497819171271", "--ha", "0.22953249406101414",
+              "--phi", "0.1281767307815797"], 0),  # on the double-root curve
         ],
         ids=["stable", "unstable", "improper", "double-root", "inconclusive", "huge-hv",
-             "no-delay", "constant", "nan"],
+             "no-delay", "constant", "nan", "ext", "ext-no-delay", "ext-huge-ha",
+             "ext-huge-ha-double", "ext-double-root"],
     )
     def test_analyze_prints_the_same(self, tmp_path, argv, exit_code):
         bare = run_command(argv, tmp_path, without_numpy=True)
