@@ -904,7 +904,12 @@ def _closed_form_roots(qp: QuasiPolynomial) -> list[complex]:
     Newton step from one lies left of lo (the other branches are their
     conjugates).  The step matters: the asymptotic seed misplaces a chain
     root by about |b_0 / (b_1 lambda)| / phi, more than the box margin at
-    h_a / (h_v phi) ~ 1e-7.  Each seed is polished (_newton_polish) and
+    h_a / (h_v phi) ~ 1e-7.  Where a_0 or a_1 is not 0, the roots of a(lambda)
+    = lambda^2 + a_1 lambda + a_0 seed last, so they move no stop of the
+    chain: where |e^{-phi lambda}| is small, roots lie near them, off the
+    chain and off the quadratic's roots (at a = (79.8, 0, 1), b = (0.101,
+    27.2), phi = 6.07 the rightmost pair, 0.530 +- 8.823i, lies 0.54 from
+    a's roots +- 8.933i).  Each seed is polished (_newton_polish) and
     folded and snapped (_fold).  A root within 1e-6 |root| of the real axis
     is polished again from its real part, kept first: near a double real
     root Newton stops on a complex point, and the real one is what the
@@ -970,6 +975,10 @@ def _closed_form_roots(qp: QuasiPolynomial) -> list[complex]:
             polish(seed)
         else:
             raise RefinementError(f"more than {_RESEED_NODES} Lambert-W branches reach the box")
+    # last, so that they move no stop of the chain listing above
+    for seed in _quadratic_roots(1.0, a1, a0) if a0 or a1 else ():
+        if seed.imag >= 0.0:
+            polish(seed)
     if not roots:
         raise RefinementError("no closed-form seed converged to a root")
     return roots
@@ -1075,7 +1084,7 @@ def rightmost_root(qp: QuasiPolynomial) -> complex:
     (the extended factor) with b_1 != 0 or phi = 0, damped Newton
     iterations start from closed-form seeds (_closed_form_roots): the roots
     of the quadratic that truncating e^{-phi lambda} at second order gives,
-    and the chain W_k(-phi b_1) / phi.  Neither builds a generator or
+    the chain W_k(-phi b_1) / phi, and the roots of a.  Neither builds a generator or
     imports numpy.  Either way s* is the rightmost root found.  The seeds
     only start Newton, which the certificate below checks: over 9,000
     extended tunings (the paper's ranges, phi from 1e-3 to 1e3, h_a from

@@ -17,13 +17,15 @@ imports the scenario and simulator stack, and predict-demo the predictor.
 Each package function a command calls is reached through a name of this
 module (parse_scenario and predict are thin functions that import their
 module on first call), so replacing that name redirects the command's call.
-numpy too is imported by the functions that build an array (the trajectory
-table, sweep, region and predict-demo), not at module level: ``analyze``
-on the DCH or constant policy never loads it, nor on an extended tuning
-inside the closed-form sufficient pair, whose root search starts from
-closed-form seeds.  Other extended tunings load it through analysis for
-the string-stability cells, and any extended search for the generator
-that re-seeds it when the closed-form seeds fail.
+numpy too is imported by the functions that build an array (sweep, region
+and predict-demo), not at module level.  ``simulate`` checks and writes the
+simulator's float columns (``simulator.run_columns``) through the one
+17-digit writer, so it loads numpy only for the prediction weights of a
+constant-policy follower.  ``analyze`` on the DCH or constant policy never
+loads it, nor on an extended tuning inside the closed-form sufficient pair,
+whose root search starts from closed-form seeds.  Other extended tunings load
+it through analysis for the string-stability cells, and any extended search
+for the generator that re-seeds it when the closed-form seeds fail.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import argparse
 import contextlib
 import math
 import sys
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -40,9 +43,7 @@ from .errors import HistoryDepthError, RefinementError
 from .spacing import PolicyKind, SpacingPolicy, is_proper, is_string_stable, policy_rows, relative_degrees, solvability_check
 
 if TYPE_CHECKING:
-    import numpy as np
-
-    from .simulator import TrajectoryLog
+    from .simulator import Columns
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -85,54 +86,69 @@ def _input_checked():
 _CSV_BLOCK_ROWS = 4096  # rows per %-format: bounds the text held at once
 
 
-def _write_table(path, table, header: str, footer: str = "") -> None:
-    """One CSV: the header line, the rows of table at 17 significant digits,
-    then the footer line if any; the bytes of np.savetxt with fmt="%.17g",
-    one %-format per block of rows."""
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+def _write_values(path, width: int, values, header: str, footer: str = "") -> None:
+    """One CSV: the header line, the values (floats, row by row) width to a
+    line at 17 significant digits, then the footer line if any; the bytes
+    of np.savetxt with fmt="%.17g", one %-format per block of rows.  The one
+    writer of every CSV the commands emit."""
+    line = ",".join(["%.17g"] * width) + "\n"
+    values = iter(values)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        while block := tuple(islice(values, _CSV_BLOCK_ROWS * width)):
+            fh.write(line * (len(block) // width) % block)
         if footer:
             fh.write(footer + "\n")
 
 
-def _trajectory_table(log: TrajectoryLog) -> tuple[list[str], np.ndarray]:
-    """Column names and rows of the trajectory CSV: t, per-vehicle q,v,a,u,
-    per-follower e,delta,deltaref."""
-    import numpy as np
+def _write_table(path, table, header: str, footer: str = "") -> None:
+    """_write_values of the rows of a 2-D array, a block of rows at a time."""
+    blocks = (
+        table[start:start + _CSV_BLOCK_ROWS].ravel().tolist()
+        for start in range(0, len(table), _CSV_BLOCK_ROWS)
+    )
+    _write_values(path, table.shape[1], chain.from_iterable(blocks), header, footer)
 
-    n, nv, nf = len(log.t), log.n_vehicles, log.n_followers
+
+def _trajectory_columns(log: Columns) -> tuple[list[str], list]:
+    """Names and columns of the trajectory CSV: t, per-vehicle q,v,a,u,
+    per-follower e,delta,deltaref."""
+    nv, nf = len(log.q), len(log.e)
     header = ["t"]
     header += [f"{c}{i}" for i in range(nv) for c in ("q", "v", "a", "u")]
     header += [f"{c}{f}" for f in range(1, nf + 1) for c in ("e", "delta", "deltaref")]
-    table = np.column_stack((
-        log.t,
-        np.stack((log.q, log.v, log.a, log.u), axis=2).reshape(n, 4 * nv),
-        np.stack((log.e, log.delta, log.delta_ref), axis=2).reshape(n, 3 * nf),
-    ))
-    return header, table
+    columns = [log.t]
+    for i in range(nv):
+        columns += (log.q[i], log.v[i], log.a[i], log.u[i])
+    for f in range(nf):
+        columns += (log.e[f], log.delta[f], log.delta_ref[f])
+    return header, columns
 
 
-def write_csv(log: TrajectoryLog, path) -> None:
-    """Trajectory CSV: t, per-vehicle q,v,a,u, per-follower e,delta,deltaref."""
-    header, table = _trajectory_table(log)
-    _write_table(path, table, ",".join(header))
+def write_csv(log: Columns, path) -> None:
+    """Trajectory CSV of simulator.run_columns' float columns: t,
+    per-vehicle q,v,a,u, per-follower e,delta,deltaref."""
+    header, columns = _trajectory_columns(log)
+    _write_values(path, len(columns), chain.from_iterable(zip(*columns)), ",".join(header))
 
 
-def _require_finite(log: TrajectoryLog) -> None:
+def _require_finite(log: Columns) -> None:
     """RuntimeError naming the first non-finite sample, earliest in time and
     then first in CSV column order, so a diverging run writes no CSV."""
-    import numpy as np
-
-    header, table = _trajectory_table(log)
-    bad = np.argwhere(~np.isfinite(table))
-    if len(bad):
-        k, c = bad[0]
+    header, columns = _trajectory_columns(log)
+    first = None  # (sample, column)
+    for c, column in enumerate(columns):
+        if math.isfinite(sum(column)):  # then every value is finite
+            continue
+        # a non-finite value, or finite ones whose sum overflows
+        for k, x in enumerate(column[:first[0]] if first else column):
+            if not math.isfinite(x):
+                first = k, c
+                break
+    if first:
+        k, c = first
         raise RuntimeError(
-            f"the run diverged: {header[c]} = {table[k, c]} at t = {table[k, 0]:.17g} s "
+            f"the run diverged: {header[c]} = {columns[c][k]} at t = {columns[0][k]:.17g} s "
             f"(sample {k}); no CSV written"
         )
 
@@ -152,10 +168,10 @@ def cmd_simulate(args) -> int:
 
     with _input_checked():
         scenario = parse_scenario(args.scenario)
-    log = simulator.run(scenario.config, scenario.profile)
-    _require_finite(log)
-    write_csv(log, args.out)
-    print(f"wrote {len(log.t)} samples for {log.n_vehicles} vehicles to {args.out}")
+    columns = simulator.run_columns(scenario.config, scenario.profile)
+    _require_finite(columns)
+    write_csv(columns, args.out)
+    print(f"wrote {len(columns.t)} samples for {len(columns.q)} vehicles to {args.out}")
     return EXIT_OK
 
 

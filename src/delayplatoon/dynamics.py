@@ -4,9 +4,11 @@ State is (q, v, a): position, velocity, acceleration.  The engine lag tau
 drives a via a first-order response to the commanded input, which acts with
 an actuation delay phi.  Because the control input is held between samples
 (zero-order hold), the sampled dynamics admit an exact discretization, which
-is what this module provides in closed form.  ``step`` takes one sample step
-of one vehicle; ``simulator.run`` steps a platoon with the same Phi and
-Gamma, and the open-loop step response is a one-vehicle ``run``.
+is what this module provides in closed form: ``zoh_coefficients`` gives the
+entries of Phi and Gamma as Python floats, and ``discretize`` puts those
+same floats into arrays.  ``step`` takes one sample step of one vehicle; the
+simulator steps a platoon with the floats of ``zoh_coefficients``, and the
+open-loop step response is a one-vehicle ``simulator.run``.
 ``InputHistory`` is the inputs buffered over the delay window, oldest
 first, and their sample period; its depth is their number.
 """
@@ -28,6 +30,7 @@ __all__ = [
     "InputHistory",
     "DiscreteModel",
     "matrix_exponential_closed_form",
+    "zoh_coefficients",
     "discretize",
     "delay_steps",
     "step",
@@ -147,6 +150,17 @@ def _zoh_terms(tau: float, t: float) -> tuple[float, float, float, float]:
     return em, t * t * c2, t * t * x * c3, t * x * c2
 
 
+def zoh_coefficients(params: VehicleParams, t: float) -> tuple[float, ...]:
+    """(p01, p02, p12, p22, g0, g1, g2): the entries of Phi = e^{A t} off its
+    exact zeros and ones (Phi[0, 0] = Phi[1, 1] = 1, zeros below the
+    diagonal) and Gamma's, in closed form on Python floats.  The one source
+    of both: ``discretize`` and ``matrix_exponential_closed_form`` put these
+    floats into arrays, and ``simulator`` steps with them as they are."""
+    tau = params.tau
+    em, p02, g0, g1 = _zoh_terms(tau, t)
+    return t, p02, tau * em, 1.0 - em, g0, g1, em
+
+
 def matrix_exponential_closed_form(params: VehicleParams, t: float) -> np.ndarray:
     """e^{A t} for the triangular third-order model, in closed form."""
     if not math.isfinite(t):
@@ -155,15 +169,8 @@ def matrix_exponential_closed_form(params: VehicleParams, t: float) -> np.ndarra
         raise ValueError(f"t must be >= 0, got {t}")
     import numpy as np
 
-    tau = params.tau
-    em, p02, _, _ = _zoh_terms(tau, t)
-    return np.array(
-        [
-            [1.0, t, p02],
-            [0.0, 1.0, tau * em],
-            [0.0, 0.0, 1.0 - em],
-        ]
-    )
+    p01, p02, p12, p22 = zoh_coefficients(params, t)[:4]
+    return np.array([[1.0, p01, p02], [0.0, 1.0, p12], [0.0, 0.0, p22]])
 
 
 def delay_steps(params: VehicleParams, Ts: float) -> int:
@@ -191,8 +198,9 @@ def discretize(params: VehicleParams, Ts: float) -> DiscreteModel:
     delay_steps(params, Ts)  # validates Ts and the phi/Ts ratio
     import numpy as np
 
-    em, _, g0, g1 = _zoh_terms(params.tau, Ts)
-    return DiscreteModel(matrix_exponential_closed_form(params, Ts), np.array([g0, g1, em]), Ts)
+    p01, p02, p12, p22, g0, g1, g2 = zoh_coefficients(params, Ts)
+    Phi = np.array([[1.0, p01, p02], [0.0, 1.0, p12], [0.0, 0.0, p22]])
+    return DiscreteModel(Phi, np.array([g0, g1, g2]), Ts)
 
 
 def step(model: DiscreteModel, x: VehicleState, u_delayed: float) -> VehicleState:

@@ -5,23 +5,26 @@ is an exact function of the current state and the d buffered inputs:
 
     x(k + d) = Phi^d x(k) + sum_{j=1..d} Phi^{j-1} Gamma u(k - j)
 
-so no approximation is involved.  ``simulator.run`` computes the weights
-once per follower and run.  For a constant-policy follower it multiplies
-them by the buffered inputs at every step; for a headway follower only
-once, for the forced response of the initial history, which a one-step
-recursion then carries.  ``predict`` computes them on each call and
+so no approximation is involved.  The simulator computes the weights once
+per constant-policy follower and run, and multiplies them by the buffered
+inputs at every step; a headway follower needs no weights, since its
+one-step recursion carries the v and a rows of the forced response and
+gives its own constants.  ``predict`` computes them on each call and
 multiplies them by ``InputHistory.samples``, oldest first, the order of W's
-columns.
+columns.  numpy is imported by ``prediction_weights``, not at module level,
+so importing this module (as the simulator does) loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dynamics import DiscreteModel, InputHistory, VehicleState
 from .errors import HistoryDepthError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["predict", "prediction_weights"]
 
@@ -32,6 +35,8 @@ def prediction_weights(model: DiscreteModel, depth: int) -> tuple[np.ndarray, np
     W's columns are oldest first, as in InputHistory.samples: column m
     multiplies u(k - (depth - m)), so its weight is Phi^{depth-1-m} Gamma.
     """
+    import numpy as np
+
     phi_d = np.eye(3)
     w = np.zeros((3, depth))
     for j in range(1, depth + 1):  # phi_d = Phi^{j-1} at loop entry

@@ -8,25 +8,31 @@ sample instant (ideal channels); optional sample-and-hold flags emulate the
 coarser radar and V2V rates, both off by default.  A leader segment applies
 u = amplitude + gain (v_ref - v), a cruise with amplitude 0, a pulse gain 0.
 
-``run`` steps the platoon one vehicle at a time, in Python floats: the
-leader over every sample, then each follower over every sample.  That is
-exact because the control is decentralized: follower i at sample k reads
-its own state and input history and its predecessor's q, v, a and applied
-input at k, nothing of vehicle i+1 and nothing of vehicle i-1 later than k.
-So the predecessor's finished columns hold every value the follower needs.
-Everything a run does not change is bound before a vehicle's loop: the
-ZOH and prediction coefficients, and the law that ``controllers.tracking_law``
-returns, the function ``controllers.control`` calls too.  Phi and Phi^d are
-upper triangular with exact ones at [0, 0] and [1, 1], so the step is q +
-p01 v + p02 a + g0 ud, v + p12 a + g1 ud, p22 a + g2 ud and the free
-response q + d01 v + d02 a, v + d12 a, d22 a: the products by an exact 0
-or 1 are left out and the rest keep their order, so every finite value is
-that of the full products, bit for bit, and a diverged inf is not turned
-into nan by 0 inf.  The hold decides once per run at which samples each
-channel refreshes, for every follower at once.  Each vehicle's columns go
-into the preallocated log as soon as its loop ends, so only the
-predecessor's trajectory stays in Python floats.
-``open_loop_step_response`` is a one-vehicle ``run``, so ``run`` and
+The float core steps the platoon one vehicle at a time, in Python floats:
+the leader over every sample, then each follower over every sample.  That is
+exact because the control is decentralized: follower i at sample k reads its
+own state and input history and its predecessor's q, v, a and applied input
+at k, nothing of vehicle i+1 and nothing of vehicle i-1 later than k.  So the
+predecessor's finished columns hold every value the follower needs.
+Everything a run does not change is bound before a vehicle's loop: the ZOH
+coefficients, which ``dynamics.zoh_coefficients`` gives as the floats that
+``discretize`` puts into its arrays, the prediction coefficients, and the
+law that ``controllers.tracking_law`` returns, the function
+``controllers.control`` calls too.  Phi and Phi^d are upper triangular with
+exact ones at [0, 0] and [1, 1], so the step is q + p01 v + p02 a + g0 ud,
+v + p12 a + g1 ud, p22 a + g2 ud and the free response q + d01 v + d02 a,
+v + d12 a, d22 a: the products by an exact 0 or 1 are left out and the
+rest keep their order, so every finite value is that of the full products,
+bit for bit, and a diverged inf is not turned into nan by 0 inf.  The hold decides
+once per run at which samples each channel refreshes, for every follower at
+once.  The core yields each vehicle's columns as soon as its loop ends:
+``run`` copies them into the preallocated arrays of its ``TrajectoryLog``,
+so only the predecessor's trajectory stays in Python floats, and
+``run_columns`` keeps them as ``array('d')`` columns, the trajectory CSV's
+source.  This module imports no numpy: ``run`` imports it for the log, and a
+constant-policy follower through ``discretize`` and ``prediction_weights``;
+a platoon without one runs through ``run_columns`` on the standard library
+alone.  ``open_loop_step_response`` is a one-vehicle ``run``, so the core and
 ``dynamics.step`` contain the only ZOH steps of the package.
 
 The prediction x(k + d) = Phi^d x(k) + s_k adds to the free response the
@@ -36,17 +42,21 @@ every sample (O(d) per step).  A headway follower carries it instead:
 
     s_{k+1} = Phi s_k + Gamma u_k - Phi^d Gamma u_{k-d}
 
-is exact, since the window gains u_k and loses u_{k-d}, and s holds
-inputs only, so the reverse clamp, which acts on the state, never enters
-it (Manitius & Olbrot, IEEE TAC 24, 1979).  Phi is upper triangular with
-exact zeros and its v row is (0, 1, Phi[1, 2]), so the v and a rows that the
-DCH and extended laws read update from each other alone, O(1) per step.
-s_0 is the window sum of the initial history.  The constant policy keeps
-the sum: its law also reads the q row, which the recursion would carry
-through Phi's double eigenvalue 1, so rounding could drift there
-quadratically in k; and its tracking error of matched vehicles is zero in
-exact arithmetic, so its logged e is the sum's rounding alone, which
-perfbench's cli_session check compares to 1e-9 of its own size.
+is exact, since the window gains u_k and loses u_{k-d}, and s holds inputs
+only, so the reverse clamp, which acts on the state, never enters it
+(Manitius & Olbrot, IEEE TAC 24, 1979).  Phi is upper triangular with exact
+zeros and its v row is (0, 1, Phi[1, 2]), so the v and a rows that the DCH
+and extended laws read update from each other alone, O(1) per step.  Every
+constant they read comes from d steps of the same recursion, with no matrix
+product: the v and a rows of Phi^d from s = e_a and no input, those of c =
+Phi^d Gamma from them, and s_0 from s = 0 fed the initial history
+(``_headway_constants``).  The constant policy keeps the window sum, with the
+weights of ``predictor.prediction_weights``: its law also reads the q row,
+which the recursion would carry through Phi's double eigenvalue 1, so
+rounding could drift there quadratically in k; and its tracking error of
+matched vehicles is zero in exact arithmetic, so its logged e is the sum's
+rounding alone, which perfbench's cli_session check compares to 1e-9 of its
+own size; that check accepts only the rounding of numpy's weights.
 
 ``tests/oracles.py`` keeps the scalar loop over samples that this replaced
 as ``run_reference``, with its own copy of the three laws, of the leader
@@ -59,10 +69,10 @@ column agrees to 1e-12 of the run's largest |q|, |v|, |a|, |u|.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from collections import deque
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._record import Record
 from .controllers import ControllerSpec, tracking_law
@@ -73,10 +83,16 @@ from .dynamics import (
     VehicleState,
     delay_steps,
     discretize,
+    zoh_coefficients,
 )
 from .errors import HistoryDepthError
 from .predictor import prediction_weights
 from .spacing import PolicyKind, SpacingPolicy
+
+if TYPE_CHECKING:
+    from collections.abc import Iterator
+
+    import numpy as np
 
 __all__ = [
     "LeaderSegment",
@@ -86,6 +102,8 @@ __all__ = [
     "VehicleSetup",
     "PlatoonConfig",
     "TrajectoryLog",
+    "Columns",
+    "run_columns",
     "run",
     "MAX_SAMPLES",
     "StepResponse",
@@ -252,6 +270,21 @@ class TrajectoryLog(Record):
         return self.e.shape[1]
 
 
+class Columns(NamedTuple):
+    """A run's trajectories on floats, as ``run_columns`` returns them: the
+    sample times, then per vehicle a column of each of q, v, a, u and per
+    follower of e, delta, delta_ref, each column an ``array('d')``."""
+
+    t: array
+    q: list[array]
+    v: list[array]
+    a: list[array]
+    u: list[array]
+    e: list[array]
+    delta: list[array]
+    delta_ref: list[array]
+
+
 def _refreshes(hold: bool, rate_hz: float, ts: float, n: int) -> list[bool]:
     """Per sample, whether a sensor channel refreshes: at t >= its next
     instant, which then moves on by the hold period.  Without a hold the
@@ -266,48 +299,52 @@ def _refreshes(hold: bool, rate_hz: float, ts: float, n: int) -> list[bool]:
     return flags
 
 
-def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
-    """Simulate the platoon over the horizon; deterministic in its inputs.
+def _sample_count(config: PlatoonConfig) -> int:
+    return int(round(config.horizon / config.ts)) + 1
 
-    Vehicle by vehicle, front to back, each over every sample: the leader
-    applies its profile's law; a follower reads the finished columns of its
-    predecessor (q, v, a and the applied input) through the radar and V2V
-    holds, predicts its state at t + phi and calls its bound
-    ``tracking_law`` on the standstill-adjusted range.  The prediction's
-    forced response is the sum over the buffered inputs for the constant
-    policy, and for the headway policies the v and a rows of the recursion
-    s <- Phi s + Gamma u - Phi^d Gamma u_d, updated after each step with
-    the input u just computed and the input u_d of d samples ago that the
-    step applies (see the module docstring).  Then the vehicle takes one
-    exact ZOH step with its delayed input; neither the step nor the free
-    response multiplies by the exact zeros and ones of Phi and Phi^d.  Each
-    vehicle's columns go into the log as soon as its loop ends.  The order
-    is exact: a follower at sample k reads nothing of its successor and
-    nothing of its predecessor later than k.
-    """
+
+def _headway_constants(coeffs: tuple[float, ...], history: list[float]) -> tuple[float, ...]:
+    """(d12, d22, c1, c2, sv, sa): the v and a rows of Phi^d's a column and
+    of c = Phi^d Gamma, and of the initial forced response s_0 = W @ history,
+    by d steps of a headway follower's recursion s <- Phi s + Gamma u, d the
+    length of history (oldest first).
+
+    From s = e_a with u = 0 the recursion gives Phi^d e_a = (d02, d12,
+    d22); Phi^d's v row is (0, 1, d12) and its a row (0, 0, d22), so c =
+    (g1 + d12 g2, d22 g2) in those rows.  From s = 0 fed the history it
+    gives s_0.  Products by Phi's exact zeros and ones are left out."""
+    _, _, p12, p22, _, g1, g2 = coeffs
+    d12, d22, sv, sa = 0.0, 1.0, 0.0, 0.0
+    for um in history:
+        d12, d22 = d12 + p12 * d22, p22 * d22
+        sv, sa = sv + p12 * sa + g1 * um, p22 * sa + g2 * um
+    return d12, d22, g1 + d12 * g2, d22 * g2, sv, sa
+
+
+def _vehicle_columns(config: PlatoonConfig, leader: LeaderProfile) -> Iterator[tuple[list, ...]]:
+    """The float core of ``run``: per vehicle, front to back, the lists of
+    its q, v, a, u and, for a follower, e and delta_ref less the standstill
+    distance, each over every sample, yielded as soon as its loop ends.
+    numpy is imported only for a constant-policy follower's prediction
+    weights."""
     ts = config.ts
-    n = int(round(config.horizon / ts)) + 1
-    nv, nf = len(config.vehicles), len(config.vehicles) - 1
+    n = _sample_count(config)
     # sample-and-hold: the same refresh instants for every follower; radar
     # holds (delta, delta_dot), v2v the predecessor's (a, applied u)
     opts = config.measurement
     radar = _refreshes(opts.radar_hold, opts.radar_rate_hz, ts, n)
     v2v = _refreshes(opts.v2v_hold, opts.v2v_rate_hz, ts, n)
-    log = TrajectoryLog(
-        np.arange(n) * ts, *(np.empty((n, m)) for m in (nv,) * 4 + (nf,) * 3), ts
-    )
     clamp = config.clamp_reverse
     for i, setup in enumerate(config.vehicles):
-        model = discretize(setup.params, ts)
         d = delay_steps(setup.params, ts)
         history = list(setup.history.samples) if setup.history else [0.0] * d
         # buffered inputs most recent first, the order of the prediction sum
         hist = deque(reversed(history))
         # Phi and Phi^d are upper triangular with exact ones at [0, 0] and
         # [1, 1]: only their other entries are multiplied
-        _, p01, p02, _, _, p12, _, _, p22 = model.Phi.ravel().tolist()
-        g0, g1, g2 = model.Gamma.tolist()
-        q, v, a = setup.state.as_array().tolist()
+        coeffs = p01, p02, p12, p22, g0, g1, g2 = zoh_coefficients(setup.params, ts)
+        state = setup.state
+        q, v, a = state.q, state.v, state.a
         qs, vs, as_, us, es, drefs = [], [], [], [], [], []
         fir = True  # the leader keeps no forced response
         if i:
@@ -316,18 +353,13 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
             standstill = policy.standstill
             fir = policy.kind is PolicyKind.DELAYED_CONSTANT
             law = tracking_law(config.controllers[f])
-            phi_d, w = prediction_weights(model, d)
-            _, d01, d02, _, _, d12, _, _, d22 = phi_d.ravel().tolist()
-            # (q, v, a) weights, most recent input first
-            weights = w[:, ::-1].T.tolist()
-            if not fir:
-                # the v and a rows of the forced response W @ history, summed
-                # in the constant policy's order, and of c = Phi^d Gamma
-                sv = sa = 0.0
-                for (_, wv, wa), um in zip(weights, hist):
-                    sv += wv * um
-                    sa += wa * um
-                c1, c2 = (phi_d @ model.Gamma)[1:].tolist()
+            if fir:
+                phi_d, w = prediction_weights(discretize(setup.params, ts), d)
+                _, d01, d02, _, _, d12, _, _, d22 = phi_d.ravel().tolist()
+                # (q, v, a) weights, most recent input first
+                weights = w[:, ::-1].T.tolist()
+            else:
+                d12, d22, c1, c2, sv, sa = _headway_constants(coeffs, history)
         for k in range(n):
             qs.append(q)
             vs.append(v)
@@ -373,17 +405,67 @@ def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
                 v = 0.0
                 if a < 0.0:
                     a = 0.0
-        log.q[:, i], log.v[:, i], log.a[:, i], log.u[:, i] = qs, vs, as_, us
-        if i:
-            log.e[:, f] = es
-            # the float loop's delta and delta_ref, one array operation each;
-            # a diverged run overflows silently there as Python floats do
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.subtract(log.q[:, f], log.q[:, i], out=log.delta[:, f])
-                np.add(drefs, standstill, out=log.delta_ref[:, f])
+        yield (qs, vs, as_, us, es, drefs) if i else (qs, vs, as_, us)
         # the successor reads these at samples 0..n-1; the applied input is
         # the initial history, then u
         qp, vp, ap, up = qs, vs, as_, history + us
+
+
+def run_columns(config: PlatoonConfig, leader: LeaderProfile) -> Columns:
+    """The run's trajectories as ``Columns`` of floats, the same values as
+    ``run``'s log; numpy is imported only for a constant-policy follower's
+    prediction weights."""
+    n = _sample_count(config)
+    cols = Columns(array("d", [k * config.ts for k in range(n)]), [], [], [], [], [], [], [])
+    for i, lists in enumerate(_vehicle_columns(config, leader)):
+        for column, values in zip(cols[1:6], lists):
+            column.append(array("d", values))
+        if i:
+            # a diverged run overflows silently here, as everywhere on floats
+            standstill = config.policies[i - 1].standstill
+            cols.delta.append(array("d", map(operator.sub, cols.q[i - 1], cols.q[i])))
+            cols.delta_ref.append(array("d", [r + standstill for r in lists[5]]))
+    return cols
+
+
+def run(config: PlatoonConfig, leader: LeaderProfile) -> TrajectoryLog:
+    """Simulate the platoon over the horizon; deterministic in its inputs.
+
+    Vehicle by vehicle, front to back, each over every sample: the leader
+    applies its profile's law; a follower reads the finished columns of its
+    predecessor (q, v, a and the applied input) through the radar and V2V
+    holds, predicts its state at t + phi and calls its bound
+    ``tracking_law`` on the standstill-adjusted range.  The prediction's
+    forced response is the sum over the buffered inputs for the constant
+    policy, and for the headway policies the v and a rows of the recursion
+    s <- Phi s + Gamma u - Phi^d Gamma u_d, updated after each step with
+    the input u just computed and the input u_d of d samples ago that the
+    step applies (see the module docstring).  Then the vehicle takes one
+    exact ZOH step with its delayed input; neither the step nor the free
+    response multiplies by the exact zeros and ones of Phi and Phi^d.  The
+    order is exact: a follower at sample k reads nothing of its successor
+    and nothing of its predecessor later than k.  The stepping runs on
+    floats; each vehicle's columns go into the log's preallocated arrays as
+    soon as its loop ends.
+    """
+    import numpy as np
+
+    ts = config.ts
+    n = _sample_count(config)
+    nv, nf = len(config.vehicles), len(config.vehicles) - 1
+    log = TrajectoryLog(
+        np.arange(n) * ts, *(np.empty((n, m)) for m in (nv,) * 4 + (nf,) * 3), ts
+    )
+    for i, lists in enumerate(_vehicle_columns(config, leader)):
+        log.q[:, i], log.v[:, i], log.a[:, i], log.u[:, i] = lists[:4]
+        if i:
+            f = i - 1
+            log.e[:, f] = lists[4]
+            # delta and delta_ref, one array operation each; a diverged run
+            # overflows silently there as Python floats do
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(log.q[:, f], log.q[:, i], out=log.delta[:, f])
+                np.add(lists[5], config.policies[f].standstill, out=log.delta_ref[:, f])
     return log
 
 

@@ -1739,6 +1739,20 @@ class TestSeeding:
         dp.rightmost_root(qp)
         assert builds == [24]
 
+    def test_roots_of_a_seed_the_pair_off_the_chain(self, builds):
+        """The rightmost pair lies 0.54 from the roots +-8.933i of a(lambda) =
+        lambda^2 + 79.79, where neither the truncated quadratic, nor the
+        Lambert-W chain, nor the 24-node generator's eigenvalues come near
+        it; seeded from a's roots, the closed-form seeding certifies it."""
+        qp = QuasiPolynomial(
+            (79.79209947035302, 0.0, 1.0), (0.10118538728322256, 27.185549859094976),
+            6.072661061305961,
+        )
+        root = dp.rightmost_root(qp)
+        assert builds == []
+        want = 0.5300274631281788 + 8.823176697335462j
+        assert abs(root - want) <= 1e-12 * abs(want)
+
     def test_zero_delay_extended_factor_needs_no_generator(self, builds):
         """At phi = 0 the truncated quadratic is p itself."""
         root = dp.rightmost_root(QuasiPolynomial.extended_internal(1.0, 0.4, 0.0))

@@ -75,8 +75,9 @@ def test_sweeps_call_refined_peak_through_the_module(monkeypatch, tmp_path, caps
 
 def test_run_calls_the_traced_model_sites_through_the_module(monkeypatch):
     """The traced dynamics.discretize and predictor.prediction_weights
-    metrics count one discretize per vehicle and one prediction_weights per
-    follower in each simulator.run."""
+    metrics count one call of each per constant-policy follower in each
+    simulator.run: the leader and the headway followers take their
+    coefficients from dynamics.zoh_coefficients and their own recursion."""
     from delayplatoon import simulator
 
     calls = []
@@ -88,16 +89,23 @@ def test_run_calls_the_traced_model_sites_through_the_module(monkeypatch):
         simulator, "prediction_weights", lambda *args: calls.append("weights") or weights(*args)
     )
     params = dp.VehicleParams(0.067, 0.15)
-    policy = dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.2, h_a=0.25)
-    spec = dp.ControllerSpec(policy, dp.ControllerGains(k_p=0.2), ego=params)
-    for nv in (1, 2, 4):
+    C, D, E = (
+        dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT),
+        dp.SpacingPolicy(PolicyKind.DELAYED_CONSTANT_HEADWAY, h_v=0.4),
+        dp.SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY, h_v=1.2, h_a=0.25),
+    )
+    gains = {
+        C: dp.ControllerGains(k_p=1.0, k_d=3.0, k_dd=1.0),
+        D: dp.ControllerGains(k_p=0.2, k_d=0.6866),
+        E: dp.ControllerGains(k_p=0.2),
+    }
+    for followers in [(), (C,), (D,), (E,), (C, D, E), (D, C, E), (E, E, C), (C, C, D)]:
         calls.clear()
-        config = dp.PlatoonConfig(
-            (dp.VehicleSetup(params),) * nv, (policy,) * (nv - 1), (spec,) * (nv - 1), 0.01, 0.5
-        )
+        specs = tuple(dp.ControllerSpec(p, gains[p], ego=params, predecessor=params) for p in followers)
+        vehicles = (dp.VehicleSetup(params),) * (len(followers) + 1)
+        config = dp.PlatoonConfig(vehicles, followers, specs, 0.01, 0.5)
         simulator.run(config, dp.LeaderProfile((dp.LeaderSegment.pulse(0.5, 0.1),)))
-        assert calls.count("discretize") == nv
-        assert calls.count("weights") == nv - 1
+        assert calls == ["discretize", "weights"] * followers.count(C)
 
 
 SCENARIO = Path(dp.__file__).resolve().parent / "scenarios" / "paper_extended.scn"

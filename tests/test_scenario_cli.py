@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import delayplatoon as dp
-from delayplatoon import analysis, cli
+from delayplatoon import analysis, cli, simulator
 from delayplatoon.cli import main, write_csv
 from delayplatoon.errors import DelayGranularityError, RefinementError, ScenarioError
 from delayplatoon.scenario import load_scenario_text
@@ -268,6 +269,23 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: RuntimeError: the run diverged: u1 = inf at t = 0.19 s")
         assert len(err.splitlines()) == 1 and not out.exists()
+
+    def test_first_non_finite_sample_is_named(self):
+        """Earliest in time, then first in CSV column order; finite values
+        whose column sum overflows are no divergence."""
+        def col(*xs):
+            return array("d", xs)
+
+        zeros, huge = col(0.0, 0.0, 0.0), col(1e308, 1e308, 1e308)
+        log = simulator.Columns(
+            col(0.0, 0.1, 0.2), [huge], [col(0.0, math.nan, 0.0)], [col(0.0, 0.0, math.inf)],
+            [col(0.0, -math.inf, 0.0)], [], [], [],
+        )
+        with pytest.raises(RuntimeError, match=r"^the run diverged: v0 = nan at t = 0\.1\d* s \(sample 1\)"):
+            cli._require_finite(log)
+        with pytest.raises(RuntimeError, match=r"^the run diverged: u0 = -inf at t = 0\.1\d* s \(sample 1\)"):
+            cli._require_finite(log._replace(v=[zeros]))
+        cli._require_finite(log._replace(v=[zeros], a=[zeros], u=[zeros]))
 
     @pytest.mark.parametrize(
         "text,message",
@@ -1108,15 +1126,15 @@ def trajectory_writer(tmp_path):
     # two vehicles, two samples; values that need all 17 digits, signed zero
     # and extreme exponents
     vals = iter([0.1, -0.0, 1 / 3, 2.5e-300, -7.0, 1e22, math.pi, -1e-7, 0.3] * 3)
-    cols = {name: np.array([[next(vals) for _ in range(nc)] for _ in range(2)])
+    cols = {name: [array("d", [next(vals) for _ in range(2)]) for _ in range(nc)]
             for name, nc in (("q", 2), ("v", 2), ("a", 2), ("u", 2), ("e", 1),
                              ("delta", 1), ("delta_ref", 1))}
-    log = dp.TrajectoryLog(t=np.array([0.0, 0.01]), ts=0.01, **cols)
+    log = simulator.Columns(t=array("d", [0.0, 0.01]), **cols)
     write_csv(log, tmp_path / "out.csv")
     rows = [
         [log.t[k]]
-        + [getattr(log, c)[k, i] for i in range(2) for c in "qvau"]
-        + [log.e[k, 0], log.delta[k, 0], log.delta_ref[k, 0]]
+        + [getattr(log, c)[i][k] for i in range(2) for c in "qvau"]
+        + [log.e[0][k], log.delta[0][k], log.delta_ref[0][k]]
         for k in range(2)
     ]
     return csv_text("t,q0,v0,a0,u0,q1,v1,a1,u1,e1,delta1,deltaref1", rows)
@@ -1154,16 +1172,103 @@ def test_csv_bytes_follow_the_17_digit_format(tmp_path, capsys, writer):
     assert (tmp_path / "out.csv").read_text() == expected
 
 
+def savetxt_of_run(scn, path):
+    """np.savetxt of the table of run's log of the scenario file scn, in the
+    trajectory CSV's column order."""
+    scenario = dp.parse_scenario(scn)
+    log = dp.run(scenario.config, scenario.profile)
+    n, nv, nf = len(log.t), log.n_vehicles, log.n_followers
+    header = ["t"] + [f"{c}{i}" for i in range(nv) for c in ("q", "v", "a", "u")]
+    header += [f"{c}{f}" for f in range(1, nf + 1) for c in ("e", "delta", "deltaref")]
+    table = np.column_stack((
+        log.t,
+        np.stack((log.q, log.v, log.a, log.u), axis=2).reshape(n, 4 * nv),
+        np.stack((log.e, log.delta, log.delta_ref), axis=2).reshape(n, 3 * nf),
+    ))
+    with open(path, "w") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+
+
 @pytest.mark.parametrize("name", ["paper_constant.scn", "paper_dch.scn", "paper_extended.scn"])
-def test_csv_bytes_equal_savetxt(tmp_path, monkeypatch, name):
-    """The one-format writer gives np.savetxt's bytes on every bundled run."""
-    tables = []
-    write_table = cli._write_table
-    monkeypatch.setattr(cli, "_write_table", lambda *args: tables.append(args) or write_table(*args))
+def test_csv_bytes_equal_savetxt(tmp_path, name):
+    """simulate's float columns give the bytes of np.savetxt of run's log."""
     assert main(["simulate", str(bundled(name)), str(tmp_path / "out.csv")]) == 0
-    (_, table, header), = tables
-    with open(tmp_path / "savetxt.csv", "w") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    savetxt_of_run(bundled(name), tmp_path / "savetxt.csv")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+LEADER_ONLY = """
+[sim]
+ts = 0.01
+horizon = 3.0
+
+[vehicle.0]
+tau = 0.3
+phi = 0.2
+u_hist = 0.5
+v0 = 1.5
+a0 = 0.25
+
+[leader]
+segments =
+    cruise 1.0 2.0 0.5
+    pulse 1.0 0.3
+"""
+
+
+ZERO_DELAY = """
+[sim]
+ts = 0.01
+horizon = 3.0
+
+[vehicle.0]
+tau = 0.1
+phi = 0
+v0 = 1.0
+
+[vehicle.1]
+tau = 0.067
+phi = 0
+q0 = -10.0
+v0 = 1.0
+
+[vehicle.2]
+tau = 0.2
+phi = 0
+q0 = -20.0
+v0 = 1.0
+
+[policy.1]
+kind = dch
+h_v = 0.4
+standstill = 9.0
+
+[controller.1]
+k_p = 0.2
+k_d = 0.6866
+
+[policy.2]
+kind = ext
+h_v = 1.2
+h_a = 0.25
+standstill = 8.0
+
+[controller.2]
+k_p = 0.2
+
+[leader]
+segments =
+    pulse 1.0 0.4
+    pulse 2.0 -0.3
+"""
+
+
+@pytest.mark.parametrize("text", [LEADER_ONLY, ZERO_DELAY], ids=["leader-only", "zero-delay"])
+def test_small_platoon_csv_bytes_equal_savetxt(tmp_path, text):
+    scn = tmp_path / "run.scn"
+    scn.write_text(text)
+    assert main(["simulate", str(scn), str(tmp_path / "out.csv")]) == 0
+    savetxt_of_run(scn, tmp_path / "savetxt.csv")
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 

@@ -635,3 +635,32 @@ def test_log_peaks_below_twice_its_size():
     size = sum(getattr(log, name).nbytes for name in ("t", "q", "v", "a", "u", "e", "delta", "delta_ref"))
     assert len(log.t) == 2000
     assert peak < 2 * size, (peak, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tau=st.floats(1e-3, 10.0),
+    ts=st.floats(1e-3, 0.1),
+    history=st.integers(0, 300).flatmap(
+        lambda d: st.lists(st.floats(-10.0, 10.0).filter(lambda u: abs(u) > 1e-3), min_size=d, max_size=d)
+    ),
+)
+def test_headway_recursion_constants_agree_with_prediction_weights(tau, ts, history):
+    """d steps of a headway follower's recursion give the v and a rows of
+    Phi^d, of Phi^d Gamma and of the forced response W @ history that
+    prediction_weights' matrix products give, to 1e-13 of the magnitude
+    of their terms."""
+    params = dp.VehicleParams(tau=tau, phi=0.0)
+    model = dp.discretize(params, ts)
+    phi_d, w = simulator.prediction_weights(model, len(history))
+    d12, d22, c1, c2, sv, sa = simulator._headway_constants(
+        dp.dynamics.zoh_coefficients(params, ts), history
+    )
+    c = phi_d @ model.Gamma
+    s0 = w @ np.array(history)
+    s0_scale = np.abs(w) @ np.abs(history)
+    got = (d12, d22, c1, c2, sv, sa)
+    want = (phi_d[1, 2], phi_d[2, 2], c[1], c[2], s0[1], s0[2])
+    scale = (phi_d[1, 2], phi_d[2, 2], c[1], c[2], s0_scale[1], s0_scale[2])
+    for g, x, m in zip(got, want, scale):
+        assert abs(g - x) <= 1e-13 * m, (g, x)

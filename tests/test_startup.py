@@ -2,8 +2,9 @@
 
 `import delayplatoon` loads no submodule; a name is imported on its first
 access.  `analyze` on the DCH or constant policy, and on an extended tuning
-that the closed-form sufficient pair proves string stable, loads no numpy,
-and runs the same where numpy cannot be imported.  Each test lists the modules a
+that the closed-form sufficient pair proves string stable, and `simulate` of
+a platoon without a constant-policy follower load no numpy, and run the same
+where numpy cannot be imported.  Each test lists the modules a
 fresh interpreter has loaded when it is done, or compares what it prints,
 so none measures time.
 """
@@ -46,7 +47,9 @@ EXPORTED = {
         "is_string_stable", "policy_rows", "relative_degrees", "solvability_check",
     ],
 }
-SCENARIO = Path(dp.__file__).resolve().parent / "scenarios" / "paper_extended.scn"
+SCENARIOS = Path(dp.__file__).resolve().parent / "scenarios"
+SCENARIO = SCENARIOS / "paper_extended.scn"
+HEADWAY_SCENARIOS = ["paper_dch.scn", "paper_extended.scn"]
 
 
 # names every module loaded, on the last line of stderr, when the child exits
@@ -193,6 +196,20 @@ class TestImportFootprint:
         (tmp_path / "u.txt").write_text("0.5\n" * 15)
         assert "dataclasses" not in command_modules(argv, tmp_path)
 
+    @pytest.mark.parametrize("name", HEADWAY_SCENARIOS)
+    def test_headway_simulate_loads_no_numpy(self, tmp_path, name):
+        """A platoon without a constant-policy follower steps, checks and
+        writes its CSV on floats."""
+        loaded = command_modules(["simulate", str(SCENARIOS / name), "out.csv"], tmp_path)
+        assert "delayplatoon.simulator" in loaded
+        assert not numpy_modules(loaded)
+
+    def test_constant_policy_simulate_loads_numpy(self, tmp_path):
+        """Its prediction weights are numpy's, whose rounding the constant
+        policy's logged tracking error is."""
+        argv = ["simulate", str(SCENARIOS / "paper_constant.scn"), "out.csv"]
+        assert numpy_modules(command_modules(argv, tmp_path))
+
     def test_predict_demo_loads_neither_analysis_nor_simulator_stack(self, tmp_path):
         (tmp_path / "u.txt").write_text("0.5\n" * 15)
         loaded = command_modules(["predict-demo", "u.txt"], tmp_path)
@@ -206,9 +223,11 @@ class TestWithoutNumpy:
     """A child in which numpy cannot be imported: `analyze` on the DCH and
     constant policies, and on extended tunings inside the closed-form
     sufficient pair (h_a >= 2 h_v phi, h_v^2 >= 2 h_a), prints the same
-    bytes with the same exit code, and a command that needs numpy fails as
-    a runtime error (exit 3), among them an extended tuning whose
-    string-stability verdict needs the cell search."""
+    bytes with the same exit code, `simulate` of a platoon without a
+    constant-policy follower writes the same CSV bytes too, and a command
+    that needs numpy fails as a runtime error (exit 3), among them an
+    extended tuning whose string-stability verdict needs the cell search
+    and the simulation of a constant-policy follower."""
 
     @pytest.mark.parametrize(
         ("argv", "exit_code"),
@@ -240,10 +259,24 @@ class TestWithoutNumpy:
         assert (bare.returncode, bare.stdout, bare.stderr) == (
             normal.returncode, normal.stdout, normal.stderr)
 
+    @pytest.mark.parametrize("name", HEADWAY_SCENARIOS)
+    def test_headway_simulate_writes_the_same(self, tmp_path, name):
+        (tmp_path / "bare").mkdir()
+        (tmp_path / "normal").mkdir()
+        argv = ["simulate", str(SCENARIOS / name), "out.csv"]
+        bare = run_command(argv, tmp_path / "bare", without_numpy=True)
+        normal = run_command(argv, tmp_path / "normal")
+        assert normal.returncode == 0, normal.stderr
+        assert (bare.returncode, bare.stdout, bare.stderr) == (
+            normal.returncode, normal.stdout, normal.stderr)
+        csv = (tmp_path / "bare" / "out.csv").read_bytes()
+        assert csv == (tmp_path / "normal" / "out.csv").read_bytes()
+        assert csv.count(b"\n") == 1202
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ["simulate", str(SCENARIO), "out.csv"],
+            ["simulate", str(SCENARIOS / "paper_constant.scn"), "out.csv"],
             ["sweep", "sweep.csv", "dch", "--hv", "0.4", "--points", "64"],
             ["region", "region.csv", "--phi", "0.15", "--points", "16"],
             ["predict-demo", "u.txt"],
