@@ -9,27 +9,20 @@ certified cell search on the factored margin (|T|^-2 - 1) / omega^2 up to
 the frequency past which |T| <= 1), the rightmost root of the
 one-delay internal dynamics p = a(lambda) + b(lambda) e^{-phi lambda}, deg b
 < deg a, with every evaluation of p running Horner over one cached row table
-(for deg a = 1, the DCH factor, the roots in closed form on the branches of
-the Lambert W function; for deg a = 2, the extended factor, Newton seeded
-in closed form by a truncated quadratic and the Lambert-W chain; either way
-certified by one adaptive argument-principle count over the upper half of
-a conjugate-symmetric box that the scalar modulus bound R(s) sizes, its
-segments accepted by a Taylor-model two-disc test on p, p' and a bound on
-|p''|, against the roots found with the multiplicity a scalar Rouché test
-proves for each; for deg a >= 2 a failed closed-form seeding, and every
-search it does not cover, is seeded from the eigenvalues of a 24-node
-pseudospectral generator built from a cached Chebyshev block, whose
-failure raises RefinementError), the properness root check (inconclusive
-where the root lies within rounding of the axis), the properness region
-boundary, and the time-domain L2 string-stability check.
+(seeded in closed form on the branches of the Lambert W function for deg
+a = 1, the DCH factor, and from a truncated quadratic, the Lambert-W chain
+and the roots of a for deg a = 2, the extended factor; certified by an
+adaptive argument-principle count over a box that the scalar modulus bound
+R(s) sizes, against the roots found with the multiplicity a scalar Rouché
+test proves for each, the box subdivided where the count exceeds them),
+the properness root check (inconclusive where the root lies within
+rounding of the axis), the properness region boundary, and the
+time-domain L2 string-stability check.
 
 numpy is imported by the functions that build or read an array (the
-kernel, the sweeps and their cells, the generator and its eigenvalues, the
-region boundary, the L2 check, and QuasiPolynomial's call on arrays), not
-at module level.  The closed-form roots and seeds, the box count, the
-multiplicity test and properness_root_check's verdict run on math and
-cmath alone, so a DCH or extended root check loads no numpy unless the
-extended one falls back to the generator.
+kernel, the sweeps and their cells, the region boundary and the L2 check),
+not at module level.  The root search and properness_root_check's verdict
+run on math and cmath alone, for any degree.
 """
 
 from __future__ import annotations
@@ -135,16 +128,6 @@ class QuasiPolynomial(Record):
              + phi * phi * abs(b[j]))
             for j in reversed(range(len(a) - 2))
         )
-
-    def __call__(self, lam):
-        import numpy as np
-
-        lam = np.asarray(lam, dtype=complex)
-        fa, fb = 1.0 + 0.0j, 0.0j
-        for aj, bj, *_ in self.rows:
-            fa = fa * lam + aj
-            fb = fb * lam + bj
-        return fa + fb * np.exp(-lam * self.phi)
 
     def newton_terms(self, lam: complex) -> tuple[complex, complex, float]:
         """(p(lam), p'(lam), residual scale) in one pass.
@@ -539,16 +522,21 @@ def _reach(c: float, d: float, m: float) -> float:
     return 2.0 * c / den if den > 0.0 else 0.0  # nan or 0 reaches nothing
 
 
-def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
-    """(roots in the box Re in [lo, half], Im in [-half, half], with their
-    multiplicities; points evaluated).
+def _root_count(
+    qp: QuasiPolynomial, left: float, right: float, bottom: float, top: float
+) -> tuple[int, int]:
+    """(roots in the box Re in [left, right], Im in [bottom, top], with
+    their multiplicities; points evaluated).
 
     The argument principle, adaptively (Ying & Katz, Numer. Math. 53,
-    1988), on the upper half of the contour only: p has real coefficients,
-    so p(conj z) = conj p(z), and the lower half of the box's boundary
-    changes arg p by as much as the upper half, the path (half, 0) ->
-    (half, half) -> (lo, half) -> (lo, 0).  Its change is therefore pi
-    times the count (a single real root gives pi, not a whole turn).  Each
+    1988).  A box symmetric about the real axis (bottom = -top) is walked
+    on the upper half of its boundary only: p has real coefficients, so
+    p(conj z) = conj p(z), and the lower half changes arg p by as much as
+    the upper half, the path (right, 0) -> (right, top) -> (left, top) ->
+    (left, 0).  Its change is therefore pi times the count (a single real
+    root gives pi, not a whole turn).  Any other box, such as a part above
+    the axis that _missing_roots counts, is walked all round from (right,
+    bottom), and its change is 2 pi times the count.  Each
     point runs Horner for p and p' and for the monomial bounds of the rows
     table.  A segment [z0, z1] is accepted by a Taylor model at each end
     (Kravanja & Van Barel, Computing the Zeros of Analytic Functions, LNM
@@ -566,7 +554,7 @@ def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
     the principal argument of p(z1) / p(z0); a segment that fails the test
     is bisected.  Near a root of multiplicity m, |p'| shrinks with |p|, so
     the segments shrink like the distance to the root, not like its m-th
-    power.  Real roots sit strictly inside the box, off the path.
+    power.  Real roots sit strictly inside a symmetric box, off the path.
     RefinementError where p is not finite or 0 on the path, or after
     ROOT_COUNT_CAP evaluations.
     """
@@ -605,13 +593,15 @@ def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
         slope = abs(dfa + (dfb - phi * fb) * e) + _COUNT_ROUNDING * (sa + sb * widen)
         return z, cmath.phase(f), abs(f) - _COUNT_ROUNDING * scale, slope, ca, cb, decay
 
-    corners = [
-        point(complex(half, 0.0)), point(complex(half, half)),
-        point(complex(lo, half)), point(complex(lo, 0.0)),
-    ]
+    symmetric = bottom == -top  # walk the upper half only
+    low = 0.0 if symmetric else bottom
+    corners = [point(complex(right, low)), point(complex(right, top)),
+               point(complex(left, top)), point(complex(left, low))]
+    if not symmetric:
+        corners.append(corners[0])
     evaluations = 4
     swept = 0.0  # change of arg p along the path so far
-    for k in range(3):
+    for k in range(len(corners) - 1):
         z0, arg0, c0, d0, ca0, cb0, e0 = corners[k]
         pending = [corners[k + 1]]
         while pending:
@@ -628,7 +618,7 @@ def _root_count(qp: QuasiPolynomial, lo: float, half: float) -> tuple[int, int]:
             else:
                 pending.append(point(0.5 * (z0 + z1)))
                 evaluations += 1
-    return round(swept / math.pi), evaluations
+    return round(swept / (math.pi if symmetric else _TWO_PI)), evaluations
 
 
 def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
@@ -663,60 +653,7 @@ def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
     return None
 
 
-_RESEED_NODES = 24  # Chebyshev intervals of the generator that re-seeds the search
-
-
-@functools.cache
-def _chebyshev_block(n: int, nodes: int) -> np.ndarray:
-    """kron(D[1:], I_n), read-only, for the Chebyshev differentiation
-    matrix D on the nodes + 1 points 0 = t_0 > ... > t_N = -1 of [-1, 0].
-
-    On [-phi, 0] the nodes are phi t_j and the differentiation matrix is
-    D / phi, so one block per state dimension n and node count serves every
-    delay.
-    """
-    import numpy as np
-
-    t = 0.5 * (np.cos(math.pi * np.arange(nodes + 1) / nodes) - 1.0)
-    w = np.ones(nodes + 1)  # interpolation weights (-1)^j, halved at both ends
-    w[[0, -1]] = 0.5
-    w[1::2] *= -1.0
-    diff = np.outer(1.0 / w, w) / (t[:, None] - t[None, :] + np.eye(nodes + 1))
-    diff -= np.diag(diff.sum(axis=1))
-    block = np.kron(diff[1:], np.eye(n))
-    block.flags.writeable = False
-    return block
-
-
-def _generator_matrix(qp: QuasiPolynomial, nodes: int = _RESEED_NODES) -> np.ndarray:
-    """Chebyshev pseudospectral generator of the delay equation behind p.
-
-    p is the characteristic function of x^(n)(t) = -sum_j (a_j x^(j)(t) +
-    b_j x^(j)(t - phi)).  The state (x, ..., x^(n-1)) on [-phi, 0] is
-    collocated at nodes + 1 Chebyshev points (Breda, Maset & Vermiglio,
-    SIAM J. Sci. Comput. 2005), an (nodes + 1) n square matrix: the first
-    block row is the DDE, whose delayed term is -b in the last block since
-    -phi is the last node; the others differentiate the interpolant, the
-    cached _chebyshev_block divided by phi.  With phi = 0 it is the
-    companion matrix of a.  Raises RefinementError when an entry overflows,
-    since no eigenvalue can seed the search then.
-    """
-    import numpy as np
-
-    n = len(qp.b)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as RefinementError
-        companion = np.eye(n, k=1)
-        companion[-1] = np.negative(qp.a[:n])
-        matrix = companion
-        if qp.phi > 0.0:
-            block = _chebyshev_block(n, nodes)
-            matrix = np.zeros((block.shape[1], block.shape[1]))
-            np.divide(block, qp.phi, out=matrix[n:])
-            matrix[:n, :n] = companion
-            matrix[n - 1, -n:] = np.negative(qp.b)
-        if not np.all(np.isfinite(matrix)):
-            raise RefinementError("pseudospectral generator overflows: coefficient ratios too large")
-    return matrix
+_BRANCH_CAP = 24  # Lambert-W branches past W_0 that one listing of the box takes
 
 
 def _fold(lam: complex) -> complex:
@@ -729,50 +666,19 @@ def _fold(lam: complex) -> complex:
     return complex(lam.real, 0.0) if lam.imag <= 1e-9 * abs(lam) else lam
 
 
-def _polish_eigenvalues(qp: QuasiPolynomial, generator: np.ndarray) -> list[complex]:
-    """Distinct roots, Newton-polished from the generator's eigenvalues (the
-    seeding of rightmost_root where the closed-form one fails or does not
-    apply).
-
-    Eigenvalues e with Im >= 0 and |e| <= R(Re e) seed damped Newton from
-    the right: the bound drops the spurious high-frequency eigenvalues of
-    the discretization, which lie right of the true roots.  The pass stops
-    at the first eigenvalue two box margins plus 4 (1 + |e|) d left of the
-    rightmost root so far, d the largest relative Newton displacement |root
-    - seed| / (1 + |seed|) so far, since the box certificate needs only the
-    roots right of one: a coarse generator misplaces a seed by about as
-    much as it misplaces its neighbours.  A conjugate pair closer than the
-    dedupe distance (as a double real root discretizes) seeds its real part
-    first.  Roots are folded and snapped (_fold), and deduplicated: a root
-    within 1e-6 (1 + |r|) of a root r found before is dropped.
-    """
-    import numpy as np
-
-    eigs = np.linalg.eigvals(generator)
-    eigs = eigs[eigs.imag >= 0.0]
-    kept = [e for e in eigs[np.argsort(-eigs.real, kind="stable")].tolist()
-            if abs(e) <= _root_bound(qp, e.real)]
-    roots: list[complex] = []
-    right = 0.0  # largest real part among roots, once there is one
-    drift = 0.0  # largest relative Newton displacement so far
-    for eig in kept:
-        if roots and (eig.real < right - 2.0 * _box_margin(right, qp.phi)
-                      - 4.0 * (1.0 + abs(eig)) * drift):
-            break
-        seeds = [complex(eig)]
-        if 0.0 < eig.imag <= 0.5e-6 * (1.0 + abs(eig)):
-            seeds.insert(0, complex(eig.real))
-        for seed in seeds:
-            lam = _newton_polish(qp, seed)
-            if lam is None:
-                continue
-            lam = _fold(lam)
-            drift = max(drift, abs(lam - seed) / (1.0 + abs(seed)))
-            if any(abs(lam - r) <= 1e-6 * (1.0 + abs(r)) for r in roots):
-                continue
-            roots.append(lam)
-            right = max(r.real for r in roots)
-    return roots
+def _polish(qp: QuasiPolynomial, seed: complex) -> list[complex]:
+    """The root that Newton reaches from seed (_newton_polish), folded and
+    snapped (_fold), or none.  A root within 1e-6 |root| of the real axis
+    is polished again from its real part, kept first: near a double real
+    root Newton stops on a complex point, and the real one is what the
+    Rouché test of _local_multiplicity proves."""
+    if (lam := _newton_polish(qp, seed)) is None:
+        return []
+    lam = _fold(lam)
+    if 0.0 < lam.imag <= 1e-6 * abs(lam) and (
+            real := _newton_polish(qp, complex(lam.real))) is not None:
+        return [_fold(real), lam]
+    return [lam]
 
 
 def _lambert_w(x: float, k: int) -> complex:
@@ -839,10 +745,10 @@ def _lambert_roots(qp: QuasiPolynomial) -> list[complex]:
     a close neighbour: the Rouché disk around one would have to hold both,
     and at phi = 100 it is 1e-7 wide.  With phi = 0 the constructor
     has folded b into a, and the one root is -a_0.  RefinementError where
-    x overflows, and where more than _RESEED_NODES branches past W_0 reach
-    the box, more than the 24-node generator ever seeded: h_v / phi below
-    about 1.4e-36 where phi <= 1, and some 1e5 branches at h_v = 1e-308,
-    phi = 0.15.
+    x overflows, and where more than _BRANCH_CAP branches past W_0 reach
+    the box, more than the box subdivision would find in reasonable time:
+    h_v / phi below about 1.4e-36 where phi <= 1, and some 1e5 branches at
+    h_v = 1e-308, phi = 0.15.
     """
     a0, b0, phi = qp.a[0], qp.b[0], qp.phi
     if phi == 0.0:
@@ -861,12 +767,12 @@ def _lambert_roots(qp: QuasiPolynomial) -> list[complex]:
     if x == 0.0:  # W_k(0) = -inf off the principal branch
         return roots
     lo = roots[0].real - _box_margin(roots[0].real, phi)
-    for k in range(1, _RESEED_NODES + 1):
+    for k in range(1, _BRANCH_CAP + 1):
         lam = _lambert_w(x, k) / phi - a0
         if not lam.real >= lo:  # also nan
             return roots
         roots.append(_fold(lam))
-    raise RefinementError(f"more than {_RESEED_NODES} Lambert-W branches reach the box")
+    raise RefinementError(f"more than {_BRANCH_CAP} Lambert-W branches reach the box")
 
 
 def _quadratic_roots(c2: float, c1: float, c0: float) -> list[complex]:
@@ -909,36 +815,24 @@ def _closed_form_roots(qp: QuasiPolynomial) -> list[complex]:
     chain: where |e^{-phi lambda}| is small, roots lie near them, off the
     chain and off the quadratic's roots (at a = (79.8, 0, 1), b = (0.101,
     27.2), phi = 6.07 the rightmost pair, 0.530 +- 8.823i, lies 0.54 from
-    a's roots +- 8.933i).  Each seed is polished (_newton_polish) and
-    folded and snapped (_fold).  A root within 1e-6 |root| of the real axis
-    is polished again from its real part, kept first: near a double real
-    root Newton stops on a complex point, and the real one is what the
-    Rouché test of _local_multiplicity proves.  A root within 1e-6 (u +
-    |r|) of a root r found before is dropped, u the largest modulus of the
-    quadratic's roots (1 without any): the distance scales with p's own, so
-    the real pair of h_a lambda^2 + (h_v - phi) lambda + 1 at h_a = 1e30,
-    2e-15 apart, stays two roots.  RefinementError where no seed
-    converges, where -phi b_1 is not finite, and where more than
-    _RESEED_NODES branches past W_0 reach the box, the cap of
-    _lambert_roots.
+    a's roots +- 8.933i).  Each seed is polished (_polish).  A root within
+    1e-6 (u + |r|) of a root r found before is dropped, u the largest
+    modulus of the quadratic's roots (1 without any): the distance scales
+    with p's own, so the real pair of h_a lambda^2 + (h_v - phi) lambda + 1
+    at h_a = 1e30, 2e-15 apart, stays two roots.  At most _BRANCH_CAP
+    branches past W_0 are seeded, the cap of _lambert_roots; the box count
+    finds what the seeds miss (_certified_top).  RefinementError where
+    -phi b_1 is not finite.
     """
     (a0, a1, _), (b0, b1), phi = qp.a, qp.b, qp.phi
     small = _quadratic_roots(1.0 - b1 * phi + b0 * phi * phi / 2.0, a1 + b1 - b0 * phi, a0 + b0)
     unit = max(map(abs, small), default=1.0)
     roots: list[complex] = []
 
-    def keep(lam: complex) -> None:
-        if not any(abs(lam - r) <= 1e-6 * (unit + abs(r)) for r in roots):
-            roots.append(lam)
-
     def polish(seed: complex) -> None:
-        if (lam := _newton_polish(qp, seed)) is None:
-            return
-        lam = _fold(lam)
-        if 0.0 < lam.imag <= 1e-6 * abs(lam) and (
-                real := _newton_polish(qp, complex(lam.real))) is not None:
-            keep(_fold(real))
-        keep(lam)
+        for lam in _polish(qp, seed):
+            if not any(abs(lam - r) <= 1e-6 * (unit + abs(r)) for r in roots):
+                roots.append(lam)
 
     def in_box(seed: complex) -> bool:
         """Whether one Newton step from seed lies right of lo."""
@@ -969,30 +863,39 @@ def _closed_form_roots(qp: QuasiPolynomial) -> list[complex]:
         if (-1.0 / math.e < x < 0.0 and (lower := _lambert_w(x, -1)) != w0
                 and asymptotic(seed := lower / phi) and in_box(seed)):
             polish(seed)
-        for k in range(1, _RESEED_NODES + 1):
+        for k in range(1, _BRANCH_CAP + 1):
             if not x or not in_box(seed := _lambert_w(x, k) / phi):  # W_k(0) = -inf off W_0
                 break
             polish(seed)
-        else:
-            raise RefinementError(f"more than {_RESEED_NODES} Lambert-W branches reach the box")
     # last, so that they move no stop of the chain listing above
     for seed in _quadratic_roots(1.0, a1, a0) if a0 or a1 else ():
         if seed.imag >= 0.0:
             polish(seed)
-    if not roots:
-        raise RefinementError("no closed-form seed converged to a root")
     return roots
 
 
-def _scaled_taylor(coeffs: tuple[float, ...], center: complex, radius: float) -> list[complex]:
+def _scaled_taylor(
+    coeffs: tuple[float, ...], center: complex, radius: float
+) -> tuple[list[complex], float]:
     """Ascending coefficients of u -> c(center + radius u) for the ascending
-    coefficients of c, by repeated synthetic division (Horner)."""
-    rest, out = list(reversed(coeffs)), []
+    coefficients of c, by repeated synthetic division (Horner), and a
+    running bound of the sum of their rounding errors, in units of
+    _COUNT_ROUNDING (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, Alg. 5.1): each step rest[j] += center
+    rest[j-1] adds |center| times the bound of rest[j-1] and |rest[j]|, and
+    each coefficient its own magnitude for the scaling by radius^k."""
+    rest, out, bound = list(reversed(coeffs)), [], 0.0
+    error = [0.0] * len(rest)
+    r = abs(center)
     while rest:
         for j in range(1, len(rest)):
             rest[j] += center * rest[j - 1]
-        out.append(rest.pop() * radius ** len(out))
-    return out
+            error[j] += r * error[j - 1] + abs(rest[j])
+        scale = radius ** len(out)
+        value = rest.pop()
+        out.append(value * scale)
+        bound += (error.pop() + abs(value)) * scale
+    return out, bound
 
 
 def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]) -> int:
@@ -1010,10 +913,12 @@ def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]
     rounding: then p - c_m u^m is smaller than c_m u^m on the circle, and p
     has m roots in the disk, as c_m u^m does.  m runs up to 2n >= deg a +
     deg b + 1, the most a root of a + b e^{-phi lambda} can have.  The
-    rounding is _COUNT_ROUNDING times the monomial scale on the disk, as
-    _root_count bounds its own; it exceeds rho^3 at a triple root of
-    modulus above about 0.65, which is refused.  RefinementError where no m
-    passes.
+    rounding bounds the errors of the computed c_k: _COUNT_ROUNDING times
+    the running bounds of the synthetic divisions (_scaled_taylor), b's
+    widened by e^{-phi Re root} e^{phi rho} (1 + phi (|root| + rho)) as
+    _root_count widens its own.  At the triple root of (lambda + 1)^3 it
+    is 8 ulps times 3, below rho^3 = 8e-15.
+    RefinementError where no m passes.
     """
     phi = qp.phi
     radius = 1e-5 * (1.0 + abs(root)) / max(1.0, phi)
@@ -1023,8 +928,9 @@ def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]
             if dist > 0.0:
                 radius = min(radius, dist / 3.0)
     top = 2 * len(qp.b)
-    a = _scaled_taylor(qp.a, root, radius) + [0.0] * (top - len(qp.a) + 1)
-    b = _scaled_taylor(qp.b, root, radius)
+    a, a_error = _scaled_taylor(qp.a, root, radius)
+    a += [0.0] * (top - len(qp.a) + 1)
+    b, b_error = _scaled_taylor(qp.b, root, radius)
     t = phi * radius
     series = [1.0]  # e^{-t u} = sum_j series[j] u^j; |series[j]| = t^j / j!
     for j in range(1, top + 2):
@@ -1036,12 +942,7 @@ def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]
         raise RefinementError(f"quasi-polynomial is not finite around root {root}") from None
     c = [a[k] + delayed * sum(b[i] * series[k - i] for i in range(min(k + 1, len(b))))
          for k in range(top + 1)]
-    reach = abs(root) + radius
-    ma, mb = 1.0, 0.0
-    for _, _, maj, mbj, _, _, _, _ in qp.rows:
-        ma = ma * reach + maj
-        mb = mb * reach + mbj
-    rounding = _COUNT_ROUNDING * (ma + mb * decay * (1.0 + phi * reach))
+    rounding = _COUNT_ROUNDING * (a_error + decay * (1.0 + phi * (abs(root) + radius)) * b_error)
     below = 0.0  # sum_{k<m} |c_k|
     for m in range(1, top + 1):
         below += abs(c[m - 1])
@@ -1053,77 +954,172 @@ def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]
     raise RefinementError(f"could not certify the multiplicity of root {root}")
 
 
+def _schroder(qp: QuasiPolynomial, lam: complex, m: int) -> complex:
+    """The last point of Schröder's iteration lam <- lam - m p / p' (Math.
+    Ann. 2, 1870) from lam while |p| decreases: quadratic at a root of
+    multiplicity m, where Newton's (m = 1) creeps."""
+    with contextlib.suppress(OverflowError, ZeroDivisionError):
+        fval, dval, _ = qp.newton_terms(lam)
+        for _ in range(80):
+            cand = lam - m * fval / dval
+            terms = qp.newton_terms(cand)
+            if not abs(terms[0]) < abs(fval):
+                break
+            lam, (fval, dval, _) = cand, terms
+    return lam
+
+
+def _recentred(qp: QuasiPolynomial, root: complex, roots: list[complex]) -> tuple[complex, int]:
+    """(centre, multiplicity) for a root that _local_multiplicity refuses,
+    such as a Newton stop whose disk misses the multiple root beside it.
+
+    Schröder's step for m = 2, 3, ..., 2n moves it (again from the real
+    part of the point reached where that lies within 1e-6 of the axis
+    relative to its modulus), and the Rouché test runs at the point
+    reached.  The first that passes replaces root in roots, and drops the
+    roots within twice its move plus the disk's radius: the other stops
+    around the same multiple root.  RefinementError where none passes."""
+    radius = 1e-5 * (1.0 + abs(root)) / max(1.0, qp.phi)
+    for m in range(2, 2 * len(qp.b) + 1):
+        lam = _fold(_schroder(qp, root, m))
+        if 0.0 < lam.imag <= 1e-6 * abs(lam):
+            lam = _fold(_schroder(qp, complex(lam.real), m))
+        reach = 2.0 * abs(lam - root) + radius
+        others = [lam if r is root else r for r in roots if r is root or abs(r - lam) > reach]
+        with contextlib.suppress(RefinementError):
+            multiplicity = _local_multiplicity(qp, lam, others)
+            roots[:] = others
+            return lam, multiplicity
+    raise RefinementError(f"could not certify the multiplicity of root {root}")
+
+
+def _weight(box: tuple[float, float, float, float], root: complex) -> int:
+    """How often _root_count counts a simple root, root (Im >= 0), over box:
+    with its conjugate where box is symmetric about the real axis."""
+    left, right, bottom, top = box
+    if not (left < root.real < right and root.imag < top):
+        return 0
+    if bottom == -top:
+        return 2 if root.imag else 1
+    return int(bottom < root.imag)
+
+
+def _counted(
+    qp: QuasiPolynomial, box: tuple[float, float, float, float], roots: list[complex]
+) -> int:
+    """What _root_count should count over box from roots: each with the
+    multiplicity that _local_multiplicity proves, or _recentred where it
+    refuses one (which updates roots)."""
+    total = 0
+    for root in list(roots):
+        if root in roots and (weight := _weight(box, root)):  # else dropped by _recentred
+            try:
+                multiplicity = _local_multiplicity(qp, root, roots)
+            except RefinementError:
+                root, multiplicity = _recentred(qp, root, roots)
+                weight = _weight(box, root)
+            total += weight * multiplicity
+    return total
+
+
+def _missing_roots(
+    qp: QuasiPolynomial, box: tuple[float, float, float, float], roots: list[complex]
+) -> None:
+    """Appends to roots those of box that they miss, in one pass (Delves &
+    Lyness, Math. Comp. 21, 1967).
+
+    The box is halved in Re and in Im: a box symmetric about the real axis
+    into two symmetric parts and two above them, any other into quarters.
+    Where the count of a part (_root_count) exceeds the roots found in it
+    (_counted), Newton starts from its centre, or from that of its upper
+    half (_polish), and appends a root not within 1e-6 (1 + |r|) of a root
+    r found; a part whose count still exceeds its roots is split in turn,
+    down to the radius of _local_multiplicity's disk at its centre."""
+    def centre(left: float, right: float, bottom: float, top: float) -> complex:
+        return complex(0.5 * (left + right), 0.5 * (top + max(bottom, 0.0)))
+
+    parts = [box]
+    while parts:
+        left, right, bottom, top = parts.pop()
+        mid = centre(left, right, bottom, top)
+        if right - left <= 1e-5 * (1.0 + abs(mid)) / max(1.0, qp.phi):
+            continue
+        cut = mid.imag
+        rows = ((-cut, cut), (cut, top)) if bottom == -top else ((bottom, cut), (cut, top))
+        halves = ((left, mid.real), (mid.real, right))
+        for part in [(lo, hi, b, t) for lo, hi in halves for b, t in rows]:
+            count, _ = _root_count(qp, *part)
+            if count <= _counted(qp, part, roots):
+                continue
+            for lam in _polish(qp, centre(*part)):
+                if not any(abs(lam - r) <= 1e-6 * (1.0 + abs(r)) for r in roots):
+                    roots.append(lam)
+            if count > _counted(qp, part, roots):
+                parts.append(part)
+
+
 def _certified_top(qp: QuasiPolynomial, roots: list[complex], seeding: str) -> complex:
     """The rightmost of roots, once the box count certifies that no root of
-    p lies right of it (rightmost_root); RefinementError otherwise."""
-    top = max(roots, key=lambda r: r.real)
-    delta = _box_margin(top.real, qp.phi)
-    lo = top.real - delta
-    half = max(_root_bound(qp, lo), delta)
-    if not math.isfinite(half):
-        raise RefinementError(f"root bound is not finite at Re = {lo:g}")
-    winding, _ = _root_count(qp, lo, half)
-    # winding counts every root inside the box with its multiplicity, so
-    # complex roots found in the upper half count twice
-    expected = sum(
-        _local_multiplicity(qp, r, roots) * (2 if r.imag else 1) for r in roots if r.real > lo
-    )
-    if expected != winding:
-        raise RefinementError(
-            f"winding count {winding} != {expected} roots found (conjugates included;"
-            f" seeded from {seeding})"
-        )
-    return top
+    p lies right of it (rightmost_root); RefinementError otherwise.
+
+    Where the count exceeds the roots found, _missing_roots finds the
+    others, and the box is built around the new rightmost root and counted
+    again, until the counts match or the roots repeat a list that did not
+    match.  With no roots, the box [s, R(s)] x [-R(s), R(s)] is counted
+    from s = delta = _box_margin(0, phi) leftward, s <- 2 s - 3 delta (its
+    left edges miss 0, a root wherever a_0 = b_0 = 0), until its count is
+    not 0."""
+    roots, tried = list(roots), set()  # the lists of roots counted in vain
+    lo = delta = _box_margin(0.0, qp.phi)
+    while True:
+        if roots:
+            top = max(roots, key=lambda r: r.real)
+            delta = _box_margin(top.real, qp.phi)
+            lo = top.real - delta
+        half = max(_root_bound(qp, lo), delta)
+        if not math.isfinite(half):
+            raise RefinementError(f"root bound is not finite at Re = {lo:g}")
+        box = (lo, half, -half, half)
+        winding, _ = _root_count(qp, *box)
+        expected = _counted(qp, box, roots)
+        if expected == winding:
+            if roots:
+                return max(roots, key=lambda r: r.real)
+            lo = 2.0 * lo - 3.0 * delta
+            continue
+        if tuple(roots) in tried:
+            raise RefinementError(
+                f"winding count {winding} != {expected} roots found (conjugates included;"
+                f" seeded from {seeding})"
+            )
+        tried.add(tuple(roots))
+        if expected < winding:
+            _missing_roots(qp, box, roots)
 
 
 def rightmost_root(qp: QuasiPolynomial) -> complex:
     """The root of p with the largest real part, certified.
 
-    For deg a = 1 (the DCH factor) the roots are listed in closed form on
-    the branches of the Lambert W function (_lambert_roots).  For deg a = 2
-    (the extended factor) with b_1 != 0 or phi = 0, damped Newton
-    iterations start from closed-form seeds (_closed_form_roots): the roots
-    of the quadratic that truncating e^{-phi lambda} at second order gives,
-    the chain W_k(-phi b_1) / phi, and the roots of a.  Neither builds a generator or
-    imports numpy.  Either way s* is the rightmost root found.  The seeds
-    only start Newton, which the certificate below checks: over 9,000
-    extended tunings (the paper's ranges, phi from 1e-3 to 1e3, h_a from
-    1e-9 to 1e305, the properness boundary and the double-root curve) the
-    closed-form seeds certified all but one without the re-seed, each root
-    the generator's to 1.2e-12 relative where both certify, except at
-    double roots, which Newton resolves to about 1e-6.
-    Every root with Re >= lo = s* - _box_margin(s*, phi) has modulus below
-    R(lo), so the box [lo, R] x [-R, R] holds all of them: the adaptive
-    argument-principle count over the upper half of its boundary
-    (_root_count; the box is symmetric about the real axis, so half the
-    walk counts every root) must equal the polished roots right of lo,
-    conjugates included, with the multiplicity of each proved by Rouché's
-    theorem on a small disk (_local_multiplicity).  Then no root lies right
-    of s*.
-    When the closed-form seeding fails (no seed converges, or the
-    certificate does not match), and for deg a = 2 with b_1 = 0 < phi or
-    for deg a >= 3, the search is seeded from the eigenvalues of a 24-node
-    Chebyshev pseudospectral discretization of the delay equation's
-    generator (_polish_eigenvalues; Breda, Maset & Vermiglio 2005), which
-    imports numpy; a failure there raises.  The Lambert-W roots are not
-    re-seeded.
-    Raises RefinementError when the Lambert-W listing fails, when no seed
-    of the last seeding converges, when the bound or p is not finite on the
-    box, when the count reaches its cap, or when it does not match the
-    roots found.
+    Seeds: the Lambert-W branches for deg a = 1, the DCH factor
+    (_lambert_roots); Newton from closed forms for deg a = 2, the extended
+    factor (_closed_form_roots); none for deg a >= 3.  With s* the
+    rightmost root found, the box [lo, R(lo)] x [-R, R], lo = s* -
+    _box_margin(s*, phi), holds every root with Re >= lo, and its
+    argument-principle count (_root_count) must equal the roots found in
+    it, each with the multiplicity that Rouché's theorem proves
+    (_local_multiplicity, after Schröder's step where a Newton stop lies
+    beside a multiple root: _recentred).  Where the count is higher, the
+    box is subdivided (_missing_roots) and counted again around the new
+    rightmost root (_certified_top).  Over the paper's ranges the seeds
+    match the first count.  RefinementError when the Lambert-W listing
+    fails, when R or p is not finite on a box, when a count reaches its
+    cap, or when the subdivision finds nothing that the count misses.
     """
     if len(qp.b) == 1:
         return _certified_top(qp, _lambert_roots(qp), "the Lambert-W branches")
-    seeding = f"{_RESEED_NODES} Chebyshev nodes"
-    if len(qp.b) == 2 and (qp.b[1] or not qp.phi):
-        try:
-            return _certified_top(qp, _closed_form_roots(qp), "the closed-form seeds")
-        except RefinementError:
-            seeding = f"the closed-form seeds, then {seeding}"
-    roots = _polish_eigenvalues(qp, _generator_matrix(qp, _RESEED_NODES))
-    if not roots:
-        raise RefinementError("no eigenvalue seed converged to a root")
-    return _certified_top(qp, roots, seeding)
+    if len(qp.b) == 2:
+        return _certified_top(qp, _closed_form_roots(qp), "the closed-form seeds")
+    return _certified_top(qp, [], "the box count")
 
 
 def properness_root_check(policy: SpacingPolicy, params: VehicleParams) -> StabilityVerdict:

@@ -22,10 +22,9 @@ and predict-demo), not at module level.  ``simulate`` checks and writes the
 simulator's float columns (``simulator.run_columns``) through the one
 17-digit writer, so it loads numpy only for the prediction weights of a
 constant-policy follower.  ``analyze`` on the DCH or constant policy never
-loads it, nor on an extended tuning inside the closed-form sufficient pair,
-whose root search starts from closed-form seeds.  Other extended tunings load
-it through analysis for the string-stability cells, and any extended search
-for the generator that re-seeds it when the closed-form seeds fail.
+loads it, nor on an extended tuning inside the closed-form sufficient pair:
+the root search runs on math and cmath.  Other extended tunings load it
+through analysis for the string-stability cells.
 """
 
 from __future__ import annotations

@@ -5,14 +5,17 @@ rows, the float-loop simulator over samples that `delayplatoon.run` replaced
 with its loop over vehicles, a golden-section search of every grid maximum
 of |T|, which evaluates only true |T| values and so gives a lower bound that
 `refined_peak`'s certified peak must reach, `np.polyval` evaluations of the
-quasi-polynomial, which its Horner rows must match bitwise, the fixed-grid
-winding count that the adaptive `_root_count` must agree with, the numpy
-root bound, elementwise over s, that the scalar `_root_bound` replaced, the
-256-point circle whose winding the Rouché multiplicity must equal, the
-per-call build of the pseudospectral generator that `_generator_matrix`
-replaced with a cached Chebyshev block, and the Lambert function at its
-branch point -1/e from its series in the exact e x + 1, where scipy's
-`lambertw` loses W_-1.
+quasi-polynomial, which its Horner rows must match to rounding, the
+fixed-grid winding count over any box that the adaptive `_root_count` must
+agree with, the numpy root bound, elementwise over s, that the scalar
+`_root_bound` replaced, the 256-point circle whose winding the Rouché
+multiplicity must equal, the rightmost root that plain Newton reaches from
+the eigenvalues of a 24-node Chebyshev pseudospectral generator (the
+seeding that the box subdivision replaced; census.py's reference where no
+closed form gives the root), the small pair that the extended policy's
+root tends to at huge h_a, and the Lambert function at its branch point
+-1/e from its series in the exact e x + 1, where scipy's `lambertw` loses
+W_-1.
 
 The spacing errors, tracking laws, leader law and sensor hold here are
 written out independently of `delayplatoon.controllers.tracking_law`, of
@@ -441,18 +444,19 @@ def quasi_polynomial_reference(qp, z):
     return np.polyval(qp.a[::-1], z) + np.polyval(qp.b[::-1], z) * np.exp(-z * qp.phi)
 
 
-def winding_number_reference(qp, lo: float, half: float) -> int:
-    """Winding of p around 0 along the box Re in [lo, half], Im in
-    [-half, half], from two fixed grids: the count over 8192 boundary points
-    must lie within 1e-3 of an integer that the count over its 4096 even
-    points rounds to as well.  The fixed-grid scan that `_root_count`
-    replaced; RefinementError where p is not finite or 0 on a grid point, or
-    where the two grids disagree."""
-    corners = [complex(lo, -half), complex(half, -half), complex(half, half), complex(lo, half)]
+def winding_number_reference(qp, left: float, right: float, bottom: float, top: float) -> int:
+    """Winding of p around 0 along the box Re in [left, right], Im in
+    [bottom, top], from two fixed grids: the count over 8192 boundary
+    points must lie within 1e-3 of an integer that the count over its 4096
+    even points rounds to as well.  The fixed-grid scan that `_root_count`
+    replaced, on the whole contour whatever the box; RefinementError where
+    p is not finite or 0 on a grid point, or where the two grids
+    disagree."""
+    corners = [complex(left, bottom), complex(right, bottom), complex(right, top), complex(left, top)]
     frac = np.arange(2048) / 2048
     z = np.concatenate([c0 + (c1 - c0) * frac for c0, c1 in zip(corners, corners[1:] + corners[:1])])
     with np.errstate(over="ignore", invalid="ignore"):
-        f = qp(z)
+        f = quasi_polynomial_reference(qp, z)
     if not np.all(np.isfinite(f)):
         raise RefinementError("quasi-polynomial is not finite on the winding contour")
     if np.any(f == 0.0):
@@ -494,7 +498,7 @@ def local_multiplicity_reference(qp, root: complex, roots) -> int:
             if dist > 0.0:
                 radius = min(radius, dist / 3.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = qp(root + radius * np.exp(2j * math.pi * np.arange(256) / 256))
+        f = quasi_polynomial_reference(qp, root + radius * np.exp(2j * math.pi * np.arange(256) / 256))
     if not np.all(np.isfinite(f)) or np.any(f == 0.0):
         raise RefinementError(f"quasi-polynomial is not finite or 0 around root {root}")
     winding = float(np.sum(np.angle(np.roll(f, -1) / f)) / (2.0 * math.pi))
@@ -525,3 +529,76 @@ def generator_matrix_reference(qp, n_nodes: int) -> np.ndarray:
     matrix[:n, :n] = companion
     matrix[n - 1, -n:] = np.negative(qp.b)
     return matrix
+
+
+def _terms_reference(qp, z: complex) -> tuple[complex, complex, float]:
+    """(p(z), p'(z), the sum of p's monomial magnitudes at z), by a Horner
+    loop over the coefficient tuples, written out here."""
+    fa, dfa, fb, dfb, scale = 0j, 0j, 0j, 0j, 0.0
+    for aj in reversed(qp.a):
+        dfa = dfa * z + fa
+        fa = fa * z + aj
+    for bj in reversed(qp.b):
+        dfb = dfb * z + fb
+        fb = fb * z + bj
+    e = cmath.exp(-qp.phi * z)
+    r, decay = abs(z), math.exp(-qp.phi * z.real)
+    scale = sum(abs(aj) * r**j for j, aj in enumerate(qp.a))
+    scale += decay * sum(abs(bj) * r**j for j, bj in enumerate(qp.b))
+    return fa + fb * e, dfa + (dfb - qp.phi * fb) * e, scale
+
+
+def is_root_reference(qp, z: complex, tol: float = 1e-9) -> bool:
+    """|p(z)| <= tol times the sum of p's monomial magnitudes at z."""
+    try:
+        p, _, scale = _terms_reference(qp, z)
+    except OverflowError:
+        return False
+    return abs(p) <= tol * scale
+
+
+def newton_reference(qp, z: complex) -> complex | None:
+    """Plain Newton on p from z until a step is below 1e-15 (1 + |z|); the
+    point reached, folded into the upper half plane, if that takes at most
+    200 steps and is_root_reference accepts it, else None."""
+    try:
+        for _ in range(200):
+            p, dp_, _ = _terms_reference(qp, z)
+            step = p / dp_
+            z -= step
+            if abs(step) <= 1e-15 * (1.0 + abs(z)):
+                break
+        else:
+            return None
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not (cmath.isfinite(z) and is_root_reference(qp, z)):
+        return None
+    return complex(z.real, abs(z.imag))
+
+
+def generator_root(qp, nodes: int = 24) -> complex | None:
+    """The rightmost of the roots that plain Newton (newton_reference)
+    reaches from the eigenvalues of the generator (generator_matrix_reference,
+    nodes + 1 Chebyshev points; Breda, Maset & Vermiglio, SIAM J. Sci.
+    Comput. 2005) with Im >= 0 and |e| <= R(Re e) (root_bound_reference,
+    which drops the spurious eigenvalues of the discretization), or None.
+    The seeding that the root search used before its box subdivision,
+    uncertified: it misses roots that no eigenvalue lies near."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = generator_matrix_reference(qp, nodes)
+        if not np.all(np.isfinite(matrix)):
+            return None
+        eigs = np.linalg.eigvals(matrix)
+        eigs = eigs[(eigs.imag >= 0.0) & (np.abs(eigs) <= root_bound_reference(qp, eigs.real))]
+    roots = [r for r in (newton_reference(qp, complex(e)) for e in eigs.tolist()) if r is not None]
+    return max(roots, key=lambda r: r.real, default=None)
+
+
+def small_pair_root(h_v: float, h_a: float, phi: float) -> complex:
+    """The upper root of h_a lambda^2 + (h_v - phi) lambda + 1, to which the
+    rightmost internal root of the extended policy tends where h_a is huge
+    (e^{-phi lambda} = 1 - phi lambda to rounding at |lambda| ~ h_a^{-1/2})."""
+    c = h_v - phi
+    root = (-c + cmath.sqrt(c * c - 4.0 * h_a)) / (2.0 * h_a)
+    return complex(root.real, abs(root.imag))

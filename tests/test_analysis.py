@@ -17,6 +17,7 @@ from delayplatoon.spacing import PolicyKind
 from oracles import (
     dch_rightmost_root,
     generator_matrix_reference,
+    generator_root,
     lambert_w_near_branch_point,
     local_multiplicity_reference,
     quasi_polynomial_reference,
@@ -718,20 +719,16 @@ class TestQuasiPolynomialEvaluation:
         h_v=st.floats(0.05, 3.0), log_h_a=st.floats(-4.0, 0.0), phi=st.floats(0.0, 0.3),
         extended=st.booleans(), re=st.floats(-100.0, 100.0), im=st.floats(-100.0, 100.0),
     )
-    def test_call_matches_newton_terms_and_polyval(self, h_v, log_h_a, phi, extended, re, im):
+    def test_newton_terms_match_polyval(self, h_v, log_h_a, phi, extended, re, im):
         if extended:
             qp = QuasiPolynomial.extended_internal(h_v, 10.0**log_h_a, phi)
         else:
             qp = QuasiPolynomial.dch_internal(h_v, phi)
         z = complex(re, im)
-        got = qp(z)
-        assert got == quasi_polynomial_reference(qp, z)
-        # numpy's complex multiply may fuse a multiply-add (AVX-512 loops
-        # do), CPython's does not: the float Horner pass agrees to rounding
+        # np.polyval evaluates in another order (and numpy's complex multiply
+        # may fuse a multiply-add): the Horner pass agrees to rounding
         p, _, scale = qp.newton_terms(z)
-        assert abs(got - p) <= analysis._COUNT_ROUNDING * scale
-        circle = z + 1e-3 * np.exp(2j * math.pi * np.arange(256) / 256)
-        assert np.array_equal(qp(circle), quasi_polynomial_reference(qp, circle))
+        assert abs(quasi_polynomial_reference(qp, z) - p) <= analysis._COUNT_ROUNDING * scale
 
 
 class TestRightmostRoot:
@@ -1007,20 +1004,20 @@ class TestPropernessRootCheck:
         assert verdict.stable == dp.is_proper(policy, params).stable
 
     def test_spurious_right_eigenvalues_are_filtered(self):
-        """The re-seed's 24-node generator has its top eigenvalue here at
-        33.6+260.5j, spurious: |e| > R(Re e) = 1.97.  Newton from it lands
-        on 15.5+198.0j, a root left of the rightmost one.  The bound drops
-        it, so the re-seed certifies the root that the closed-form seeds
-        find."""
+        """A 24-node generator has its top eigenvalue here at 33.6+260.5j,
+        spurious: |e| > R(Re e) = 1.97.  Newton from it lands on
+        15.5+198.0j, a root left of the rightmost one.  The bound drops it
+        from the oracle's seeds, whose rightmost root is the one that the
+        closed-form seeds certify."""
         policy = dp.SpacingPolicy(
             PolicyKind.DELAYED_EXTENDED_HEADWAY,
             h_v=2.368866384477878, h_a=1.2461492890856137e-4,
         )
         params = dp.VehicleParams(0.067, 0.29387934096174734)
         qp = QuasiPolynomial.extended_internal(policy.h_v, policy.h_a, params.phi)
-        eigs = np.linalg.eigvals(analysis._generator_matrix(qp, 24))
+        eigs = np.linalg.eigvals(generator_matrix_reference(qp, 24))
         top = eigs[np.argmax(eigs.real)]
-        assert abs(top) > analysis._root_bound(qp, top.real)
+        assert abs(top) > root_bound_reference(qp, top.real)
         verdict = dp.properness_root_check(policy, params)
         assert not verdict.stable
         want = 22.69059071151686 + 9.339478251608025j
@@ -1041,41 +1038,29 @@ class TestPropernessRootCheck:
             dp.properness_root_check(CONSTANT, ref_params)
 
 
-class TestGeneratorMatrix:
-    """The generator built from the cached Chebyshev block against one built
-    directly from the scaled nodes, at the seeding and the re-seeding
-    node counts."""
+class TestGeneratorOracle:
+    """The census's reference for the rightmost root where no closed form
+    gives it: Newton from the eigenvalues of a pseudospectral generator."""
 
-    @pytest.mark.parametrize("nodes", [6, 24])
-    @pytest.mark.parametrize("phi", [0.0, 1e-3, 0.05, 0.15, 0.3, 2.0])
+    @pytest.mark.parametrize("phi", [0.0, 0.15])
+    def test_generator_shape(self, phi):
+        """(nodes + 1) n square with a delay, the companion matrix of a
+        (n square) without one."""
+        qp = QuasiPolynomial.extended_internal(1.2, 0.25, phi)
+        assert generator_matrix_reference(qp, 24).shape == ((50, 50) if phi else (2, 2))
+
     @pytest.mark.parametrize(
-        "make",
+        "qp",
         [
-            lambda phi: QuasiPolynomial.extended_internal(1.2, 0.25, phi),
-            lambda phi: QuasiPolynomial.extended_internal(100.0, 1e-9, phi),
+            QuasiPolynomial.extended_internal(1.2, 0.25, 0.15),
+            QuasiPolynomial.extended_internal(100.0, 1e-9, 0.25),
+            QuasiPolynomial.dch_internal(0.4, 0.15),
+            QuasiPolynomial((1.0, 3.0, 3.0, 1.0), (0.5,), 0.1),
         ],
-        ids=["ext", "ext-short"],
+        ids=["ext", "ext-short", "dch", "degree-3"],
     )
-    def test_matches_per_call_construction(self, make, phi, nodes):
-        # the whole matrix, not entry by entry: the near-zero diagonal of the
-        # differentiation block is rounding noise of its row sums
-        qp = make(phi)
-        matrix = analysis._generator_matrix(qp, nodes)
-        reference = generator_matrix_reference(qp, nodes)
-        assert matrix.shape == reference.shape
-        assert np.max(np.abs(matrix - reference)) <= 1e-13 * np.max(np.abs(reference))
-
-    def test_reseed_uses_24_nodes(self):
-        qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
-        assert analysis._generator_matrix(qp).shape == (50, 50)
-        qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.0)  # the companion matrix of a
-        assert analysis._generator_matrix(qp).shape == (2, 2)
-
-    def test_cached_block_is_read_only(self):
-        block = analysis._chebyshev_block(2, 12)
-        assert analysis._chebyshev_block(2, 12) is block
-        with pytest.raises(ValueError, match="read-only"):
-            block[0, 0] = 1.0
+    def test_agrees_with_the_certified_root(self, qp):
+        assert generator_root(qp) == pytest.approx(dp.rightmost_root(qp), rel=1e-12)
 
 
 @pytest.fixture
@@ -1234,14 +1219,15 @@ class TestL2StringStability:
 
 
 @pytest.fixture
-def builds(monkeypatch):
-    """The node counts of the generators that rightmost_root builds."""
-    nodes = []
-    generator = analysis._generator_matrix
+def subdivisions(monkeypatch):
+    """The boxes that rightmost_root subdivides for the roots its seeds miss
+    (_missing_roots), one per pass."""
+    boxes = []
+    subdivide = analysis._missing_roots
     monkeypatch.setattr(
-        analysis, "_generator_matrix", lambda qp, n: nodes.append(n) or generator(qp, n)
+        analysis, "_missing_roots", lambda qp, box, roots: boxes.append(box) or subdivide(qp, box, roots)
     )
-    return nodes
+    return boxes
 
 
 class TestWindingCertificate:
@@ -1249,13 +1235,14 @@ class TestWindingCertificate:
         # lambda + 1 with the box edge through the root at -1
         qp = QuasiPolynomial((1.0, 1.0), (), 0.0)
         with pytest.raises(dp.RefinementError, match="root on the winding contour"):
-            analysis._root_count(qp, -1.0, 2.0)
+            analysis._root_count(qp, -1.0, 2.0, -2.0, 2.0)
 
     def test_non_finite_contour_values_rejected(self):
         # 1/h_v = 1e308 overflows p on the left edge Re = -10/phi
         qp = QuasiPolynomial.dch_internal(1e-308, 0.15)
         with pytest.raises(dp.RefinementError, match="not finite"):
-            analysis._root_count(qp, -10.0 / 0.15, 4.0 * math.pi / 0.15)
+            half = 4.0 * math.pi / 0.15
+            analysis._root_count(qp, -10.0 / 0.15, half, -half, half)
 
     def test_no_converged_seed_is_a_refinement_error(self, evaluations):
         """At h_v = 1e-308 the roots W_k(-1.5e307) / phi, near 4672 +- 21i
@@ -1273,30 +1260,50 @@ class TestWindingCertificate:
         assert min(times) < 6e-3
         assert evaluations == []
 
-    def test_missing_roots_fail_the_certificate_without_retry(self, monkeypatch, builds):
-        """A root that both seedings miss is a RefinementError after the
-        closed-form seeds and one 24-node generator build, not a search
-        repeated on ever finer generators: without the rightmost root,
-        -1.019, the box around the next pair, -3.285 +- 6.761i, still holds
-        it."""
+    def test_missing_roots_are_found_by_the_subdivision(self, monkeypatch, subdivisions, evaluations):
+        """Without the rightmost root, -1.019, the box around the next pair,
+        -3.285 +- 6.761i, counts 3 roots where 2 are found.  One pass of the
+        subdivision finds -1.019 (and any other root the box holds), and
+        the box built around it is counted again and matches."""
         qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
         second = analysis._newton_polish(qp, -3.3 + 6.8j)
         assert second == pytest.approx(-3.2846065548748555 + 6.760921056279089j, rel=1e-12)
+        want = dp.rightmost_root(qp)
+        assert want == pytest.approx(-1.0190, abs=1e-4) and want.imag == 0.0
+        evaluations.clear()
         monkeypatch.setattr(analysis, "_closed_form_roots", lambda qp: [second])
-        monkeypatch.setattr(analysis, "_polish_eigenvalues", lambda qp, gen: [second])
-        message = (r"^winding count 3 != 2 roots found .*; seeded from the closed-form seeds,"
-                   r" then 24 Chebyshev nodes\)$")
+        assert dp.rightmost_root(qp) == pytest.approx(want, rel=1e-12)
+        assert len(subdivisions) == 1
+        assert len(evaluations) > 2 and sum(evaluations) <= analysis.ROOT_COUNT_CAP
+
+    def test_a_count_that_the_subdivision_cannot_match_is_refused(self, monkeypatch, subdivisions):
+        """Where no Newton start reaches the missing root, the parts shrink
+        to the disk of the Rouché test and the count stays unmatched."""
+        qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
+        second = analysis._newton_polish(qp, -3.3 + 6.8j)
+        monkeypatch.setattr(analysis, "_closed_form_roots", lambda qp: [second])
+        monkeypatch.setattr(analysis, "_polish", lambda qp, seed: [])
+        message = r"^winding count 3 != 2 roots found .*; seeded from the closed-form seeds\)$"
         with pytest.raises(dp.RefinementError, match=message):
             dp.rightmost_root(qp)
-        assert builds == [24]
+        assert len(subdivisions) == 1
 
     def test_box_count(self):
         """The principal pair of lambda + e^{-0.15 lambda} / 0.4, -6.58 +-
         1.30i, lies in the box; the next pair, at Re -20.5, left of it."""
         qp = QuasiPolynomial.dch_internal(0.4, 0.15)
-        count, evaluations = analysis._root_count(qp, -10.0, 8.0)
-        assert count == 2 == winding_number_reference(qp, -10.0, 8.0)
+        count, evaluations = analysis._root_count(qp, -10.0, 8.0, -8.0, 8.0)
+        assert count == 2 == winding_number_reference(qp, -10.0, 8.0, -8.0, 8.0)
         assert 4 < evaluations < 8192
+
+    @pytest.mark.parametrize("bottom,count", [(0.5, 1), (1.5, 0), (-8.0, 2)])
+    def test_a_box_off_the_axis_is_walked_all_round(self, bottom, count):
+        """A box that is not symmetric about the real axis counts the roots
+        inside it alone: the principal root -6.58 + 1.30i above Im = 0.5,
+        none above 1.5, and the pair from -8."""
+        qp = QuasiPolynomial.dch_internal(0.4, 0.15)
+        assert analysis._root_count(qp, -10.0, 8.0, bottom, 7.0)[0] == count
+        assert winding_number_reference(qp, -10.0, 8.0, bottom, 7.0) == count
 
     @pytest.mark.parametrize(
         "qp,count",
@@ -1310,8 +1317,8 @@ class TestWindingCertificate:
     def test_real_roots_count_on_the_half_contour(self, qp, count):
         """A real root changes arg p by pi along the upper half of the box,
         so the half contour counts odd numbers of roots as well."""
-        assert analysis._root_count(qp, -2.0, 2.0)[0] == count
-        assert winding_number_reference(qp, -2.0, 2.0) == count
+        assert analysis._root_count(qp, -2.0, 2.0, -2.0, 2.0)[0] == count
+        assert winding_number_reference(qp, -2.0, 2.0, -2.0, 2.0) == count
 
     def test_evaluation_cap_is_a_refinement_error(self):
         # (lambda + 1)^2 + 0.09: the roots -1 +- 0.3i sit on the left edge
@@ -1319,8 +1326,8 @@ class TestWindingCertificate:
         # ever accepted; a box clear of them is counted
         qp = QuasiPolynomial((1.09, 2.0, 1.0), (), 0.0)
         with pytest.raises(dp.RefinementError, match="did not converge within 20000 evaluations"):
-            analysis._root_count(qp, -1.0, 2.0)
-        assert analysis._root_count(qp, -1.5, 2.0)[0] == 2
+            analysis._root_count(qp, -1.0, 2.0, -2.0, 2.0)
+        assert analysis._root_count(qp, -1.5, 2.0, -2.0, 2.0)[0] == 2
 
     @pytest.mark.parametrize("phi", [0.05, 0.1, 0.15, 0.3])
     @pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-6], ids=["double", "split"])
@@ -1339,21 +1346,22 @@ class TestWindingCertificate:
         """(lambda + 1)^3 on lo = -1.02: the left edge passes 0.02 from the
         triple root, where |p| ~ 8e-6 against a slope bound ~ 12.  The
         two-disc test reached its cap of 20,000 there; the Taylor model takes
-        42.  rightmost_root then fails where the Rouché test refuses the
-        multiplicity (see TestLocalMultiplicity), not at the cap."""
+        42.  rightmost_root certifies -1 with multiplicity 3 (see
+        TestLocalMultiplicity)."""
         qp = QuasiPolynomial((1.0, 3.0, 3.0, 1.0), (), 0.0)
-        count, evaluations = analysis._root_count(qp, -1.02, 2.0)
-        assert count == 3 == winding_number_reference(qp, -1.02, 2.0)
+        count, evaluations = analysis._root_count(qp, -1.02, 2.0, -2.0, 2.0)
+        assert count == 3 == winding_number_reference(qp, -1.02, 2.0, -2.0, 2.0)
         assert evaluations <= 60
-        with pytest.raises(dp.RefinementError, match="could not certify the multiplicity"):
-            dp.rightmost_root(qp)
+        root = dp.rightmost_root(qp)
+        assert root == pytest.approx(-1.0, abs=1e-7) and root.imag == 0.0
+        assert analysis._local_multiplicity(qp, root, [root]) == 3
 
     def test_half_triple_root_box_takes_few_evaluations(self):
         """(lambda + 1/2)^3 on lo = -0.52: 35 evaluations, where the
         two-disc test took 5,711."""
         qp = QuasiPolynomial((0.125, 0.75, 1.5, 1.0), (), 0.0)
-        count, evaluations = analysis._root_count(qp, -0.52, 2.0)
-        assert count == 3 == winding_number_reference(qp, -0.52, 2.0)
+        count, evaluations = analysis._root_count(qp, -0.52, 2.0, -2.0, 2.0)
+        assert count == 3 == winding_number_reference(qp, -0.52, 2.0, -2.0, 2.0)
         assert evaluations <= 60
 
     @settings(max_examples=100, deadline=None)
@@ -1368,7 +1376,8 @@ class TestWindingCertificate:
         sqrt(2).  Every box that rightmost_root builds counts what the fixed
         grids count, in at most 100 evaluations; the two-disc test took up to
         2,628 on 300 such draws.  Newton stops a few 1e-6 from some of these
-        double roots, where the Rouché test refuses the multiplicity."""
+        double roots, where the Rouché test refuses the multiplicity until
+        Schröder's step moves the stop onto the double root: each certifies."""
         h_v = ratio * phi
         disc = (h_v + phi) ** 2 - 8.0 * phi * h_v
         lam = (-(h_v + phi) + side * math.sqrt(disc)) / (2.0 * phi * h_v)
@@ -1385,10 +1394,7 @@ class TestWindingCertificate:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_root_count", recording)
-            try:
-                dp.rightmost_root(qp)
-            except dp.RefinementError as exc:
-                assert "could not certify the multiplicity" in str(exc)
+            dp.rightmost_root(qp)
         assert boxes
         for box, winding, evaluations in boxes:
             assert winding == winding_number_reference(*box)
@@ -1446,10 +1452,10 @@ class TestRootCountAgreesWithFixedGrid:
         if half <= lo:
             reject()
         try:
-            want = winding_number_reference(qp, lo, half)
+            want = winding_number_reference(qp, lo, half, -half, half)
         except dp.RefinementError:
             reject()  # a root on or next to the contour: the grids disagree
-        assert analysis._root_count(qp, lo, half)[0] == want
+        assert analysis._root_count(qp, lo, half, -half, half)[0] == want
 
     def test_paper_range_boxes_take_few_evaluations(self, evaluations):
         """A deterministic count, not a time: over 100 seeded paper-range
@@ -1507,41 +1513,33 @@ class TestRootBound:
         want = float(root_bound_reference(qp, s))
         assert got == want or abs(got - want) <= 1e-15 * want
 
-    def test_filter_keeps_the_array_bounds_seeds(self, workloads):
-        """On stability_map's 64 extended benchmark tunings (its DCH ones
-        build no generator), _polish_eigenvalues asks the bound once per
-        upper-half-plane eigenvalue, from the right in stable order, and
-        keeps exactly the eigenvalues that the numpy bound kept."""
+    def test_boxes_take_the_array_bound(self, workloads):
+        """On stability_map's 128 benchmark tunings (its constant-policy ones
+        have no root search), rightmost_root asks the bound once, at the
+        left edge of its one box, gets the numpy bound to 1e-15, and counts
+        the box [lo, half] x [-half, half] with half >= R(lo)."""
         workload = workloads.StabilityMap()
         refs = workloads.load_refs()["stability_map"]
-        bound = analysis._root_bound
+        bound, count = analysis._root_bound, analysis._root_count
         assert len(refs) == 128
-        tested = 0
+        searched = 0
         for case_id in refs:
             stratum, variant = case_id.rsplit("/", 1)
             policy, params = workload.build_inputs(workload.case_params(stratum, int(variant)))
-            if policy.kind is not PolicyKind.DELAYED_EXTENDED_HEADWAY:
+            if policy.kind is PolicyKind.DELAYED_CONSTANT:
                 continue
-            tested += 1
-            qp = internal(policy.h_a, policy.h_v, params.phi)
-            generator = analysis._generator_matrix(qp)
-            asked = []
-
-            def recording(qp, s):
-                asked.append((s, bound(qp, s)))
-                return asked[-1][1]
-
+            searched += 1
+            qp = internal(policy.h_a or None, policy.h_v, params.phi)
+            asked, boxes = [], []
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(analysis, "_root_bound", recording)
-                analysis._polish_eigenvalues(qp, generator)
-            eigs = np.linalg.eigvals(generator)
-            upper = eigs[eigs.imag >= 0.0]
-            upper = upper[np.argsort(-upper.real, kind="stable")]
-            assert [s for s, _ in asked] == upper.real.tolist(), case_id
-            kept = eigs[(eigs.imag >= 0.0) & (np.abs(eigs) <= root_bound_reference(qp, eigs.real))]
-            kept = kept[np.argsort(-kept.real, kind="stable")]
-            assert [e for e, (_, r) in zip(upper.tolist(), asked) if abs(e) <= r] == kept.tolist()
-        assert tested == 64
+                mp.setattr(analysis, "_root_bound",
+                           lambda qp, s: asked.append((s, bound(qp, s))) or asked[-1][1])
+                mp.setattr(analysis, "_root_count", lambda qp, *box: boxes.append(box) or count(qp, *box))
+                dp.rightmost_root(qp)
+            ((s, r),), ((lo, right, bottom, top),) = asked, boxes
+            assert r == pytest.approx(float(root_bound_reference(qp, s)), rel=1e-15), case_id
+            assert lo == s and right == top == -bottom >= r, case_id
+        assert searched == 128
 
 
 class TestLocalMultiplicity:
@@ -1581,20 +1579,49 @@ class TestLocalMultiplicity:
 
     def test_triple_root(self):
         """(lambda + 1/2)^3: rho = 1.5e-5, and rho^3 = 3.4e-15 lies above
-        the rounding bound, _COUNT_ROUNDING times the monomial scale 1.0,
-        1.8e-15."""
+        the rounding bound, _COUNT_ROUNDING times the running bound of the
+        synthetic divisions, 1.5 at the root."""
         qp = QuasiPolynomial((0.125, 0.75, 1.5, 1.0), (), 0.0)
         assert analysis._local_multiplicity(qp, -0.5 + 0.0j, [-0.5 + 0.0j]) == 3
 
-    def test_triple_root_below_the_rounding_bound_is_refused(self):
+    def test_triple_root_above_the_running_rounding_bound(self):
         """(lambda + 1)^3: on the disk of radius 2e-5 the leading term
-        rho^3 = 8e-15 lies below the rounding bound, _COUNT_ROUNDING times
-        the monomial scale 8, 1.4e-14, so no m is proved and the root is
-        refused, where the 256-point circle reads 3 within its tolerance."""
+        rho^3 = 8e-15 lies below _COUNT_ROUNDING times the monomial scale
+        8, 1.4e-14, but above _COUNT_ROUNDING times the running bound of
+        the synthetic division, 3 at the root, 5.3e-15: m = 3 is proved,
+        as the 256-point circle reads."""
         qp = QuasiPolynomial((1.0, 3.0, 3.0, 1.0), (), 0.0)
         assert local_multiplicity_reference(qp, -1.0 + 0.0j, [-1.0 + 0.0j]) == 3
+        assert analysis._local_multiplicity(qp, -1.0 + 0.0j, [-1.0 + 0.0j]) == 3
+
+    @pytest.mark.parametrize(
+        "qp,root",
+        [
+            (QuasiPolynomial((1.0, 3.0, 3.0, 1.0), (), 0.0), -1.0),
+            (QuasiPolynomial((0.125, 0.75, 1.5, 1.0), (), 0.0), -0.5),
+        ],
+        ids=["one", "half"],
+    )
+    def test_triple_root_is_certified_from_no_seeds(self, qp, root):
+        """deg a = 3 has no seeds: the box is found from 0 leftward and
+        subdivided; Newton stops about 1e-4 from the triple root, where the
+        Rouché test refuses it, and Schröder's step for m = 3 moves it to
+        within 1e-8, where the test proves 3."""
+        got = dp.rightmost_root(qp)
+        assert got == pytest.approx(root, abs=1e-7) and got.imag == 0.0
+        assert analysis._local_multiplicity(qp, got, [got]) == 3
+
+    def test_schroder_step_converges_where_newton_creeps(self):
+        """From Newton's stop 2.6e-6 from FOUND 70's double root, Schröder's
+        step for m = 2 lands within 1e-9 of it (the mean of the pair p' = 0
+        splits, to 50 digits -3.5493133236370054)."""
+        qp = QuasiPolynomial.extended_internal(0.7986497819171271, 0.22953249406101414, 0.1281767307815797)
+        stop = complex(-3.549310762512225)
+        lam = analysis._schroder(qp, stop, 2)
+        assert abs(lam - (-3.5493133236370054)) <= 1e-9 * 3.55
         with pytest.raises(dp.RefinementError, match="could not certify the multiplicity"):
-            analysis._local_multiplicity(qp, -1.0 + 0.0j, [-1.0 + 0.0j])
+            analysis._local_multiplicity(qp, stop, [stop, stop + 5e-6])
+        assert analysis._local_multiplicity(qp, lam, [lam]) == 2
 
     def test_cluster_counts_both_roots_in_the_disk(self):
         """(lambda + 1)(lambda + 1 + 1e-7) called with -1 alone: the disk of
@@ -1605,34 +1632,27 @@ class TestLocalMultiplicity:
         assert analysis._local_multiplicity(qp, -1.0 + 0.0j, [-1.0 + 0.0j]) == 2
 
 
-def generator_root(qp, nodes=24):
-    """The rightmost root certified from a generator's eigenvalue seeds
-    alone: the oracle of the closed-form seeding."""
-    roots = analysis._polish_eigenvalues(qp, analysis._generator_matrix(qp, nodes))
-    return analysis._certified_top(qp, roots, f"{nodes} Chebyshev nodes")
-
-
 class TestSeeding:
     """rightmost_root seeds the extended factor in closed form, from a
-    truncated quadratic and the Lambert-W chain, and re-seeds once from a
-    24-node generator when that seeding fails its certificate; the DCH
-    factor builds no generator."""
+    truncated quadratic and the Lambert-W chain, and subdivides the box
+    when the seeds miss a root that its count holds; the DCH factor lists
+    its roots on the Lambert-W branches."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=SEEDING_TUNINGS.filter(lambda data: data[0] is not None))
     def test_agrees_with_24_node_seeding(self, data):
         qp = internal(*data)
-        built = []
-        generator = analysis._generator_matrix
+        boxes = []
+        subdivide = analysis._missing_roots
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "_generator_matrix", lambda qp, n: built.append(n) or generator(qp, n))
+            mp.setattr(analysis, "_missing_roots", lambda *args: boxes.append(args) or subdivide(*args))
             root = dp.rightmost_root(qp)
-        assert built == []
+        assert boxes == []
         reference = generator_root(qp)
         assert abs(root - reference) <= 1e-11 * abs(reference)
 
     @pytest.mark.parametrize("family", CENSUS_FAMILIES)
-    def test_census_certifies_without_a_generator(self, builds, family):
+    def test_census_certifies_from_the_seeds(self, subdivisions, family):
         """A seeding census, 75 seeded draws a family: the paper's ranges;
         phi log-uniform on [1e-3, 1e3] with h_v / phi on [1e-2, 1e2] and h_a /
         (h_v phi) on [1e-3, 1e3], a third DCH; DCH near the double real root,
@@ -1640,7 +1660,7 @@ class TestSeeding:
         phi / pi; extended with h_a / (h_v phi) log-uniform on [1e-9, 1e-4],
         where the chain roots reach the box; and extended within 1e-3 of the
         properness boundary (h_v / h_a, 1 / h_a) = (w sin(w phi), w^2 cos(w
-        phi)).  No draw builds a generator.  Each extended root is the
+        phi)).  No draw needs the subdivision.  Each extended root is the
         24-node generator's to 1e-11 relative, and each DCH root is scipy's
         W_0(-phi / h_v) / phi to 1e-13 (within_w_rounding)."""
         rng = np.random.default_rng(CENSUS_FAMILIES.index(family))
@@ -1677,9 +1697,8 @@ class TestSeeding:
                 else:
                     h_v = 2.0 * phi / math.pi * (1.0 + rng.uniform(-1e-3, 1e-3))
             qp = internal(h_a, h_v, phi)
-            builds.clear()
             root = dp.rightmost_root(qp)
-            assert builds == [], qp
+            assert subdivisions == [], qp
             if h_a is None:
                 want = dch_rightmost_root(h_v, phi)
                 assert within_w_rounding(root, want, phi * want), qp
@@ -1688,34 +1707,81 @@ class TestSeeding:
             assert abs(root - reference) <= 1e-11 * abs(reference), qp
 
     @pytest.mark.parametrize(
-        "h_v,h_a,phi",
+        "h_v,h_a,phi,centre",
         [
-            (0.5577533173287358, 0.1130950532241342, 0.09149300592198804),
-            (1.2644554100210965, 0.5837293538456868, 0.2092473676312333),
+            (0.5577533173287358, 0.1130950532241342, 0.09149300592198804, -5.2323810798704962),
+            (1.2644554100210965, 0.5837293538456868, 0.2092473676312333, -2.3412396327029447),
+            (0.6931607802462655, 0.1752277099416815, 0.11445344078030294, -4.2546759551079925),
+            (0.8409184696699584, 0.26199632468130474, 0.14320302195310852, -3.789078104722397),
+            (1.4032159756094895, 0.7172677576769705, 0.23114478370500385, -2.0934670733858094),
+            (1.4907854603810635, 0.8098394314633708, 0.2457289189900645, -1.9725776493167682),
+            (1.35151066596587, 0.6660823488243061, 0.2231105792358385, -2.1813368091855539),
+            (1.533209135773374, 0.8650970243710787, 0.2577816568868539, -1.995053045339494),
+            (1.3615141063674123, 0.680988433424322, 0.22812528687488465, -2.228369783861087),
+            (1.797171091923237, 1.1754534240322636, 0.2954666699290441, -1.6295174266802996),
+            (1.3282793148872316, 0.6429081916976304, 0.2189443102468246, -2.2139355573515195),
         ],
     )
-    def test_double_root_needs_the_reseed(self, builds, h_v, h_a, phi):
+    def test_double_root_is_moved_by_schroder(self, subdivisions, h_v, h_a, phi, centre):
         """On the double-root curve (test_extended_double_root_curve), two
         Newton runs can stop on either side of the double root, farther
-        apart than the dedupe distance, and each Rouché disk then holds
-        one root where two lie: the closed-form certificate fails, and the
-        24-node re-seed certifies a double real root."""
+        apart than the dedupe distance, and each Rouché disk then holds no
+        root.  Schröder's step for m = 2 moves a stop onto the double root,
+        within 1e-9 of the mean of its pair (to 50 digits, centre), where
+        the test proves multiplicity 2, and drops the other stop: a double
+        real root, with no subdivision.  The closed-form seeds failed on
+        all of these, and the 24-node generator's seeds, which stopped up to
+        6e-7 from centre, certified all but the third and fourth."""
         qp = QuasiPolynomial.extended_internal(h_v, h_a, phi)
         root = dp.rightmost_root(qp)
-        assert builds == [24]
-        assert root.imag == 0.0
+        assert subdivisions == []
+        assert root.imag == 0.0 and abs(root - centre) <= 1e-8 * abs(centre)
         assert analysis._local_multiplicity(qp, root, [root]) == 2
 
-    def test_short_acceleration_headway_needs_no_reseed(self, builds):
+    def test_found_70_double_root(self, subdivisions):
+        """Newton's two stops next to this double root lie within one dedupe
+        distance, so one of them, -3.5493107625 (2.6e-6 from the double
+        root), is kept, and its Rouché disk holds both roots of the pair."""
+        qp = QuasiPolynomial.extended_internal(0.7986497819171271, 0.22953249406101414, 0.1281767307815797)
+        root = dp.rightmost_root(qp)
+        assert root.imag == 0.0 and root == pytest.approx(-3.5493133236370054, rel=1e-6)
+        assert analysis._local_multiplicity(qp, root, [root]) == 2
+        assert subdivisions == []
+
+    def test_pair_right_of_the_axis_that_the_seeds_miss(self, subdivisions):
+        """The closed-form seeds stop at -0.00136 + 6.950i here, and the
+        24-node generator's missed the pair too (winding count 4 != 2); the
+        subdivision finds the rightmost pair, right of the axis."""
+        qp = QuasiPolynomial(
+            (81.87593433407136, 11.138911333363279, 1.0), (3.306375739372413, 12.045629447760332),
+            5.025251915295323,
+        )
+        root = dp.rightmost_root(qp)
+        want = 0.01485472908854 + 9.36065772494919j
+        assert abs(root - want) <= 1e-9 * abs(want)
+        assert subdivisions
+
+    def test_chain_free_degree_two_certifies_the_generators_root(self, subdivisions):
+        """b_1 = 0 < phi: the seeds are the truncated quadratic's and a's
+        roots, and the subdivision finds the rest; the same root as the
+        24-node generator's seeds certified, to 1e-12."""
+        qp = QuasiPolynomial(
+            (18.035610485511466, 50.87564936020292, 1.0), (0.08940182604100017, 0.0), 9.124155965357302
+        )
+        root = dp.rightmost_root(qp)
+        assert root == pytest.approx(-0.4560822192090686 + 0.05755001614266576j, rel=1e-12)
+        assert subdivisions
+
+    def test_short_acceleration_headway_needs_no_reseed(self, subdivisions):
         """At h_a / (h_v phi) = 4e-11 the 6-node generator's seeds missed a
         pair inside the box (winding count 6 != 4 roots found), which the
         Lambert-W chain seeds, one Newton step deciding its stop."""
         root = dp.rightmost_root(QuasiPolynomial.extended_internal(100.0, 1e-9, 0.25))
-        assert builds == []
+        assert subdivisions == []
         want = 83.57065271489532 + 11.9960247871189j
         assert abs(root - want) <= 1e-12 * abs(want)
 
-    def test_chain_stop_takes_one_newton_step(self, builds):
+    def test_chain_stop_takes_one_newton_step(self, subdivisions):
         """h_a / (h_v phi) = 6e-8: the W_1 seed, 92.779+59.397j, lies 0.014
         left of the box edge 92.794, and its root, 92.797+59.387j, 0.003
         right of it; one Newton step from the seed places it in the box."""
@@ -1723,23 +1789,27 @@ class TestSeeding:
             2.897592545220377, 2.5865637790391416e-08, 0.14908770559596624
         )
         dp.rightmost_root(qp)
-        assert builds == []
+        assert subdivisions == []
         roots = analysis._closed_form_roots(qp)
         assert any(abs(r - (92.79652295645552 + 59.38655554206992j)) <= 1e-9 for r in roots)
 
     @pytest.mark.parametrize(
-        "qp",
+        "qp,want,subdivided",
         [
-            QuasiPolynomial((1e4, 0.0, 1.0), (50.0,), 0.15),  # b_1 = 0
-            QuasiPolynomial((1.0, 3.0, 3.0, 1.0), (0.5,), 0.1),  # deg a = 3
+            (QuasiPolynomial((1e4, 0.0, 1.0), (50.0,), 0.15), 0.16389180030999903 + 99.8190342242267j, False),
+            (QuasiPolynomial((1.0, 3.0, 3.0, 1.0), (0.5,), 0.1), -0.5793728131257498 + 0.6912607681422533j, True),
         ],
         ids=["no-chain", "degree-3"],
     )
-    def test_no_closed_form_seeds_builds_one_24_node_generator(self, builds, qp):
-        dp.rightmost_root(qp)
-        assert builds == [24]
+    def test_without_chain_seeds(self, subdivisions, qp, want, subdivided):
+        """With b_1 = 0 the chain has no seeds, but the roots of a, +-100i,
+        seed the pair next to them; deg a = 3 has no seeds at all, and the
+        subdivision finds its roots.  Either way the root is the one that
+        the 24-node generator's seeds certified, to 1e-12."""
+        assert dp.rightmost_root(qp) == pytest.approx(want, rel=1e-12)
+        assert bool(subdivisions) is subdivided
 
-    def test_roots_of_a_seed_the_pair_off_the_chain(self, builds):
+    def test_roots_of_a_seed_the_pair_off_the_chain(self, subdivisions):
         """The rightmost pair lies 0.54 from the roots +-8.933i of a(lambda) =
         lambda^2 + 79.79, where neither the truncated quadratic, nor the
         Lambert-W chain, nor the 24-node generator's eigenvalues come near
@@ -1749,24 +1819,24 @@ class TestSeeding:
             6.072661061305961,
         )
         root = dp.rightmost_root(qp)
-        assert builds == []
+        assert subdivisions == []
         want = 0.5300274631281788 + 8.823176697335462j
         assert abs(root - want) <= 1e-12 * abs(want)
 
-    def test_zero_delay_extended_factor_needs_no_generator(self, builds):
+    def test_zero_delay_extended_factor_needs_no_generator(self, subdivisions):
         """At phi = 0 the truncated quadratic is p itself."""
         root = dp.rightmost_root(QuasiPolynomial.extended_internal(1.0, 0.4, 0.0))
-        assert builds == []
+        assert subdivisions == []
         assert root == pytest.approx(-1.25 + 0.25 * math.sqrt(15.0) * 1j, rel=1e-13)
 
-    def test_dch_long_delay_needs_no_reseed(self, builds):
+    def test_dch_long_delay_needs_no_reseed(self, subdivisions):
         """At phi / h_v = 1e5 the box margin, divided by phi, keeps the chain
         roots out of the box: the branch listing stops at W_1, and certifies
         the principal Lambert-W root W_0(-phi / h_v) / phi without a
         generator."""
         h_v, phi = 1e-3, 100.0
         root = dp.rightmost_root(QuasiPolynomial.dch_internal(h_v, phi))
-        assert builds == []
+        assert subdivisions == []
         want = complex(scipy.special.lambertw(-phi / h_v, 0)) / phi
         assert abs(root - complex(want.real, abs(want.imag))) <= 1e-9 * abs(want)
 
@@ -1777,18 +1847,18 @@ class TestSeeding:
             (1e3, 1.0, 0.09252795119784595 + 0.02840713316930663j),
         ],
     )
-    def test_extended_long_delay_needs_no_reseed(self, builds, h_v, h_a, want):
+    def test_extended_long_delay_needs_no_reseed(self, subdivisions, h_v, h_a, want):
         root = dp.rightmost_root(QuasiPolynomial.extended_internal(h_v, h_a, 100.0))
-        assert builds == []
+        assert subdivisions == []
         assert abs(root - want) <= 1e-9 * abs(want)
 
-    def test_small_acceleration_headway_needs_no_reseed(self, builds):
+    def test_small_acceleration_headway_needs_no_reseed(self, subdivisions):
         """The Lambert-W chain seeds the pairs inside the box (see
         test_extended_small_acceleration_headway)."""
         dp.rightmost_root(QuasiPolynomial.extended_internal(1.0, 2e-9, 0.15))
-        assert builds == []
+        assert subdivisions == []
 
-    def test_dch_builds_no_generator_and_calls_no_eigvals(self, monkeypatch, builds):
+    def test_dch_builds_no_generator_and_calls_no_eigvals(self, monkeypatch, subdivisions):
         """Every DCH properness_root_check, proper or not, near the double
         root or the axis, with a long delay or many branches in the box,
         lists its roots in closed form."""
@@ -1804,12 +1874,12 @@ class TestSeeding:
                 dp.properness_root_check(policy, dp.VehicleParams(0.067, phi))
             except dp.RefinementError as exc:
                 assert "within rounding of the imaginary axis" in str(exc)
-        assert builds == []
+        assert subdivisions == []
 
     @pytest.mark.parametrize(
         "h_v,h_a", [(0.01, 1e26), (0.1, 1e26), (1.0, 1e26), (1.0, 1e30), (1.0, 1e100), (3e15, 1e30)]
     )
-    def test_huge_acceleration_headway_certifies_the_small_pair(self, builds, h_v, h_a):
+    def test_huge_acceleration_headway_certifies_the_small_pair(self, subdivisions, h_v, h_a):
         """The internal roots are the pair of h_a lambda^2 + (h_v - phi)
         lambda + 1 to rounding, the truncated quadratic's seeds: at (1,
         1e30), -4.25e-31 + 1e-15i, where no generator seed converged; at
@@ -1820,4 +1890,4 @@ class TestSeeding:
         c = h_v - phi
         want = (-c + cmath.sqrt(c * c - 4.0 * h_a)) / (2.0 * h_a)
         assert abs(root - want) <= 1e-13 * abs(want)
-        assert builds == []
+        assert subdivisions == []

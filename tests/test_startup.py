@@ -4,7 +4,8 @@
 access.  `analyze` on the DCH or constant policy, and on an extended tuning
 that the closed-form sufficient pair proves string stable, and `simulate` of
 a platoon without a constant-policy follower load no numpy, and run the same
-where numpy cannot be imported.  Each test lists the modules a
+where numpy cannot be imported, as does the certified root search for any
+degree.  Each test lists the modules a
 fresh interpreter has loaded when it is done, or compares what it prints,
 so none measures time.
 """
@@ -258,6 +259,35 @@ class TestWithoutNumpy:
         assert normal.returncode == exit_code, normal.stderr
         assert (bare.returncode, bare.stdout, bare.stderr) == (
             normal.returncode, normal.stdout, normal.stderr)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "rightmost_root(QuasiPolynomial((1.0, 3.0, 3.0, 1.0), (0.5,), 0.1))",  # no seeds
+            "rightmost_root(QuasiPolynomial((81.87593433407136, 11.138911333363279, 1.0),"
+            " (3.306375739372413, 12.045629447760332), 5.025251915295323))",  # pair the seeds miss
+            "properness_root_check(SpacingPolicy(PolicyKind.DELAYED_EXTENDED_HEADWAY,"
+            " h_v=0.6931607802462655, h_a=0.1752277099416815),"
+            " VehicleParams(0.067, 0.11445344078030294))",  # double root moved by Schröder
+        ],
+        ids=["degree-3", "subdivided", "double-root"],
+    )
+    def test_root_search_certifies(self, tmp_path, call):
+        """The box subdivision and Schröder's step run on math and cmath
+        alone, and give the same root."""
+        code = (
+            "from delayplatoon.analysis import QuasiPolynomial, properness_root_check, rightmost_root\n"
+            "from delayplatoon.dynamics import VehicleParams\n"
+            "from delayplatoon.spacing import PolicyKind, SpacingPolicy\n"
+            f"print(repr({call}))\n"
+        )
+        bare = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY + code],
+                              capture_output=True, text=True, env=child_env(), cwd=tmp_path)
+        assert bare.returncode == 0, bare.stderr
+        normal = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, env=child_env(), cwd=tmp_path)
+        assert bare.stdout == normal.stdout
+        assert "RefinementError" not in bare.stdout and bare.stdout.strip()
 
     @pytest.mark.parametrize("name", HEADWAY_SCENARIOS)
     def test_headway_simulate_writes_the_same(self, tmp_path, name):
