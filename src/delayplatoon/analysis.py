@@ -485,6 +485,13 @@ def _box_margin(s: float, phi: float) -> float:
     return BOX_MARGIN * (1.0 + abs(s)) / max(1.0, phi)
 
 
+def _disk_radius(r: complex, phi: float) -> float:
+    """1e-5 (1 + |r|) / max(1, phi), the radius of the Rouché disk around r
+    (_local_multiplicity, _recentred) and the smallest part that
+    _missing_roots splits, scaled with p's roots as _box_margin is."""
+    return 1e-5 * (1.0 + abs(r)) / max(1.0, phi)
+
+
 def _root_bound(qp: QuasiPolynomial, s: float) -> float:
     """R(s) = 2 max_j c_j^{1/(n-j)}, c_j = |a_j| + e^{-phi s} |b_j|.
 
@@ -622,6 +629,9 @@ def _root_count(
 
 
 def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
+    """The first point of damped Newton from lam0 with |p| <= 1e-13 of the
+    newton_terms scale, within 80 steps, or None.  Beside a multiple root
+    Newton creeps and may stop short of it; _recentred moves such a stop."""
     lam = complex(lam0)
     try:
         fval, dval, scale = qp.newton_terms(lam)
@@ -648,8 +658,6 @@ def _newton_polish(qp: QuasiPolynomial, lam0: complex) -> complex | None:
             step *= 0.5
         else:
             break
-    if abs(fval) <= 1e-11 * scale:
-        return lam
     return None
 
 
@@ -664,21 +672,6 @@ def _fold(lam: complex) -> complex:
     keeps its imaginary part."""
     lam = complex(lam.real, abs(lam.imag))
     return complex(lam.real, 0.0) if lam.imag <= 1e-9 * abs(lam) else lam
-
-
-def _polish(qp: QuasiPolynomial, seed: complex) -> list[complex]:
-    """The root that Newton reaches from seed (_newton_polish), folded and
-    snapped (_fold), or none.  A root within 1e-6 |root| of the real axis
-    is polished again from its real part, kept first: near a double real
-    root Newton stops on a complex point, and the real one is what the
-    Rouché test of _local_multiplicity proves."""
-    if (lam := _newton_polish(qp, seed)) is None:
-        return []
-    lam = _fold(lam)
-    if 0.0 < lam.imag <= 1e-6 * abs(lam) and (
-            real := _newton_polish(qp, complex(lam.real))) is not None:
-        return [_fold(real), lam]
-    return [lam]
 
 
 def _lambert_w(x: float, k: int) -> complex:
@@ -815,14 +808,15 @@ def _closed_form_roots(qp: QuasiPolynomial) -> list[complex]:
     chain: where |e^{-phi lambda}| is small, roots lie near them, off the
     chain and off the quadratic's roots (at a = (79.8, 0, 1), b = (0.101,
     27.2), phi = 6.07 the rightmost pair, 0.530 +- 8.823i, lies 0.54 from
-    a's roots +- 8.933i).  Each seed is polished (_polish).  A root within
-    1e-6 (u + |r|) of a root r found before is dropped, u the largest
-    modulus of the quadratic's roots (1 without any): the distance scales
-    with p's own, so the real pair of h_a lambda^2 + (h_v - phi) lambda + 1
-    at h_a = 1e30, 2e-15 apart, stays two roots.  At most _BRANCH_CAP
-    branches past W_0 are seeded, the cap of _lambert_roots; the box count
-    finds what the seeds miss (_certified_top).  RefinementError where
-    -phi b_1 is not finite.
+    a's roots +- 8.933i).  Newton polishes each seed (_newton_polish), and
+    the root it reaches is folded (_fold); a stop beside a multiple root is
+    left for _recentred to move.  A root within 1e-6 (u + |r|) of a root r
+    found before is dropped, u the largest modulus of the quadratic's
+    roots (1 without any): the distance scales with p's own, so the real
+    pair of h_a lambda^2 + (h_v - phi) lambda + 1 at h_a = 1e30, 2e-15
+    apart, stays two roots.  At most _BRANCH_CAP branches past W_0 are
+    seeded, the cap of _lambert_roots; the box count finds what the seeds
+    miss (_certified_top).  RefinementError where -phi b_1 is not finite.
     """
     (a0, a1, _), (b0, b1), phi = qp.a, qp.b, qp.phi
     small = _quadratic_roots(1.0 - b1 * phi + b0 * phi * phi / 2.0, a1 + b1 - b0 * phi, a0 + b0)
@@ -830,7 +824,8 @@ def _closed_form_roots(qp: QuasiPolynomial) -> list[complex]:
     roots: list[complex] = []
 
     def polish(seed: complex) -> None:
-        for lam in _polish(qp, seed):
+        if (lam := _newton_polish(qp, seed)) is not None:
+            lam = _fold(lam)
             if not any(abs(lam - r) <= 1e-6 * (unit + abs(r)) for r in roots):
                 roots.append(lam)
 
@@ -900,7 +895,7 @@ def _scaled_taylor(
 
 def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]) -> int:
     """Multiplicity of a root, by Rouché's theorem on the disk |h| <= rho
-    around it, rho = 1e-5 (1 + |root|) / max(1, phi) and at most a third
+    around it, rho = _disk_radius(root, phi) and at most a third
     of the distance to every other root of roots and every conjugate.
 
     On the disk p(root + rho u) = sum_k c_k u^k, the c_k the Taylor
@@ -921,7 +916,7 @@ def _local_multiplicity(qp: QuasiPolynomial, root: complex, roots: list[complex]
     RefinementError where no m passes.
     """
     phi = qp.phi
-    radius = 1e-5 * (1.0 + abs(root)) / max(1.0, phi)
+    radius = _disk_radius(root, phi)
     for other in roots:
         for image in (other, other.conjugate()):
             dist = abs(root - image)
@@ -978,8 +973,9 @@ def _recentred(qp: QuasiPolynomial, root: complex, roots: list[complex]) -> tupl
     relative to its modulus), and the Rouché test runs at the point
     reached.  The first that passes replaces root in roots, and drops the
     roots within twice its move plus the disk's radius: the other stops
-    around the same multiple root.  RefinementError where none passes."""
-    radius = 1e-5 * (1.0 + abs(root)) / max(1.0, qp.phi)
+    around the same multiple root.  This is the root search's one rescue
+    beside a multiple root.  RefinementError where none passes."""
+    radius = _disk_radius(root, qp.phi)
     for m in range(2, 2 * len(qp.b) + 1):
         lam = _fold(_schroder(qp, root, m))
         if 0.0 < lam.imag <= 1e-6 * abs(lam):
@@ -1032,9 +1028,10 @@ def _missing_roots(
     into two symmetric parts and two above them, any other into quarters.
     Where the count of a part (_root_count) exceeds the roots found in it
     (_counted), Newton starts from its centre, or from that of its upper
-    half (_polish), and appends a root not within 1e-6 (1 + |r|) of a root
-    r found; a part whose count still exceeds its roots is split in turn,
-    down to the radius of _local_multiplicity's disk at its centre."""
+    half (_newton_polish), and appends the folded root (_fold) unless it
+    lies within 1e-6 (1 + |r|) of a root r found; a part whose count still
+    exceeds its roots is split in turn, down to the Rouché disk's radius at
+    its centre (_disk_radius)."""
     def centre(left: float, right: float, bottom: float, top: float) -> complex:
         return complex(0.5 * (left + right), 0.5 * (top + max(bottom, 0.0)))
 
@@ -1042,7 +1039,7 @@ def _missing_roots(
     while parts:
         left, right, bottom, top = parts.pop()
         mid = centre(left, right, bottom, top)
-        if right - left <= 1e-5 * (1.0 + abs(mid)) / max(1.0, qp.phi):
+        if right - left <= _disk_radius(mid, qp.phi):
             continue
         cut = mid.imag
         rows = ((-cut, cut), (cut, top)) if bottom == -top else ((bottom, cut), (cut, top))
@@ -1051,7 +1048,8 @@ def _missing_roots(
             count, _ = _root_count(qp, *part)
             if count <= _counted(qp, part, roots):
                 continue
-            for lam in _polish(qp, centre(*part)):
+            if (lam := _newton_polish(qp, centre(*part))) is not None:
+                lam = _fold(lam)
                 if not any(abs(lam - r) <= 1e-6 * (1.0 + abs(r)) for r in roots):
                     roots.append(lam)
             if count > _counted(qp, part, roots):

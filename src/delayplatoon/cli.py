@@ -17,11 +17,11 @@ imports the scenario and simulator stack, and predict-demo the predictor.
 Each package function a command calls is reached through a name of this
 module (parse_scenario and predict are thin functions that import their
 module on first call), so replacing that name redirects the command's call.
-numpy too is imported by the functions that build an array (sweep, region
-and predict-demo), not at module level.  ``simulate`` checks and writes the
-simulator's float columns (``simulator.run_columns``) through the one
-17-digit writer, so it loads numpy only for the prediction weights of a
-constant-policy follower.  ``analyze`` on the DCH or constant policy never
+numpy too is imported by the functions that build an array (sweep and
+predict-demo; region through analysis.stability_region_boundary), not at
+module level.  ``simulate`` checks and writes the simulator's float columns
+(``simulator.run_columns``) through the one 17-digit writer, so it loads
+numpy only for the prediction weights of a constant-policy follower.  ``analyze`` on the DCH or constant policy never
 loads it, nor on an extended tuning inside the closed-form sufficient pair:
 the root search runs on math and cmath.  Other extended tunings load it
 through analysis for the string-stability cells.
@@ -98,15 +98,6 @@ def _write_values(path, width: int, values, header: str, footer: str = "") -> No
             fh.write(line * (len(block) // width) % block)
         if footer:
             fh.write(footer + "\n")
-
-
-def _write_table(path, table, header: str, footer: str = "") -> None:
-    """_write_values of the rows of a 2-D array, a block of rows at a time."""
-    blocks = (
-        table[start:start + _CSV_BLOCK_ROWS].ravel().tolist()
-        for start in range(0, len(table), _CSV_BLOCK_ROWS)
-    )
-    _write_values(path, table.shape[1], chain.from_iterable(blocks), header, footer)
 
 
 def _trajectory_columns(log: Columns) -> tuple[list[str], list]:
@@ -241,8 +232,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_region(args) -> int:
-    import numpy as np
-
     from . import analysis
 
     phis = args.phi
@@ -250,11 +239,10 @@ def cmd_region(args) -> int:
         check_sample_count("--points", args.points)
         curves = [analysis.stability_region_boundary(phi, args.points) for phi in phis]
     if len(phis) == 1:
-        _write_table(args.out, curves[0], "hv_over_ha,one_over_ha")
+        _write_values(args.out, 2, curves[0].ravel().tolist(), "hv_over_ha,one_over_ha")
     else:
-        table = np.vstack([np.column_stack((np.full(len(c), phi), c))
-                           for phi, c in zip(phis, curves)])
-        _write_table(args.out, table, "phi,hv_over_ha,one_over_ha")
+        rows = ((phi, x, y) for phi, c in zip(phis, curves) for x, y in c.tolist())
+        _write_values(args.out, 3, chain.from_iterable(rows), "phi,hv_over_ha,one_over_ha")
     print(f"wrote {sum(len(c) for c in curves)} boundary points to {args.out}")
     return EXIT_OK
 
@@ -281,7 +269,8 @@ def cmd_sweep(args) -> int:
     else:
         peak_w, peak_m, mags = analysis.refined_peak(policy, params, grid)
     peak = f"peak_omega = {_fmt(peak_w)}, peak_magnitude = {_fmt(peak_m)}"
-    _write_table(args.out, np.column_stack((grid, mags)), "omega,magnitude", "# " + peak)
+    rows = zip(grid.tolist(), mags.tolist())
+    _write_values(args.out, 2, chain.from_iterable(rows), "omega,magnitude", "# " + peak)
     print(peak)
     return EXIT_OK
 

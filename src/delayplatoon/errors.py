@@ -18,9 +18,11 @@ class DegreeError(ValueError):
 
 
 class RefinementError(RuntimeError):
-    """Root search certificate failed: no seed converged, p is not finite or 0
-    on the counting contour, the root count reached its evaluation cap, or it
-    does not match the roots found."""
+    """A certificate failed.  Root search: the Lambert-W listing overflowed
+    or ran past its branch cap, p is not finite or 0 on the counting
+    contour, the root count reached its evaluation cap, no multiplicity of a
+    root was certified, or the count does not match the roots found.
+    String stability: the peak was not certified within its point budget."""
 
 
 class ScenarioError(ValueError):

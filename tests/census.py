@@ -41,9 +41,12 @@ disagreement is the largest relative distance to the oracle over the
 other certified draws.
 
 Run from the repository root; --write stores the counts in
-census_counts.json, the first 100 draws of each family as well:
+census_counts.json, the first 100 draws of each family as well, and
+--check compares each family with the stored counts by the rule that
+test_census.py applies to the first 100 draws (mismatches), exiting 1 on
+a mismatch:
 
-    PYTHONPATH=src python tests/census.py --draws 3000 [--write] [--roots PATH]
+    PYTHONPATH=src python tests/census.py --draws 3000 [--write | --check] [--roots PATH]
 """
 
 import argparse
@@ -77,6 +80,27 @@ def _coefficient(rng: random.Random) -> float:
     return sign * _log_uniform(rng, 1e-2, 1e2)
 
 
+def _double_root(rng: random.Random) -> tuple[float, float, float, float]:
+    """(h_v, h_a, phi, lam) of one ext-double draw: lam is a root of phi h_v
+    lambda^2 + (h_v + phi) lambda + 2 = 0, and h_a makes it a double root
+    of the extended factor."""
+    phi = rng.uniform(0.05, 0.3)
+    h_v = phi * _log_uniform(rng, 6.0, 100.0)
+    disc = (h_v + phi) ** 2 - 8.0 * phi * h_v
+    lam = (-(h_v + phi) + rng.choice((-1.0, 1.0)) * math.sqrt(disc)) / (2.0 * phi * h_v)
+    h_a = -(h_v * lam + 1.0) * math.exp(-phi * lam) / (lam * lam)
+    return h_v, h_a, phi, lam
+
+
+def double_roots(n: int):
+    """The first n ext-double draws as (qp, lam), lam the double root that
+    the draw builds h_a from."""
+    rng = random.Random(FAMILIES.index("ext-double"))
+    for _ in range(n):
+        h_v, h_a, phi, lam = _double_root(rng)
+        yield QuasiPolynomial.extended_internal(h_v, h_a, phi), lam
+
+
 def draws(family: str, n: int):
     """The first n draws of a family: (qp, oracle, exact), oracle a
     callable that returns the reference root or None, exact whether it is
@@ -102,11 +126,7 @@ def draws(family: str, n: int):
             h_v = phi * _log_uniform(rng, 1e-2, 1e2)
             h_a = h_v * phi * _log_uniform(rng, 1e-3, 1e3) if k % 3 else None
         elif family == "ext-double":
-            phi = rng.uniform(0.05, 0.3)
-            h_v = phi * _log_uniform(rng, 6.0, 100.0)
-            disc = (h_v + phi) ** 2 - 8.0 * phi * h_v
-            lam = (-(h_v + phi) + rng.choice((-1.0, 1.0)) * math.sqrt(disc)) / (2.0 * phi * h_v)
-            h_a = -(h_v * lam + 1.0) * math.exp(-phi * lam) / (lam * lam)
+            h_v, h_a, phi, _ = _double_root(rng)
         elif family == "huge-ha":
             h_v, h_a, phi = _log_uniform(rng, 1e-3, 1e3), 10.0 ** rng.uniform(16.0, 305.0), rng.uniform(0.05, 0.3)
             qp = QuasiPolynomial.extended_internal(h_v, h_a, phi)
@@ -163,6 +183,19 @@ def summary(outcomes) -> dict:
     return counts
 
 
+def mismatches(got: dict, want: dict) -> list[str]:
+    """How the summary got departs from the committed want: a wrong draw,
+    other certified or inconclusive counts, or a largest disagreement
+    beyond ten times the committed one."""
+    found = [f"{got['wrong']} wrong"] if got["wrong"] else []
+    found += [f"{key} {got[key]} != {want[key]}" for key in ("certified", "inconclusive")
+              if got[key] != want[key]]
+    if got["max_disagreement"] > 10.0 * want["max_disagreement"]:
+        found.append(f"max disagreement {got['max_disagreement']:.3g}"
+                     f" > 10 x {want['max_disagreement']:.3g}")
+    return found
+
+
 def census(family: str, n: int) -> list:
     """The (outcome, root, distance) of each of the first n draws of a family."""
     return [classify(*draw) for draw in draws(family, n)]
@@ -171,10 +204,16 @@ def census(family: str, n: int) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--draws", type=int, default=3000)
-    parser.add_argument("--write", action="store_true", help="store the counts in census_counts.json")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true", help="store the counts in census_counts.json")
+    mode.add_argument("--check", action="store_true",
+                      help="compare the counts with census_counts.json; exit 1 on a mismatch")
     parser.add_argument("--roots", type=Path, help="write each draw's certified root (repr) as JSON")
     args = parser.parse_args(argv)
-    table, first, roots = {}, {}, {}
+    recorded = json.loads(COUNTS.read_text()) if args.check else None
+    if recorded and recorded["draws"] != args.draws:
+        parser.error(f"--check needs --draws {recorded['draws']}, the committed census")
+    table, first, roots, failed = {}, {}, {}, False
     print(f"{'family':14s} {'certified':>9s} {'inconcl.':>9s} {'wrong':>6s} {'unchecked':>9s}  max disagreement")
     for family in FAMILIES:
         outcomes = census(family, args.draws)
@@ -183,12 +222,15 @@ def main(argv=None) -> int:
         first[family] = summary(outcomes[:FIRST])
         print(f"{family:14s} {counts['certified']:9d} {counts['inconclusive']:9d} {counts['wrong']:6d}"
               f" {counts['unchecked']:9d}  {counts['max_disagreement']:.3g}", flush=True)
+        if recorded and (found := mismatches(counts, recorded["families"][family])):
+            print(f"  {family} departs from {COUNTS.name}: {'; '.join(found)}", flush=True)
+            failed = True
     if args.roots:
         args.roots.write_text(json.dumps(roots, indent=0))
     if args.write:
         COUNTS.write_text(json.dumps({"draws": args.draws, "families": table, "first": {
             "draws": FIRST, "families": first}}, indent=2) + "\n")
-    return 1 if any(counts["wrong"] for counts in table.values()) else 0
+    return 1 if failed or any(counts["wrong"] for counts in table.values()) else 0
 
 
 if __name__ == "__main__":

@@ -1246,10 +1246,8 @@ class TestWindingCertificate:
 
     def test_no_converged_seed_is_a_refinement_error(self, evaluations):
         """At h_v = 1e-308 the roots W_k(-1.5e307) / phi, near 4672 +- 21i
-        (1 + 2k), crowd the box in more branches than the listing takes,
-        where no eigenvalue seed converged: RefinementError at once, before
-        any box count, and in well under the 6 ms that the generator's
-        search took."""
+        (1 + 2k), crowd the box in more branches than the listing takes:
+        RefinementError at once, before any box count, in under 6 ms."""
         qp = QuasiPolynomial.dch_internal(1e-308, 0.15)
         times = []
         for _ in range(3):
@@ -1282,7 +1280,7 @@ class TestWindingCertificate:
         qp = QuasiPolynomial.extended_internal(1.2, 0.25, 0.15)
         second = analysis._newton_polish(qp, -3.3 + 6.8j)
         monkeypatch.setattr(analysis, "_closed_form_roots", lambda qp: [second])
-        monkeypatch.setattr(analysis, "_polish", lambda qp, seed: [])
+        monkeypatch.setattr(analysis, "_newton_polish", lambda qp, seed: None)
         message = r"^winding count 3 != 2 roots found .*; seeded from the closed-form seeds\)$"
         with pytest.raises(dp.RefinementError, match=message):
             dp.rightmost_root(qp)

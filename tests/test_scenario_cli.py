@@ -1278,7 +1278,7 @@ def test_csv_blocks_equal_savetxt(tmp_path):
     rows = 2 * cli._CSV_BLOCK_ROWS + 3
     table = rng.standard_normal((rows, 3)) * 10.0 ** rng.uniform(-300, 300, (rows, 3))
     table[0] = (-0.0, 0.1, 1e22)
-    cli._write_table(tmp_path / "out.csv", table, "x,y,z", "# end")
+    cli._write_values(tmp_path / "out.csv", 3, table.ravel().tolist(), "x,y,z", "# end")
     with open(tmp_path / "savetxt.csv", "w") as fh:
         np.savetxt(fh, table, fmt="%.17g", delimiter=",", header="x,y,z", footer="# end", comments="")
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
